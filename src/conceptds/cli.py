@@ -21,11 +21,13 @@ from .cases import CASE_IDS, CaseReport, build_case, display_labels
 from .combine import combine
 from .context import ContextDocument, load_document, parse_cxt
 from .errors import (CapacityError, ConceptDSError, LabelError, MassError,
-                     ParseError, PreconditionError, TotalConflictError)
+                     ParseError, PreconditionError, TotalConflictError,
+                     check_capacity)
 from .evidence import MassFunction, resolve_mass
 from .lattice import ConceptLattice, enumerate_concepts
-from .oracle import (check_belief_axioms_set, check_plausibility_axioms_set,
-                     random_context, random_mass)
+from .oracle import (MAX_AXIOM_CARRIER, check_belief_axioms_set,
+                     check_plausibility_axioms_set, random_context,
+                     random_mass)
 from .probspace import ProbabilitySpace, probability_space_from_json
 from .rationals import format_exact, format_fixed, parse_rational
 from .context import normalize_no_universal_object
@@ -284,9 +286,7 @@ def _verify_partition_space(space: ProbabilitySpace, cfg: RunConfig) -> int:
     complement.
     """
     n = len(space.carrier)
-    if n > MAX_MEASURE_SWEEP:
-        raise CapacityError(f"carrier for the measure sweep: {n} exceeds the "
-                            f"supported bound of {MAX_MEASURE_SWEEP}")
+    check_capacity("carrier for the measure sweep", n, MAX_MEASURE_SWEEP)
     elements = sorted(space.carrier, key=repr)
     approximants_ok = True
     duality_ok = True
@@ -512,6 +512,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
     checks: list[tuple[str, Mapping[frozenset, Fraction]]] = []
     if _is_partition_space(doc):
         space = probability_space_from_json(doc)
+        # The checkers bound the carrier too, but only after every subset
+        # and both measure tables exist.
+        check_capacity("carrier for axiom checking", len(space.carrier),
+                       MAX_AXIOM_CARRIER)
         elements = sorted(space.carrier, key=repr)
         subsets = [frozenset(elements[i] for i in range(len(elements))
                              if mask >> i & 1)

@@ -38,28 +38,36 @@ def _require_same_lattice(m1: MassFunction, m2: MassFunction) -> None:
 
 
 def combine(m1: MassFunction, m2: MassFunction) -> CombinationReport:
-    """Combine two mass functions on the same lattice."""
+    """Combine two mass functions on the same lattice.
+
+    Focal pairs meet by intersecting extent masks.  The products of their
+    numerators accumulate as integers over d1*d2, so the only divisions are
+    the final ones by the normaliser.
+    """
     _require_same_lattice(m1, m2)
     lat = m1.lattice
-    meets = lat.meet_table
-    nonempty = lat.extent_nonempty
-    acc: dict[int, Fraction] = {}
-    conflict = Fraction(0)
-    for i in m1.support():
-        for j in m2.support():
-            weight = m1.values[i] * m2.values[j]
-            k = meets[i][j]
-            if nonempty[k]:
-                acc[k] = acc.get(k, Fraction(0)) + weight
+    d1, focal1 = m1.focal
+    d2, focal2 = m2.focal
+    acc: dict[int, int] = {}
+    conflict = 0
+    for a, x in focal1:
+        for b, y in focal2:
+            c = a & b
+            if c:
+                acc[c] = acc.get(c, 0) + x * y
             else:
-                conflict += weight
-    normalizer = 1 - conflict
+                conflict += x * y
+    total = d1 * d2
+    # (w / total) / (1 - conflict / total) == w / (total - conflict)
+    normalizer = total - conflict
     if normalizer == 0:
         raise TotalConflictError()
     values = [Fraction(0)] * len(lat)
-    for k, v in acc.items():
-        values[k] = v / normalizer
-    return CombinationReport(MassFunction(lat, tuple(values)), conflict)
+    index = lat.index_by_extent
+    for c, w in acc.items():
+        values[index[c]] = Fraction(w, normalizer)
+    return CombinationReport(MassFunction(lat, tuple(values)),
+                             Fraction(conflict, total))
 
 
 def combine_many(masses: Sequence[MassFunction]) -> CombinationReport:

@@ -9,8 +9,10 @@ a full powerset.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .context import MassSpec, ObjectSet
@@ -21,6 +23,11 @@ MAX_SET_CARRIER = 12
 
 _TOP_NAMES = frozenset({"top", "⊤"})
 _BOTTOM_NAMES = frozenset({"bottom", "bot", "⊥"})
+
+
+def _exact(value) -> Fraction:
+    """The value as a Fraction; a Fraction passes through unchanged."""
+    return value if type(value) is Fraction else Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -35,15 +42,16 @@ class MassFunction:
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(_exact, self.values)))
         if len(self.values) != len(self.lattice):
             raise MassError(f"expected {len(self.lattice)} values, got {len(self.values)}")
         for i, v in enumerate(self.values):
-            if v < 0:
+            if v.numerator < 0:
                 raise MassError(f"concept {i} has negative mass {v}")
-        total = sum(self.values, Fraction(0))
-        if total != 1:
-            raise MassError(f"mass sums to {total}, expected 1")
+        d, focal = self.focal
+        total = sum(x for _, x in focal)
+        if total != d:
+            raise MassError(f"mass sums to {Fraction(total, d)}, expected 1")
         bottom = self.lattice.bottom_index
         if not self.lattice.extent_nonempty[bottom] and self.values[bottom] != 0:
             raise MassError(
@@ -73,12 +81,31 @@ class MassFunction:
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, v in enumerate(self.values) if v)
 
+    @cached_property
+    def focal(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """The support over one common denominator.
+
+        Returns the denominator d (the lcm of the support's denominators) and
+        one (extent mask, numerator) pair per focal concept, in index order:
+        the focal concept i carries mass numerator / d.
+        """
+        support = self.support()
+        d = math.lcm(*(self.values[i].denominator for i in support))
+        extents = self.lattice.extents
+        return d, tuple((extents[i], self.values[i].numerator
+                         * (d // self.values[i].denominator))
+                        for i in support)
+
+    def _bel_numerator(self, extent: int) -> int:
+        return sum(x for f, x in self.focal[1] if f & ~extent == 0)
+
+    def _pl_numerator(self, extent: int) -> int:
+        return sum(x for f, x in self.focal[1] if f & extent)
+
     def bel(self, c: Concept | int) -> Fraction:
         """Total mass of concepts at or below c."""
-        i = self._index(c)
-        leq = self.lattice.leq_table
-        return sum((v for j, v in enumerate(self.values) if leq[j][i]),
-                   Fraction(0))
+        e = self.lattice.extents[self._index(c)]
+        return Fraction(self._bel_numerator(e), self.focal[0])
 
     def pl(self, c: Concept | int) -> Fraction:
         """Total mass of concepts compatible with c.
@@ -86,17 +113,25 @@ class MassFunction:
         Compatible means the meet has a nonempty extent, i.e. some object
         witnesses both concepts at once.
         """
-        i = self._index(c)
-        meets = self.lattice.meet_table
-        nonempty = self.lattice.extent_nonempty
-        return sum((v for j, v in enumerate(self.values) if nonempty[meets[j][i]]),
-                   Fraction(0))
+        e = self.lattice.extents[self._index(c)]
+        return Fraction(self._pl_numerator(e), self.focal[0])
 
     def belief_table(self) -> "BeliefTable":
-        indices = range(len(self.lattice))
-        return BeliefTable(self.lattice,
-                           tuple(self.bel(i) for i in indices),
-                           tuple(self.pl(i) for i in indices))
+        d = self.focal[0]
+        # Few distinct values recur across concepts: build each Fraction once.
+        exact: dict[int, Fraction] = {}
+
+        def fraction(x: int) -> Fraction:
+            value = exact.get(x)
+            if value is None:
+                value = exact[x] = Fraction(x, d)
+            return value
+
+        extents = self.lattice.extents
+        return BeliefTable(
+            self.lattice,
+            tuple(fraction(self._bel_numerator(e)) for e in extents),
+            tuple(fraction(self._pl_numerator(e)) for e in extents))
 
 
 @dataclass(frozen=True)
@@ -232,38 +267,44 @@ def mass_from_bel_lattice(bel_values: Sequence[Fraction],
                           lat: ConceptLattice) -> MassFunction:
     """Invert a per-concept belief table by recursion along the order.
 
-    Peels mass bottom-up: each concept keeps whatever belief its strict
-    down-set does not already account for.  Monotonicity is checked up front
-    rather than assumed, and failures carry a witness.
+    Peels mass bottom-up: each concept keeps whatever belief the focal
+    concepts strictly below it do not already account for.  Monotonicity is
+    checked up front rather than assumed, and failures carry a witness.  The
+    work runs on integer numerators over the lcm of the table's denominators.
     """
-    values = tuple(Fraction(v) for v in bel_values)
+    values = tuple(map(_exact, bel_values))
     if len(values) != len(lat):
         raise MassError(f"expected {len(lat)} belief values, got {len(values)}")
-    leq = lat.leq_table
     if values[lat.top_index] != 1:
         raise MassError(f"bel at the greatest concept is {values[lat.top_index]}, "
                         "expected 1")
-    n = len(lat)
-    for i in range(n):
-        for j in range(n):
-            if leq[i][j] and values[i] > values[j]:
+    d = math.lcm(*(v.denominator for v in values))
+    scaled = [v.numerator * (d // v.denominator) for v in values]
+    extents = lat.extents
+    # Only a concept earlier in canonical order can lie strictly above i.
+    for i, (e, s) in enumerate(zip(extents, scaled)):
+        for j in range(i):
+            if s > scaled[j] and e & ~extents[j] == 0:
                 raise MassError(
                     f"bel is not monotone: concept {i} <= concept {j} but "
                     f"{values[i]} > {values[j]}")
 
-    masses = [Fraction(0)] * n
-    for i in sorted(range(n), key=lambda k: len(lat[k].extent)):
-        below = sum((masses[j] for j in range(n) if leq[j][i] and j != i),
-                    Fraction(0))
-        masses[i] = values[i] - below
+    masses = [0] * len(lat)
+    focal: list[tuple[int, int]] = []
+    for i in sorted(range(len(lat)), key=lambda k: extents[k].bit_count()):
+        e = extents[i]
+        masses[i] = scaled[i] - sum(x for f, x in focal if f & ~e == 0)
         if masses[i] < 0:
             raise MassError(f"not a belief function on this lattice: recovered "
-                            f"mass {masses[i]} on concept {i}")
+                            f"mass {Fraction(masses[i], d)} on concept {i}")
+        if masses[i]:
+            focal.append((e, masses[i]))
     bottom = lat.bottom_index
     if not lat.extent_nonempty[bottom] and masses[bottom] != 0:
-        raise MassError(f"recovered mass {masses[bottom]} on the empty-extent "
-                        "least concept; the table is not a belief function here")
-    return MassFunction(lat, tuple(masses))
+        raise MassError(f"recovered mass {Fraction(masses[bottom], d)} on the "
+                        "empty-extent least concept; the table is not a belief "
+                        "function here")
+    return MassFunction(lat, tuple(Fraction(x, d) for x in masses))
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,27 @@
 """Concept enumeration and the finite lattice structure of a context.
 
 Concepts are the closed (extent, intent) pairs of a context.  They are stored
-in a canonical order (descending extent size, then lexicographic extent) and
-the order relation, meets, and joins are precomputed as index tables.  Meets
-intersect extents, joins intersect intents; both land on concepts because
-closed sets are closed under intersection.
+in a canonical order (descending extent size, then lexicographic extent), and
+every extent and intent is also kept as an `int` bitmask over object and
+attribute indices.  Order, meets and joins are answered from the masks: c <= d
+when c's extent mask has no bit outside d's, a meet is the concept whose
+extent is the intersection of the two extents, and a join the concept whose
+intent is the intersection of the two intents.  Both intersections land on
+concepts because closed sets are closed under intersection.  The dense n x n
+`leq_table`, `meet_table` and `join_table` are built only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .context import AttributeSet, FormalContext, ObjectSet
 from .errors import check_capacity
 
 MAX_OBJECTS = 24
+MAX_CONCEPTS = 4096
 
 
 @dataclass(frozen=True)
@@ -24,35 +30,44 @@ class Concept:
     intent: AttributeSet
 
 
-class ConceptLattice:
-    """All concepts of a context with precomputed order, meet, and join.
+def _mask(indices: Iterable[int]) -> int:
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
 
-    Instances are immutable by convention and are only built through
-    `enumerate_concepts`.
+
+def _members(mask: int) -> list[int]:
+    """The set bits of a mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+class ConceptLattice:
+    """All concepts of a context, with their extent and intent bitmasks.
+
+    `extents[i]` and `intents[i]` are the masks of concept i.  Order, meet and
+    join are computed from them on demand; the dense tables are cached
+    properties for callers that sweep every pair.  Instances are immutable by
+    convention and are only built through `enumerate_concepts`.
     """
 
-    def __init__(self, context: FormalContext, concepts: tuple[Concept, ...]):
+    def __init__(self, context: FormalContext, extents: tuple[int, ...],
+                 intents: tuple[int, ...]):
         self.context = context
-        self.concepts = concepts
-        self._by_extent = {c.extent: i for i, c in enumerate(concepts)}
-        self._by_intent = {c.intent: i for i, c in enumerate(concepts)}
-        n = len(concepts)
-        self.leq_table: tuple[tuple[bool, ...], ...] = tuple(
-            tuple(concepts[i].extent <= concepts[j].extent for j in range(n))
-            for i in range(n))
-        self.meet_table: tuple[tuple[int, ...], ...] = tuple(
-            tuple(self._by_extent[concepts[i].extent & concepts[j].extent]
-                  for j in range(n))
-            for i in range(n))
-        self.join_table: tuple[tuple[int, ...], ...] = tuple(
-            tuple(self._by_intent[concepts[i].intent & concepts[j].intent]
-                  for j in range(n))
-            for i in range(n))
-        self.extent_nonempty: tuple[bool, ...] = tuple(
-            bool(c.extent) for c in concepts)
-        self.top_index = self._by_extent[frozenset(range(len(context.objects)))]
-        self.bottom_index = self._by_extent[
-            context.down(range(len(context.attributes)))]
+        self.extents = extents
+        self.intents = intents
+        self.concepts = tuple(
+            Concept(frozenset(_members(e)), frozenset(_members(a)))
+            for e, a in zip(extents, intents))
+        self.index_by_extent = {e: i for i, e in enumerate(extents)}
+        self.extent_nonempty: tuple[bool, ...] = tuple(e != 0 for e in extents)
+        self.top_index = self.index_by_extent[(1 << len(context.objects)) - 1]
+        self.bottom_index = intents.index((1 << len(context.attributes)) - 1)
 
     # -- basics ------------------------------------------------------------
 
@@ -74,39 +89,72 @@ class ConceptLattice:
         return self.concepts[self.bottom_index]
 
     def index_of(self, concept: Concept) -> int:
-        index = self._by_extent.get(concept.extent)
+        index = self.index_by_extent.get(_mask(concept.extent))
         if index is None or self.concepts[index] != concept:
             raise ValueError(f"not a concept of this lattice: {concept}")
         return index
 
     def concept_with_extent(self, extent: Iterable[int]) -> Concept | None:
-        index = self._by_extent.get(frozenset(extent))
+        index = self.index_by_extent.get(_mask(extent))
         return None if index is None else self.concepts[index]
 
     # -- order, meet, join ---------------------------------------------------
 
     def leq(self, c: Concept, d: Concept) -> bool:
-        return self.leq_table[self.index_of(c)][self.index_of(d)]
+        return self.extents[self.index_of(c)] & ~self.extents[self.index_of(d)] == 0
 
     def meet(self, c: Concept, d: Concept) -> Concept:
-        return self.concepts[self.meet_table[self.index_of(c)][self.index_of(d)]]
+        extent = self.extents[self.index_of(c)] & self.extents[self.index_of(d)]
+        return self.concepts[self.index_by_extent[extent]]
 
     def join(self, c: Concept, d: Concept) -> Concept:
-        return self.concepts[self.join_table[self.index_of(c)][self.index_of(d)]]
+        intent = self.intents[self.index_of(c)] & self.intents[self.index_of(d)]
+        return self.concepts[self._index_by_intent[intent]]
+
+    @cached_property
+    def _index_by_intent(self) -> dict[int, int]:
+        return {a: i for i, a in enumerate(self.intents)}
 
     def covers(self) -> tuple[tuple[int, int], ...]:
-        """Edges (i, j) where concept i is covered by concept j."""
-        n = len(self.concepts)
-        leq = self.leq_table
+        """Edges (i, j) where concept i is covered by concept j.
+
+        Lindig's neighbour test: for each object g outside i's extent, the
+        closure of that extent plus g is the concept whose intent is i's
+        intent cut down to g's attributes.  Such a closure j covers i exactly
+        when every object j adds to i's extent generates j; an object that
+        generated a smaller closure would lie strictly between i and j.
+        """
+        rows = [_mask(intent) for intent in self.context.object_intents]
+        everyone = (1 << len(rows)) - 1
+        by_intent = self._index_by_intent
+        extents = self.extents
         edges = []
-        for i in range(n):
-            for j in range(n):
-                if i == j or not leq[i][j]:
-                    continue
-                if not any(k != i and k != j and leq[i][k] and leq[k][j]
-                           for k in range(n)):
-                    edges.append((i, j))
+        for i, (e, a) in enumerate(zip(extents, self.intents)):
+            generated: dict[int, int] = {}
+            for g in _members(everyone & ~e):
+                j = by_intent[a & rows[g]]
+                generated[j] = generated.get(j, 0) + 1
+            size = e.bit_count()
+            edges.extend((i, j) for j in sorted(generated)
+                         if generated[j] == extents[j].bit_count() - size)
         return tuple(edges)
+
+    # -- dense tables, built on first read -----------------------------------
+
+    @cached_property
+    def leq_table(self) -> tuple[tuple[bool, ...], ...]:
+        extents = self.extents
+        return tuple(tuple(a & ~b == 0 for b in extents) for a in extents)
+
+    @cached_property
+    def meet_table(self) -> tuple[tuple[int, ...], ...]:
+        index, extents = self.index_by_extent, self.extents
+        return tuple(tuple(index[a & b] for b in extents) for a in extents)
+
+    @cached_property
+    def join_table(self) -> tuple[tuple[int, ...], ...]:
+        index, intents = self._index_by_intent, self.intents
+        return tuple(tuple(index[a & b] for b in intents) for a in intents)
 
 
 def enumerate_concepts(ctx: FormalContext) -> ConceptLattice:
@@ -114,15 +162,25 @@ def enumerate_concepts(ctx: FormalContext) -> ConceptLattice:
 
     Intents are exactly the intersections of object intents (including the
     empty intersection, i.e. all attributes); extents are derived from them.
+    The number of intents is checked against MAX_CONCEPTS after each object
+    is folded in, so an oversized lattice fails before it is built.
     """
     check_capacity("objects in context", len(ctx.objects), MAX_OBJECTS)
-    intents: set[AttributeSet] = {frozenset(range(len(ctx.attributes)))}
-    for object_intent in ctx.object_intents:
-        intents |= {intent & object_intent for intent in intents}
-    concepts = tuple(sorted(
-        (Concept(ctx.down(intent), intent) for intent in intents),
-        key=lambda c: (-len(c.extent), tuple(sorted(c.extent)))))
-    return ConceptLattice(ctx, concepts)
+    rows = [_mask(intent) for intent in ctx.object_intents]
+    intents = {(1 << len(ctx.attributes)) - 1}
+    for row in rows:
+        intents |= {intent & row for intent in intents}
+        check_capacity("concepts in lattice", len(intents), MAX_CONCEPTS)
+    pairs = []
+    for intent in intents:
+        extent = 0
+        for g, row in enumerate(rows):
+            if intent & ~row == 0:
+                extent |= 1 << g
+        pairs.append((extent, intent))
+    pairs.sort(key=lambda pair: (-pair[0].bit_count(), _members(pair[0])))
+    return ConceptLattice(ctx, tuple(e for e, _ in pairs),
+                          tuple(a for _, a in pairs))
 
 
 def leq(lat: ConceptLattice, c: Concept, d: Concept) -> bool:

@@ -58,6 +58,14 @@ def seeded_lattice_mass(rng: random.Random, max_concepts: int = 10,
                                denominator_bound=denominator_bound)
 
 
+def contranominal(n: int) -> FormalContext:
+    """Object i has every attribute but i: all 2^n subsets are extents."""
+    return FormalContext(tuple(f"o{i}" for i in range(n)),
+                         tuple(f"a{i}" for i in range(n)),
+                         frozenset((g, m) for g in range(n) for m in range(n)
+                                   if g != m))
+
+
 # ---------------------------------------------------------------------------
 # Strategies
 

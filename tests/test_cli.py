@@ -5,12 +5,16 @@ from __future__ import annotations
 import csv
 import io
 import json
+import time
 from importlib.resources import files
 
 import pytest
 
-from conceptds import enumerate_concepts, load_document
+from conceptds import enumerate_concepts, load_document, serialize_cxt
 from conceptds.cli import run
+from conceptds.errors import ENV_UNSAFE_SCALE
+
+from conftest import contranominal
 
 DATA = files("conceptds") / "data"
 
@@ -169,6 +173,25 @@ def test_verify_needs_a_file_or_a_soak_count(capsys):
     assert run(["verify-representation", MUSIC, "--soak", "2"]) == 2
 
 
+def _partition_space(tmp_path, n: int) -> str:
+    path = tmp_path / f"space{n}.json"
+    path.write_text(json.dumps({"carrier": list(range(n)),
+                                "blocks": [list(range(n))], "mu": ["1"]}),
+                    encoding="utf-8")
+    return str(path)
+
+
+def test_verify_measure_sweep_bound_honours_the_escape_hatch(
+        tmp_path, monkeypatch, capsys):
+    path = _partition_space(tmp_path, 13)
+    monkeypatch.delenv(ENV_UNSAFE_SCALE, raising=False)
+    assert run(["verify-representation", path]) == 2
+    assert "carrier for the measure sweep: 13" in capsys.readouterr().err
+    monkeypatch.setenv(ENV_UNSAFE_SCALE, "1")
+    assert run(["verify-representation", path]) == 0
+    assert "subsets checked: 8192" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # check
 
@@ -191,6 +214,17 @@ def test_check_reports_the_violation(tmp_path, capsys):
     assert "sets: {1}; {2}" in out
     assert "value 1.00 against bound 2.00" in out
     assert "overall: FAIL" in out
+
+
+def test_check_bounds_the_carrier_before_building_subsets(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv(ENV_UNSAFE_SCALE, raising=False)
+    path = _partition_space(tmp_path, 18)
+    start = time.perf_counter()
+    assert run(["check", path]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: carrier for axiom checking: 18 exceeds")
 
 
 def test_check_rejects_bad_tables(tmp_path, capsys):
@@ -239,6 +273,17 @@ def test_examples_movies2_has_no_annotations(capsys):
 
 # ---------------------------------------------------------------------------
 # error handling and determinism
+
+def test_oversized_lattice_is_an_input_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv(ENV_UNSAFE_SCALE, raising=False)
+    path = tmp_path / "contranominal.cxt"
+    path.write_text(serialize_cxt(contranominal(14)), encoding="utf-8")
+    assert run(["lattice", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: concepts in lattice: ")
+    assert "Traceback" not in captured.err
+
 
 def test_missing_file_is_an_input_error(capsys):
     assert run(["lattice", "/nonexistent/nowhere.json"]) == 2

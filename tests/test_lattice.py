@@ -1,4 +1,4 @@
-"""Concept enumeration and the precomputed order, meet, and join tables."""
+"""Concept enumeration, order, meet, join, covers and the dense tables."""
 
 from __future__ import annotations
 
@@ -8,8 +8,9 @@ from hypothesis import given
 from conceptds import (CapacityError, Concept, FormalContext,
                        enumerate_concepts)
 from conceptds.errors import ENV_UNSAFE_SCALE
+from conceptds.lattice import MAX_CONCEPTS
 
-from conftest import small_contexts
+from conftest import contranominal, small_contexts
 
 
 def test_music_concepts_are_the_known_family(music_lattice):
@@ -66,6 +67,13 @@ def test_object_capacity_is_enforced(monkeypatch):
         enumerate_concepts(big)
     monkeypatch.setenv(ENV_UNSAFE_SCALE, "1")
     assert len(enumerate_concepts(big)) <= 2
+
+
+def test_concept_capacity_is_enforced_during_closure(monkeypatch):
+    monkeypatch.delenv(ENV_UNSAFE_SCALE, raising=False)
+    assert len(enumerate_concepts(contranominal(12))) == MAX_CONCEPTS
+    with pytest.raises(CapacityError, match="concepts in lattice"):
+        enumerate_concepts(contranominal(14))
 
 
 def test_index_of_rejects_foreign_concepts(music_lattice):
