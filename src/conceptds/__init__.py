@@ -11,23 +11,20 @@ from .cases import (CASE_IDS, CaseReport, CellNote, available_cases,
                     build_case, build_report, display_labels, load_case)
 from .combine import CombinationReport, combine, combine_many, combine_set
 from .context import (FRESH_ATTRIBUTE, ContextDocument, FormalContext,
-                      MassSpec, down, load_document,
-                      normalize_no_universal_object, parse_cxt,
-                      parse_json_context, serialize_cxt, up)
+                      MassSpec, load_document, normalize_no_universal_object,
+                      parse_cxt, serialize_cxt)
 from .errors import (CapacityError, ConceptDSError, LabelError, MassError,
                      ParseError, PreconditionError, TotalConflictError)
-from .evidence import (BeliefTable, MassFunction, SetMassFunction, bel,
-                       bel_set, mass_from_bel_lattice, mass_from_bel_set, pl,
-                       pl_set, resolve_concept_label, resolve_mass)
-from .lattice import (Concept, ConceptLattice, enumerate_concepts, join, leq,
-                      meet)
+from .evidence import (BeliefTable, MassFunction, SetMassFunction,
+                       mass_from_bel_lattice, mass_from_bel_set,
+                       resolve_concept_label, resolve_mass)
+from .lattice import Concept, ConceptLattice, enumerate_concepts
 from .oracle import (AxiomReport, AxiomViolation, brute_bel, brute_pl,
                      check_belief_axioms_set, check_plausibility_axioms_set,
                      random_context, random_mass, random_partition_space,
                      random_set_mass)
-from .probspace import (ConceptualProbabilitySpace, ProbabilitySpace, gamma,
-                        inner_measure, iota, outer_measure,
-                        parse_probability_space, probability_space_from_json)
+from .probspace import (ProbabilitySpace, parse_probability_space,
+                        probability_space_from_json)
 from .rationals import (format_exact, format_fixed, parse_rational,
                         round_half_away)
 from .represent import (ConceptRepresentation, FrameRepresentation,

@@ -15,7 +15,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Mapping
 
-from .combine import combine
+from .combine import combine_many
 from .context import ContextDocument, ObjectSet, load_document
 from .errors import LabelError, ParseError
 from .evidence import MassFunction, resolve_mass
@@ -145,15 +145,13 @@ def build_report(doc: ContextDocument, case_id: str = "document") -> CaseReport:
             raise ParseError(f"combination order names unknown mass {name!r}")
 
     combined_rows: dict[str, tuple[Fraction, ...]] = {}
-    conflicts: list[Fraction] = []
+    conflicts: tuple[Fraction, ...] = ()
     if order:
-        acc = masses[order[0]]
-        for name in order[1:]:
-            step = combine(acc, masses[name])
-            conflicts.append(step.conflict)
-            acc = step.result
-        table = acc.belief_table()
-        combined_rows = {"mass": acc.values, "bel": table.bel, "pl": table.pl}
+        fold = combine_many([masses[name] for name in order])
+        conflicts = fold.conflicts
+        table = fold.result.belief_table()
+        combined_rows = {"mass": fold.result.values, "bel": table.bel,
+                         "pl": table.pl}
 
     notes: list[CellNote] = []
 
@@ -202,6 +200,6 @@ def build_report(doc: ContextDocument, case_id: str = "document") -> CaseReport:
         pl_rows=pl_rows,
         combined_order=order,
         combined_rows=combined_rows,
-        conflicts=tuple(conflicts),
+        conflicts=conflicts,
         notes=tuple(notes),
     )

@@ -18,19 +18,21 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .cases import CASE_IDS, CaseReport, build_case, display_labels
-from .combine import combine
-from .context import ContextDocument, load_document, parse_cxt
-from .errors import (CapacityError, ConceptDSError, LabelError, MassError,
-                     ParseError, PreconditionError, TotalConflictError,
+from .combine import combine_many
+from .context import (ContextDocument, document_from_json, load_document,
+                      normalize_no_universal_object, parse_cxt,
+                      parse_json_object)
+from .errors import (ConceptDSError, ParseError, TotalConflictError,
                      check_capacity)
 from .evidence import MassFunction, resolve_mass
 from .lattice import ConceptLattice, enumerate_concepts
 from .oracle import (MAX_AXIOM_CARRIER, check_belief_axioms_set,
                      check_plausibility_axioms_set, random_context,
                      random_mass)
-from .probspace import ProbabilitySpace, probability_space_from_json
+from .powerset import subsets
+from .probspace import (ProbabilitySpace, json_elements,
+                        probability_space_from_json)
 from .rationals import format_exact, format_fixed, parse_rational
-from .context import normalize_no_universal_object
 from .represent import (atom_order_matches, atoms_pairwise_disjoint,
                         embedding_meet_preserving, normalize_with_mass,
                         represent_concepts, represent_concepts_frame)
@@ -108,17 +110,6 @@ def _load_context_document(path: str) -> ContextDocument:
     if text.lstrip().startswith("{"):
         return load_document(text)
     return ContextDocument(parse_cxt(text), (), {}, None)
-
-
-def _load_json_object(path: str) -> Mapping:
-    text = _read_text(path)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("top-level JSON value must be an object")
-    return doc
 
 
 def _is_partition_space(doc: Mapping) -> bool:
@@ -238,12 +229,8 @@ def _cmd_combine(args: argparse.Namespace) -> int:
     if len(order) < 2:
         raise ParseError("combine needs at least two mass functions")
 
-    conflicts: list[Fraction] = []
-    acc = masses[order[0]]
-    for name in order[1:]:
-        step = combine(acc, masses[name])
-        conflicts.append(step.conflict)
-        acc = step.result
+    fold = combine_many([masses[name] for name in order])
+    acc, conflicts = fold.result, fold.conflicts
     table = acc.belief_table()
     title = "⊕".join(order)
 
@@ -287,12 +274,10 @@ def _verify_partition_space(space: ProbabilitySpace, cfg: RunConfig) -> int:
     """
     n = len(space.carrier)
     check_capacity("carrier for the measure sweep", n, MAX_MEASURE_SWEEP)
-    elements = sorted(space.carrier, key=repr)
     approximants_ok = True
     duality_ok = True
     checked = 0
-    for mask in range(2 ** n):
-        y = frozenset(elements[i] for i in range(n) if mask >> i & 1)
+    for y in subsets(sorted(space.carrier, key=repr)):
         checked += 1
         inside = space.iota(y)
         around = space.gamma(y)
@@ -415,15 +400,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"soak: {args.soak - failures}/{args.soak} passed")
         return 0 if failures == 0 else 1
 
-    doc_json = None
     text = _read_text(args.path)
     if text.lstrip().startswith("{"):
-        doc_json = _load_json_object(args.path)
-    if doc_json is not None and _is_partition_space(doc_json):
-        return _verify_partition_space(probability_space_from_json(doc_json), cfg)
-
-    doc = load_document(text) if doc_json is not None \
-        else ContextDocument(parse_cxt(text), (), {}, None)
+        doc_json = parse_json_object(text)
+        if _is_partition_space(doc_json):
+            return _verify_partition_space(
+                probability_space_from_json(doc_json), cfg)
+        doc = document_from_json(doc_json)
+    else:
+        doc = ContextDocument(parse_cxt(text), (), {}, None)
     lat = enumerate_concepts(doc.context)
     masses = _named_masses(doc, lat)
     constructions = ["algebraic", "frame"] if cfg.construction == "both" \
@@ -463,9 +448,7 @@ def _table_from_entries(doc: Mapping) -> dict[frozenset, Fraction]:
     for key in ("carrier", "entries"):
         if key not in doc:
             raise ParseError(f"table document is missing {key!r}")
-    if not isinstance(doc["carrier"], list):
-        raise ParseError("'carrier' must be a list")
-    carrier = frozenset(doc["carrier"])
+    carrier = json_elements(doc["carrier"], "'carrier'")
     if not isinstance(doc["entries"], list):
         raise ParseError("'entries' must be a list of [subset, value] pairs")
     table: dict[frozenset, Fraction] = {}
@@ -473,7 +456,7 @@ def _table_from_entries(doc: Mapping) -> dict[frozenset, Fraction]:
         if not (isinstance(pair, list) and len(pair) == 2
                 and isinstance(pair[0], list)):
             raise ParseError(f"entries must be [subset, value] pairs, got {pair!r}")
-        subset = frozenset(pair[0])
+        subset = json_elements(pair[0], "each entry's subset")
         if not subset <= carrier:
             raise ParseError(f"{sorted(map(str, subset))} is not a subset of the carrier")
         if subset in table:
@@ -508,7 +491,7 @@ def _render_check(cfg: RunConfig, kind: str, report) -> tuple[list[str], dict]:
 def _cmd_check(args: argparse.Namespace) -> int:
     cfg = RunConfig("check", paths=(args.path,), format=args.format,
                     digits=args.digits, exact=args.exact)
-    doc = _load_json_object(args.path)
+    doc = parse_json_object(_read_text(args.path))
     checks: list[tuple[str, Mapping[frozenset, Fraction]]] = []
     if _is_partition_space(doc):
         space = probability_space_from_json(doc)
@@ -516,15 +499,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
         # and both measure tables exist.
         check_capacity("carrier for axiom checking", len(space.carrier),
                        MAX_AXIOM_CARRIER)
-        elements = sorted(space.carrier, key=repr)
-        subsets = [frozenset(elements[i] for i in range(len(elements))
-                             if mask >> i & 1)
-                   for mask in range(2 ** len(elements))]
+        every = subsets(sorted(space.carrier, key=repr))
         kind = args.kind or "both"
         if kind in ("bel", "both"):
-            checks.append(("bel", {s: space.inner_measure(s) for s in subsets}))
+            checks.append(("bel", {s: space.inner_measure(s) for s in every}))
         if kind in ("pl", "both"):
-            checks.append(("pl", {s: space.outer_measure(s) for s in subsets}))
+            checks.append(("pl", {s: space.outer_measure(s) for s in every}))
     else:
         table = _table_from_entries(doc)
         kind = args.kind or doc.get("kind")
@@ -730,14 +710,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except TotalConflictError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, CapacityError, MassError, LabelError,
-            PreconditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConceptDSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, UnicodeDecodeError) as exc:
+    except (ConceptDSError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,12 +20,17 @@ from .evidence import MassFunction, SetMassFunction
 class CombinationReport:
     """A combined mass function plus the conflict it discarded.
 
-    `conflict` is the total weight of conflicting pairs before rescaling; for
-    a fold it is the conflict of the final step.
+    `conflicts` holds, for each combination step, the total weight of the
+    conflicting pairs before rescaling: one entry for a single combination,
+    one per folded mass for a fold.  `conflict` is that of the final step.
     """
 
     result: MassFunction | SetMassFunction
-    conflict: Fraction
+    conflicts: tuple[Fraction, ...]
+
+    @property
+    def conflict(self) -> Fraction:
+        return self.conflicts[-1] if self.conflicts else Fraction(0)
 
 
 def _require_same_lattice(m1: MassFunction, m2: MassFunction) -> None:
@@ -67,22 +72,24 @@ def combine(m1: MassFunction, m2: MassFunction) -> CombinationReport:
     for c, w in acc.items():
         values[index[c]] = Fraction(w, normalizer)
     return CombinationReport(MassFunction(lat, tuple(values)),
-                             Fraction(conflict, total))
+                             (Fraction(conflict, total),))
 
 
 def combine_many(masses: Sequence[MassFunction]) -> CombinationReport:
-    """Left fold of `combine`; reports the conflict of the final step."""
+    """Left fold of `combine`, keeping the conflict of every step."""
     if not masses:
         raise ValueError("need at least one mass function")
-    report = CombinationReport(masses[0], Fraction(0))
+    result, conflicts = masses[0], []
     for step, m in enumerate(masses[1:], start=2):
         try:
-            report = combine(report.result, m)
+            report = combine(result, m)
         except TotalConflictError as exc:
             raise TotalConflictError(
                 f"total conflict while folding in mass {step} of {len(masses)}",
                 step=step) from exc
-    return report
+        result = report.result
+        conflicts.append(report.conflict)
+    return CombinationReport(result, tuple(conflicts))
 
 
 def combine_set(m1: SetMassFunction, m2: SetMassFunction) -> CombinationReport:
@@ -104,4 +111,4 @@ def combine_set(m1: SetMassFunction, m2: SetMassFunction) -> CombinationReport:
         raise TotalConflictError()
     return CombinationReport(
         SetMassFunction(m1.carrier, {k: v / normalizer for k, v in acc.items()}),
-        conflict)
+        (conflict,))

@@ -92,14 +92,6 @@ class FormalContext:
         return tuple(self.attributes[m] for m in sorted(attrs))
 
 
-def up(ctx: FormalContext, objs: Iterable[int]) -> AttributeSet:
-    return ctx.up(objs)
-
-
-def down(ctx: FormalContext, attrs: Iterable[int]) -> ObjectSet:
-    return ctx.down(attrs)
-
-
 def normalize_no_universal_object(ctx: FormalContext) -> FormalContext:
     """Ensure no object has every attribute, so the least extent is empty.
 
@@ -140,9 +132,12 @@ def parse_cxt(text: str) -> FormalContext:
 
     def count(i: int, what: str) -> int:
         raw = get(i, what).strip()
-        if not raw.isdigit():
-            raise ParseError(f"expected {what}, got {raw!r}", i + 1)
-        return int(raw)
+        if raw.isdecimal():
+            try:
+                return int(raw)
+            except ValueError:  # more digits than int() converts
+                pass
+        raise ParseError(f"expected {what}, got {raw!r}", i + 1)
 
     n_objects = count(2, "object count")
     n_attributes = count(3, "attribute count")
@@ -216,20 +211,43 @@ _DOCUMENT_KEYS = {"objects", "attributes", "incidence", "labels", "masses",
                   "expected"}
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    doc: dict[str, object] = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
+def parse_json_object(text: str) -> dict:
+    """Parse JSON text whose top-level value is an object.
+
+    Every input path reads JSON through here.  A key repeated within one
+    object is an error rather than a silent overwrite.
+    """
+    try:
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError("top-level JSON value must be an object")
+    return doc
+
+
 def load_document(text: str) -> ContextDocument:
-    """Parse the JSON context document format.
+    """Parse the JSON context document format; see `document_from_json`."""
+    return document_from_json(parse_json_object(text))
+
+
+def document_from_json(doc: Mapping) -> ContextDocument:
+    """Build a context document from parsed JSON.
 
     Schema: {"objects": [...], "attributes": [...], "incidence": [[obj, attr],
     ...], "labels": {name: [objects...]}, "masses": {name: {label: rational}}}
     plus an optional "expected" block of published tables used by the bundled
     example cases.  Rationals are "p/q" strings, decimal strings, or numbers.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("top-level JSON value must be an object")
     unknown = set(doc) - _DOCUMENT_KEYS
     if unknown:
         raise ParseError(f"unknown document keys: {sorted(unknown)}")
@@ -243,9 +261,13 @@ def load_document(text: str) -> ContextDocument:
     obj_idx = {name: i for i, name in enumerate(objects)}
     attr_idx = {name: i for i, name in enumerate(attributes)}
 
+    raw_incidence = doc.get("incidence", [])
+    if not isinstance(raw_incidence, list):
+        raise ParseError("'incidence' must be a list of [object, attribute] pairs")
     incidence: set[tuple[int, int]] = set()
-    for pair in doc.get("incidence", []):
-        if not (isinstance(pair, list) and len(pair) == 2):
+    for pair in raw_incidence:
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(isinstance(name, str) for name in pair)):
             raise ParseError(f"incidence entries must be [object, attribute] pairs, got {pair!r}")
         g, m = pair
         if g not in obj_idx:
@@ -287,8 +309,3 @@ def load_document(text: str) -> ContextDocument:
 
     return ContextDocument(context, tuple(masses), labels, doc.get("expected"))
 
-
-def parse_json_context(text: str) -> tuple[FormalContext, list[MassSpec]]:
-    """Parse a JSON document into a context and its named mass assignments."""
-    doc = load_document(text)
-    return doc.context, list(doc.masses)

@@ -18,6 +18,7 @@ from typing import Iterable, Mapping, Sequence
 from .context import MassSpec, ObjectSet
 from .errors import LabelError, MassError, check_capacity
 from .lattice import Concept, ConceptLattice
+from .powerset import subsets
 
 MAX_SET_CARRIER = 12
 
@@ -143,14 +144,6 @@ class BeliefTable:
     pl: tuple[Fraction, ...]
 
 
-def bel(m: MassFunction, c: Concept | int) -> Fraction:
-    return m.bel(c)
-
-
-def pl(m: MassFunction, c: Concept | int) -> Fraction:
-    return m.pl(c)
-
-
 # ---------------------------------------------------------------------------
 # Powerset (set-level) evidence
 
@@ -210,14 +203,6 @@ class SetMassFunction:
         return sum((v for y, v in self.values.items() if y & x), Fraction(0))
 
 
-def bel_set(m: SetMassFunction, subset: Iterable) -> Fraction:
-    return m.bel(subset)
-
-
-def pl_set(m: SetMassFunction, subset: Iterable) -> Fraction:
-    return m.pl(subset)
-
-
 def mass_from_bel_set(bel_table: Mapping[frozenset, Fraction]) -> SetMassFunction:
     """Invert a belief table over a full powerset back into a mass function.
 
@@ -228,15 +213,11 @@ def mass_from_bel_set(bel_table: Mapping[frozenset, Fraction]) -> SetMassFunctio
     table = {frozenset(k): Fraction(v) for k, v in bel_table.items()}
     carrier: frozenset = frozenset().union(*table) if table else frozenset()
     check_capacity("carrier for belief inversion", len(carrier), MAX_SET_CARRIER)
-    elements = sorted(carrier, key=repr)
-    n = len(elements)
-    if len(table) != 2 ** n:
+    every = subsets(sorted(carrier, key=repr))
+    if len(table) != len(every):
         raise MassError(f"belief table has {len(table)} entries; expected all "
-                        f"{2 ** n} subsets of {set(carrier) or set()!r}")
-    by_mask = []
-    for mask in range(2 ** n):
-        subset = frozenset(elements[i] for i in range(n) if mask >> i & 1)
-        by_mask.append(table[subset])
+                        f"{len(every)} subsets of {set(carrier) or set()!r}")
+    by_mask = [table[subset] for subset in every]
     if by_mask[-1] != 1:
         raise MassError(f"bel on the carrier is {by_mask[-1]}, expected 1")
     if by_mask[0] != 0:
@@ -244,7 +225,7 @@ def mass_from_bel_set(bel_table: Mapping[frozenset, Fraction]) -> SetMassFunctio
                         "would place mass on the empty set")
 
     values: dict[frozenset, Fraction] = {}
-    for mask in range(2 ** n):
+    for mask, subset in enumerate(every):
         size = mask.bit_count()
         total = Fraction(0)
         sub = mask
@@ -255,11 +236,10 @@ def mass_from_bel_set(bel_table: Mapping[frozenset, Fraction]) -> SetMassFunctio
                 break
             sub = (sub - 1) & mask
         if total < 0:
-            witness = frozenset(elements[i] for i in range(n) if mask >> i & 1)
             raise MassError(f"not a belief function: inversion gives mass "
-                            f"{total} on {set(witness)!r}")
+                            f"{total} on {set(subset)!r}")
         if total:
-            values[frozenset(elements[i] for i in range(n) if mask >> i & 1)] = total
+            values[subset] = total
     return SetMassFunction(carrier, values)
 
 

@@ -7,8 +7,8 @@ attribute indices.  Order, meets and joins are answered from the masks: c <= d
 when c's extent mask has no bit outside d's, a meet is the concept whose
 extent is the intersection of the two extents, and a join the concept whose
 intent is the intersection of the two intents.  Both intersections land on
-concepts because closed sets are closed under intersection.  The dense n x n
-`leq_table`, `meet_table` and `join_table` are built only when read.
+concepts because closed sets are closed under intersection.  No n x n table
+of the order or of meets is ever built.
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ def _members(mask: int) -> list[int]:
 class ConceptLattice:
     """All concepts of a context, with their extent and intent bitmasks.
 
-    `extents[i]` and `intents[i]` are the masks of concept i.  Order, meet and
-    join are computed from them on demand; the dense tables are cached
-    properties for callers that sweep every pair.  Instances are immutable by
+    `extents[i]` and `intents[i]` are the masks of concept i, and
+    `index_by_extent` maps an extent mask back to its concept.  Order, meet
+    and join are computed from them on demand.  Instances are immutable by
     convention and are only built through `enumerate_concepts`.
     """
 
@@ -139,23 +139,6 @@ class ConceptLattice:
                          if generated[j] == extents[j].bit_count() - size)
         return tuple(edges)
 
-    # -- dense tables, built on first read -----------------------------------
-
-    @cached_property
-    def leq_table(self) -> tuple[tuple[bool, ...], ...]:
-        extents = self.extents
-        return tuple(tuple(a & ~b == 0 for b in extents) for a in extents)
-
-    @cached_property
-    def meet_table(self) -> tuple[tuple[int, ...], ...]:
-        index, extents = self.index_by_extent, self.extents
-        return tuple(tuple(index[a & b] for b in extents) for a in extents)
-
-    @cached_property
-    def join_table(self) -> tuple[tuple[int, ...], ...]:
-        index, intents = self._index_by_intent, self.intents
-        return tuple(tuple(index[a & b] for b in intents) for a in intents)
-
 
 def enumerate_concepts(ctx: FormalContext) -> ConceptLattice:
     """Build the concept lattice of a context.
@@ -182,14 +165,3 @@ def enumerate_concepts(ctx: FormalContext) -> ConceptLattice:
     return ConceptLattice(ctx, tuple(e for e, _ in pairs),
                           tuple(a for _, a in pairs))
 
-
-def leq(lat: ConceptLattice, c: Concept, d: Concept) -> bool:
-    return lat.leq(c, d)
-
-
-def meet(lat: ConceptLattice, c: Concept, d: Concept) -> Concept:
-    return lat.meet(c, d)
-
-
-def join(lat: ConceptLattice, c: Concept, d: Concept) -> Concept:
-    return lat.join(c, d)

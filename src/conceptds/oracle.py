@@ -13,12 +13,13 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .context import FormalContext
 from .errors import MassError, check_capacity
 from .evidence import MassFunction, SetMassFunction
 from .lattice import MAX_OBJECTS, Concept, ConceptLattice
+from .powerset import subsets
 from .probspace import ProbabilitySpace
 
 MAX_AXIOM_CARRIER = 5
@@ -43,39 +44,35 @@ class AxiomReport:
         return self.first_violation is None
 
 
-def _scaled_table(f: Mapping[frozenset, Fraction]) -> tuple[list, list[int], int]:
-    """Common-denominator integer table indexed by bitmask over the carrier."""
+def _scaled_table(f: Mapping[frozenset, Fraction]
+                  ) -> tuple[list[frozenset], list[int], int]:
+    """Common-denominator integer table indexed by bitmask over the carrier.
+
+    Returns the subsets in mask order, the scaled value of each, and the
+    common denominator.
+    """
     table = {frozenset(k): Fraction(v) for k, v in f.items()}
     carrier = frozenset().union(*table) if table else frozenset()
     check_capacity("carrier for axiom checking", len(carrier), MAX_AXIOM_CARRIER)
-    elements = sorted(carrier, key=repr)
-    n = len(elements)
-    if len(table) != 2 ** n:
+    every = subsets(sorted(carrier, key=repr))
+    if len(table) != len(every):
         raise MassError(f"table has {len(table)} entries; expected all "
-                        f"{2 ** n} subsets of the carrier")
-    denom = math.lcm(*(v.denominator for v in table.values())) if table else 1
-    scaled = [0] * 2 ** n
-    for mask in range(2 ** n):
-        subset = frozenset(elements[i] for i in range(n) if mask >> i & 1)
-        value = table[subset]
-        scaled[mask] = value.numerator * (denom // value.denominator)
-    return elements, scaled, denom
+                        f"{len(every)} subsets of the carrier")
+    values = [table[s] for s in every]
+    denom = math.lcm(*(v.denominator for v in values))
+    return every, [v.numerator * (denom // v.denominator) for v in values], denom
 
 
-def _unmask(elements: list, mask: int) -> frozenset:
-    return frozenset(elements[i] for i in range(len(elements)) if mask >> i & 1)
-
-
-def _range_violation(elements: list, scaled: list[int], denom: int,
+def _range_violation(every: list[frozenset], scaled: list[int], denom: int,
                      kind: str) -> AxiomViolation | None:
     full = len(scaled) - 1
     for mask, value in enumerate(scaled):
         if value < 0 or value > denom:
-            return AxiomViolation((_unmask(elements, mask),),
+            return AxiomViolation((every[mask],),
                                   Fraction(value, denom), Fraction(1),
                                   f"{kind} value out of [0, 1]")
     if scaled[full] != denom:
-        return AxiomViolation((_unmask(elements, full),),
+        return AxiomViolation((every[full],),
                               Fraction(scaled[full], denom), Fraction(1),
                               f"{kind} must be 1 on the whole carrier")
     return None
@@ -90,8 +87,8 @@ def check_belief_axioms_set(f: Mapping[frozenset, Fraction],
     along with f(S) = 1 and values within [0, 1].
     """
     check_capacity("tuple length for axiom checking", n_max, MAX_AXIOM_N)
-    elements, t, denom = _scaled_table(f)
-    bad = _range_violation(elements, t, denom, "a belief function's")
+    every, t, denom = _scaled_table(f)
+    bad = _range_violation(every, t, denom, "a belief function's")
     if bad is not None:
         return AxiomReport(0, bad)
     m = len(t)
@@ -106,7 +103,7 @@ def check_belief_axioms_set(f: Mapping[frozenset, Fraction],
                 rhs = ta + t[b] - t[a & b]
                 if t[a | b] < rhs:
                     return AxiomReport(checked, AxiomViolation(
-                        (_unmask(elements, a), _unmask(elements, b)),
+                        (every[a], every[b]),
                         Fraction(t[a | b], denom), Fraction(rhs, denom),
                         "belief inequality fails at n=2"))
     if n_max >= 3:
@@ -121,8 +118,7 @@ def check_belief_axioms_set(f: Mapping[frozenset, Fraction],
                     rhs = pair + t[c] - t[a & c] - t[b & c] + t[ab & c]
                     if t[union_ab | c] < rhs:
                         return AxiomReport(checked, AxiomViolation(
-                            (_unmask(elements, a), _unmask(elements, b),
-                             _unmask(elements, c)),
+                            (every[a], every[b], every[c]),
                             Fraction(t[union_ab | c], denom),
                             Fraction(rhs, denom),
                             "belief inequality fails at n=3"))
@@ -138,8 +134,8 @@ def check_plausibility_axioms_set(f: Mapping[frozenset, Fraction],
     along with f(S) = 1 and values within [0, 1].
     """
     check_capacity("tuple length for axiom checking", n_max, MAX_AXIOM_N)
-    elements, t, denom = _scaled_table(f)
-    bad = _range_violation(elements, t, denom, "a plausibility function's")
+    every, t, denom = _scaled_table(f)
+    bad = _range_violation(every, t, denom, "a plausibility function's")
     if bad is not None:
         return AxiomReport(0, bad)
     m = len(t)
@@ -154,7 +150,7 @@ def check_plausibility_axioms_set(f: Mapping[frozenset, Fraction],
                 rhs = ta + t[b] - t[a | b]
                 if t[a & b] > rhs:
                     return AxiomReport(checked, AxiomViolation(
-                        (_unmask(elements, a), _unmask(elements, b)),
+                        (every[a], every[b]),
                         Fraction(t[a & b], denom), Fraction(rhs, denom),
                         "plausibility inequality fails at n=2"))
     if n_max >= 3:
@@ -169,8 +165,7 @@ def check_plausibility_axioms_set(f: Mapping[frozenset, Fraction],
                     rhs = pair + t[c] - t[a | c] - t[b | c] + t[ab_union | c]
                     if t[ab & c] > rhs:
                         return AxiomReport(checked, AxiomViolation(
-                            (_unmask(elements, a), _unmask(elements, b),
-                             _unmask(elements, c)),
+                            (every[a], every[b], every[c]),
                             Fraction(t[ab & c], denom),
                             Fraction(rhs, denom),
                             "plausibility inequality fails at n=3"))
@@ -246,18 +241,12 @@ def random_mass(seed: int, lat: ConceptLattice,
         lat, {i: Fraction(k, q) for i, k in counts.items()})
 
 
-def _sorted_subsets(elements: Sequence) -> list[frozenset]:
-    out = [frozenset()]
-    for e in elements:
-        out += [s | {e} for s in out]
-    return sorted(out, key=lambda s: (len(s), sorted(map(repr, s))))
-
-
 def random_set_mass(seed: int, carrier: Iterable,
                     denominator_bound: int = 64) -> SetMassFunction:
     """A powerset mass function, supported on nonempty subsets."""
     carrier = frozenset(carrier)
-    candidates = [s for s in _sorted_subsets(sorted(carrier, key=repr)) if s]
+    candidates = sorted((s for s in subsets(sorted(carrier, key=repr)) if s),
+                        key=lambda s: (len(s), sorted(map(repr, s))))
     if not candidates:
         raise MassError("an empty carrier has no subsets that may carry mass")
     rng = random.Random(seed)

@@ -1,0 +1,23 @@
+"""The powerset enumerator that every subset sweep in the package shares.
+
+It depends on nothing else in the package, so the brute-force oracle can use
+it without sharing code with the paths it checks.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, TypeVar
+
+T = TypeVar("T")
+
+
+def subsets(elements: Iterable[T]) -> list[frozenset[T]]:
+    """Every subset of `elements`, in mask order.
+
+    Subset k holds the i-th element exactly when bit i of k is set, so the
+    empty set comes first and the whole set last.
+    """
+    out: list[frozenset[T]] = [frozenset()]
+    for e in elements:
+        out += [s | {e} for s in out]
+    return out

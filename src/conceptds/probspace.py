@@ -8,13 +8,12 @@ of those two approximants.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+from .context import parse_json_object
 from .errors import ParseError
-from .lattice import ConceptLattice
 from .rationals import parse_rational
 
 
@@ -78,53 +77,24 @@ class ProbabilitySpace:
                    Fraction(0))
 
 
-def iota(space: ProbabilitySpace, subset: Iterable) -> frozenset:
-    return space.iota(subset)
-
-
-def gamma(space: ProbabilitySpace, subset: Iterable) -> frozenset:
-    return space.gamma(subset)
-
-
-def inner_measure(space: ProbabilitySpace, subset: Iterable) -> Fraction:
-    return space.inner_measure(subset)
-
-
-def outer_measure(space: ProbabilitySpace, subset: Iterable) -> Fraction:
-    return space.outer_measure(subset)
-
-
-@dataclass(frozen=True)
-class ConceptualProbabilitySpace:
-    """An atomic measure over the product algebra built from a lattice.
-
-    One designated atom per concept of the source lattice, weighted by the
-    source mass.  The ambient algebra is never materialized; the represent
-    module evaluates inner and outer measures straight from atom criteria.
-    """
-
-    source: ConceptLattice
-    mu: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mu", tuple(Fraction(v) for v in self.mu))
-        if len(self.mu) != len(self.source):
-            raise ParseError(f"expected {len(self.source)} atom measures, "
-                             f"got {len(self.mu)}")
-        for v in self.mu:
-            if v < 0:
-                raise ParseError(f"negative atom measure {v}")
-        if sum(self.mu, Fraction(0)) != 1:
-            raise ParseError("atom measures must sum to 1")
-
-
 def parse_probability_space(text: str) -> ProbabilitySpace:
     """Parse {"carrier": [...], "blocks": [[...], ...], "mu": [...]} JSON."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    return probability_space_from_json(doc)
+    return probability_space_from_json(parse_json_object(text))
+
+
+def json_elements(value: object, what: str) -> frozenset:
+    """A JSON list of set elements as a frozenset.
+
+    Elements are JSON scalars; a nested list or object cannot be a member of
+    a set and is rejected.
+    """
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be a list")
+    for element in value:
+        if isinstance(element, (list, dict)):
+            raise ParseError(f"{what} must hold strings or numbers, "
+                             f"got {element!r}")
+    return frozenset(value)
 
 
 def probability_space_from_json(doc: Mapping) -> ProbabilitySpace:
@@ -133,15 +103,14 @@ def probability_space_from_json(doc: Mapping) -> ProbabilitySpace:
     for key in ("carrier", "blocks", "mu"):
         if key not in doc:
             raise ParseError(f"partition-space document is missing {key!r}")
-    carrier = doc["carrier"]
+    carrier = json_elements(doc["carrier"], "'carrier'")
     blocks = doc["blocks"]
     mu = doc["mu"]
-    if not isinstance(carrier, list):
-        raise ParseError("'carrier' must be a list")
     if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
         raise ParseError("'blocks' must be a list of lists")
     if not isinstance(mu, list):
         raise ParseError("'mu' must be a list of rationals")
-    return ProbabilitySpace(frozenset(carrier),
-                            tuple(frozenset(b) for b in blocks),
+    return ProbabilitySpace(carrier,
+                            tuple(json_elements(b, "each block")
+                                  for b in blocks),
                             tuple(parse_rational(v) for v in mu))

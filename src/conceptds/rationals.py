@@ -8,16 +8,24 @@ convention used by the bundled example tables.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import ParseError, check_capacity
+
+# Every float's shortest repr has an exponent within 324, so JSON numbers
+# always pass; "1e1000000" would build a 3.3-million-bit numerator.
+MAX_DECIMAL_EXPONENT = 1000
+
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)$")
 
 
 def parse_rational(value: object) -> Fraction:
     """Parse "p/q" or decimal strings (and ints) into an exact Fraction.
 
     JSON floats are accepted through their shortest decimal repr, so a value
-    written as 0.2 in a document means exactly 1/5.
+    written as 0.2 in a document means exactly 1/5.  A decimal exponent is
+    bounded by MAX_DECIMAL_EXPONENT before any power of ten is built.
     """
     if isinstance(value, Fraction):
         return value
@@ -28,8 +36,15 @@ def parse_rational(value: object) -> Fraction:
     if isinstance(value, float):
         value = repr(value)
     if isinstance(value, str):
+        text = value.strip()
+        exponent = _EXPONENT.search(text)
         try:
-            return Fraction(value.strip())
+            magnitude = abs(int(exponent.group(1))) if exponent else 0
+        except ValueError as exc:
+            raise ParseError(f"not a rational number: {value!r}") from exc
+        check_capacity("decimal exponent", magnitude, MAX_DECIMAL_EXPONENT)
+        try:
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"not a rational number: {value!r}") from exc
     raise ParseError(f"expected a rational number, got {value!r}")

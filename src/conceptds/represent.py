@@ -8,8 +8,11 @@ constructions are provided:
   set, element) with an embedding of the original powerset.
 * `represent_concepts`: for lattice masses, a product of principal down-sets
   with one designated atom per concept.  The ambient algebra is exponential
-  and is never materialized; inner and outer measures are evaluated straight
-  from the atom criteria.
+  and is never materialized.  Coordinate d of the embedded concept h(c) is
+  the meet of c and d, the concept whose extent is the intersection of
+  theirs; inner and outer measures are read from that extent semantics over
+  the focal concepts only, so they cross-check the evidence module's
+  bel/pl rather than repeating them.
 * `represent_concepts_frame`: the same content built concretely as a derived
   formal context, exercised at small scale as a cross-check.
 
@@ -28,7 +31,8 @@ from .context import FormalContext, normalize_no_universal_object
 from .errors import PreconditionError, check_capacity
 from .evidence import MassFunction, SetMassFunction
 from .lattice import ConceptLattice, enumerate_concepts
-from .probspace import ConceptualProbabilitySpace, ProbabilitySpace
+from .powerset import subsets
+from .probspace import ProbabilitySpace
 
 MAX_SET_REPRESENT = 4
 MAX_FRAME_CONCEPTS = 8
@@ -94,20 +98,13 @@ class SetRepresentation:
     all_passed: bool
 
 
-def _subsets(elements: list) -> list[frozenset]:
-    out = [frozenset()]
-    for e in elements:
-        out += [s | {e} for s in out]
-    return sorted(out, key=lambda s: (len(s), sorted(map(repr, s))))
-
-
 def represent_set(m: SetMassFunction) -> SetRepresentation:
     """Build the partition space representing a powerset mass function."""
     check_capacity("carrier for the powerset representation",
                    len(m.carrier), MAX_SET_REPRESENT)
-    elements = sorted(m.carrier, key=repr)
-    subsets = _subsets(elements)
-    nonempty = [s for s in subsets if s]
+    every = sorted(subsets(sorted(m.carrier, key=repr)),
+                   key=lambda s: (len(s), sorted(map(repr, s))))
+    nonempty = [s for s in every if s]
 
     blocks_by_subset = {y: frozenset((y, u) for u in y) for y in nonempty}
     carrier = frozenset().union(*blocks_by_subset.values()) if nonempty else frozenset()
@@ -115,14 +112,14 @@ def represent_set(m: SetMassFunction) -> SetRepresentation:
                              tuple(blocks_by_subset[y] for y in nonempty),
                              tuple(m[y] for y in nonempty))
 
-    embedding = {x: frozenset(p for p in carrier if p[1] in x) for x in subsets}
+    embedding = {x: frozenset(p for p in carrier if p[1] in x) for x in every}
 
     rows = tuple(SetVerificationRow(subset=x,
                                     bel=m.bel(x),
                                     inner=space.inner_measure(embedding[x]),
                                     pl=m.pl(x),
                                     outer=space.outer_measure(embedding[x]))
-                 for x in subsets)
+                 for x in every)
     hom_ok = _boolean_homomorphism_ok(m.carrier, carrier, embedding,
                                       blocks_by_subset)
     all_passed = hom_ok and all(r.passed for r in rows)
@@ -134,15 +131,14 @@ def _boolean_homomorphism_ok(carrier: frozenset, derived_carrier: frozenset,
                              h: Mapping[frozenset, frozenset],
                              blocks: Mapping[frozenset, frozenset]) -> bool:
     """The embedding preserves the Boolean structure and the atom criterion."""
-    subsets = list(h)
     if h[frozenset()] != frozenset() or h[frozenset(carrier)] != derived_carrier:
         return False
-    if len(set(h.values())) != len(subsets):
+    if len(set(h.values())) != len(h):
         return False
-    for x in subsets:
+    for x in h:
         if h[carrier - x] != derived_carrier - h[x]:
             return False
-        for y in subsets:
+        for y in h:
             if h[x & y] != h[x] & h[y] or h[x | y] != h[x] | h[y]:
                 return False
         for y, block in blocks.items():
@@ -182,18 +178,23 @@ def normalize_with_mass(m: MassFunction) -> tuple[MassFunction, dict[int, int]]:
 
 @dataclass(frozen=True)
 class ConceptRepresentation:
-    """Atoms and embedding for the product-of-down-sets construction.
+    """Per-concept rows of the product-of-down-sets construction.
 
-    `embedding[c]` is the coordinate vector of h(c): at coordinate a it holds
-    the index of c meet a.  The atom for concept d sits at d on coordinate d
-    and at the least concept everywhere else.
+    The embedded concept h(c) has, at coordinate a, the meet of c and a; the
+    atom for concept d sits at d on coordinate d and at the least concept
+    everywhere else.  Neither the n x n embedding nor the atoms are stored:
+    `embedding(c)` builds the one vector h(c) on demand.
     """
 
     mass: MassFunction
-    space: ConceptualProbabilitySpace
-    embedding: tuple[tuple[int, ...], ...]
     rows: tuple[VerificationRow, ...]
     all_passed: bool
+
+    def embedding(self, c: int) -> tuple[int, ...]:
+        """The coordinate vector of h(c): at coordinate a, c meet a."""
+        lat = self.mass.lattice
+        e = lat.extents[c]
+        return tuple(lat.index_by_extent[e & a] for a in lat.extents)
 
 
 def _require_empty_bottom(lat: ConceptLattice, what: str) -> None:
@@ -203,84 +204,86 @@ def _require_empty_bottom(lat: ConceptLattice, what: str) -> None:
             "normalize the context first (see normalize_with_mass)")
 
 
-def _atom_below(lat: ConceptLattice, d: int, vector: tuple[int, ...]) -> bool:
-    """Coordinatewise test: does the atom of concept d sit below `vector`?"""
-    leq = lat.leq_table
-    bottom = lat.bottom_index
-    return all(leq[d if a == d else bottom][vector[a]]
-               for a in range(len(vector)))
-
-
 def represent_concepts(m: MassFunction) -> ConceptRepresentation:
     """Represent bel/pl as inner/outer measures over designated atoms.
 
-    Inner measure collects the atoms below the embedded concept; outer
-    measure collects the atoms whose designated concept meets it above the
-    least element.  Both are computed from those criteria directly and
-    compared against the evidence-module definitions.
+    Only focal atoms carry measure.  For a focal concept d, coordinate d of
+    h(c) is the concept k found by looking up the extent intersection of c
+    and d; every other coordinate of the atom is the least concept, which
+    lies below anything.  So the atom lies below h(c) when d's extent lies
+    inside k's, and it meets h(c) above the least element when k is not the
+    least concept.  The sums over those criteria are compared against
+    `MassFunction.bel`/`pl`, in O(concepts x focal concepts).
     """
     lat = m.lattice
     _require_empty_bottom(lat, "the conceptual representation")
-    n = len(lat)
-    meets = lat.meet_table
-    bottom = lat.bottom_index
-    embedding = tuple(tuple(meets[c][a] for a in range(n)) for c in range(n))
-
-    # The outer-measure criterion (meet above bottom) must agree with the
-    # compatibility criterion (meet has nonempty extent) before comparing.
-    for d in range(n):
-        for c in range(n):
-            if (meets[d][c] != bottom) != lat.extent_nonempty[meets[d][c]]:
-                raise PreconditionError(
-                    "meet-at-bottom and empty-meet-extent disagree at "
-                    f"concepts ({d}, {c}); the context is not normalized")
-
+    extents, index, bottom = lat.extents, lat.index_by_extent, lat.bottom_index
+    denominator, focal = m.focal
     rows = []
-    for c in range(n):
-        inner = sum((m.values[d] for d in range(n)
-                     if _atom_below(lat, d, embedding[c])), Fraction(0))
-        outer = sum((m.values[d] for d in range(n) if meets[d][c] != bottom),
-                    Fraction(0))
+    for c, e in enumerate(extents):
+        inner = outer = 0
+        for f, x in focal:
+            k = index[e & f]
+            if f & ~extents[k] == 0:
+                inner += x
+            if k != bottom:
+                outer += x
         rows.append(VerificationRow(concept_index=c, bel=m.bel(c),
-                                    inner=inner, pl=m.pl(c), outer=outer))
-    space = ConceptualProbabilitySpace(lat, m.values)
-    return ConceptRepresentation(m, space, embedding, tuple(rows),
-                                 all(r.passed for r in rows))
+                                    inner=Fraction(inner, denominator),
+                                    pl=m.pl(c),
+                                    outer=Fraction(outer, denominator)))
+    return ConceptRepresentation(m, tuple(rows), all(r.passed for r in rows))
 
 
 def atom_order_matches(rep: ConceptRepresentation) -> bool:
-    """Atom-below-embedding agrees with the lattice order on all pairs."""
+    """Atom-below-embedding agrees with the lattice order on all pairs.
+
+    The atom of d lies below h(c) when d's extent lies inside the extent of
+    the concept that the extent index returns for the intersection of c and
+    d; the lattice order is extent inclusion.  O(concepts^2).
+    """
     lat = rep.mass.lattice
-    return all(_atom_below(lat, d, rep.embedding[c]) == lat.leq_table[d][c]
-               for d in range(len(lat)) for c in range(len(lat)))
+    extents, index = lat.extents, lat.index_by_extent
+    for e in extents:
+        for f in extents:
+            k = index.get(e & f)
+            if k is None or (f & ~extents[k] == 0) != (f & ~e == 0):
+                return False
+    return True
 
 
 def embedding_meet_preserving(rep: ConceptRepresentation) -> bool:
-    """h(c meet d) equals the coordinatewise meet of h(c) and h(d)."""
+    """h(c meet d) equals the coordinatewise meet of h(c) and h(d).
+
+    Every coordinate of either side is found by looking up an intersection
+    of extents in the extent index.  Once the index returns, for each pair
+    of extents, a concept whose extent is exactly their intersection, both
+    sides at coordinate a are the concept with extent c & d & a.  This
+    checks that for every pair, in O(concepts^2).
+    """
     lat = rep.mass.lattice
-    meets = lat.meet_table
-    n = len(lat)
-    return all(rep.embedding[meets[c][d]][a]
-               == meets[rep.embedding[c][a]][rep.embedding[d][a]]
-               for c in range(n) for d in range(n) for a in range(n))
+    extents, index = lat.extents, lat.index_by_extent
+    for e in extents:
+        for f in extents:
+            k = index.get(e & f)
+            if k is None or extents[k] != e & f:
+                return False
+    return True
 
 
 def atoms_pairwise_disjoint(rep: ConceptRepresentation) -> bool:
-    """Distinct atoms meet at the bottom of the product, coordinatewise."""
+    """Distinct atoms meet at the bottom of the product, coordinatewise.
+
+    Atoms d and e differ from the least concept only at coordinates d and e,
+    where their meet is d meet bottom and bottom meet e.  With two or more
+    concepts, that asks that the least concept meets every concept at the
+    least concept.  O(concepts).
+    """
     lat = rep.mass.lattice
-    meets = lat.meet_table
     bottom = lat.bottom_index
-    n = len(lat)
-    for d in range(n):
-        for e in range(n):
-            if d == e:
-                continue
-            for a in range(n):
-                left = d if a == d else bottom
-                right = e if a == e else bottom
-                if meets[left][right] != bottom:
-                    return False
-    return True
+    below = lat.extents[bottom]
+    return len(lat) < 2 or all(lat.index_by_extent.get(e & below) == bottom
+                               for e in lat.extents)
 
 
 def verify_representation(m: MassFunction) -> VerificationReport:
@@ -350,13 +353,8 @@ def represent_concepts_frame(m: MassFunction) -> FrameRepresentation:
                             if ci == c)
                   for c in range(n))
     atom_extents_closed = all(closed(a) for a in atoms)
-    unions_closed = True
-    for mask in range(2 ** n):
-        union = frozenset().union(*(atoms[c] for c in range(n)
-                                    if mask >> c & 1))
-        if not closed(union):
-            unions_closed = False
-            break
+    unions_closed = all(closed(frozenset().union(*(atoms[c] for c in group)))
+                        for group in subsets(range(n)))
 
     embedding = tuple(frozenset(p for p, (_, g) in enumerate(object_keys)
                                 if g in lat[c].extent)
@@ -364,8 +362,8 @@ def represent_concepts_frame(m: MassFunction) -> FrameRepresentation:
     embedding_closed = all(closed(e) for e in embedding)
     embedding_injective = len(set(embedding)) == n
     meet_preserving = all(
-        embedding[lat.meet_table[c][d]] == embedding[c] & embedding[d]
-        for c in range(n) for d in range(n))
+        embedding[lat.index_by_extent[e & f]] == embedding[c] & embedding[d]
+        for c, e in enumerate(lat.extents) for d, f in enumerate(lat.extents))
 
     block_indices = [c for c in range(n) if atoms[c]]
     space = ProbabilitySpace(frozenset(range(len(object_keys))),

@@ -11,6 +11,7 @@ from importlib.resources import files
 import pytest
 
 from conceptds import enumerate_concepts, load_document, serialize_cxt
+import conceptds.cli as cli
 from conceptds.cli import run
 from conceptds.errors import ENV_UNSAFE_SCALE
 
@@ -139,7 +140,8 @@ def test_combine_total_conflict_exits_one(tmp_path, capsys):
     path = tmp_path / "conflict.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert run(["combine", str(path)]) == 1
-    assert "total conflict" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: total conflict while folding in mass 2 of 2\n")
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +297,51 @@ def test_malformed_json_is_an_input_error(tmp_path, capsys):
     path.write_text("{not json", encoding="utf-8")
     assert run(["bel", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+PARTITION_OF_LISTS = '{"carrier": [[1]], "blocks": [[[1]]], "mu": ["1"]}'
+ONE_OBJECT = '{"objects": ["a"], "attributes": ["x"], '
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["lattice"], ONE_OBJECT + '"incidence": 5}'),
+    (["check"], PARTITION_OF_LISTS),
+    (["verify-representation"], PARTITION_OF_LISTS),
+    (["check"], '{"carrier": [[1]], "entries": [], "kind": "bel"}'),
+    (["bel"], ONE_OBJECT + '"masses": {"m": '
+              '{"top": "0.5", "top": "0.5", "{a}": "0.5"}}}'),
+    (["bel"], ONE_OBJECT + '"masses": {"m": {"top": "1e1000000"}}}'),
+], ids=["incidence-not-a-list", "check-list-elements",
+        "verify-list-elements", "check-table-list-elements",
+        "duplicate-key", "huge-exponent"])
+def test_malformed_input_exits_two_with_one_error_line(argv, text, tmp_path,
+                                                        monkeypatch, capsys):
+    monkeypatch.delenv(ENV_UNSAFE_SCALE, raising=False)
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    start = time.perf_counter()
+    assert run(argv + [str(path)]) == 2
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("path", [MUSIC, "space"])
+def test_verify_reads_and_parses_its_file_once(path, space_path, monkeypatch,
+                                               capsys):
+    calls = []
+    real_read, real_loads = cli._read_text, json.loads
+    monkeypatch.setattr(cli, "_read_text",
+                        lambda p: calls.append("read") or real_read(p))
+    monkeypatch.setattr(json, "loads",
+                        lambda *a, **k: calls.append("parse")
+                        or real_loads(*a, **k))
+    path = space_path if path == "space" else path
+    assert run(["verify-representation", path]) == 0
+    assert calls == ["read", "parse"]
+    capsys.readouterr()
 
 
 def test_rounding_digits_are_validated(capsys):

@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conceptds import (FRESH_ATTRIBUTE, FormalContext, MassError, ParseError,
-                       format_exact, format_fixed, load_document,
-                       normalize_no_universal_object, parse_cxt,
-                       parse_rational, round_half_away, serialize_cxt)
+from conceptds import (FRESH_ATTRIBUTE, CapacityError, FormalContext,
+                       MassError, ParseError, format_exact, format_fixed,
+                       load_document, normalize_no_universal_object,
+                       parse_cxt, parse_rational, round_half_away,
+                       serialize_cxt)
+from conceptds.errors import ENV_UNSAFE_SCALE
 
 from conftest import small_contexts
 
@@ -43,6 +46,25 @@ def test_parse_rational_accepts_common_forms(raw, expected):
 def test_parse_rational_rejects_junk(raw):
     with pytest.raises(ParseError):
         parse_rational(raw)
+
+
+@pytest.mark.parametrize("raw", ["1e1000000", "1e-1000000", "2.5E+1001"])
+def test_parse_rational_bounds_the_decimal_exponent(raw, monkeypatch):
+    monkeypatch.delenv(ENV_UNSAFE_SCALE, raising=False)
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="decimal exponent"):
+        parse_rational(raw)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_parse_rational_exponent_bound(monkeypatch):
+    monkeypatch.delenv(ENV_UNSAFE_SCALE, raising=False)
+    assert parse_rational(5e-324) == Fraction(5, 10 ** 324)
+    assert parse_rational("1e1000") == 10 ** 1000
+    with pytest.raises(CapacityError):
+        parse_rational("1e1001")
+    monkeypatch.setenv(ENV_UNSAFE_SCALE, "1")
+    assert parse_rational("1e1001") == 10 ** 1001
 
 
 def test_rounding_is_half_away_from_zero():
@@ -174,6 +196,12 @@ def test_document_with_labels_masses_and_expected():
     '{"objects": ["a"], "attributes": ["x"], "incidence": ["ax"]}',
     '{"objects": ["a"], "attributes": ["x"], "labels": {"c": ["b"]}}',
     '{"objects": ["a"], "attributes": ["x"], "labels": ["c"]}',
+    '{"objects": ["a"], "attributes": ["x"], "incidence": 5}',
+    '{"objects": ["a"], "attributes": ["x"], "incidence": [[["a"], "x"]]}',
+    '{"objects": ["a"], "objects": ["a"], "attributes": ["x"]}',
+    '{"objects": ["a"], "attributes": ["x"], "masses": {"m": '
+    '{"top": "0.5", "top": "0.5", "{a}": "0.5"}}}',
+    "[" * 100000,
     "not json",
 ])
 def test_document_rejects_malformed_payloads(payload):

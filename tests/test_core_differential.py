@@ -1,9 +1,9 @@
-"""The bitset lattice core against brute force and the dense tables.
+"""The bitset lattice core against brute force and the definitions.
 
 Order, meets, covers, bel/pl, combination and inversion run on extent
 bitmasks and integer numerators.  Here every one of them is recomputed from
-the definitions read off the lazily built `leq_table`/`meet_table`/
-`join_table`, and bel/pl also from `oracle.brute_bel`/`brute_pl`.
+order, meet and join tables defined on the concepts' extent and intent
+frozensets, and bel/pl also from `oracle.brute_bel`/`brute_pl`.
 """
 
 from __future__ import annotations
@@ -14,11 +14,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conceptds import (MassFunction, TotalConflictError, brute_bel, brute_pl,
-                       combine, combine_many, enumerate_concepts,
-                       mass_from_bel_lattice, random_context, random_mass)
-
-DENSE_TABLES = ("leq_table", "meet_table", "join_table")
+from conceptds import (MassFunction, TotalConflictError, atom_order_matches,
+                       atoms_pairwise_disjoint, brute_bel, brute_pl, combine,
+                       combine_many, embedding_meet_preserving,
+                       enumerate_concepts, mass_from_bel_lattice,
+                       random_context, random_mass, represent_concepts)
 
 
 @st.composite
@@ -34,8 +34,17 @@ def seeded_lattice_masses(draw):
                  for seed in seeds]
 
 
+def definition_tables(lat):
+    """leq, meet and join over all pairs, from extent and intent frozensets."""
+    by_extent = {c.extent: i for i, c in enumerate(lat)}
+    by_intent = {c.intent: i for i, c in enumerate(lat)}
+    return ([[c.extent <= d.extent for d in lat] for c in lat],
+            [[by_extent[c.extent & d.extent] for d in lat] for c in lat],
+            [[by_intent[c.intent & d.intent] for d in lat] for c in lat])
+
+
 def table_covers(lat):
-    leq = lat.leq_table
+    leq = definition_tables(lat)[0]
     n = len(lat)
     return tuple((i, j) for i in range(n) for j in range(n)
                  if i != j and leq[i][j]
@@ -44,13 +53,14 @@ def table_covers(lat):
 
 
 def table_combine(m1, m2):
-    """The conjunctive rule on Fractions, meeting through `meet_table`."""
+    """The conjunctive rule on Fractions, meeting through the meet table."""
     lat = m1.lattice
+    meets = definition_tables(lat)[1]
     acc = [Fraction(0)] * len(lat)
     conflict = Fraction(0)
     for i in m1.support():
         for j in m2.support():
-            k = lat.meet_table[i][j]
+            k = meets[i][j]
             if lat.extent_nonempty[k]:
                 acc[k] += m1.values[i] * m2.values[j]
             else:
@@ -61,10 +71,10 @@ def table_combine(m1, m2):
 
 
 @given(seeded_lattice_masses())
-def test_bitset_core_matches_brute_force_and_dense_tables(case):
+def test_bitset_core_matches_brute_force_and_definitions(case):
     lat, masses = case
     n = len(lat)
-    leq, meets, joins = lat.leq_table, lat.meet_table, lat.join_table
+    leq, meets, joins = definition_tables(lat)
     for i, c in enumerate(lat):
         for j, d in enumerate(lat):
             assert lat.leq(c, d) == leq[i][j]
@@ -102,6 +112,14 @@ def test_bitset_core_matches_brute_force_and_dense_tables(case):
     assert mass_from_bel_lattice(combined.bel, lat).values == expected.values
 
 
+def dense_attributes(obj, n):
+    """Names of attributes of `obj` that hold an n x n table."""
+    return [name for name, value in vars(obj).items()
+            if isinstance(value, (tuple, list)) and len(value) == n
+            and all(isinstance(row, (tuple, list)) and len(row) == n
+                    for row in value)]
+
+
 def test_the_core_builds_no_dense_table(music_case):
     lat = enumerate_concepts(music_case.lattice.context)
     m1, m2 = (random_mass(seed, lat) for seed in (1, 2))
@@ -109,4 +127,9 @@ def test_the_core_builds_no_dense_table(music_case):
     m1.belief_table()
     report = combine(m1, m2)
     mass_from_bel_lattice(report.result.belief_table().bel, lat)
-    assert not set(DENSE_TABLES) & set(vars(lat))
+    rep = represent_concepts(m1)
+    assert rep.all_passed
+    assert atom_order_matches(rep) and atoms_pairwise_disjoint(rep)
+    assert embedding_meet_preserving(rep)
+    assert dense_attributes(lat, len(lat)) == []
+    assert dense_attributes(rep, len(lat)) == []

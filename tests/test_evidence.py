@@ -96,7 +96,7 @@ def test_bel_and_pl_are_monotone(m):
     lat = m.lattice
     for i in range(len(lat)):
         for j in range(len(lat)):
-            if lat.leq_table[i][j]:
+            if lat[i].extent <= lat[j].extent:
                 assert m.bel(i) <= m.bel(j)
                 assert m.pl(i) <= m.pl(j)
 

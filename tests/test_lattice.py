@@ -1,4 +1,4 @@
-"""Concept enumeration, order, meet, join, covers and the dense tables."""
+"""Concept enumeration, order, meet, join and covers."""
 
 from __future__ import annotations
 
@@ -117,38 +117,32 @@ def test_canonical_order_sorts_by_extent(ctx):
 @given(small_contexts(max_objects=4, max_attributes=4))
 def test_order_and_meet_and_join_agree_with_extents(ctx):
     lat = enumerate_concepts(ctx)
-    n = len(lat)
-    for i in range(n):
-        for j in range(n):
-            assert lat.leq_table[i][j] == (lat[i].extent <= lat[j].extent)
-            meet = lat[lat.meet_table[i][j]]
-            assert meet.extent == lat[i].extent & lat[j].extent
-            join = lat[lat.join_table[i][j]]
-            assert join.intent == lat[i].intent & lat[j].intent
+    for c in lat:
+        for d in lat:
+            assert lat.leq(c, d) == (c.extent <= d.extent)
+            assert lat.meet(c, d).extent == c.extent & d.extent
+            assert lat.join(c, d).intent == c.intent & d.intent
 
 
 @given(small_contexts(max_objects=4, max_attributes=4))
 def test_meet_is_the_greatest_lower_bound(ctx):
     lat = enumerate_concepts(ctx)
-    n = len(lat)
-    leq = lat.leq_table
-    for i in range(n):
-        for j in range(n):
-            m = lat.meet_table[i][j]
-            assert leq[m][i] and leq[m][j]
-            for k in range(n):
-                if leq[k][i] and leq[k][j]:
-                    assert leq[k][m]
+    for c in lat:
+        for d in lat:
+            m = lat.meet(c, d)
+            assert m.extent <= c.extent and m.extent <= d.extent
+            for k in lat:
+                if k.extent <= c.extent and k.extent <= d.extent:
+                    assert k.extent <= m.extent
 
 
 @given(small_contexts(max_objects=4, max_attributes=4))
 def test_extreme_elements_absorb(ctx):
     lat = enumerate_concepts(ctx)
-    top, bottom = lat.top_index, lat.bottom_index
-    for i in range(len(lat)):
-        assert lat.meet_table[i][top] == i
-        assert lat.join_table[i][bottom] == i
-        assert lat.leq_table[bottom][i] and lat.leq_table[i][top]
+    for c in lat:
+        assert lat.meet(c, lat.top) == c
+        assert lat.join(c, lat.bottom) == c
+        assert lat.leq(lat.bottom, c) and lat.leq(c, lat.top)
 
 
 @given(small_contexts(max_objects=4, max_attributes=4))
@@ -167,4 +161,4 @@ def test_covers_generate_the_order(ctx):
                     reach[i][j] = True
     for i in range(n):
         for j in range(n):
-            assert reach[i][j] == lat.leq_table[i][j]
+            assert reach[i][j] == (lat[i].extent <= lat[j].extent)

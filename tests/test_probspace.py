@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conceptds import (ConceptualProbabilitySpace, ParseError,
-                       ProbabilitySpace, parse_probability_space)
+from conceptds import ParseError, ProbabilitySpace, parse_probability_space
 
 from conftest import partition_spaces, subsets_of
 
@@ -142,16 +141,3 @@ def test_parse_rejects_malformed_documents(text):
     with pytest.raises(ParseError):
         parse_probability_space(text)
 
-
-def test_conceptual_space_validates_its_weights(music_lattice):
-    lat = music_lattice
-    n = len(lat)
-    good = ConceptualProbabilitySpace(lat, (F(1),) + (F(0),) * (n - 1))
-    assert sum(good.mu) == 1
-    with pytest.raises(ParseError, match="atom measures"):
-        ConceptualProbabilitySpace(lat, (F(1),) * 2)
-    with pytest.raises(ParseError, match="negative"):
-        ConceptualProbabilitySpace(
-            lat, (F(3, 2), F(-1, 2)) + (F(0),) * (n - 2))
-    with pytest.raises(ParseError, match="sum"):
-        ConceptualProbabilitySpace(lat, (F(1, 2),) + (F(0),) * (n - 1))

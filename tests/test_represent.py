@@ -3,17 +3,20 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from importlib.resources import files
 
 import pytest
 from hypothesis import given
 
-from conceptds import (CapacityError, FormalContext, MassFunction,
-                       PreconditionError, SetMassFunction, atom_order_matches,
+from conceptds import (CapacityError, ConceptLattice, ConceptRepresentation,
+                       FormalContext, MassFunction, PreconditionError,
+                       SetMassFunction, atom_order_matches,
                        atoms_pairwise_disjoint, combine_many,
                        embedding_meet_preserving, enumerate_concepts,
                        normalize_with_mass, random_set_mass,
                        represent_concepts, represent_concepts_frame,
                        represent_set, verify_representation)
+from conceptds.cli import run
 
 from conftest import lattice_masses, set_masses
 
@@ -109,7 +112,6 @@ def test_music_structural_checks(music_case):
     assert atom_order_matches(rep)
     assert embedding_meet_preserving(rep)
     assert atoms_pairwise_disjoint(rep)
-    assert rep.space.mu == music_case.masses["m3"].values
 
 
 @given(lattice_masses(normalize=True))
@@ -127,9 +129,93 @@ def test_embedding_is_the_meet_vector(m):
     lat = m.lattice
     top = lat.top_index
     for c in range(len(lat)):
-        assert rep.embedding[c][top] == c
-        assert rep.embedding[c][c] == c
-        assert rep.embedding[c][lat.bottom_index] == lat.bottom_index
+        h = rep.embedding(c)
+        assert h[top] == c
+        assert h[c] == c
+        assert h[lat.bottom_index] == lat.bottom_index
+        assert all(lat[h[a]].extent == lat[c].extent & lat[a].extent
+                   for a in range(len(lat)))
+
+
+# The music context's concepts as (extent mask, intent mask) over objects
+# a, b, c and attributes w, x, y, z: top, Pop, R&B, E-Pop, Pop-R&B, Funk,
+# bottom.
+MUSIC_PAIRS = ((0b111, 0b0000), (0b011, 0b0010), (0b110, 0b0100),
+               (0b001, 0b0011), (0b010, 0b0110), (0b100, 0b1100),
+               (0b000, 0b1111))
+
+
+def _hand_built(context, pairs) -> ConceptRepresentation:
+    """The checks' input for a lattice given concept by concept."""
+    lat = ConceptLattice(context, tuple(e for e, _ in pairs),
+                         tuple(a for _, a in pairs))
+    return ConceptRepresentation(MassFunction.vacuous(lat), (), True)
+
+
+def test_hand_built_music_lattice_passes_the_checks(music_lattice):
+    assert music_lattice.extents == tuple(e for e, _ in MUSIC_PAIRS)
+    rep = _hand_built(music_lattice.context, MUSIC_PAIRS)
+    assert atom_order_matches(rep)
+    assert embedding_meet_preserving(rep)
+    assert atoms_pairwise_disjoint(rep)
+
+
+def _without_pop_rnb():
+    """Pop-R&B dropped: the meet of Pop and R&B has no entry in the index."""
+    return tuple(pair for pair in MUSIC_PAIRS if pair[0] != 0b010)
+
+
+def _with_swapped_index(context):
+    """Pop's and R&B's extents are looked up as each other."""
+    rep = _hand_built(context, MUSIC_PAIRS)
+    index = rep.mass.lattice.index_by_extent
+    index[0b011], index[0b110] = index[0b110], index[0b011]
+    return rep
+
+
+def test_atom_order_check_can_fail(music_lattice):
+    ctx = music_lattice.context
+    assert atom_order_matches(_hand_built(ctx, _without_pop_rnb())) is False
+    assert atom_order_matches(_with_swapped_index(ctx)) is False
+
+
+def test_meet_preservation_check_can_fail(music_lattice):
+    ctx = music_lattice.context
+    assert embedding_meet_preserving(
+        _hand_built(ctx, _without_pop_rnb())) is False
+    assert embedding_meet_preserving(_with_swapped_index(ctx)) is False
+
+
+def test_atom_disjointness_check_can_fail(music_lattice):
+    """The all-attributes intent is given to E-Pop, so it is the bottom."""
+    pairs = tuple((e, 0b1111 if e == 0b001 else 0b0011 if e == 0 else a)
+                  for e, a in MUSIC_PAIRS)
+    rep = _hand_built(music_lattice.context, pairs)
+    assert rep.mass.lattice.bottom_index == 3
+    assert atoms_pairwise_disjoint(rep) is False
+
+
+def _bel_without_top(self, c):
+    """MassFunction.bel, but leaving out the top concept's mass."""
+    lat = self.lattice
+    e = lat.extents[self._index(c)]
+    d, focal = self.focal
+    return F(sum(x for f, x in focal
+                 if f != lat.extents[lat.top_index] and f & ~e == 0), d)
+
+
+def test_certificate_catches_a_wrong_belief(music_case, monkeypatch, capsys):
+    m = music_case.masses["m1"]
+    assert represent_concepts(m).all_passed
+    monkeypatch.setattr(MassFunction, "bel", _bel_without_top)
+    rep = represent_concepts(m)
+    assert not rep.all_passed
+    failed = [row for row in rep.rows if not row.passed]
+    assert [row.concept_index for row in failed] == [m.lattice.top_index]
+    assert failed[0].inner == 1 and failed[0].bel == F(1, 5)
+    music = str(files("conceptds") / "data" / "music.json")
+    assert run(["verify-representation", music]) == 1
+    assert "result: FAIL" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("seed", range(6))
