@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -212,11 +213,11 @@ _DOCUMENT_KEYS = {"objects", "attributes", "incidence", "labels", "masses",
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
-    doc: dict[str, object] = {}
-    for key, value in pairs:
-        if key in doc:
-            raise ValueError(f"duplicate key {key!r}")
-        doc[key] = value
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        counts = Counter(key for key, _ in pairs)
+        key = next(key for key, n in counts.items() if n > 1)
+        raise ValueError(f"duplicate key {key!r}")
     return doc
 
 

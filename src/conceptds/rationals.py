@@ -38,11 +38,12 @@ def parse_rational(value: object) -> Fraction:
     if isinstance(value, str):
         text = value.strip()
         exponent = _EXPONENT.search(text)
-        try:
-            magnitude = abs(int(exponent.group(1))) if exponent else 0
-        except ValueError as exc:
-            raise ParseError(f"not a rational number: {value!r}") from exc
-        check_capacity("decimal exponent", magnitude, MAX_DECIMAL_EXPONENT)
+        if exponent:
+            try:
+                magnitude = abs(int(exponent.group(1)))
+            except ValueError as exc:
+                raise ParseError(f"not a rational number: {value!r}") from exc
+            check_capacity("decimal exponent", magnitude, MAX_DECIMAL_EXPONENT)
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
