@@ -7,8 +7,8 @@ inner and outer measures of probability spaces.  A `conceptds` command-line
 tool exposes the same operations.
 """
 
-from .cases import (CASE_IDS, CaseReport, CellNote, available_cases,
-                    build_case, build_report, display_labels, load_case)
+from .cases import (CASE_IDS, CaseReport, CellNote, build_case, build_report,
+                    display_labels, load_case)
 from .combine import CombinationReport, combine, combine_many, combine_set
 from .context import (FRESH_ATTRIBUTE, ContextDocument, FormalContext,
                       MassSpec, load_document, normalize_no_universal_object,
@@ -28,12 +28,11 @@ from .probspace import (ProbabilitySpace, parse_probability_space,
 from .rationals import (format_exact, format_fixed, parse_rational,
                         round_half_away)
 from .represent import (ConceptRepresentation, FrameRepresentation,
-                        SetRepresentation, VerificationReport,
-                        VerificationRow, atom_order_matches,
-                        atoms_pairwise_disjoint, embedding_meet_preserving,
-                        normalize_with_mass, represent_concepts,
-                        represent_concepts_frame, represent_set,
-                        verify_representation)
+                        SetRepresentation, VerificationRow,
+                        atom_order_matches, atoms_pairwise_disjoint,
+                        embedding_meet_preserving, normalize_with_mass,
+                        represent_concepts, represent_concepts_frame,
+                        represent_set)
 
 __version__ = "0.1.0"
 

@@ -18,7 +18,7 @@ from typing import Mapping
 from .combine import combine_many
 from .context import ContextDocument, ObjectSet, load_document
 from .errors import LabelError, ParseError
-from .evidence import MassFunction, resolve_mass
+from .evidence import MassFunction, labeled_index, resolve_mass
 from .lattice import ConceptLattice, enumerate_concepts
 from .rationals import parse_rational, round_half_away
 
@@ -42,15 +42,8 @@ def display_labels(lat: ConceptLattice,
     names[lat.top_index] = TOP_SYMBOL
     names[lat.bottom_index] = BOTTOM_SYMBOL
     taken: dict[int, str] = {}
-    for label in labels:
-        extent = labels[label]
-        concept = lat.concept_with_extent(extent)
-        if concept is None:
-            raise LabelError(
-                f"label {label!r} names object set "
-                f"{list(lat.context.object_names(extent))} which is not a "
-                "concept extent")
-        i = lat.index_of(concept)
+    for label, extent in labels.items():
+        i = labeled_index(lat, label, extent)
         if i in taken:
             raise LabelError(
                 f"labels {taken[i]!r} and {label!r} name the same concept")
@@ -90,10 +83,6 @@ class CaseReport:
     @property
     def combined_name(self) -> str:
         return "⊕".join(self.combined_order)
-
-
-def available_cases() -> tuple[str, ...]:
-    return CASE_IDS
 
 
 def load_case(case_id: str) -> ContextDocument:

@@ -13,11 +13,10 @@ import io
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .cases import CASE_IDS, CaseReport, build_case, display_labels
+from .cases import CASE_IDS, build_case, display_labels
 from .combine import combine_many
 from .context import (ContextDocument, document_from_json, load_document,
                       normalize_no_universal_object, parse_cxt,
@@ -40,28 +39,19 @@ from .represent import (atom_order_matches, atoms_pairwise_disjoint,
 MAX_MEASURE_SWEEP = 12
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation settings shared by the subcommand handlers."""
-
-    subcommand: str
-    paths: tuple[str, ...] = ()
-    format: str = "text"
-    digits: int = 2
-    exact: bool = False
-    construction: str = "algebraic"
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.digits <= 9:
-            raise ParseError(f"rounding digits must be within 0..9, got {self.digits}")
-
-    def fmt(self, value: Fraction) -> str:
-        return format_exact(value) if self.exact else format_fixed(value, self.digits)
-
-
 # ---------------------------------------------------------------------------
 # Small rendering helpers
+
+def _formatter(args: argparse.Namespace) -> Callable[[Fraction], str]:
+    """Exact p/q under --exact, else the value rounded to --round places."""
+    if args.exact:
+        return format_exact
+    return lambda value: format_fixed(value, args.digits)
+
+
+def _yes(ok: bool) -> str:
+    return "yes" if ok else "NO"
+
 
 def _table_lines(headers: Sequence[str], rows: Sequence[Sequence[str]],
                  indent: str = "") -> list[str]:
@@ -85,6 +75,10 @@ def _csv_text(rows: Sequence[Sequence[str]]) -> str:
     return buffer.getvalue()
 
 
+def _print_json(payload: Mapping) -> None:
+    print(json.dumps(payload, indent=2, ensure_ascii=False))
+
+
 def _set_text(names: Sequence[str]) -> str:
     return "{" + ",".join(names) + "}"
 
@@ -104,12 +98,21 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
-def _load_context_document(path: str) -> ContextDocument:
-    """Load a JSON context document, or a bare CXT context with no masses."""
-    text = _read_text(path)
-    if text.lstrip().startswith("{"):
-        return load_document(text)
+def _is_json(text: str) -> bool:
+    return text.lstrip().startswith("{")
+
+
+def _cxt_document(text: str) -> ContextDocument:
+    """A bare CXT context, as a document with no labels and no masses."""
     return ContextDocument(parse_cxt(text), (), {}, None)
+
+
+def _load(path: str) -> tuple[ContextDocument, ConceptLattice, tuple[str, ...]]:
+    """A JSON context document or a CXT file, its lattice and display labels."""
+    text = _read_text(path)
+    doc = load_document(text) if _is_json(text) else _cxt_document(text)
+    lat = enumerate_concepts(doc.context)
+    return doc, lat, display_labels(lat, doc.labels)
 
 
 def _is_partition_space(doc: Mapping) -> bool:
@@ -128,12 +131,10 @@ def _named_masses(doc: ContextDocument,
 # lattice
 
 def _cmd_lattice(args: argparse.Namespace) -> int:
-    doc = _load_context_document(args.path)
-    lat = enumerate_concepts(doc.context)
-    labels = display_labels(lat, doc.labels)
+    doc, lat, labels = _load(args.path)
     ctx = doc.context
     if args.json:
-        payload = {
+        _print_json({
             "context": {
                 "objects": list(ctx.objects),
                 "attributes": list(ctx.attributes),
@@ -148,8 +149,7 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
                 "intent": list(ctx.attribute_names(lat[i].intent)),
             } for i in range(len(lat))],
             "covers": [[labels[i], labels[j]] for i, j in lat.covers()],
-        }
-        print(json.dumps(payload, indent=2, ensure_ascii=False))
+        })
         return 0
     for i in range(len(lat)):
         print(_concept_line(lat, i, labels[i]))
@@ -162,62 +162,31 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # bel / pl
 
-def _evidence_rows(kind: str, lat: ConceptLattice,
-                   masses: Mapping[str, MassFunction]) -> list[list[Fraction]]:
-    rows = []
-    for i in range(len(lat)):
-        if kind == "bel":
-            rows.append([m.bel(i) for m in masses.values()])
-        else:
-            rows.append([m.pl(i) for m in masses.values()])
-    return rows
-
-
-def _cmd_evidence(args: argparse.Namespace, kind: str) -> int:
-    cfg = RunConfig(kind, paths=(args.path,), format=args.format,
-                    digits=args.digits, exact=args.exact)
-    doc = _load_context_document(args.path)
-    lat = enumerate_concepts(doc.context)
-    labels = display_labels(lat, doc.labels)
-    masses = _named_masses(doc, lat)
-    values = _evidence_rows(kind, lat, masses)
-    names = list(masses)
-    if cfg.format == "json":
-        payload = {
-            "kind": kind,
-            "concepts": list(labels),
-            "rows": {name: [cfg.fmt(values[i][k]) for i in range(len(lat))]
-                     for k, name in enumerate(names)},
-        }
-        print(json.dumps(payload, indent=2, ensure_ascii=False))
+def _cmd_evidence(args: argparse.Namespace) -> int:
+    fmt = _formatter(args)
+    doc, lat, labels = _load(args.path)
+    columns = {name: [fmt(v) for v in getattr(m.belief_table(), args.kind)]
+               for name, m in _named_masses(doc, lat).items()}
+    if args.format == "json":
+        _print_json({"kind": args.kind, "concepts": list(labels),
+                     "rows": columns})
         return 0
-    cells = [[labels[i]] + [cfg.fmt(v) for v in values[i]]
-             for i in range(len(lat))]
-    if cfg.format == "csv":
-        print(_csv_text([["concept"] + names] + cells), end="")
+    header = ["concept", *columns]
+    cells = list(zip(labels, *columns.values()))
+    if args.format == "csv":
+        print(_csv_text([header] + cells), end="")
         return 0
-    for line in _table_lines(["concept"] + names, cells):
+    for line in _table_lines(header, cells):
         print(line)
     return 0
-
-
-def _cmd_bel(args: argparse.Namespace) -> int:
-    return _cmd_evidence(args, "bel")
-
-
-def _cmd_pl(args: argparse.Namespace) -> int:
-    return _cmd_evidence(args, "pl")
 
 
 # ---------------------------------------------------------------------------
 # combine
 
 def _cmd_combine(args: argparse.Namespace) -> int:
-    cfg = RunConfig("combine", paths=(args.path,), format=args.format,
-                    digits=args.digits, exact=args.exact)
-    doc = _load_context_document(args.path)
-    lat = enumerate_concepts(doc.context)
-    labels = display_labels(lat, doc.labels)
+    fmt = _formatter(args)
+    doc, lat, labels = _load(args.path)
     masses = _named_masses(doc, lat)
     if args.order:
         order = [s.strip() for s in args.order.split(",") if s.strip()]
@@ -232,31 +201,29 @@ def _cmd_combine(args: argparse.Namespace) -> int:
     fold = combine_many([masses[name] for name in order])
     acc, conflicts = fold.result, fold.conflicts
     table = acc.belief_table()
-    title = "⊕".join(order)
 
-    if cfg.format == "json":
-        payload = {
+    if args.format == "json":
+        _print_json({
             "order": order,
-            "conflicts": [cfg.fmt(v) for v in conflicts],
+            "conflicts": [fmt(v) for v in conflicts],
             "concepts": list(labels),
-            "mass": [cfg.fmt(v) for v in acc.values],
-            "bel": [cfg.fmt(v) for v in table.bel],
-            "pl": [cfg.fmt(v) for v in table.pl],
-        }
-        print(json.dumps(payload, indent=2, ensure_ascii=False))
+            "mass": [fmt(v) for v in acc.values],
+            "bel": [fmt(v) for v in table.bel],
+            "pl": [fmt(v) for v in table.pl],
+        })
         return 0
-    cells = [[labels[i], cfg.fmt(acc.values[i]), cfg.fmt(table.bel[i]),
-              cfg.fmt(table.pl[i])] for i in range(len(lat))]
-    if cfg.format == "csv":
-        conflict_rows = [[f"conflict step {k}", cfg.fmt(v)]
+    header = ["concept", "mass", "bel", "pl"]
+    cells = [[labels[i], fmt(acc.values[i]), fmt(table.bel[i]),
+              fmt(table.pl[i])] for i in range(len(lat))]
+    if args.format == "csv":
+        conflict_rows = [[f"conflict step {k}", fmt(v)]
                          for k, v in enumerate(conflicts, start=1)]
-        print(_csv_text(conflict_rows
-                        + [["concept", "mass", "bel", "pl"]] + cells), end="")
+        print(_csv_text(conflict_rows + [header] + cells), end="")
         return 0
-    print(f"combined {title}")
+    print(f"combined {'⊕'.join(order)}")
     for k, value in enumerate(conflicts, start=1):
-        print(f"conflict (step {k}): {cfg.fmt(value)}")
-    for line in _table_lines(["concept", "mass", "bel", "pl"], cells):
+        print(f"conflict (step {k}): {fmt(value)}")
+    for line in _table_lines(header, cells):
         print(line)
     return 0
 
@@ -264,7 +231,10 @@ def _cmd_combine(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # verify-representation
 
-def _verify_partition_space(space: ProbabilitySpace, cfg: RunConfig) -> int:
+_VERIFY_COLUMNS = ("concept", "bel", "inner", "pl", "outer")
+
+
+def _verify_partition_space(space: ProbabilitySpace, output: str) -> int:
     """Measure-side checks for a partition-space document.
 
     Sweeps every subset of the carrier: the inner and outer measures must
@@ -277,7 +247,7 @@ def _verify_partition_space(space: ProbabilitySpace, cfg: RunConfig) -> int:
     approximants_ok = True
     duality_ok = True
     checked = 0
-    for y in subsets(sorted(space.carrier, key=repr)):
+    for y in subsets(space.carrier):
         checked += 1
         inside = space.iota(y)
         around = space.gamma(y)
@@ -290,32 +260,35 @@ def _verify_partition_space(space: ProbabilitySpace, cfg: RunConfig) -> int:
         if space.outer_measure(y) != 1 - space.inner_measure(space.carrier - y):
             duality_ok = False
     passed = approximants_ok and duality_ok
-    if cfg.format == "json":
-        print(json.dumps({
+    if output == "json":
+        _print_json({
             "kind": "partition-space",
             "subsets_checked": checked,
             "approximants_ok": approximants_ok,
             "duality_ok": duality_ok,
             "passed": passed,
-        }, indent=2))
+        })
         return 0 if passed else 1
     print(f"partition space: {len(space.blocks)} blocks over {n} elements")
     print(f"subsets checked: {checked}")
-    print(f"inner/outer agree with approximants: {'yes' if approximants_ok else 'NO'}")
-    print(f"outer is the complement-dual of inner: {'yes' if duality_ok else 'NO'}")
+    print(f"inner/outer agree with approximants: {_yes(approximants_ok)}")
+    print(f"outer is the complement-dual of inner: {_yes(duality_ok)}")
     print(f"overall: {'PASS' if passed else 'FAIL'}")
     return 0 if passed else 1
 
 
-def _verify_rows(cfg: RunConfig, labels: Sequence[str], rows) -> list[list[str]]:
-    return [[labels[r.concept_index], cfg.fmt(r.bel), cfg.fmt(r.inner),
-             cfg.fmt(r.pl), cfg.fmt(r.outer),
-             "yes" if r.passed else "NO"] for r in rows]
+def _algebraic_checks(rep) -> dict[str, bool]:
+    """The algebraic construction's structural checks, by display name."""
+    return {
+        "atom order matches the lattice order": atom_order_matches(rep),
+        "atoms pairwise disjoint": atoms_pairwise_disjoint(rep),
+        "embedding meet-preserving": embedding_meet_preserving(rep),
+    }
 
 
-def _verify_one(cfg: RunConfig, name: str, mass: MassFunction,
-                labels: Sequence[str], construction: str,
-                out_text: list[str], out_json: list[dict]) -> bool:
+def _verification(name: str, mass: MassFunction, labels: Sequence[str],
+                  construction: str, fmt: Callable[[Fraction], str]) -> dict:
+    """One (mass, construction) result, as `--format json` prints it."""
     if construction == "frame":
         rep = represent_concepts_frame(mass)
         structural = {
@@ -326,36 +299,34 @@ def _verify_one(cfg: RunConfig, name: str, mass: MassFunction,
             "embedding meet-preserving": rep.embedding_meet_preserving,
         }
         passed = rep.all_passed
-        rows = rep.rows
     else:
         rep = represent_concepts(mass)
-        structural = {
-            "atom order matches the lattice order": atom_order_matches(rep),
-            "atoms pairwise disjoint": atoms_pairwise_disjoint(rep),
-            "embedding meet-preserving": embedding_meet_preserving(rep),
-        }
-        rows = rep.rows
+        structural = _algebraic_checks(rep)
         passed = rep.all_passed and all(structural.values())
-    out_text.append(f"mass {name} ({construction}):")
-    out_text.extend(_table_lines(
-        ["concept", "bel", "inner", "pl", "outer", "ok"],
-        _verify_rows(cfg, labels, rows), indent="  "))
-    for check, ok in structural.items():
-        out_text.append(f"  {check}: {'yes' if ok else 'NO'}")
-    out_text.append(f"  result: {'PASS' if passed else 'FAIL'}")
-    out_json.append({
+    return {
         "mass": name,
         "construction": construction,
         "rows": [{
             "concept": labels[r.concept_index],
-            "bel": cfg.fmt(r.bel), "inner": cfg.fmt(r.inner),
-            "pl": cfg.fmt(r.pl), "outer": cfg.fmt(r.outer),
+            "bel": fmt(r.bel), "inner": fmt(r.inner),
+            "pl": fmt(r.pl), "outer": fmt(r.outer),
             "ok": r.passed,
-        } for r in rows],
+        } for r in rep.rows],
         "structural": structural,
         "passed": passed,
-    })
-    return passed
+    }
+
+
+def _verification_lines(result: dict) -> list[str]:
+    lines = [f"mass {result['mass']} ({result['construction']}):"]
+    lines += _table_lines(
+        [*_VERIFY_COLUMNS, "ok"],
+        [[row[key] for key in _VERIFY_COLUMNS] + [_yes(row["ok"])]
+         for row in result["rows"]], indent="  ")
+    lines += [f"  {check}: {_yes(ok)}"
+              for check, ok in result["structural"].items()]
+    lines.append(f"  result: {'PASS' if result['passed'] else 'FAIL'}")
+    return lines
 
 
 def _soak_instance(rng: random.Random) -> MassFunction | None:
@@ -370,17 +341,13 @@ def _soak_instance(rng: random.Random) -> MassFunction | None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cfg = RunConfig("verify-representation",
-                    paths=(args.path,) if args.path else (),
-                    format=args.format, digits=args.digits, exact=args.exact,
-                    construction=args.construction, seed=args.seed)
     if (args.path is None) == (args.soak is None):
         raise ParseError("pass exactly one of an input path or --soak N")
 
     if args.soak is not None:
         if args.soak <= 0:
             raise ParseError("--soak needs a positive instance count")
-        rng = random.Random(cfg.seed)
+        rng = random.Random(args.seed)
         failures = 0
         for k in range(args.soak):
             mass = None
@@ -390,9 +357,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                     break
             assert mass is not None, "random lattices under the size cap exist"
             report = represent_concepts(mass)
-            ok = (report.all_passed and atom_order_matches(report)
-                  and atoms_pairwise_disjoint(report)
-                  and embedding_meet_preserving(report))
+            ok = report.all_passed and all(_algebraic_checks(report).values())
             if not ok:
                 failures += 1
             print(f"instance {k}: {len(mass.lattice)} concepts, "
@@ -401,44 +366,41 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return 0 if failures == 0 else 1
 
     text = _read_text(args.path)
-    if text.lstrip().startswith("{"):
+    if _is_json(text):
         doc_json = parse_json_object(text)
         if _is_partition_space(doc_json):
             return _verify_partition_space(
-                probability_space_from_json(doc_json), cfg)
+                probability_space_from_json(doc_json), args.format)
         doc = document_from_json(doc_json)
     else:
-        doc = ContextDocument(parse_cxt(text), (), {}, None)
+        doc = _cxt_document(text)
     lat = enumerate_concepts(doc.context)
     masses = _named_masses(doc, lat)
-    constructions = ["algebraic", "frame"] if cfg.construction == "both" \
-        else [cfg.construction]
+    constructions = ["algebraic", "frame"] if args.construction == "both" \
+        else [args.construction]
 
-    out_text: list[str] = []
-    out_json: list[dict] = []
-    all_passed = True
+    fmt = _formatter(args)
+    results: list[dict] = []
     normalized_any = False
     for name, mass in masses.items():
         normalized, _ = normalize_with_mass(mass)
         if normalized.lattice is not mass.lattice:
             normalized_any = True
         labels = display_labels(normalized.lattice, doc.labels)
-        for construction in constructions:
-            if not _verify_one(cfg, name, normalized, labels, construction,
-                               out_text, out_json):
-                all_passed = False
-    if cfg.format == "json":
-        print(json.dumps({"normalized": normalized_any, "results": out_json,
-                          "passed": all_passed
-                          }, indent=2, ensure_ascii=False))
-        return 0 if all_passed else 1
+        results += [_verification(name, normalized, labels, construction, fmt)
+                    for construction in constructions]
+    passed = all(result["passed"] for result in results)
+    if args.format == "json":
+        _print_json({"normalized": normalized_any, "results": results,
+                     "passed": passed})
+        return 0 if passed else 1
     if normalized_any:
         print("note: the least concept had a nonempty extent; verification "
               "ran on the normalized context")
-    for line in out_text:
-        print(line)
-    print(f"overall: {'PASS' if all_passed else 'FAIL'}")
-    return 0 if all_passed else 1
+    for result in results:
+        print("\n".join(_verification_lines(result)))
+    print(f"overall: {'PASS' if passed else 'FAIL'}")
+    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -467,108 +429,78 @@ def _table_from_entries(doc: Mapping) -> dict[frozenset, Fraction]:
     return table
 
 
-def _render_check(cfg: RunConfig, kind: str, report) -> tuple[list[str], dict]:
-    lines = [f"{kind} axioms: checked {report.checked_tuples} tuples"]
-    payload: dict = {"kind": kind, "checked": report.checked_tuples,
-                     "violation": None}
-    if report.passed:
-        lines.append(f"{kind} axioms: no violations")
-    else:
-        v = report.first_violation
-        sets = "; ".join(_set_text(sorted(map(str, s))) for s in v.sets)
-        lines.append(f"{kind} axioms: VIOLATION ({v.note})")
-        lines.append(f"  sets: {sets}")
-        lines.append(f"  value {cfg.fmt(v.lhs)} against bound {cfg.fmt(v.rhs)}")
-        payload["violation"] = {
-            "sets": [sorted(map(str, s)) for s in v.sets],
-            "value": cfg.fmt(v.lhs),
-            "bound": cfg.fmt(v.rhs),
-            "note": v.note,
-        }
-    return lines, payload
+def _check_result(kind: str, report, fmt: Callable[[Fraction], str]) -> dict:
+    """One axiom check, as `--format json` prints it."""
+    v = report.first_violation
+    return {"kind": kind, "checked": report.checked_tuples,
+            "violation": None if v is None else {
+                "sets": [sorted(map(str, s)) for s in v.sets],
+                "value": fmt(v.lhs),
+                "bound": fmt(v.rhs),
+                "note": v.note,
+            }}
+
+
+def _check_lines(result: dict) -> list[str]:
+    kind, v = result["kind"], result["violation"]
+    lines = [f"{kind} axioms: checked {result['checked']} tuples"]
+    if v is None:
+        return lines + [f"{kind} axioms: no violations"]
+    return lines + [f"{kind} axioms: VIOLATION ({v['note']})",
+                    f"  sets: {'; '.join(map(_set_text, v['sets']))}",
+                    f"  value {v['value']} against bound {v['bound']}"]
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    cfg = RunConfig("check", paths=(args.path,), format=args.format,
-                    digits=args.digits, exact=args.exact)
     doc = parse_json_object(_read_text(args.path))
-    checks: list[tuple[str, Mapping[frozenset, Fraction]]] = []
     if _is_partition_space(doc):
         space = probability_space_from_json(doc)
         # The checkers bound the carrier too, but only after every subset
         # and both measure tables exist.
         check_capacity("carrier for axiom checking", len(space.carrier),
                        MAX_AXIOM_CARRIER)
-        every = subsets(sorted(space.carrier, key=repr))
+        every = subsets(space.carrier)
         kind = args.kind or "both"
-        if kind in ("bel", "both"):
-            checks.append(("bel", {s: space.inner_measure(s) for s in every}))
-        if kind in ("pl", "both"):
-            checks.append(("pl", {s: space.outer_measure(s) for s in every}))
+        measures = {"bel": space.inner_measure, "pl": space.outer_measure}
+        kinds = ("bel", "pl") if kind == "both" else (kind,)
+        tables = {k: {s: measures[k](s) for s in every} for k in kinds}
     else:
         table = _table_from_entries(doc)
         kind = args.kind or doc.get("kind")
         if kind not in ("bel", "pl", "both"):
             raise ParseError("no table kind given; pass --kind bel|pl|both or "
                              "put \"kind\" in the document")
-        if kind in ("bel", "both"):
-            checks.append(("bel", table))
-        if kind in ("pl", "both"):
-            checks.append(("pl", table))
+        kinds = ("bel", "pl") if kind == "both" else (kind,)
+        tables = {k: table for k in kinds}
 
-    lines: list[str] = []
-    payloads: list[dict] = []
-    any_violation = False
-    for kind_name, table in checks:
-        checker = check_belief_axioms_set if kind_name == "bel" \
+    fmt = _formatter(args)
+    results = []
+    for k, table in tables.items():
+        checker = check_belief_axioms_set if k == "bel" \
             else check_plausibility_axioms_set
-        report = checker(table, n_max=args.n_max)
-        block, payload = _render_check(cfg, kind_name, report)
-        lines.extend(block)
-        payloads.append(payload)
-        if not report.passed:
-            any_violation = True
-    if cfg.format == "json":
-        print(json.dumps({"checks": payloads, "passed": not any_violation},
-                         indent=2, ensure_ascii=False))
+        results.append(_check_result(k, checker(table, n_max=args.n_max), fmt))
+    passed = all(result["violation"] is None for result in results)
+    if args.format == "json":
+        _print_json({"checks": results, "passed": passed})
     else:
-        for line in lines:
-            print(line)
-        print(f"overall: {'FAIL' if any_violation else 'PASS'}")
-    return 1 if any_violation else 0
+        for result in results:
+            print("\n".join(_check_lines(result)))
+        print(f"overall: {'PASS' if passed else 'FAIL'}")
+    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------
 # examples
 
-def _case_tables(report: CaseReport) -> list[tuple[str, str, Mapping]]:
-    """Tables to render: (title, note key, rows), driven by the expected block."""
-    expected = report.document.expected or {}
-    out: list[tuple[str, str, Mapping]] = []
-    if not expected:
-        out.append(("mass", "mass", report.mass_rows))
-        out.append(("bel", "bel", report.bel_rows))
-        out.append(("pl", "pl", report.pl_rows))
-        return out
-    if "mass" in expected:
-        out.append(("mass", "mass", report.mass_rows))
-    if "bel" in expected:
-        out.append(("bel", "bel", report.bel_rows))
-    if "pl" in expected:
-        out.append(("pl", "pl", report.pl_rows))
-    return out
-
-
 def _cmd_examples(args: argparse.Namespace) -> int:
-    cfg = RunConfig("examples", format="text", digits=args.digits,
-                    exact=args.exact)
+    fmt = _formatter(args)
     report = build_case(args.case)
     lat = report.lattice
     noted = {(n.table, n.row, n.column) for n in report.notes}
 
     def cell(table: str, row: str, column_index: int, value: Fraction) -> str:
         star = "*" if (table, row, report.labels[column_index]) in noted else ""
-        return cfg.fmt(value) + star
+        return fmt(value) + star
 
     print(f"case: {report.case_id}")
     ctx = lat.context
@@ -579,9 +511,14 @@ def _cmd_examples(args: argparse.Namespace) -> int:
         print("  " + _concept_line(lat, i, report.labels[i]))
 
     headers = ["row"] + list(report.labels)
-    for title, key, rows in _case_tables(report):
+    # The expected block picks the tables to show; with none, all three.
+    expected = report.document.expected or {}
+    for title, rows in (("mass", report.mass_rows), ("bel", report.bel_rows),
+                        ("pl", report.pl_rows)):
+        if expected and title not in expected:
+            continue
         print(f"{title}:")
-        body = [[name] + [cell(key, name, i, values[i])
+        body = [[name] + [cell(title, name, i, values[i])
                           for i in range(len(lat))]
                 for name, values in rows.items()]
         for line in _table_lines(headers, body, indent="  "):
@@ -590,8 +527,8 @@ def _cmd_examples(args: argparse.Namespace) -> int:
     if report.combined_order:
         print(f"combined {report.combined_name}:")
         for k, value in enumerate(report.conflicts, start=1):
-            print(f"  conflict (step {k}): {cfg.fmt(value)}")
-        expected_combined = (report.document.expected or {}).get("combined", {})
+            print(f"  conflict (step {k}): {fmt(value)}")
+        expected_combined = expected.get("combined", {})
         row_names = [name for name in ("mass", "bel", "pl")
                      if name in expected_combined] or ["mass", "bel", "pl"]
         body = [[name] + [cell("combined", name, i,
@@ -625,9 +562,11 @@ def _digits_arg(raw: str) -> int:
 
 
 def _add_format_flags(sp: argparse.ArgumentParser,
-                      formats: tuple[str, ...]) -> None:
-    sp.add_argument("--format", choices=formats, default="text",
-                    help="output format")
+                      formats: tuple[str, ...] = ()) -> None:
+    """--exact and --round, plus --format when there is a choice of formats."""
+    if formats:
+        sp.add_argument("--format", choices=formats, default="text",
+                        help="output format")
     sp.add_argument("--exact", action="store_true",
                     help="print exact rationals as p/q")
     sp.add_argument("--round", type=_digits_arg, default=2, dest="digits",
@@ -650,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(kind, help=f"per-concept {text} table")
         sp.add_argument("path", help="JSON document with named masses")
         _add_format_flags(sp, ("text", "csv", "json"))
-        sp.set_defaults(handler=_cmd_bel if kind == "bel" else _cmd_pl)
+        sp.set_defaults(handler=_cmd_evidence, kind=kind)
 
     sp = sub.add_parser("combine",
                         help="fold named masses with the conjunctive rule")
@@ -690,10 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("examples", help="recompute a bundled case and "
                                          "annotate differences")
     sp.add_argument("--case", required=True, choices=CASE_IDS)
-    sp.add_argument("--exact", action="store_true",
-                    help="print exact rationals as p/q")
-    sp.add_argument("--round", type=_digits_arg, default=2, dest="digits",
-                    metavar="N", help="decimal places (default 2)")
+    _add_format_flags(sp)
     sp.set_defaults(handler=_cmd_examples)
 
     return parser

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 from .context import MassSpec, ObjectSet
 from .errors import LabelError, MassError, check_capacity
 from .lattice import Concept, ConceptLattice
-from .powerset import subsets
+from .powerset import size_key, subsets
 
 MAX_SET_CARRIER = 12
 
@@ -182,7 +182,7 @@ class SetMassFunction:
         return self.values.get(frozenset(subset), Fraction(0))
 
     def support(self) -> tuple[frozenset, ...]:
-        return tuple(sorted(self.values, key=lambda s: (len(s), sorted(map(repr, s)))))
+        return tuple(sorted(self.values, key=size_key))
 
     def bel(self, subset: Iterable) -> Fraction:
         """Total mass of focal sets included in `subset`."""
@@ -213,7 +213,7 @@ def mass_from_bel_set(bel_table: Mapping[frozenset, Fraction]) -> SetMassFunctio
     table = {frozenset(k): Fraction(v) for k, v in bel_table.items()}
     carrier: frozenset = frozenset().union(*table) if table else frozenset()
     check_capacity("carrier for belief inversion", len(carrier), MAX_SET_CARRIER)
-    every = subsets(sorted(carrier, key=repr))
+    every = subsets(carrier)
     if len(table) != len(every):
         raise MassError(f"belief table has {len(table)} entries; expected all "
                         f"{len(every)} subsets of {set(carrier) or set()!r}")
@@ -290,6 +290,17 @@ def mass_from_bel_lattice(bel_values: Sequence[Fraction],
 # ---------------------------------------------------------------------------
 # Label resolution for mass assignments parsed from JSON documents
 
+def labeled_index(lat: ConceptLattice, label: str, extent: ObjectSet) -> int:
+    """The index of the concept whose extent a document label names."""
+    index = lat.index_with_extent(extent)
+    if index is None:
+        raise LabelError(
+            f"label {label!r} names object set "
+            f"{list(lat.context.object_names(extent))} which is not a "
+            "concept extent")
+    return index
+
+
 def resolve_concept_label(lat: ConceptLattice, label: str,
                           label_extents: Mapping[str, ObjectSet] | None = None) -> int:
     """Resolve a label to a concept index, by name or by extent literal.
@@ -301,14 +312,7 @@ def resolve_concept_label(lat: ConceptLattice, label: str,
     label_extents = label_extents or {}
     found: dict[int, str] = {}
     if label in label_extents:
-        extent = label_extents[label]
-        concept = lat.concept_with_extent(extent)
-        if concept is None:
-            raise LabelError(
-                f"label {label!r} names object set "
-                f"{sorted(lat.context.object_names(extent))} which is not a "
-                "concept extent")
-        found[lat.index_of(concept)] = "document label"
+        found[labeled_index(lat, label, label_extents[label])] = "document label"
     if label in _TOP_NAMES:
         found[lat.top_index] = "built-in name for the greatest concept"
     if label in _BOTTOM_NAMES:
@@ -322,9 +326,9 @@ def resolve_concept_label(lat: ConceptLattice, label: str,
             if index is None:
                 raise LabelError(f"unknown object name {name!r} in extent literal {label!r}")
             indices.add(index)
-        concept = lat.concept_with_extent(indices)
-        if concept is not None:
-            found[lat.index_of(concept)] = "extent literal"
+        index = lat.index_with_extent(indices)
+        if index is not None:
+            found[index] = "extent literal"
         elif label not in label_extents:
             raise LabelError(f"no concept has extent {label}")
     if not found:
@@ -338,12 +342,12 @@ def resolve_concept_label(lat: ConceptLattice, label: str,
 def resolve_mass(spec: MassSpec, lat: ConceptLattice) -> MassFunction:
     """Tie a parsed mass assignment to the concepts of a lattice."""
     seen: dict[int, str] = {}
-    mapping: dict[int, Fraction] = {}
+    values = [Fraction(0)] * len(lat)
     for label, value in spec.entries:
         index = resolve_concept_label(lat, label, spec.label_extents)
         if index in seen:
             raise LabelError(f"mass {spec.name!r}: labels {seen[index]!r} and "
                              f"{label!r} resolve to the same concept")
         seen[index] = label
-        mapping[index] = value
-    return MassFunction.from_mapping(lat, mapping)
+        values[index] = value
+    return MassFunction(lat, tuple(values))

@@ -94,8 +94,12 @@ class ConceptLattice:
             raise ValueError(f"not a concept of this lattice: {concept}")
         return index
 
+    def index_with_extent(self, extent: Iterable[int]) -> int | None:
+        """The index of the concept with this extent, or None if none has it."""
+        return self.index_by_extent.get(_mask(extent))
+
     def concept_with_extent(self, extent: Iterable[int]) -> Concept | None:
-        index = self.index_by_extent.get(_mask(extent))
+        index = self.index_with_extent(extent)
         return None if index is None else self.concepts[index]
 
     # -- order, meet, join ---------------------------------------------------

@@ -16,10 +16,10 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .context import FormalContext
-from .errors import MassError, check_capacity
+from .errors import MassError, PreconditionError, check_capacity
 from .evidence import MassFunction, SetMassFunction
 from .lattice import MAX_OBJECTS, Concept, ConceptLattice
-from .powerset import subsets
+from .powerset import size_key, subsets
 from .probspace import ProbabilitySpace
 
 MAX_AXIOM_CARRIER = 5
@@ -44,6 +44,18 @@ class AxiomReport:
         return self.first_violation is None
 
 
+def _require_tuple_length(n_max: int) -> None:
+    """The checkers implement tuple lengths 1..MAX_AXIOM_N and no others.
+
+    This is not a capacity bound: the escape hatch cannot lift it, because a
+    longer tuple would be reported as checked without being checked.
+    """
+    if not 1 <= n_max <= MAX_AXIOM_N:
+        raise PreconditionError(
+            f"tuple length for axiom checking must be within 1..{MAX_AXIOM_N}, "
+            f"got {n_max}")
+
+
 def _scaled_table(f: Mapping[frozenset, Fraction]
                   ) -> tuple[list[frozenset], list[int], int]:
     """Common-denominator integer table indexed by bitmask over the carrier.
@@ -54,7 +66,7 @@ def _scaled_table(f: Mapping[frozenset, Fraction]
     table = {frozenset(k): Fraction(v) for k, v in f.items()}
     carrier = frozenset().union(*table) if table else frozenset()
     check_capacity("carrier for axiom checking", len(carrier), MAX_AXIOM_CARRIER)
-    every = subsets(sorted(carrier, key=repr))
+    every = subsets(carrier)
     if len(table) != len(every):
         raise MassError(f"table has {len(table)} entries; expected all "
                         f"{len(every)} subsets of the carrier")
@@ -82,19 +94,17 @@ def check_belief_axioms_set(f: Mapping[frozenset, Fraction],
                             n_max: int = 3) -> AxiomReport:
     """Exhaustively test the superadditive inclusion-exclusion inequalities.
 
-    For every tuple (A_1..A_n), n up to n_max, the table must satisfy
+    For every tuple (A_1..A_n), 1 <= n <= n_max <= 3, the table must satisfy
     f(A_1 ∪ ... ∪ A_n) >= sum over nonempty I of (-1)^(|I|+1) f(∩_{i in I} A_i),
     along with f(S) = 1 and values within [0, 1].
     """
-    check_capacity("tuple length for axiom checking", n_max, MAX_AXIOM_N)
+    _require_tuple_length(n_max)
     every, t, denom = _scaled_table(f)
     bad = _range_violation(every, t, denom, "a belief function's")
     if bad is not None:
         return AxiomReport(0, bad)
     m = len(t)
-    checked = 0
-    if n_max >= 1:
-        checked += m  # f(A) >= f(A) holds identically
+    checked = m  # n=1: f(A) >= f(A) holds identically
     if n_max >= 2:
         for a in range(m):
             ta = t[a]
@@ -129,19 +139,17 @@ def check_plausibility_axioms_set(f: Mapping[frozenset, Fraction],
                                   n_max: int = 3) -> AxiomReport:
     """Exhaustively test the dual (subadditive) inclusion-exclusion bounds.
 
-    For every tuple (A_1..A_n), n up to n_max, the table must satisfy
+    For every tuple (A_1..A_n), 1 <= n <= n_max <= 3, the table must satisfy
     f(A_1 ∩ ... ∩ A_n) <= sum over nonempty I of (-1)^(|I|+1) f(∪_{i in I} A_i),
     along with f(S) = 1 and values within [0, 1].
     """
-    check_capacity("tuple length for axiom checking", n_max, MAX_AXIOM_N)
+    _require_tuple_length(n_max)
     every, t, denom = _scaled_table(f)
     bad = _range_violation(every, t, denom, "a plausibility function's")
     if bad is not None:
         return AxiomReport(0, bad)
     m = len(t)
-    checked = 0
-    if n_max >= 1:
-        checked += m
+    checked = m  # n=1: f(A) <= f(A) holds identically
     if n_max >= 2:
         for a in range(m):
             ta = t[a]
@@ -245,8 +253,7 @@ def random_set_mass(seed: int, carrier: Iterable,
                     denominator_bound: int = 64) -> SetMassFunction:
     """A powerset mass function, supported on nonempty subsets."""
     carrier = frozenset(carrier)
-    candidates = sorted((s for s in subsets(sorted(carrier, key=repr)) if s),
-                        key=lambda s: (len(s), sorted(map(repr, s))))
+    candidates = sorted((s for s in subsets(carrier) if s), key=size_key)
     if not candidates:
         raise MassError("an empty carrier has no subsets that may carry mass")
     rng = random.Random(seed)

@@ -31,7 +31,7 @@ from .context import FormalContext, normalize_no_universal_object
 from .errors import PreconditionError, check_capacity
 from .evidence import MassFunction, SetMassFunction
 from .lattice import ConceptLattice, enumerate_concepts
-from .powerset import subsets
+from .powerset import size_key, subsets
 from .probspace import ProbabilitySpace
 
 MAX_SET_REPRESENT = 4
@@ -70,13 +70,6 @@ class SetVerificationRow:
         return self.bel == self.inner and self.pl == self.outer
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    lattice: ConceptLattice
-    rows: tuple[VerificationRow, ...]
-    all_passed: bool
-
-
 # ---------------------------------------------------------------------------
 # Powerset construction
 
@@ -102,8 +95,7 @@ def represent_set(m: SetMassFunction) -> SetRepresentation:
     """Build the partition space representing a powerset mass function."""
     check_capacity("carrier for the powerset representation",
                    len(m.carrier), MAX_SET_REPRESENT)
-    every = sorted(subsets(sorted(m.carrier, key=repr)),
-                   key=lambda s: (len(s), sorted(map(repr, s))))
+    every = sorted(subsets(m.carrier), key=size_key)
     nonempty = [s for s in every if s]
 
     blocks_by_subset = {y: frozenset((y, u) for u in y) for y in nonempty}
@@ -164,10 +156,9 @@ def normalize_with_mass(m: MassFunction) -> tuple[MassFunction, dict[int, int]]:
     new_lat = enumerate_concepts(normalize_no_universal_object(lat.context))
     mapping: dict[int, int] = {}
     values = [Fraction(0)] * len(new_lat)
-    for i, concept in enumerate(lat):
-        target = new_lat.concept_with_extent(concept.extent)
-        assert target is not None, "normalization must preserve concept extents"
-        j = new_lat.index_of(target)
+    for i, e in enumerate(lat.extents):
+        # The objects are unchanged, so every extent keeps its mask.
+        j = new_lat.index_by_extent[e]
         mapping[i] = j
         values[j] = m.values[i]
     return MassFunction(new_lat, tuple(values)), mapping
@@ -284,12 +275,6 @@ def atoms_pairwise_disjoint(rep: ConceptRepresentation) -> bool:
     below = lat.extents[bottom]
     return len(lat) < 2 or all(lat.index_by_extent.get(e & below) == bottom
                                for e in lat.extents)
-
-
-def verify_representation(m: MassFunction) -> VerificationReport:
-    """Per-concept comparison of bel/pl with inner/outer measures."""
-    rep = represent_concepts(m)
-    return VerificationReport(m.lattice, rep.rows, rep.all_passed)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from conceptds import (MassFunction, TotalConflictError, brute_bel, brute_pl,
                        check_plausibility_axioms_set, combine, combine_many,
                        mass_from_bel_lattice, mass_from_bel_set,
                        parse_rational, random_mass, random_partition_space,
-                       random_set_mass, represent_set, round_half_away,
-                       verify_representation)
+                       random_set_mass, represent_concepts, represent_set,
+                       round_half_away)
 
 from conftest import seeded_lattice_mass
 
@@ -138,14 +138,14 @@ def test_criterion_05(capsys):
         masses = [report.masses[name] for name in report.combined_order]
         masses.append(combine_many(masses).result)
         for m in masses:
-            result = verify_representation(m)
+            result = represent_concepts(m)
             assert result.all_passed
             for row in result.rows:
                 assert row.bel == row.inner and row.pl == row.outer
         rng = random.Random(501)
         for _ in range(50):
             m = seeded_lattice_mass(rng, max_concepts=10, normalize=True)
-            assert verify_representation(m).all_passed
+            assert represent_concepts(m).all_passed
 
 
 def test_criterion_06(capsys):

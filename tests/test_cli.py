@@ -241,6 +241,23 @@ def test_check_rejects_bad_tables(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("n_max, unsafe", [("0", False), ("-1", False),
+                                           ("4", True)])
+def test_check_rejects_tuple_lengths_it_does_not_check(
+        n_max, unsafe, space_path, monkeypatch, capsys):
+    # A PASS must never cover tuples that were not checked, so lengths
+    # outside 1..3 are input errors even under the escape hatch.
+    if unsafe:
+        monkeypatch.setenv(ENV_UNSAFE_SCALE, "1")
+    else:
+        monkeypatch.delenv(ENV_UNSAFE_SCALE, raising=False)
+    assert run(["check", space_path, "--n-max", n_max]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: tuple length for axiom checking must be "
+                            f"within 1..3, got {n_max}\n")
+
+
 # ---------------------------------------------------------------------------
 # examples
 

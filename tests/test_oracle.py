@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conceptds import (CapacityError, MassError, check_belief_axioms_set,
-                       check_plausibility_axioms_set, brute_bel, brute_pl,
-                       enumerate_concepts, random_context, random_mass,
-                       random_partition_space, random_set_mass)
+from conceptds import (CapacityError, MassError, PreconditionError,
+                       check_belief_axioms_set, check_plausibility_axioms_set,
+                       brute_bel, brute_pl, enumerate_concepts, random_context,
+                       random_mass, random_partition_space, random_set_mass)
+from conceptds.errors import ENV_UNSAFE_SCALE
 
 from conftest import lattice_masses, set_masses
 
@@ -123,8 +124,20 @@ def test_checker_capacity_limits():
         check_belief_axioms_set(table)
     small = {x: F(1) if x == frozenset({1}) or x == frozenset({1, 2}) else F(0)
              for x in _powerset({1, 2})}
-    with pytest.raises(CapacityError):
+    with pytest.raises(PreconditionError):
         check_belief_axioms_set(small, n_max=4)
+
+
+@pytest.mark.parametrize("checker", [check_belief_axioms_set,
+                                     check_plausibility_axioms_set])
+@pytest.mark.parametrize("n_max", [0, 4])
+def test_checkers_reject_tuple_lengths_they_do_not_implement(
+        checker, n_max, monkeypatch):
+    # Only n = 1..3 are implemented; the escape hatch cannot lift that.
+    monkeypatch.setenv(ENV_UNSAFE_SCALE, "1")
+    table = {x: F(1) if x else F(0) for x in _powerset({1, 2})}
+    with pytest.raises(PreconditionError, match="must be within 1..3"):
+        checker(table, n_max=n_max)
 
 
 def test_incomplete_tables_are_rejected():

@@ -15,7 +15,7 @@ from conceptds import (CapacityError, ConceptLattice, ConceptRepresentation,
                        embedding_meet_preserving, enumerate_concepts,
                        normalize_with_mass, random_set_mass,
                        represent_concepts, represent_concepts_frame,
-                       represent_set, verify_representation)
+                       represent_set)
 from conceptds.cli import run
 
 from conftest import lattice_masses, set_masses
@@ -97,14 +97,14 @@ def test_unnormalized_input_is_refused(movies3_case):
 
 def test_music_masses_are_represented_exactly(music_case):
     for m in music_case.masses.values():
-        report = verify_representation(m)
+        report = represent_concepts(m)
         assert report.all_passed
         assert len(report.rows) == len(m.lattice)
         for row in report.rows:
             assert row.bel == row.inner
             assert row.pl == row.outer
     combined = combine_many(list(music_case.masses.values())).result
-    assert verify_representation(combined).all_passed
+    assert represent_concepts(combined).all_passed
 
 
 def test_music_structural_checks(music_case):
