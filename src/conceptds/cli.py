@@ -32,9 +32,8 @@ from .powerset import subsets
 from .probspace import (ProbabilitySpace, json_elements,
                         probability_space_from_json)
 from .rationals import format_exact, format_fixed, parse_rational
-from .represent import (atom_order_matches, atoms_pairwise_disjoint,
-                        embedding_meet_preserving, normalize_with_mass,
-                        represent_concepts, represent_concepts_frame)
+from .represent import (normalize_with_mass, represent_concepts,
+                        represent_concepts_frame)
 
 MAX_MEASURE_SWEEP = 12
 
@@ -277,32 +276,12 @@ def _verify_partition_space(space: ProbabilitySpace, output: str) -> int:
     return 0 if passed else 1
 
 
-def _algebraic_checks(rep) -> dict[str, bool]:
-    """The algebraic construction's structural checks, by display name."""
-    return {
-        "atom order matches the lattice order": atom_order_matches(rep),
-        "atoms pairwise disjoint": atoms_pairwise_disjoint(rep),
-        "embedding meet-preserving": embedding_meet_preserving(rep),
-    }
-
-
 def _verification(name: str, mass: MassFunction, labels: Sequence[str],
                   construction: str, fmt: Callable[[Fraction], str]) -> dict:
     """One (mass, construction) result, as `--format json` prints it."""
-    if construction == "frame":
-        rep = represent_concepts_frame(mass)
-        structural = {
-            "atom extents closed": rep.atom_extents_closed,
-            "atom unions closed": rep.unions_closed,
-            "embedded concepts closed": rep.embedding_closed,
-            "embedding injective": rep.embedding_injective,
-            "embedding meet-preserving": rep.embedding_meet_preserving,
-        }
-        passed = rep.all_passed
-    else:
-        rep = represent_concepts(mass)
-        structural = _algebraic_checks(rep)
-        passed = rep.all_passed and all(structural.values())
+    represent = (represent_concepts_frame if construction == "frame"
+                 else represent_concepts)
+    rep = represent(mass)
     return {
         "mass": name,
         "construction": construction,
@@ -312,8 +291,8 @@ def _verification(name: str, mass: MassFunction, labels: Sequence[str],
             "pl": fmt(r.pl), "outer": fmt(r.outer),
             "ok": r.passed,
         } for r in rep.rows],
-        "structural": structural,
-        "passed": passed,
+        "structural": rep.checks,
+        "passed": rep.all_passed,
     }
 
 
@@ -347,6 +326,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.soak is not None:
         if args.soak <= 0:
             raise ParseError("--soak needs a positive instance count")
+        if args.format != "text" or args.construction != "algebraic":
+            raise ParseError("--soak runs the algebraic construction with text "
+                             "output; --format and --construction apply to "
+                             "an input path")
         rng = random.Random(args.seed)
         failures = 0
         for k in range(args.soak):
@@ -356,8 +339,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 if mass is not None:
                     break
             assert mass is not None, "random lattices under the size cap exist"
-            report = represent_concepts(mass)
-            ok = report.all_passed and all(_algebraic_checks(report).values())
+            ok = represent_concepts(mass).all_passed
             if not ok:
                 failures += 1
             print(f"instance {k}: {len(mass.lattice)} concepts, "
@@ -380,21 +362,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         else [args.construction]
 
     fmt = _formatter(args)
-    results: list[dict] = []
-    normalized_any = False
-    for name, mass in masses.items():
-        normalized, _ = normalize_with_mass(mass)
-        if normalized.lattice is not mass.lattice:
-            normalized_any = True
-        labels = display_labels(normalized.lattice, doc.labels)
-        results += [_verification(name, normalized, labels, construction, fmt)
-                    for construction in constructions]
+    # Every mass lives on `lat`, so all move to the one normalized lattice.
+    labels = display_labels(lat.normalized, doc.labels)
+    moved = {name: normalize_with_mass(mass)[0]
+             for name, mass in masses.items()}
+    results = [_verification(name, mass, labels, construction, fmt)
+               for name, mass in moved.items()
+               for construction in constructions]
+    normalized = lat.normalized is not lat
     passed = all(result["passed"] for result in results)
     if args.format == "json":
-        _print_json({"normalized": normalized_any, "results": results,
+        _print_json({"normalized": normalized, "results": results,
                      "passed": passed})
         return 0 if passed else 1
-    if normalized_any:
+    if normalized:
         print("note: the least concept had a nonempty extent; verification "
               "ran on the normalized context")
     for result in results:

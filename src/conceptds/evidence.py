@@ -186,8 +186,6 @@ class SetMassFunction:
 
     def bel(self, subset: Iterable) -> Fraction:
         """Total mass of focal sets included in `subset`."""
-        check_capacity("carrier for set-level belief", len(self.carrier),
-                       MAX_SET_CARRIER)
         x = frozenset(subset)
         if not x <= self.carrier:
             raise MassError(f"{set(x)!r} is not a subset of the carrier")
@@ -195,8 +193,6 @@ class SetMassFunction:
 
     def pl(self, subset: Iterable) -> Fraction:
         """Total mass of focal sets meeting `subset`."""
-        check_capacity("carrier for set-level plausibility", len(self.carrier),
-                       MAX_SET_CARRIER)
         x = frozenset(subset)
         if not x <= self.carrier:
             raise MassError(f"{set(x)!r} is not a subset of the carrier")

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .context import AttributeSet, FormalContext, ObjectSet
+from .context import (AttributeSet, FormalContext, ObjectSet,
+                      normalize_no_universal_object)
 from .errors import check_capacity
 
 MAX_OBJECTS = 24
@@ -114,6 +115,20 @@ class ConceptLattice:
     def join(self, c: Concept, d: Concept) -> Concept:
         intent = self.intents[self.index_of(c)] & self.intents[self.index_of(d)]
         return self.concepts[self._index_by_intent[intent]]
+
+    @property
+    def normalized(self) -> ConceptLattice:
+        """This lattice, or when its least extent is nonempty, the lattice
+        of the context with a fresh attribute held by no object, built once."""
+        if self.extent_nonempty[self.bottom_index]:
+            return self._normalized
+        return self
+
+    # Not cached in `normalized` itself: a lattice caching itself would be a
+    # reference cycle, freed only by the cycle collector.
+    @cached_property
+    def _normalized(self) -> ConceptLattice:
+        return enumerate_concepts(normalize_no_universal_object(self.context))
 
     @cached_property
     def _index_by_intent(self) -> dict[int, int]:

@@ -25,12 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
-from .context import FormalContext, normalize_no_universal_object
+from .context import FormalContext
 from .errors import PreconditionError, check_capacity
 from .evidence import MassFunction, SetMassFunction
-from .lattice import ConceptLattice, enumerate_concepts
+from .lattice import ConceptLattice
 from .powerset import size_key, subsets
 from .probspace import ProbabilitySpace
 
@@ -151,9 +152,9 @@ def normalize_with_mass(m: MassFunction) -> tuple[MassFunction, dict[int, int]]:
     unchanged.  Returns the transported mass and the old-to-new index map.
     """
     lat = m.lattice
-    if not lat.extent_nonempty[lat.bottom_index]:
+    new_lat = lat.normalized
+    if new_lat is lat:
         return m, {i: i for i in range(len(lat))}
-    new_lat = enumerate_concepts(normalize_no_universal_object(lat.context))
     mapping: dict[int, int] = {}
     values = [Fraction(0)] * len(new_lat)
     for i, e in enumerate(lat.extents):
@@ -167,8 +168,16 @@ def normalize_with_mass(m: MassFunction) -> tuple[MassFunction, dict[int, int]]:
 # ---------------------------------------------------------------------------
 # Conceptual construction, algebraic form
 
+class _Certificate:
+    """`all_passed`: every row and every structural check passed."""
+
+    @property
+    def all_passed(self) -> bool:
+        return all(r.passed for r in self.rows) and all(self.checks.values())
+
+
 @dataclass(frozen=True)
-class ConceptRepresentation:
+class ConceptRepresentation(_Certificate):
     """Per-concept rows of the product-of-down-sets construction.
 
     The embedded concept h(c) has, at coordinate a, the meet of c and a; the
@@ -179,13 +188,46 @@ class ConceptRepresentation:
 
     mass: MassFunction
     rows: tuple[VerificationRow, ...]
-    all_passed: bool
 
     def embedding(self, c: int) -> tuple[int, ...]:
         """The coordinate vector of h(c): at coordinate a, c meet a."""
         lat = self.mass.lattice
         e = lat.extents[c]
         return tuple(lat.index_by_extent[e & a] for a in lat.extents)
+
+    @cached_property
+    def checks(self) -> dict[str, bool]:
+        """The structural checks, by display name, in print order.
+
+        They read only the extent masks, the extent index and the least
+        concept, so each fails when those disagree.  One sweep looks up the
+        intersection x of each pair of extents once.  The meet check asks
+        for a concept with extent x: both sides of h(c meet d) = h(c) meet
+        h(d) are then found alike.  The atom of d lies below h(c) when d's
+        extent lies inside the one found; the order check asks that this
+        agree with d <= c, both ways round, and holds wherever the meet
+        check does.  Distinct atoms differ from the least concept only at
+        their own coordinates, so they are disjoint when the least concept
+        meets every concept at itself.  O(concepts^2).
+        """
+        lat = self.mass.lattice
+        extents, index = lat.extents, lat.index_by_extent
+        order_ok = meet_ok = True
+        for i, e in enumerate(extents):
+            for f in extents[i:]:
+                x = e & f
+                k = index.get(x)
+                if k is None or extents[k] != x:
+                    meet_ok = False
+                    order_ok = order_ok and k is not None and all(
+                        (a & ~extents[k] == 0) == (a == x) for a in (e, f))
+        bottom, below = lat.bottom_index, extents[lat.bottom_index]
+        return {
+            "atom order matches the lattice order": order_ok,
+            "atoms pairwise disjoint": len(lat) < 2 or all(
+                index.get(e & below) == bottom for e in extents),
+            "embedding meet-preserving": meet_ok,
+        }
 
 
 def _require_empty_bottom(lat: ConceptLattice, what: str) -> None:
@@ -204,7 +246,8 @@ def represent_concepts(m: MassFunction) -> ConceptRepresentation:
     lies below anything.  So the atom lies below h(c) when d's extent lies
     inside k's, and it meets h(c) above the least element when k is not the
     least concept.  The sums over those criteria are compared against
-    `MassFunction.bel`/`pl`, in O(concepts x focal concepts).
+    `MassFunction.bel`/`pl`, in O(concepts x focal concepts).  The
+    structural checks run on first use of `checks` or `all_passed`.
     """
     lat = m.lattice
     _require_empty_bottom(lat, "the conceptual representation")
@@ -223,65 +266,29 @@ def represent_concepts(m: MassFunction) -> ConceptRepresentation:
                                     inner=Fraction(inner, denominator),
                                     pl=m.pl(c),
                                     outer=Fraction(outer, denominator)))
-    return ConceptRepresentation(m, tuple(rows), all(r.passed for r in rows))
+    return ConceptRepresentation(m, tuple(rows))
 
 
 def atom_order_matches(rep: ConceptRepresentation) -> bool:
-    """Atom-below-embedding agrees with the lattice order on all pairs.
-
-    The atom of d lies below h(c) when d's extent lies inside the extent of
-    the concept that the extent index returns for the intersection of c and
-    d; the lattice order is extent inclusion.  O(concepts^2).
-    """
-    lat = rep.mass.lattice
-    extents, index = lat.extents, lat.index_by_extent
-    for e in extents:
-        for f in extents:
-            k = index.get(e & f)
-            if k is None or (f & ~extents[k] == 0) != (f & ~e == 0):
-                return False
-    return True
+    """Atom-below-embedding agrees with the lattice order on all pairs."""
+    return rep.checks["atom order matches the lattice order"]
 
 
 def embedding_meet_preserving(rep: ConceptRepresentation) -> bool:
-    """h(c meet d) equals the coordinatewise meet of h(c) and h(d).
-
-    Every coordinate of either side is found by looking up an intersection
-    of extents in the extent index.  Once the index returns, for each pair
-    of extents, a concept whose extent is exactly their intersection, both
-    sides at coordinate a are the concept with extent c & d & a.  This
-    checks that for every pair, in O(concepts^2).
-    """
-    lat = rep.mass.lattice
-    extents, index = lat.extents, lat.index_by_extent
-    for e in extents:
-        for f in extents:
-            k = index.get(e & f)
-            if k is None or extents[k] != e & f:
-                return False
-    return True
+    """h(c meet d) equals the coordinatewise meet of h(c) and h(d)."""
+    return rep.checks["embedding meet-preserving"]
 
 
 def atoms_pairwise_disjoint(rep: ConceptRepresentation) -> bool:
-    """Distinct atoms meet at the bottom of the product, coordinatewise.
-
-    Atoms d and e differ from the least concept only at coordinates d and e,
-    where their meet is d meet bottom and bottom meet e.  With two or more
-    concepts, that asks that the least concept meets every concept at the
-    least concept.  O(concepts).
-    """
-    lat = rep.mass.lattice
-    bottom = lat.bottom_index
-    below = lat.extents[bottom]
-    return len(lat) < 2 or all(lat.index_by_extent.get(e & below) == bottom
-                               for e in lat.extents)
+    """Distinct atoms meet at the bottom of the product, coordinatewise."""
+    return rep.checks["atoms pairwise disjoint"]
 
 
 # ---------------------------------------------------------------------------
 # Conceptual construction, derived-context (frame) form
 
 @dataclass(frozen=True)
-class FrameRepresentation:
+class FrameRepresentation(_Certificate):
     """The conceptual representation built concretely as a derived context.
 
     Derived objects are pairs (concept, object of its extent); derived
@@ -298,13 +305,8 @@ class FrameRepresentation:
     atoms: tuple[frozenset, ...]
     space: ProbabilitySpace
     embedding: tuple[frozenset, ...]
-    atom_extents_closed: bool
-    unions_closed: bool
-    embedding_closed: bool
-    embedding_injective: bool
-    embedding_meet_preserving: bool
     rows: tuple[VerificationRow, ...]
-    all_passed: bool
+    checks: Mapping[str, bool]
 
 
 def represent_concepts_frame(m: MassFunction) -> FrameRepresentation:
@@ -337,18 +339,21 @@ def represent_concepts_frame(m: MassFunction) -> FrameRepresentation:
     atoms = tuple(frozenset(p for p, (ci, _) in enumerate(object_keys)
                             if ci == c)
                   for c in range(n))
-    atom_extents_closed = all(closed(a) for a in atoms)
-    unions_closed = all(closed(frozenset().union(*(atoms[c] for c in group)))
-                        for group in subsets(range(n)))
-
     embedding = tuple(frozenset(p for p, (_, g) in enumerate(object_keys)
                                 if g in lat[c].extent)
                       for c in range(n))
-    embedding_closed = all(closed(e) for e in embedding)
-    embedding_injective = len(set(embedding)) == n
-    meet_preserving = all(
-        embedding[lat.index_by_extent[e & f]] == embedding[c] & embedding[d]
-        for c, e in enumerate(lat.extents) for d, f in enumerate(lat.extents))
+    checks = {
+        "atom extents closed": all(closed(a) for a in atoms),
+        "atom unions closed": all(
+            closed(frozenset().union(*(atoms[c] for c in group)))
+            for group in subsets(range(n))),
+        "embedded concepts closed": all(closed(e) for e in embedding),
+        "embedding injective": len(set(embedding)) == n,
+        "embedding meet-preserving": all(
+            embedding[lat.index_by_extent[e & f]] == embedding[c] & embedding[d]
+            for c, e in enumerate(lat.extents)
+            for d, f in enumerate(lat.extents)),
+    }
 
     block_indices = [c for c in range(n) if atoms[c]]
     space = ProbabilitySpace(frozenset(range(len(object_keys))),
@@ -359,10 +364,5 @@ def represent_concepts_frame(m: MassFunction) -> FrameRepresentation:
                                  pl=m.pl(c),
                                  outer=space.outer_measure(embedding[c]))
                  for c in range(n))
-    structural = (atom_extents_closed and unions_closed and embedding_closed
-                  and embedding_injective and meet_preserving)
     return FrameRepresentation(m, derived, object_keys, atoms, space,
-                               embedding, atom_extents_closed, unions_closed,
-                               embedding_closed, embedding_injective,
-                               meet_preserving, rows,
-                               structural and all(r.passed for r in rows))
+                               embedding, rows, checks)

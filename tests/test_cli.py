@@ -10,7 +10,8 @@ from importlib.resources import files
 
 import pytest
 
-from conceptds import enumerate_concepts, load_document, serialize_cxt
+from conceptds import (ConceptLattice, enumerate_concepts, load_document,
+                       serialize_cxt)
 import conceptds.cli as cli
 from conceptds.cli import run
 from conceptds.errors import ENV_UNSAFE_SCALE
@@ -173,6 +174,40 @@ def test_verify_soak(capsys):
 def test_verify_needs_a_file_or_a_soak_count(capsys):
     assert run(["verify-representation"]) == 2
     assert run(["verify-representation", MUSIC, "--soak", "2"]) == 2
+
+
+@pytest.mark.parametrize("flags", [["--format", "json"],
+                                   ["--construction", "frame"],
+                                   ["--construction", "both"]])
+def test_verify_soak_refuses_options_it_would_ignore(flags, capsys):
+    assert run(["verify-representation", "--soak", "2", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: --soak ")
+
+
+def test_verify_normalizes_and_labels_once_per_document(monkeypatch, capsys):
+    """movies-3's two masses share one lattice and one normalized lattice."""
+    built, labelled, moved = [], [], []
+    real_init, real_labels = ConceptLattice.__init__, cli.display_labels
+    real_move = cli.normalize_with_mass
+
+    def counting_init(self, *args):
+        built.append(args[0])
+        real_init(self, *args)
+
+    monkeypatch.setattr(ConceptLattice, "__init__", counting_init)
+    monkeypatch.setattr(cli, "display_labels",
+                        lambda *a: labelled.append(a) or real_labels(*a))
+    monkeypatch.setattr(cli, "normalize_with_mass",
+                        lambda m: moved.append(m) or real_move(m))
+    assert run(["verify-representation", MOVIES3,
+                "--construction", "both"]) == 0
+    assert len(built) == 2  # the document's lattice and the normalized one
+    assert len(labelled) == 1
+    assert len(moved) == 2  # once per mass, not per construction
+    capsys.readouterr()
 
 
 def _partition_space(tmp_path, n: int) -> str:

@@ -7,10 +7,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-from conceptds import (LabelError, MassError, MassFunction,
+from conceptds import (CapacityError, LabelError, MassError, MassFunction,
                        ProbabilitySpace, SetMassFunction,
                        mass_from_bel_lattice, mass_from_bel_set,
                        resolve_concept_label, resolve_mass)
+from conceptds.errors import ENV_UNSAFE_SCALE
 
 from conftest import lattice_masses, set_masses
 
@@ -185,6 +186,19 @@ def test_inversion_requires_a_complete_table():
         mass_from_bel_set({frozenset("a"): F(1)})
     with pytest.raises(MassError):
         mass_from_bel_set({frozenset(): F(0), frozenset("a"): F(1, 2)})
+
+
+def test_set_bel_and_pl_are_unbounded_but_inversion_is_not(monkeypatch):
+    """bel/pl scan the support; only inversion builds all 2^n subsets."""
+    monkeypatch.delenv(ENV_UNSAFE_SCALE, raising=False)
+    carrier = frozenset(range(13))
+    m = SetMassFunction(carrier, {frozenset({0}): F(1, 3), carrier: F(2, 3)})
+    assert m.bel({0}) == F(1, 3)
+    assert m.bel({1}) == 0
+    assert m.pl({1}) == F(2, 3)
+    assert m.pl(carrier) == 1
+    with pytest.raises(CapacityError, match="carrier for belief inversion"):
+        mass_from_bel_set({frozenset(): F(0), carrier: F(1)})
 
 
 @given(lattice_masses())

@@ -16,6 +16,7 @@ from conceptds import (CapacityError, ConceptLattice, ConceptRepresentation,
                        normalize_with_mass, random_set_mass,
                        represent_concepts, represent_concepts_frame,
                        represent_set)
+import conceptds.cli as cli
 from conceptds.cli import run
 
 from conftest import lattice_masses, set_masses
@@ -149,7 +150,7 @@ def _hand_built(context, pairs) -> ConceptRepresentation:
     """The checks' input for a lattice given concept by concept."""
     lat = ConceptLattice(context, tuple(e for e, _ in pairs),
                          tuple(a for _, a in pairs))
-    return ConceptRepresentation(MassFunction.vacuous(lat), (), True)
+    return ConceptRepresentation(MassFunction.vacuous(lat), ())
 
 
 def test_hand_built_music_lattice_passes_the_checks(music_lattice):
@@ -165,11 +166,17 @@ def _without_pop_rnb():
     return tuple(pair for pair in MUSIC_PAIRS if pair[0] != 0b010)
 
 
-def _with_swapped_index(context):
+def _swap_pop_and_rnb(lat, setitem=dict.__setitem__):
     """Pop's and R&B's extents are looked up as each other."""
+    index = lat.index_by_extent
+    pop, rnb = MUSIC_PAIRS[1][0], MUSIC_PAIRS[2][0]
+    setitem(index, pop, lat.extents.index(rnb))
+    setitem(index, rnb, lat.extents.index(pop))
+
+
+def _with_swapped_index(context):
     rep = _hand_built(context, MUSIC_PAIRS)
-    index = rep.mass.lattice.index_by_extent
-    index[0b011], index[0b110] = index[0b110], index[0b011]
+    _swap_pop_and_rnb(rep.mass.lattice)
     return rep
 
 
@@ -193,6 +200,70 @@ def test_atom_disjointness_check_can_fail(music_lattice):
     rep = _hand_built(music_lattice.context, pairs)
     assert rep.mass.lattice.bottom_index == 3
     assert atoms_pairwise_disjoint(rep) is False
+
+
+def test_all_passed_includes_the_structural_checks(music_case, monkeypatch):
+    rep = represent_concepts(music_case.masses["m1"])
+    assert all(row.passed for row in rep.rows)
+    _swap_pop_and_rnb(music_case.lattice, monkeypatch.setitem)
+    assert rep.checks == {"atom order matches the lattice order": False,
+                          "atoms pairwise disjoint": True,
+                          "embedding meet-preserving": False}
+    assert not rep.all_passed
+
+
+class _CountingIndex(dict):
+    """An extent index that counts its lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.lookups += 1
+        return super().__contains__(key)
+
+
+def test_structural_checks_share_one_sweep(music_case, monkeypatch):
+    lat = music_case.lattice
+    rep = represent_concepts(music_case.masses["m3"])
+    index = _CountingIndex(lat.index_by_extent)
+    monkeypatch.setattr(lat, "index_by_extent", index)
+    assert atom_order_matches(rep)
+    assert embedding_meet_preserving(rep)
+    assert atoms_pairwise_disjoint(rep)
+    n = len(lat)
+    assert 0 < index.lookups <= n * n + n
+
+
+def test_verify_fails_on_a_failed_structural_check(monkeypatch, capsys):
+    """The index is tampered with after the rows are built, so only the
+    structural checks can see it."""
+    real = cli.represent_concepts
+
+    def tampered(mass):
+        rep = real(mass)
+        _swap_pop_and_rnb(mass.lattice)
+        return rep
+
+    monkeypatch.setattr(cli, "represent_concepts", tampered)
+    music = str(files("conceptds") / "data" / "music.json")
+    assert run(["verify-representation", music]) == 1
+    out = capsys.readouterr().out
+    first = out.split("mass m2")[0]
+    rows = first.split("  atom order")[0]
+    assert "NO" not in rows
+    assert "  atom order matches the lattice order: NO\n" in first
+    assert "  atoms pairwise disjoint: yes\n" in first
+    assert "  embedding meet-preserving: NO\n" in first
+    assert "  result: FAIL\n" in first
+    assert out.endswith("overall: FAIL\n")
 
 
 def _bel_without_top(self, c):
@@ -250,9 +321,7 @@ def test_set_and_lattice_constructions_agree_on_powerset_lattices(seed):
 # Conceptual construction, derived-context form
 
 def _frame_structure_ok(rep):
-    return (rep.atom_extents_closed and rep.unions_closed
-            and rep.embedding_closed and rep.embedding_injective
-            and rep.embedding_meet_preserving)
+    return len(rep.checks) == 5 and all(rep.checks.values())
 
 
 def test_music_frame_representation(music_case):
