@@ -4,6 +4,25 @@ Two mass functions combine by meeting their focal elements pairwise.  Pairs
 whose meet has an empty extent are conflict; their weight is discarded and the
 rest is rescaled.  When every pair conflicts the combination is undefined and
 `TotalConflictError` is raised.
+
+On a lattice the rule runs in commonality space.  The commonality of a mass m
+at a concept c is q(c) = sum of m(d) over the concepts d >= c.  In any lattice
+a meet a ^ b lies at or above c exactly when both a and b do, so the
+unnormalised combination has commonality q12 = q1 * q2, pointwise, and a fold
+of k masses has the product Q_k of their commonalities.  Its unnormalised
+mass at the least concept, the conflict, is the Moebius inversion
+K_k = sum of mu(bottom, c) * Q_k(c) over the concepts c, when the least
+extent is empty; otherwise nothing conflicts.  Step k of a fold discards
+(K_k - K_(k-1)) / (1 - K_(k-1)) of the weight that the first k - 1 masses
+left, and K_k = 1 is total conflict at step k.  One peel down the order at
+the end recovers the masses, and one division by 1 - K normalises them.
+
+Between steps everything is an integer: numerators of the commonalities over
+the product of the masses' denominators.  Products vanish outside a down-set
+of concepts, the live set, which only shrinks.  A concept's commonality sums
+only the focal concepts above it, found once for all masses among the focal
+concepts at or before it in canonical order, so a mass costs at most
+O(live concepts x focal elements).
 """
 
 from __future__ import annotations
@@ -14,6 +33,7 @@ from typing import Sequence
 
 from .errors import TotalConflictError
 from .evidence import MassFunction, SetMassFunction
+from .lattice import ConceptLattice
 
 
 @dataclass(frozen=True)
@@ -42,54 +62,99 @@ def _require_same_lattice(m1: MassFunction, m2: MassFunction) -> None:
     raise ValueError("mass functions live on different lattices")
 
 
-def combine(m1: MassFunction, m2: MassFunction) -> CombinationReport:
-    """Combine two mass functions on the same lattice.
+def _focal_above(lat: ConceptLattice,
+                 masses: Sequence[MassFunction]) -> list[list[int]]:
+    """For every concept, the concepts at or above it that are focal in some
+    mass.  Only concepts at or before it in canonical order can lie above."""
+    focal = {f for m in masses for f, _ in m.focal[1]}
+    before: list[tuple[int, int]] = []
+    out = []
+    for i, e in enumerate(lat.extents):
+        if e in focal:
+            before.append((i, e))
+        out.append([j for j, f in before if f & e == e])
+    return out
 
-    Focal pairs meet by intersecting extent masks.  The products of their
-    numerators accumulate as integers over d1*d2, so the only divisions are
-    the final ones by the normaliser.
+
+def _mobius_from_bottom(lat: ConceptLattice, live: dict[int, int]) -> dict[int, int]:
+    """The nonzero values of mu(bottom, c) over a down-set of concepts.
+
+    Bottom-up: mu(bottom, bottom) = 1, and mu(bottom, c) is minus the sum
+    over bottom <= b < c, all of which lie in the down-set.
     """
-    _require_same_lattice(m1, m2)
-    lat = m1.lattice
-    d1, focal1 = m1.focal
-    d2, focal2 = m2.focal
-    acc: dict[int, int] = {}
-    conflict = 0
-    for a, x in focal1:
-        for b, y in focal2:
-            c = a & b
-            if c:
-                acc[c] = acc.get(c, 0) + x * y
-            else:
-                conflict += x * y
-    total = d1 * d2
-    # (w / total) / (1 - conflict / total) == w / (total - conflict)
-    normalizer = total - conflict
-    if normalizer == 0:
-        raise TotalConflictError()
-    values = [Fraction(0)] * len(lat)
-    index = lat.index_by_extent
-    for c, w in acc.items():
-        values[index[c]] = Fraction(w, normalizer)
-    return CombinationReport(MassFunction(lat, tuple(values)),
-                             (Fraction(conflict, total),))
+    extents = lat.extents
+    nonzero: list[tuple[int, int, int]] = []
+    for i in reversed(live):
+        e = extents[i]
+        mu = 1 if i == lat.bottom_index \
+            else -sum([v for f, _, v in nonzero if f & e == f])
+        if mu:
+            nonzero.append((e, i, mu))
+    return {i: mu for _, i, mu in nonzero}
+
+
+def combine(m1: MassFunction, m2: MassFunction) -> CombinationReport:
+    """Combine two mass functions on the same lattice: a fold of two."""
+    return combine_many([m1, m2])
 
 
 def combine_many(masses: Sequence[MassFunction]) -> CombinationReport:
-    """Left fold of `combine`, keeping the conflict of every step."""
+    """Left fold of the conjunctive rule, keeping the conflict of every step.
+
+    `product` maps each live concept, in canonical order, to the numerator
+    over `total` of the unnormalised commonality of the masses folded so
+    far; `conflict` is the numerator of their unnormalised conflict.
+    """
     if not masses:
         raise ValueError("need at least one mass function")
-    result, conflicts = masses[0], []
-    for step, m in enumerate(masses[1:], start=2):
-        try:
-            report = combine(result, m)
-        except TotalConflictError as exc:
+    first = masses[0]
+    for m in masses[1:]:
+        _require_same_lattice(first, m)
+    if len(masses) == 1:
+        return CombinationReport(first, ())
+    lat = first.lattice
+    conflicting = not lat.extent_nonempty[lat.bottom_index]
+    above = _focal_above(lat, masses)
+    product = {i: 1 for i, js in enumerate(above) if js}
+    total, conflict = 1, 0
+    mobius: dict[int, int] = {}
+    conflicts: list[Fraction] = []
+    for step, m in enumerate(masses, start=1):
+        d = m.focal[0]
+        num = [v.numerator * (d // v.denominator) for v in m.values]
+        product = {i: p * x for i, p in product.items()
+                   if (x := sum([num[j] for j in above[i]]))}
+        total *= d
+        if step == 1:
+            continue
+        if not conflicting:
+            conflicts.append(Fraction(0))
+            continue
+        if step == 2:
+            mobius = _mobius_from_bottom(lat, product)
+        before = conflict * d
+        conflict = sum(mu * product.get(i, 0) for i, mu in mobius.items())
+        if conflict == total:
             raise TotalConflictError(
                 f"total conflict while folding in mass {step} of {len(masses)}",
-                step=step) from exc
-        result = report.result
-        conflicts.append(report.conflict)
-    return CombinationReport(result, tuple(conflicts))
+                step=step)
+        conflicts.append(Fraction(conflict - before, total - before))
+
+    # Peel top-down: a concept's mass is its commonality less the masses of
+    # the concepts strictly above it; a concept outside the live set has none.
+    normalizer = total - conflict
+    extents = lat.extents
+    values = [Fraction(0)] * len(lat)
+    peeled: list[tuple[int, int]] = []
+    for i, x in product.items():
+        e = extents[i]
+        w = x - sum([y for f, y in peeled if f & e == e])
+        if w:
+            peeled.append((e, w))
+            values[i] = Fraction(w, normalizer)
+    if conflicting:
+        values[lat.bottom_index] = Fraction(0)
+    return CombinationReport(MassFunction(lat, tuple(values)), tuple(conflicts))
 
 
 def combine_set(m1: SetMassFunction, m2: SetMassFunction) -> CombinationReport:

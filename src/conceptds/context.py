@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -303,9 +304,13 @@ def document_from_json(doc: Mapping) -> ContextDocument:
             if value < 0:
                 raise MassError(f"mass {name!r} assigns {value} to {label!r}; "
                                 "masses must be nonnegative")
-        total = sum((v for _, v in entries), Fraction(0))
-        if total != 1:
-            raise MassError(f"mass {name!r} sums to {total}, expected 1")
+        # One integer sum over the lcm, not a gcd-normalising Fraction add
+        # per entry.
+        d = math.lcm(*(v.denominator for _, v in entries))
+        total = sum(v.numerator * (d // v.denominator) for _, v in entries)
+        if total != d:
+            raise MassError(f"mass {name!r} sums to {Fraction(total, d)}, "
+                            "expected 1")
         masses.append(MassSpec(name, entries, labels))
 
     return ContextDocument(context, tuple(masses), labels, doc.get("expected"))

@@ -239,14 +239,29 @@ def mass_from_bel_set(bel_table: Mapping[frozenset, Fraction]) -> SetMassFunctio
     return SetMassFunction(carrier, values)
 
 
+def _require_monotone(values: Sequence[Fraction], scaled: Sequence[int],
+                      extents: Sequence[int]) -> None:
+    """Raise on the first pair of concepts i <= j with bel(i) > bel(j)."""
+    # Only a concept earlier in canonical order can lie strictly above i.
+    for i, (e, s) in enumerate(zip(extents, scaled)):
+        for j in range(i):
+            if s > scaled[j] and e & ~extents[j] == 0:
+                raise MassError(
+                    f"bel is not monotone: concept {i} <= concept {j} but "
+                    f"{values[i]} > {values[j]}")
+
+
 def mass_from_bel_lattice(bel_values: Sequence[Fraction],
                           lat: ConceptLattice) -> MassFunction:
     """Invert a per-concept belief table by recursion along the order.
 
     Peels mass bottom-up: each concept keeps whatever belief the focal
-    concepts strictly below it do not already account for.  Monotonicity is
-    checked up front rather than assumed, and failures carry a witness.  The
-    work runs on integer numerators over the lcm of the table's denominators.
+    concepts strictly below it do not already account for.  Failures carry a
+    witness.  Nonnegative masses sum to a monotone table, so a table that is
+    not monotone always peels to a negative mass; only then is monotonicity
+    scanned for, and a violating pair reported in preference to the mass.
+    The work runs on integer numerators over the lcm of the table's
+    denominators.
     """
     values = tuple(map(_exact, bel_values))
     if len(values) != len(lat):
@@ -257,13 +272,6 @@ def mass_from_bel_lattice(bel_values: Sequence[Fraction],
     d = math.lcm(*(v.denominator for v in values))
     scaled = [v.numerator * (d // v.denominator) for v in values]
     extents = lat.extents
-    # Only a concept earlier in canonical order can lie strictly above i.
-    for i, (e, s) in enumerate(zip(extents, scaled)):
-        for j in range(i):
-            if s > scaled[j] and e & ~extents[j] == 0:
-                raise MassError(
-                    f"bel is not monotone: concept {i} <= concept {j} but "
-                    f"{values[i]} > {values[j]}")
 
     masses = [0] * len(lat)
     focal: list[tuple[int, int]] = []
@@ -271,6 +279,7 @@ def mass_from_bel_lattice(bel_values: Sequence[Fraction],
         e = extents[i]
         masses[i] = scaled[i] - sum(x for f, x in focal if f & ~e == 0)
         if masses[i] < 0:
+            _require_monotone(values, scaled, extents)
             raise MassError(f"not a belief function on this lattice: recovered "
                             f"mass {Fraction(masses[i], d)} on concept {i}")
         if masses[i]:

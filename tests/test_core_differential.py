@@ -8,17 +8,20 @@ frozensets, and bel/pl also from `oracle.brute_bel`/`brute_pl`.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conceptds import (MassFunction, TotalConflictError, atom_order_matches,
+from conceptds import (FormalContext, MassError, MassFunction,
+                       TotalConflictError, atom_order_matches,
                        atoms_pairwise_disjoint, brute_bel, brute_pl, combine,
                        combine_many, embedding_meet_preserving,
                        enumerate_concepts, mass_from_bel_lattice,
-                       random_context, random_mass, represent_concepts)
+                       normalize_no_universal_object, random_context,
+                       random_mass, represent_concepts)
 
 
 @st.composite
@@ -97,19 +100,120 @@ def test_bitset_core_matches_brute_force_and_definitions(case):
         assert [m.pl(c) for c in range(n)] == list(table.pl)
         assert mass_from_bel_lattice(table.bel, lat).values == m.values
 
-    expected, conflict = masses[0], Fraction(0)
-    for m in masses[1:]:
-        step = table_combine(expected, m)
-        if step is None:
-            with pytest.raises(TotalConflictError):
+    report = assert_fold_matches_the_table_rule(masses)
+    if report is not None:
+        combined = report.result.belief_table()
+        assert mass_from_bel_lattice(combined.bel, lat).values \
+            == report.result.values
+
+
+def assert_fold_matches_the_table_rule(masses):
+    """`combine_many` against `table_combine` step by step: the result, the
+    conflict of every step, and the step of a total conflict.  Returns the
+    report, or None after a total conflict."""
+    lat = masses[0].lattice
+    expected, conflicts = masses[0], []
+    for step, m in enumerate(masses[1:], start=2):
+        combined = table_combine(expected, m)
+        if combined is None:
+            with pytest.raises(TotalConflictError) as info:
                 combine_many(masses)
-            return
-        expected, conflict = MassFunction(lat, step[0]), step[1]
+            assert info.value.step == step
+            return None
+        expected = MassFunction(lat, combined[0])
+        conflicts.append(combined[1])
     report = combine_many(masses)
-    assert (report.result.values, report.conflict) == (expected.values,
-                                                       conflict)
-    combined = report.result.belief_table()
-    assert mass_from_bel_lattice(combined.bel, lat).values == expected.values
+    assert report.result.values == expected.values
+    assert report.conflicts == tuple(conflicts)
+    return report
+
+
+def with_universal_object(ctx):
+    """The context plus an object holding every attribute, so that the
+    least concept's extent is inhabited."""
+    g = len(ctx.objects)
+    return FormalContext(ctx.objects + ("universal",), ctx.attributes,
+                         ctx.incidence | {(g, a)
+                                          for a in range(len(ctx.attributes))})
+
+
+def wide_masses(rng, lat, count):
+    """`count` masses, each on about three quarters of the concepts that
+    may carry mass."""
+    eligible = [i for i in range(len(lat))
+                if i != lat.bottom_index or lat.extent_nonempty[i]]
+    masses = []
+    for _ in range(count):
+        weights = {i: rng.randint(0, 3) for i in eligible}
+        weights[rng.choice(eligible)] += 1
+        total = sum(weights.values())
+        masses.append(MassFunction.from_mapping(
+            lat, {i: Fraction(w, total) for i, w in weights.items() if w}))
+    return masses
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(4, 8), st.booleans())
+def test_wide_folds_match_the_table_rule_at_every_step(seed, count,
+                                                       inhabited_bottom):
+    rng = random.Random(seed)
+    ctx = random_context(rng.randrange(2 ** 32), rng.randint(2, 6),
+                         rng.randint(2, 5), 0.5)
+    ctx = (with_universal_object(ctx) if inhabited_bottom
+           else normalize_no_universal_object(ctx))
+    lat = enumerate_concepts(ctx)
+    assert lat.extent_nonempty[lat.bottom_index] == inhabited_bottom
+    masses = wide_masses(rng, lat, count)
+    report = assert_fold_matches_the_table_rule(masses)
+    if inhabited_bottom:
+        assert report.conflicts == (0,) * (count - 1)
+    else:
+        # Two point masses on disjoint extents end the fold in total conflict.
+        extents = lat.extents
+        disjoint = [(a, b) for a in range(len(lat)) for b in range(a)
+                    if extents[a] and extents[b] and not extents[a] & extents[b]]
+        if disjoint:
+            points = [MassFunction.from_mapping(lat, {k: Fraction(1)})
+                      for k in rng.choice(disjoint)]
+            assert assert_fold_matches_the_table_rule(masses + points) is None
+
+    try:
+        pair = combine(masses[0], masses[1])
+    except TotalConflictError as exc:
+        with pytest.raises(TotalConflictError) as info:
+            combine_many(masses[:2])
+        assert (info.value.step, str(info.value)) == (exc.step, str(exc))
+    else:
+        fold = combine_many(masses[:2])
+        assert (pair.result.values, pair.conflicts) \
+            == (fold.result.values, fold.conflicts)
+
+
+@given(seeded_lattice_masses(), st.integers(0, 2 ** 32 - 1))
+def test_inversion_reports_the_first_monotonicity_violation(case, seed):
+    """Perturbed tables: the monotone error names the first violating pair
+    of the order table, and only a monotone table can invert."""
+    lat, masses = case
+    rng = random.Random(seed)
+    bel = list(masses[0].belief_table().bel)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lat))
+        if i != lat.top_index:
+            bel[i] = Fraction(rng.randint(0, 4), 4)
+    leq = definition_tables(lat)[0]
+    violations = [(i, j) for i in range(len(lat)) for j in range(i)
+                  if leq[i][j] and bel[i] > bel[j]]
+    try:
+        back = mass_from_bel_lattice(bel, lat)
+    except MassError as exc:
+        if violations:
+            i, j = violations[0]
+            assert str(exc) == (f"bel is not monotone: concept {i} <= "
+                                f"concept {j} but {bel[i]} > {bel[j]}")
+        else:
+            assert "monotone" not in str(exc)
+    else:
+        assert violations == []
+        assert back.belief_table().bel == tuple(bel)
 
 
 def dense_attributes(obj, n):

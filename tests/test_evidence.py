@@ -7,10 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-from conceptds import (CapacityError, LabelError, MassError, MassFunction,
-                       ProbabilitySpace, SetMassFunction,
-                       mass_from_bel_lattice, mass_from_bel_set,
-                       resolve_concept_label, resolve_mass)
+from conceptds import (CapacityError, FormalContext, LabelError, MassError,
+                       MassFunction, ProbabilitySpace, SetMassFunction,
+                       enumerate_concepts, mass_from_bel_lattice,
+                       mass_from_bel_set, resolve_concept_label, resolve_mass)
 from conceptds.errors import ENV_UNSAFE_SCALE
 
 from conftest import lattice_masses, set_masses
@@ -214,7 +214,43 @@ def test_lattice_inversion_rejects_non_monotone_tables(music_lattice):
     values[music_lattice.bottom_index] = F(1, 2)
     with pytest.raises(MassError) as info:
         mass_from_bel_lattice(values, music_lattice)
-    assert "monotone" in str(info.value)
+    assert str(info.value) == ("bel is not monotone: concept 6 <= concept 1 "
+                               "but 1/2 > 0")
+
+
+def _witness_lattice():
+    """Six concepts: g0 has {a0, a2}, g1 has {a1, a2}, g2 has {a1}.  In
+    canonical order the extents are {g0,g1,g2}, {g0,g1}, {g1,g2}, {g0},
+    {g1} and the empty set."""
+    ctx = FormalContext(("g0", "g1", "g2"), ("a0", "a1", "a2"),
+                        frozenset({(0, 0), (0, 2), (1, 1), (1, 2), (2, 1)}))
+    lat = enumerate_concepts(ctx)
+    assert [sorted(c.extent) for c in lat] == [[0, 1, 2], [0, 1], [1, 2],
+                                               [0], [1], []]
+    return lat
+
+
+def test_lattice_inversion_rejects_an_inclusion_exclusion_witness():
+    """bel 1 at the top, {g0, g1} and {g1}, 0 elsewhere, meets every
+    inclusion-exclusion inequality of the lattice but is not monotone:
+    {g1} <= {g1, g2}."""
+    lat = _witness_lattice()
+    values = [F(1), F(1), F(0), F(0), F(1), F(0)]
+    with pytest.raises(MassError) as info:
+        mass_from_bel_lattice(values, lat)
+    assert str(info.value) == ("bel is not monotone: concept 4 <= concept 2 "
+                               "but 1 > 0")
+
+
+def test_lattice_inversion_rejects_a_monotone_non_belief_table():
+    """Monotone, but bel({g0, g1}) < bel({g0}) + bel({g1}) with disjoint
+    atoms: the peel leaves a negative mass on {g0, g1}."""
+    lat = _witness_lattice()
+    values = [F(1), F(1, 2), F(1, 2), F(1, 2), F(1, 2), F(0)]
+    with pytest.raises(MassError) as info:
+        mass_from_bel_lattice(values, lat)
+    assert str(info.value) == ("not a belief function on this lattice: "
+                               "recovered mass -1/2 on concept 1")
 
 
 # ---------------------------------------------------------------------------
