@@ -2,9 +2,10 @@
 
 A mass function distributes one unit of evidence over concepts.  Belief at a
 concept sums the mass at or below it; plausibility sums the mass of every
-concept whose meet with it has a nonempty extent.  The powerset variants are
-the classical definitions and double as the special case where the lattice is
-a full powerset.
+concept whose meet with it has a nonempty extent.  Both are read from one
+sweep of the focal concepts per concept, on integer numerators over a common
+denominator.  The powerset variants are the classical definitions and double
+as the special case where the lattice is a full powerset.
 """
 
 from __future__ import annotations
@@ -97,16 +98,27 @@ class MassFunction:
                          * (d // self.values[i].denominator))
                         for i in support)
 
-    def _bel_numerator(self, extent: int) -> int:
-        return sum(x for f, x in self.focal[1] if f & ~extent == 0)
+    def _numerators(self, extent: int) -> tuple[int, int]:
+        """The bel and pl numerators, over `focal`'s denominator, at an extent.
 
-    def _pl_numerator(self, extent: int) -> int:
-        return sum(x for f, x in self.focal[1] if f & extent)
+        One pass over the support.  No focal extent is empty: only the least
+        concept can have an empty extent, and then it carries no mass.  So a
+        focal extent inside `extent` also meets it, and the inside test runs
+        only on focal extents that meet.
+        """
+        outside = ~extent
+        bel = pl = 0
+        for f, x in self.focal[1]:
+            if f & extent:
+                pl += x
+                if not f & outside:
+                    bel += x
+        return bel, pl
 
     def bel(self, c: Concept | int) -> Fraction:
         """Total mass of concepts at or below c."""
         e = self.lattice.extents[self._index(c)]
-        return Fraction(self._bel_numerator(e), self.focal[0])
+        return Fraction(self._numerators(e)[0], self.focal[0])
 
     def pl(self, c: Concept | int) -> Fraction:
         """Total mass of concepts compatible with c.
@@ -115,9 +127,13 @@ class MassFunction:
         witnesses both concepts at once.
         """
         e = self.lattice.extents[self._index(c)]
-        return Fraction(self._pl_numerator(e), self.focal[0])
+        return Fraction(self._numerators(e)[1], self.focal[0])
 
     def belief_table(self) -> "BeliefTable":
+        """bel and pl at every concept, from one sweep of the support each.
+
+        O(concepts x focal concepts).
+        """
         d = self.focal[0]
         # Few distinct values recur across concepts: build each Fraction once.
         exact: dict[int, Fraction] = {}
@@ -128,11 +144,12 @@ class MassFunction:
                 value = exact[x] = Fraction(x, d)
             return value
 
-        extents = self.lattice.extents
-        return BeliefTable(
-            self.lattice,
-            tuple(fraction(self._bel_numerator(e)) for e in extents),
-            tuple(fraction(self._pl_numerator(e)) for e in extents))
+        bel, pl = [], []
+        for e in self.lattice.extents:
+            b, p = self._numerators(e)
+            bel.append(fraction(b))
+            pl.append(fraction(p))
+        return BeliefTable(self.lattice, tuple(bel), tuple(pl))
 
 
 @dataclass(frozen=True)
@@ -277,7 +294,8 @@ def mass_from_bel_lattice(bel_values: Sequence[Fraction],
     focal: list[tuple[int, int]] = []
     for i in sorted(range(len(lat)), key=lambda k: extents[k].bit_count()):
         e = extents[i]
-        masses[i] = scaled[i] - sum(x for f, x in focal if f & ~e == 0)
+        outside = ~e
+        masses[i] = scaled[i] - sum([x for f, x in focal if not f & outside])
         if masses[i] < 0:
             _require_monotone(values, scaled, extents)
             raise MassError(f"not a belief function on this lattice: recovered "

@@ -245,14 +245,16 @@ def represent_concepts(m: MassFunction) -> ConceptRepresentation:
     and d; every other coordinate of the atom is the least concept, which
     lies below anything.  So the atom lies below h(c) when d's extent lies
     inside k's, and it meets h(c) above the least element when k is not the
-    least concept.  The sums over those criteria are compared against
-    `MassFunction.bel`/`pl`, in O(concepts x focal concepts).  The
-    structural checks run on first use of `checks` or `all_passed`.
+    least concept.  The sums over those criteria are compared against the
+    evidence module's `MassFunction.belief_table`, in O(concepts x focal
+    concepts).  The structural checks run on first use of `checks` or
+    `all_passed`.
     """
     lat = m.lattice
     _require_empty_bottom(lat, "the conceptual representation")
     extents, index, bottom = lat.extents, lat.index_by_extent, lat.bottom_index
     denominator, focal = m.focal
+    table = m.belief_table()
     rows = []
     for c, e in enumerate(extents):
         inner = outer = 0
@@ -262,9 +264,9 @@ def represent_concepts(m: MassFunction) -> ConceptRepresentation:
                 inner += x
             if k != bottom:
                 outer += x
-        rows.append(VerificationRow(concept_index=c, bel=m.bel(c),
+        rows.append(VerificationRow(concept_index=c, bel=table.bel[c],
                                     inner=Fraction(inner, denominator),
-                                    pl=m.pl(c),
+                                    pl=table.pl[c],
                                     outer=Fraction(outer, denominator)))
     return ConceptRepresentation(m, tuple(rows))
 
@@ -359,9 +361,10 @@ def represent_concepts_frame(m: MassFunction) -> FrameRepresentation:
     space = ProbabilitySpace(frozenset(range(len(object_keys))),
                              tuple(atoms[c] for c in block_indices),
                              tuple(m.values[c] for c in block_indices))
-    rows = tuple(VerificationRow(concept_index=c, bel=m.bel(c),
+    table = m.belief_table()
+    rows = tuple(VerificationRow(concept_index=c, bel=table.bel[c],
                                  inner=space.inner_measure(embedding[c]),
-                                 pl=m.pl(c),
+                                 pl=table.pl[c],
                                  outer=space.outer_measure(embedding[c]))
                  for c in range(n))
     return FrameRepresentation(m, derived, object_keys, atoms, space,

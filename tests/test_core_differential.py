@@ -237,3 +237,58 @@ def test_the_core_builds_no_dense_table(music_case):
     assert embedding_meet_preserving(rep)
     assert dense_attributes(lat, len(lat)) == []
     assert dense_attributes(rep, len(lat)) == []
+
+
+class _CountingSupport:
+    """A focal support that counts how often it is iterated."""
+
+    def __init__(self, pairs):
+        self.pairs, self.sweeps = pairs, 0
+
+    def __iter__(self):
+        self.sweeps += 1
+        return iter(self.pairs)
+
+
+def test_belief_table_sweeps_the_support_once_per_concept(music_case):
+    lat = music_case.lattice
+    m = MassFunction(lat, music_case.masses["m3"].values)
+    d, pairs = m.focal
+    support = _CountingSupport(pairs)
+    m.__dict__["focal"] = (d, support)
+    table = m.belief_table()
+    assert support.sweeps == len(lat)
+    assert [m.bel(c) for c in range(len(lat))] == list(table.bel)
+    assert [m.pl(c) for c in range(len(lat))] == list(table.pl)
+    assert support.sweeps == 3 * len(lat)
+    # The certificate sums its own criteria in one more sweep per concept
+    # and reads bel and pl from one belief table.
+    support.sweeps = 0
+    assert represent_concepts(m).all_passed
+    assert support.sweeps == 2 * len(lat)
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_mass_on_an_inhabited_least_concept(seed):
+    """The one-sweep kernel counts bel only among focal extents that meet
+    the concept; mass on the least concept needs its extent inhabited."""
+    rng = random.Random(seed)
+    ctx = with_universal_object(random_context(
+        rng.randrange(2 ** 32), rng.randint(1, 8), rng.randint(1, 5),
+        rng.choice((0.3, 0.5, 0.7))))
+    lat = enumerate_concepts(ctx)
+    n, bottom = len(lat), lat.bottom_index
+    assert lat.extent_nonempty[bottom]
+    weights = {i: rng.randint(0, 3) for i in range(n)}
+    weights[bottom] += 1
+    total = sum(weights.values())
+    m = MassFunction.from_mapping(
+        lat, {i: Fraction(w, total) for i, w in weights.items() if w})
+    assert m.values[bottom] > 0
+    table = m.belief_table()
+    assert table.bel == tuple(brute_bel(m, c) for c in range(n))
+    assert table.pl == tuple(brute_pl(m, c) for c in range(n))
+    assert [m.bel(c) for c in range(n)] == list(table.bel)
+    assert [m.pl(c) for c in range(n)] == list(table.pl)
+    assert all(b <= p for b, p in zip(table.bel, table.pl))
+    assert mass_from_bel_lattice(table.bel, lat).values == m.values

@@ -266,19 +266,18 @@ def test_verify_fails_on_a_failed_structural_check(monkeypatch, capsys):
     assert out.endswith("overall: FAIL\n")
 
 
-def _bel_without_top(self, c):
-    """MassFunction.bel, but leaving out the top concept's mass."""
-    lat = self.lattice
-    e = lat.extents[self._index(c)]
-    d, focal = self.focal
-    return F(sum(x for f, x in focal
-                 if f != lat.extents[lat.top_index] and f & ~e == 0), d)
+def _numerators_without_top_in_bel(self, extent):
+    """The evidence kernel, but leaving the top concept's mass out of bel."""
+    top = self.lattice.extents[self.lattice.top_index]
+    bel = sum(x for f, x in self.focal[1] if f != top and f & ~extent == 0)
+    return bel, sum(x for f, x in self.focal[1] if f & extent)
 
 
 def test_certificate_catches_a_wrong_belief(music_case, monkeypatch, capsys):
     m = music_case.masses["m1"]
     assert represent_concepts(m).all_passed
-    monkeypatch.setattr(MassFunction, "bel", _bel_without_top)
+    monkeypatch.setattr(MassFunction, "_numerators",
+                        _numerators_without_top_in_bel)
     rep = represent_concepts(m)
     assert not rep.all_passed
     failed = [row for row in rep.rows if not row.passed]
