@@ -23,6 +23,9 @@ of concepts, the live set, which only shrinks.  A concept's commonality sums
 only the focal concepts above it, found once for all masses among the focal
 concepts at or before it in canonical order, so a mass costs at most
 O(live concepts x focal elements).
+
+On a powerset, `combine_set` is the same fold, run on the powerset lattice
+that every `SetMassFunction` is held on.
 """
 
 from __future__ import annotations
@@ -54,12 +57,10 @@ class CombinationReport:
 
 
 def _require_same_lattice(m1: MassFunction, m2: MassFunction) -> None:
-    if m1.lattice is m2.lattice:
-        return
-    if m1.lattice.context == m2.lattice.context \
-            and m1.lattice.concepts == m2.lattice.concepts:
-        return
-    raise ValueError("mass functions live on different lattices")
+    """Enumeration is deterministic, so equal contexts give equal lattices."""
+    if m1.lattice is not m2.lattice \
+            and m1.lattice.context != m2.lattice.context:
+        raise ValueError("mass functions live on different lattices")
 
 
 def _focal_above(lat: ConceptLattice,
@@ -161,19 +162,6 @@ def combine_set(m1: SetMassFunction, m2: SetMassFunction) -> CombinationReport:
     """Combine two powerset mass functions over the same carrier."""
     if m1.carrier != m2.carrier:
         raise ValueError("mass functions live on different carriers")
-    acc: dict[frozenset, Fraction] = {}
-    conflict = Fraction(0)
-    for x, v1 in m1.values.items():
-        for y, v2 in m2.values.items():
-            weight = v1 * v2
-            z = x & y
-            if z:
-                acc[z] = acc.get(z, Fraction(0)) + weight
-            else:
-                conflict += weight
-    normalizer = 1 - conflict
-    if normalizer == 0:
-        raise TotalConflictError()
-    return CombinationReport(
-        SetMassFunction(m1.carrier, {k: v / normalizer for k, v in acc.items()}),
-        (conflict,))
+    report = combine(m1.mass, m2.mass)
+    return CombinationReport(SetMassFunction._wrap(m1.carrier, report.result),
+                             report.conflicts)

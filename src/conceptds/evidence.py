@@ -4,8 +4,12 @@ A mass function distributes one unit of evidence over concepts.  Belief at a
 concept sums the mass at or below it; plausibility sums the mass of every
 concept whose meet with it has a nonempty extent.  Both are read from one
 sweep of the focal concepts per concept, on integer numerators over a common
-denominator.  The powerset variants are the classical definitions and double
-as the special case where the lattice is a full powerset.
+denominator.
+
+Set-level evidence is the special case of a powerset.  The powerset of a
+carrier is the concept lattice of its contranominal context, so a
+`SetMassFunction` holds a `MassFunction` on that lattice, and its bel, pl and
+inversion are the lattice ones.
 """
 
 from __future__ import annotations
@@ -16,9 +20,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .context import MassSpec, ObjectSet
+from .context import FormalContext, MassSpec, ObjectSet
 from .errors import LabelError, MassError, check_capacity
-from .lattice import Concept, ConceptLattice
+from .lattice import Concept, ConceptLattice, enumerate_concepts
 from .powerset import size_key, subsets
 
 MAX_SET_CARRIER = 12
@@ -164,96 +168,93 @@ class BeliefTable:
 # ---------------------------------------------------------------------------
 # Powerset (set-level) evidence
 
-@dataclass(frozen=True)
+def _powerset_lattice(elements: Sequence) -> ConceptLattice:
+    """The concept lattice of the contranominal context over `elements`
+    (g has a exactly when g != a): subset mask k is extent mask k."""
+    names = tuple(map(repr, elements))
+    n = len(names)
+    return enumerate_concepts(FormalContext(
+        names, names,
+        frozenset((g, a) for g in range(n) for a in range(n) if g != a)))
+
+
 class SetMassFunction:
     """A mass assignment over the powerset of a finite carrier.
 
-    Only the support is stored.  The empty set never carries mass; it plays
-    the role of the empty-extent least element.
+    It is held as `mass`, a `MassFunction` on the powerset lattice of the
+    carrier sorted by repr, the order `powerset.subsets` uses.  The empty set
+    is that lattice's empty-extent least concept, so it never carries mass.
     """
 
-    carrier: frozenset
-    values: Mapping[frozenset, Fraction]
+    def __init__(self, carrier: Iterable, values: Mapping[Iterable, Fraction]):
+        self.carrier = frozenset(carrier)
+        check_capacity("carrier of a set-level mass", len(self.carrier),
+                       MAX_SET_CARRIER)
+        lat = _powerset_lattice(self._elements)
+        masses = [Fraction(0)] * len(lat)
+        for key, value in values.items():
+            masses[lat.index_by_extent[self._mask(key)]] += Fraction(value)
+        self.mass = MassFunction(lat, tuple(masses))
 
-    def __post_init__(self) -> None:
-        carrier = frozenset(self.carrier)
-        cleaned: dict[frozenset, Fraction] = {}
-        for key, value in self.values.items():
-            subset = frozenset(key)
-            if not subset <= carrier:
-                raise MassError(f"focal set {set(subset)!r} is not a subset of the carrier")
-            value = Fraction(value)
-            if value < 0:
-                raise MassError(f"focal set {set(subset)!r} has negative mass {value}")
-            if value:
-                cleaned[subset] = cleaned.get(subset, Fraction(0)) + value
-        if cleaned.get(frozenset(), Fraction(0)) != 0:
-            raise MassError("the empty set cannot carry mass")
-        total = sum(cleaned.values(), Fraction(0))
-        if total != 1:
-            raise MassError(f"mass sums to {total}, expected 1")
-        object.__setattr__(self, "carrier", carrier)
-        object.__setattr__(self, "values", cleaned)
+    @classmethod
+    def _wrap(cls, carrier: frozenset, mass: MassFunction) -> "SetMassFunction":
+        """A mass already on the powerset lattice of `carrier`."""
+        out = cls.__new__(cls)
+        out.carrier, out.mass = carrier, mass
+        return out
+
+    @cached_property
+    def _elements(self) -> list:
+        return sorted(self.carrier, key=repr)
+
+    def _mask(self, subset: Iterable) -> int:
+        x = frozenset(subset)
+        if not x <= self.carrier:
+            raise MassError(f"{set(x)!r} is not a subset of the carrier")
+        return sum(1 << i for i, e in enumerate(self._elements) if e in x)
+
+    def _index(self, subset: Iterable) -> int:
+        return self.mass.lattice.index_by_extent[self._mask(subset)]
+
+    @cached_property
+    def values(self) -> dict[frozenset, Fraction]:
+        """Each focal subset with its mass, in `size_key` order."""
+        lat, elements = self.mass.lattice, self._elements
+        focal = {frozenset(elements[g] for g in lat[i].extent): self.mass[i]
+                 for i in self.mass.support()}
+        return {x: focal[x] for x in sorted(focal, key=size_key)}
 
     def __getitem__(self, subset: Iterable) -> Fraction:
-        return self.values.get(frozenset(subset), Fraction(0))
+        return self.mass[self._index(subset)]
 
     def support(self) -> tuple[frozenset, ...]:
-        return tuple(sorted(self.values, key=size_key))
+        return tuple(self.values)
 
     def bel(self, subset: Iterable) -> Fraction:
         """Total mass of focal sets included in `subset`."""
-        x = frozenset(subset)
-        if not x <= self.carrier:
-            raise MassError(f"{set(x)!r} is not a subset of the carrier")
-        return sum((v for y, v in self.values.items() if y <= x), Fraction(0))
+        return self.mass.bel(self._index(subset))
 
     def pl(self, subset: Iterable) -> Fraction:
         """Total mass of focal sets meeting `subset`."""
-        x = frozenset(subset)
-        if not x <= self.carrier:
-            raise MassError(f"{set(x)!r} is not a subset of the carrier")
-        return sum((v for y, v in self.values.items() if y & x), Fraction(0))
+        return self.mass.pl(self._index(subset))
 
 
 def mass_from_bel_set(bel_table: Mapping[frozenset, Fraction]) -> SetMassFunction:
     """Invert a belief table over a full powerset back into a mass function.
 
-    Standard inclusion-exclusion over subsets.  The table must cover every
-    subset of its carrier; a negative recovered mass means the table was not
-    a belief function, and the offending subset is reported.
+    The table must cover every subset of its carrier; `mass_from_bel_lattice`
+    inverts it on the powerset lattice.
     """
-    table = {frozenset(k): Fraction(v) for k, v in bel_table.items()}
+    table = {frozenset(k): v for k, v in bel_table.items()}
     carrier: frozenset = frozenset().union(*table) if table else frozenset()
     check_capacity("carrier for belief inversion", len(carrier), MAX_SET_CARRIER)
     every = subsets(carrier)
     if len(table) != len(every):
         raise MassError(f"belief table has {len(table)} entries; expected all "
                         f"{len(every)} subsets of {set(carrier) or set()!r}")
-    by_mask = [table[subset] for subset in every]
-    if by_mask[-1] != 1:
-        raise MassError(f"bel on the carrier is {by_mask[-1]}, expected 1")
-    if by_mask[0] != 0:
-        raise MassError(f"bel on the empty set is {by_mask[0]}; inversion "
-                        "would place mass on the empty set")
-
-    values: dict[frozenset, Fraction] = {}
-    for mask, subset in enumerate(every):
-        size = mask.bit_count()
-        total = Fraction(0)
-        sub = mask
-        while True:
-            sign = -1 if (size - sub.bit_count()) % 2 else 1
-            total += sign * by_mask[sub]
-            if sub == 0:
-                break
-            sub = (sub - 1) & mask
-        if total < 0:
-            raise MassError(f"not a belief function: inversion gives mass "
-                            f"{total} on {set(subset)!r}")
-        if total:
-            values[subset] = total
-    return SetMassFunction(carrier, values)
+    lat = _powerset_lattice(sorted(carrier, key=repr))
+    mass = mass_from_bel_lattice([table[every[e]] for e in lat.extents], lat)
+    return SetMassFunction._wrap(carrier, mass)
 
 
 def _require_monotone(values: Sequence[Fraction], scaled: Sequence[int],

@@ -11,7 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conceptds import (MassFunction, SetMassFunction, TotalConflictError,
-                       combine, combine_many, combine_set, random_mass)
+                       combine, combine_many, combine_set, enumerate_concepts,
+                       random_mass)
 
 from conftest import seeded_lattice_mass
 
@@ -99,12 +100,14 @@ def test_combination_is_associative(seed):
 
 @given(st.integers(0, 10_000))
 def test_vacuous_mass_is_a_two_sided_identity(seed):
+    """Also across two separate enumerations of one context."""
     rng = random.Random(seed)
     m = seeded_lattice_mass(rng)
-    vacuous = MassFunction.vacuous(m.lattice)
-    assert combine(m, vacuous).result.values == m.values
-    assert combine(vacuous, m).result.values == m.values
-    assert combine(m, vacuous).conflict == 0
+    for lat in (m.lattice, enumerate_concepts(m.lattice.context)):
+        vacuous = MassFunction.vacuous(lat)
+        assert combine(m, vacuous).result.values == m.values
+        assert combine(vacuous, m).result.values == m.values
+        assert combine(m, vacuous).conflict == 0
 
 
 @given(st.integers(0, 10_000))

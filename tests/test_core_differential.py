@@ -17,11 +17,13 @@ from hypothesis import strategies as st
 
 from conceptds import (FormalContext, MassError, MassFunction,
                        TotalConflictError, atom_order_matches,
-                       atoms_pairwise_disjoint, brute_bel, brute_pl, combine,
-                       combine_many, embedding_meet_preserving,
-                       enumerate_concepts, mass_from_bel_lattice,
+                       atoms_pairwise_disjoint, brute_bel, brute_pl,
+                       check_belief_axioms_set, combine, combine_many,
+                       embedding_meet_preserving, enumerate_concepts,
+                       mass_from_bel_lattice, mass_from_bel_set,
                        normalize_no_universal_object, random_context,
-                       random_mass, represent_concepts)
+                       random_mass, random_set_mass, represent_concepts)
+from conceptds.powerset import subsets
 
 
 @st.composite
@@ -292,3 +294,41 @@ def test_mass_on_an_inhabited_least_concept(seed):
     assert [m.pl(c) for c in range(n)] == list(table.pl)
     assert all(b <= p for b, p in zip(table.bel, table.pl))
     assert mass_from_bel_lattice(table.bel, lat).values == m.values
+
+
+def perturbed_bel_table(rng: random.Random, size: int) -> dict:
+    """The belief table of a seeded set mass, with one entry strictly between
+    the empty set and the carrier moved by up to 1/4.  bel(empty) = 0 and
+    bel(carrier) = 1 always hold; the moved entry may break the axioms."""
+    carrier = [f"e{i}" for i in range(size)]
+    m = random_set_mass(rng.randrange(2 ** 32), carrier, denominator_bound=8)
+    table = {x: m.bel(x) for x in subsets(carrier)}
+    inner = [x for x in table if 0 < len(x) < size]
+    if inner:
+        table[rng.choice(inner)] += Fraction(rng.randint(-2, 2), 8)
+    return table
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4])
+def test_set_inversion_agrees_with_the_axiom_oracle(size):
+    """On n <= 3 elements an n-monotone capacity is a belief function, so
+    inversion accepts a table exactly when the oracle's inequalities up to
+    n = 3 hold.  On 4 elements every accepted table must pass them."""
+    rng = random.Random(size)
+    verdicts = []
+    for _ in range(300):
+        table = perturbed_bel_table(rng, size)
+        try:
+            mass_from_bel_set(table)
+            accepted = True
+        except MassError:
+            accepted = False
+        passed = check_belief_axioms_set(table, n_max=3).passed
+        if size <= 3:
+            assert passed == accepted
+        else:
+            assert passed or not accepted
+        verdicts.append(accepted)
+    assert any(verdicts)
+    if size > 1:
+        assert not all(verdicts)

@@ -11,6 +11,7 @@ from conceptds import (CapacityError, FormalContext, LabelError, MassError,
                        MassFunction, ProbabilitySpace, SetMassFunction,
                        enumerate_concepts, mass_from_bel_lattice,
                        mass_from_bel_set, resolve_concept_label, resolve_mass)
+from conceptds import evidence
 from conceptds.errors import ENV_UNSAFE_SCALE
 
 from conftest import lattice_masses, set_masses
@@ -188,17 +189,31 @@ def test_inversion_requires_a_complete_table():
         mass_from_bel_set({frozenset(): F(0), frozenset("a"): F(1, 2)})
 
 
-def test_set_bel_and_pl_are_unbounded_but_inversion_is_not(monkeypatch):
-    """bel/pl scan the support; only inversion builds all 2^n subsets."""
+def test_set_masses_are_bounded_before_the_powerset_lattice_is_built(
+        monkeypatch):
+    """A set-level mass lives on the 2^n-concept powerset lattice, so its
+    carrier is bounded before that lattice is enumerated."""
     monkeypatch.delenv(ENV_UNSAFE_SCALE, raising=False)
     carrier = frozenset(range(13))
-    m = SetMassFunction(carrier, {frozenset({0}): F(1, 3), carrier: F(2, 3)})
+    focal = {frozenset({0}): F(1, 3), carrier: F(2, 3)}
+
+    def no_closure(ctx):
+        raise AssertionError("the carrier bound must be checked first")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(evidence, "enumerate_concepts", no_closure)
+        with pytest.raises(CapacityError, match="carrier of a set-level mass"):
+            SetMassFunction(carrier, focal)
+        with pytest.raises(CapacityError,
+                           match="carrier for belief inversion"):
+            mass_from_bel_set({frozenset(): F(0), carrier: F(1)})
+
+    monkeypatch.setenv(ENV_UNSAFE_SCALE, "1")
+    m = SetMassFunction(carrier, focal)
     assert m.bel({0}) == F(1, 3)
     assert m.bel({1}) == 0
     assert m.pl({1}) == F(2, 3)
     assert m.pl(carrier) == 1
-    with pytest.raises(CapacityError, match="carrier for belief inversion"):
-        mass_from_bel_set({frozenset(): F(0), carrier: F(1)})
 
 
 @given(lattice_masses())
