@@ -114,7 +114,7 @@ def build_report(doc: ContextDocument, case_id: str = "document") -> CaseReport:
         bel_rows[spec.name] = table.bel
         pl_rows[spec.name] = table.pl
 
-    expected = doc.expected or {}
+    expected = {} if doc.expected is None else doc.expected
     if not isinstance(expected, dict):
         raise ParseError("'expected' must be an object of tables")
     unknown = set(expected) - _TABLE_KEYS
@@ -128,7 +128,11 @@ def build_report(doc: ContextDocument, case_id: str = "document") -> CaseReport:
         raise ParseError(
             f"unknown keys in expected combined table: "
             f"{sorted(set(combined_block) - _COMBINED_KEYS)}")
-    order = tuple(combined_block.get("order", masses))
+    order = combined_block.get("order", list(masses))
+    if not (isinstance(order, list)
+            and all(isinstance(name, str) for name in order)):
+        raise ParseError("'expected.combined.order' must be a list of mass names")
+    order = tuple(order)
     for name in order:
         if name not in masses:
             raise ParseError(f"combination order names unknown mass {name!r}")

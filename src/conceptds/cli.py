@@ -144,9 +144,9 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
             },
             "concepts": [{
                 "label": labels[i],
-                "extent": list(ctx.object_names(lat[i].extent)),
-                "intent": list(ctx.attribute_names(lat[i].intent)),
-            } for i in range(len(lat))],
+                "extent": list(ctx.object_names(c.extent)),
+                "intent": list(ctx.attribute_names(c.intent)),
+            } for i, c in enumerate(lat)],
             "covers": [[labels[i], labels[j]] for i, j in lat.covers()],
         })
         return 0

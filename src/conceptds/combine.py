@@ -16,6 +16,8 @@ extent is empty; otherwise nothing conflicts.  Step k of a fold discards
 (K_k - K_(k-1)) / (1 - K_(k-1)) of the weight that the first k - 1 masses
 left, and K_k = 1 is total conflict at step k.  One peel down the order at
 the end recovers the masses, and one division by 1 - K normalises them.
+The row mu(bottom, .) and that peel are both `lattice.mobius_inversion`, the
+second run on complemented extents.
 
 Between steps everything is an integer: numerators of the commonalities over
 the product of the masses' denominators.  Products vanish outside a down-set
@@ -36,7 +38,7 @@ from typing import Sequence
 
 from .errors import TotalConflictError
 from .evidence import MassFunction, SetMassFunction
-from .lattice import ConceptLattice
+from .lattice import ConceptLattice, mobius_inversion
 
 
 @dataclass(frozen=True)
@@ -77,23 +79,6 @@ def _focal_above(lat: ConceptLattice,
     return out
 
 
-def _mobius_from_bottom(lat: ConceptLattice, live: dict[int, int]) -> dict[int, int]:
-    """The nonzero values of mu(bottom, c) over a down-set of concepts.
-
-    Bottom-up: mu(bottom, bottom) = 1, and mu(bottom, c) is minus the sum
-    over bottom <= b < c, all of which lie in the down-set.
-    """
-    extents = lat.extents
-    nonzero: list[tuple[int, int, int]] = []
-    for i in reversed(live):
-        e = extents[i]
-        mu = 1 if i == lat.bottom_index \
-            else -sum([v for f, _, v in nonzero if f & e == f])
-        if mu:
-            nonzero.append((e, i, mu))
-    return {i: mu for _, i, mu in nonzero}
-
-
 def combine(m1: MassFunction, m2: MassFunction) -> CombinationReport:
     """Combine two mass functions on the same lattice: a fold of two."""
     return combine_many([m1, m2])
@@ -114,7 +99,8 @@ def combine_many(masses: Sequence[MassFunction]) -> CombinationReport:
     if len(masses) == 1:
         return CombinationReport(first, ())
     lat = first.lattice
-    conflicting = not lat.extent_nonempty[lat.bottom_index]
+    extents, bottom = lat.extents, lat.bottom_index
+    conflicting = not lat.extent_nonempty[bottom]
     above = _focal_above(lat, masses)
     product = {i: 1 for i, js in enumerate(above) if js}
     total, conflict = 1, 0
@@ -132,7 +118,10 @@ def combine_many(masses: Sequence[MassFunction]) -> CombinationReport:
             conflicts.append(Fraction(0))
             continue
         if step == 2:
-            mobius = _mobius_from_bottom(lat, product)
+            # mu(bottom, .) inverts bottom's indicator over the live down-set.
+            mobius = {i: mu for i, mu in mobius_inversion(
+                (i, extents[i], int(i == bottom)) for i in reversed(product))
+                if mu}
         before = conflict * d
         conflict = sum(mu * product.get(i, 0) for i, mu in mobius.items())
         if conflict == total:
@@ -141,20 +130,16 @@ def combine_many(masses: Sequence[MassFunction]) -> CombinationReport:
                 step=step)
         conflicts.append(Fraction(conflict - before, total - before))
 
-    # Peel top-down: a concept's mass is its commonality less the masses of
-    # the concepts strictly above it; a concept outside the live set has none.
+    # Peel top-down, on complemented extents: a concept's mass is its
+    # commonality less the masses strictly above it; outside the live set, 0.
     normalizer = total - conflict
-    extents = lat.extents
     values = [Fraction(0)] * len(lat)
-    peeled: list[tuple[int, int]] = []
-    for i, x in product.items():
-        e = extents[i]
-        w = x - sum([y for f, y in peeled if f & e == e])
+    for i, w in mobius_inversion((i, ~extents[i], x)
+                                 for i, x in product.items()):
         if w:
-            peeled.append((e, w))
             values[i] = Fraction(w, normalizer)
     if conflicting:
-        values[lat.bottom_index] = Fraction(0)
+        values[bottom] = Fraction(0)
     return CombinationReport(MassFunction(lat, tuple(values)), tuple(conflicts))
 
 

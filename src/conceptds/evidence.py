@@ -22,10 +22,12 @@ from typing import Iterable, Mapping, Sequence
 
 from .context import FormalContext, MassSpec, ObjectSet
 from .errors import LabelError, MassError, check_capacity
-from .lattice import Concept, ConceptLattice, enumerate_concepts
+from .lattice import (MAX_CONCEPTS, Concept, ConceptLattice,
+                      enumerate_concepts, mobius_inversion)
 from .powerset import size_key, subsets
 
-MAX_SET_CARRIER = 12
+# A carrier of n elements has a 2^n-concept powerset lattice.
+MAX_SET_CARRIER = MAX_CONCEPTS.bit_length() - 1
 
 _TOP_NAMES = frozenset({"top", "⊤"})
 _BOTTOM_NAMES = frozenset({"bottom", "bot", "⊥"})
@@ -271,15 +273,15 @@ def _require_monotone(values: Sequence[Fraction], scaled: Sequence[int],
 
 def mass_from_bel_lattice(bel_values: Sequence[Fraction],
                           lat: ConceptLattice) -> MassFunction:
-    """Invert a per-concept belief table by recursion along the order.
+    """Invert a per-concept belief table by Moebius inversion.
 
-    Peels mass bottom-up: each concept keeps whatever belief the focal
-    concepts strictly below it do not already account for.  Failures carry a
-    witness.  Nonnegative masses sum to a monotone table, so a table that is
-    not monotone always peels to a negative mass; only then is monotonicity
-    scanned for, and a violating pair reported in preference to the mass.
-    The work runs on integer numerators over the lcm of the table's
-    denominators.
+    Peels mass bottom-up, by ascending extent size: each concept keeps
+    whatever belief the focal concepts strictly below it do not already
+    account for.  Failures carry a witness.  Nonnegative masses sum to a
+    monotone table, so a table that is not monotone always peels to a
+    negative mass; only then is monotonicity scanned for, and a violating
+    pair reported in preference to the mass.  The work runs on integer
+    numerators over the lcm of the table's denominators.
     """
     values = tuple(map(_exact, bel_values))
     if len(values) != len(lat):
@@ -292,17 +294,13 @@ def mass_from_bel_lattice(bel_values: Sequence[Fraction],
     extents = lat.extents
 
     masses = [0] * len(lat)
-    focal: list[tuple[int, int]] = []
-    for i in sorted(range(len(lat)), key=lambda k: extents[k].bit_count()):
-        e = extents[i]
-        outside = ~e
-        masses[i] = scaled[i] - sum([x for f, x in focal if not f & outside])
-        if masses[i] < 0:
+    upward = sorted(range(len(lat)), key=lambda k: extents[k].bit_count())
+    for i, w in mobius_inversion((i, extents[i], scaled[i]) for i in upward):
+        if w < 0:
             _require_monotone(values, scaled, extents)
             raise MassError(f"not a belief function on this lattice: recovered "
-                            f"mass {Fraction(masses[i], d)} on concept {i}")
-        if masses[i]:
-            focal.append((e, masses[i]))
+                            f"mass {Fraction(w, d)} on concept {i}")
+        masses[i] = w
     bottom = lat.bottom_index
     if not lat.extent_nonempty[bottom] and masses[bottom] != 0:
         raise MassError(f"recovered mass {Fraction(masses[bottom], d)} on the "

@@ -1,14 +1,14 @@
 """Concept enumeration and the finite lattice structure of a context.
 
 Concepts are the closed (extent, intent) pairs of a context.  They are stored
-in a canonical order (descending extent size, then lexicographic extent), and
-every extent and intent is also kept as an `int` bitmask over object and
-attribute indices.  Order, meets and joins are answered from the masks: c <= d
-when c's extent mask has no bit outside d's, a meet is the concept whose
-extent is the intersection of the two extents, and a join the concept whose
-intent is the intersection of the two intents.  Both intersections land on
-concepts because closed sets are closed under intersection.  No n x n table
-of the order or of meets is ever built.
+in a canonical order (descending extent size, then lexicographic extent) as
+`int` bitmasks over object and attribute indices only; a `Concept` is built
+from the masks when one is read.  Order, meets and joins are answered from
+the masks: c <= d when c's extent mask has no bit outside d's, a meet is the
+concept whose extent is the intersection of the two extents, and a join the
+concept whose intent is the intersection of the two intents.  Both
+intersections land on concepts because closed sets are closed under
+intersection.  No n x n table of the order or of meets is ever built.
 """
 
 from __future__ import annotations
@@ -49,12 +49,12 @@ def _members(mask: int) -> list[int]:
 
 
 class ConceptLattice:
-    """All concepts of a context, with their extent and intent bitmasks.
+    """All concepts of a context, as extent and intent bitmasks.
 
     `extents[i]` and `intents[i]` are the masks of concept i, and
-    `index_by_extent` maps an extent mask back to its concept.  Order, meet
-    and join are computed from them on demand.  Instances are immutable by
-    convention and are only built through `enumerate_concepts`.
+    `index_by_extent` maps an extent mask back to its concept.  Concepts
+    (`lat[i]`), order, meet and join are all computed from them on demand.
+    Instances are immutable by convention, built only by `enumerate_concepts`.
     """
 
     def __init__(self, context: FormalContext, extents: tuple[int, ...],
@@ -62,9 +62,6 @@ class ConceptLattice:
         self.context = context
         self.extents = extents
         self.intents = intents
-        self.concepts = tuple(
-            Concept(frozenset(_members(e)), frozenset(_members(a)))
-            for e, a in zip(extents, intents))
         self.index_by_extent = {e: i for i, e in enumerate(extents)}
         self.extent_nonempty: tuple[bool, ...] = tuple(e != 0 for e in extents)
         self.top_index = self.index_by_extent[(1 << len(context.objects)) - 1]
@@ -73,25 +70,26 @@ class ConceptLattice:
     # -- basics ------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.concepts)
+        return len(self.extents)
 
     def __iter__(self) -> Iterator[Concept]:
-        return iter(self.concepts)
+        return map(self.__getitem__, range(len(self.extents)))
 
     def __getitem__(self, index: int) -> Concept:
-        return self.concepts[index]
+        return Concept(frozenset(_members(self.extents[index])),
+                       frozenset(_members(self.intents[index])))
 
     @property
     def top(self) -> Concept:
-        return self.concepts[self.top_index]
+        return self[self.top_index]
 
     @property
     def bottom(self) -> Concept:
-        return self.concepts[self.bottom_index]
+        return self[self.bottom_index]
 
     def index_of(self, concept: Concept) -> int:
         index = self.index_by_extent.get(_mask(concept.extent))
-        if index is None or self.concepts[index] != concept:
+        if index is None or self.intents[index] != _mask(concept.intent):
             raise ValueError(f"not a concept of this lattice: {concept}")
         return index
 
@@ -101,7 +99,7 @@ class ConceptLattice:
 
     def concept_with_extent(self, extent: Iterable[int]) -> Concept | None:
         index = self.index_with_extent(extent)
-        return None if index is None else self.concepts[index]
+        return None if index is None else self[index]
 
     # -- order, meet, join ---------------------------------------------------
 
@@ -110,11 +108,11 @@ class ConceptLattice:
 
     def meet(self, c: Concept, d: Concept) -> Concept:
         extent = self.extents[self.index_of(c)] & self.extents[self.index_of(d)]
-        return self.concepts[self.index_by_extent[extent]]
+        return self[self.index_by_extent[extent]]
 
     def join(self, c: Concept, d: Concept) -> Concept:
         intent = self.intents[self.index_of(c)] & self.intents[self.index_of(d)]
-        return self.concepts[self._index_by_intent[intent]]
+        return self[self._index_by_intent[intent]]
 
     @property
     def normalized(self) -> ConceptLattice:
@@ -157,6 +155,24 @@ class ConceptLattice:
             edges.extend((i, j) for j in sorted(generated)
                          if generated[j] == extents[j].bit_count() - size)
         return tuple(edges)
+
+
+def mobius_inversion(triples: Iterable[tuple[int, int, int]]
+                     ) -> Iterator[tuple[int, int]]:
+    """Moebius inversion of integer values along the inclusion of masks.
+
+    `triples` holds (index, mask, value) with distinct masks, each after the
+    masks strictly inside it.  Yields (index, w): the value less the w already
+    yielded at masks inside this one.  For reverse inclusion pass complemented
+    masks, since f contains e exactly when ~f lies inside ~e.
+    """
+    peeled: list[tuple[int, int]] = []
+    for index, mask, value in triples:
+        outside = ~mask
+        w = value - sum([x for f, x in peeled if not f & outside])
+        if w:
+            peeled.append((mask, w))
+        yield index, w
 
 
 def enumerate_concepts(ctx: FormalContext) -> ConceptLattice:

@@ -188,7 +188,7 @@ def brute_bel(m: MassFunction, c: Concept | int) -> Fraction:
     lat = m.lattice
     extent = (lat[c] if isinstance(c, int) else c).extent
     total = Fraction(0)
-    for concept, value in zip(lat.concepts, m.values):
+    for concept, value in zip(lat, m.values):
         if concept.extent <= extent:
             total += value
     return total
@@ -203,7 +203,7 @@ def brute_pl(m: MassFunction, c: Concept | int) -> Fraction:
     lat = m.lattice
     extent = (lat[c] if isinstance(c, int) else c).extent
     total = Fraction(0)
-    for concept, value in zip(lat.concepts, m.values):
+    for concept, value in zip(lat, m.values):
         if concept.extent & extent:
             total += value
     return total

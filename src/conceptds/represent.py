@@ -342,7 +342,7 @@ def represent_concepts_frame(m: MassFunction) -> FrameRepresentation:
                             if ci == c)
                   for c in range(n))
     embedding = tuple(frozenset(p for p, (_, g) in enumerate(object_keys)
-                                if g in lat[c].extent)
+                                if lat.extents[c] >> g & 1)
                       for c in range(n))
     checks = {
         "atom extents closed": all(closed(a) for a in atoms),

@@ -174,6 +174,7 @@ def test_verify_soak(capsys):
 def test_verify_needs_a_file_or_a_soak_count(capsys):
     assert run(["verify-representation"]) == 2
     assert run(["verify-representation", MUSIC, "--soak", "2"]) == 2
+    assert run(["verify-representation", "--soak", "0"]) == 2
 
 
 @pytest.mark.parametrize("flags", [["--format", "json"],
@@ -353,6 +354,7 @@ def test_malformed_json_is_an_input_error(tmp_path, capsys):
 
 PARTITION_OF_LISTS = '{"carrier": [[1]], "blocks": [[[1]]], "mu": ["1"]}'
 ONE_OBJECT = '{"objects": ["a"], "attributes": ["x"], '
+ONE_ELEMENT = '{"carrier": [1], "kind": "bel", '
 
 
 @pytest.mark.parametrize("argv, text", [
@@ -363,9 +365,20 @@ ONE_OBJECT = '{"objects": ["a"], "attributes": ["x"], '
     (["bel"], ONE_OBJECT + '"masses": {"m": '
               '{"top": "0.5", "top": "0.5", "{a}": "0.5"}}}'),
     (["bel"], ONE_OBJECT + '"masses": {"m": {"top": "1e1000000"}}}'),
+    (["bel"], ONE_OBJECT + '"masses": {}}'),
+    (["verify-representation"], ONE_OBJECT + '"masses": {}}'),
+    (["verify-representation"], "B\n\n1\n1\n\na\nx\nX\n"),
+    (["check"], '{"carrier": [1], "kind": "bel"}'),
+    (["check"], ONE_ELEMENT + '"entries": {"[1]": "1"}}'),
+    (["check"], ONE_ELEMENT + '"entries": [[[1]]]}'),
+    (["check"], ONE_ELEMENT + '"entries": [[[1], "1"], [[2], "1"]]}'),
+    (["check"], '{"carrier": [1], "entries": [[[], "0"], [[1], "1"]]}'),
 ], ids=["incidence-not-a-list", "check-list-elements",
         "verify-list-elements", "check-table-list-elements",
-        "duplicate-key", "huge-exponent"])
+        "duplicate-key", "huge-exponent", "bel-no-masses",
+        "verify-no-masses", "verify-cxt", "check-no-entries",
+        "check-entries-not-a-list", "check-entry-not-a-pair",
+        "check-subset-outside-carrier", "check-no-kind"])
 def test_malformed_input_exits_two_with_one_error_line(argv, text, tmp_path,
                                                         monkeypatch, capsys):
     monkeypatch.delenv(ENV_UNSAFE_SCALE, raising=False)

@@ -170,6 +170,8 @@ def test_fold_of_one_is_the_identity(music_case):
     report = combine_many([m])
     assert report.result is m
     assert report.conflict == 0
+    with pytest.raises(ValueError, match="need at least one mass function"):
+        combine_many([])
 
 
 def test_mismatched_lattices_are_rejected(music_case, movies1_case):

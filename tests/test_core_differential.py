@@ -23,6 +23,7 @@ from conceptds import (FormalContext, MassError, MassFunction,
                        mass_from_bel_lattice, mass_from_bel_set,
                        normalize_no_universal_object, random_context,
                        random_mass, random_set_mass, represent_concepts)
+from conceptds import lattice
 from conceptds.powerset import subsets
 
 
@@ -239,6 +240,24 @@ def test_the_core_builds_no_dense_table(music_case):
     assert embedding_meet_preserving(rep)
     assert dense_attributes(lat, len(lat)) == []
     assert dense_attributes(rep, len(lat)) == []
+
+
+def test_the_core_builds_no_concept_views(music_case, monkeypatch):
+    """Concepts are masks; a `Concept` is built only when one is read."""
+    built = []
+    real = lattice.Concept
+    monkeypatch.setattr(lattice, "Concept",
+                        lambda *args: built.append(args) or real(*args))
+    lat = enumerate_concepts(music_case.lattice.context)
+    m1, m2, m3 = (random_mass(seed, lat) for seed in (1, 2, 3))
+    lat.covers()
+    m1.belief_table()
+    report = combine_many([m1, m2, m3])
+    mass_from_bel_lattice(report.result.belief_table().bel, lat)
+    assert represent_concepts(m1).all_passed
+    assert built == []
+    assert lat[lat.top_index] == lat.top
+    assert len(built) == 2
 
 
 class _CountingSupport:

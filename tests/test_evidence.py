@@ -29,6 +29,8 @@ def _index(case, label):
 def test_mass_must_sum_to_one(music_lattice):
     with pytest.raises(MassError):
         MassFunction.from_mapping(music_lattice, {0: F(1, 2)})
+    with pytest.raises(MassError, match="expected 7 values, got 1"):
+        MassFunction(music_lattice, (F(1),))
 
 
 def test_mass_must_be_nonnegative(music_lattice):
@@ -182,11 +184,13 @@ def test_inversion_rejects_non_belief_tables():
     assert "not a belief function" in str(info.value)
 
 
-def test_inversion_requires_a_complete_table():
+def test_inversion_requires_a_complete_table(music_lattice):
     with pytest.raises(MassError):
         mass_from_bel_set({frozenset("a"): F(1)})
     with pytest.raises(MassError):
         mass_from_bel_set({frozenset(): F(0), frozenset("a"): F(1, 2)})
+    with pytest.raises(MassError, match="expected 7 belief values, got 6"):
+        mass_from_bel_lattice([F(0)] * 5 + [F(1)], music_lattice)
 
 
 def test_set_masses_are_bounded_before_the_powerset_lattice_is_built(

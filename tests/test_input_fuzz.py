@@ -12,8 +12,8 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conceptds import (ConceptDSError, load_document, parse_cxt,
-                       probability_space_from_json)
+from conceptds import (ConceptDSError, build_report, load_document,
+                       parse_cxt, probability_space_from_json)
 
 NAMES = st.sampled_from(["a", "b", "x", "y", "top", "⊥", "{a}", "{a,b}", ""])
 SCALARS = (st.none() | st.booleans() | st.integers(-3, 3) | st.floats()
@@ -80,3 +80,25 @@ SPACE_PARTS = VALUES | st.lists(VALUES, max_size=3)
                               "mu": SPACE_PARTS}) | VALUES)
 def test_probability_space_from_json_raises_only_conceptds_errors(doc):
     run_parser(probability_space_from_json, doc)
+
+
+# Two objects with no shared attribute: concepts ⊤, {a} "A", {b} "#2", ⊥.
+CASE = {"objects": ["a", "b"], "attributes": ["x", "y"],
+        "incidence": [["a", "x"], ["b", "y"]], "labels": {"A": ["a"]},
+        "masses": {"m": {"A": "1/2", "top": "1/2"}, "n": {"{b}": "1"}}}
+CELLS = st.dictionaries(st.sampled_from(["⊤", "⊥", "A", "#2", "#9"]), VALUES,
+                        max_size=3)
+TABLE = st.dictionaries(st.sampled_from(["m", "n", "o", "order"]),
+                        CELLS | VALUES, max_size=3) | VALUES
+ORDERS = st.lists(st.sampled_from(["m", "n", "o"]) | VALUES, max_size=3)
+COMBINED = st.dictionaries(st.sampled_from(["order", "mass", "bel", "pl"]),
+                           ORDERS | CELLS | VALUES, max_size=3) | VALUES
+EXPECTED = st.fixed_dictionaries({}, optional={
+    "mass": TABLE, "bel": TABLE, "pl": TABLE, "combined": COMBINED}) | VALUES
+
+
+@settings(max_examples=200)
+@given(EXPECTED)
+def test_build_report_raises_only_conceptds_errors(expected):
+    text = json.dumps({**CASE, "expected": expected})
+    run_parser(lambda doc: build_report(load_document(doc)), text)

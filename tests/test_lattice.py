@@ -8,9 +8,9 @@ from hypothesis import given
 from conceptds import (CapacityError, Concept, FormalContext,
                        enumerate_concepts)
 from conceptds.errors import ENV_UNSAFE_SCALE
-from conceptds.lattice import MAX_CONCEPTS
+from conceptds.lattice import MAX_CONCEPTS, mobius_inversion
 
-from conftest import contranominal, small_contexts
+from conftest import contranominal, lattice_masses, small_contexts
 
 
 def test_music_concepts_are_the_known_family(music_lattice):
@@ -79,6 +79,9 @@ def test_concept_capacity_is_enforced_during_closure(monkeypatch):
 def test_index_of_rejects_foreign_concepts(music_lattice):
     with pytest.raises(ValueError):
         music_lattice.index_of(Concept(frozenset({0, 2}), frozenset()))
+    top = music_lattice.top
+    with pytest.raises(ValueError, match="not a concept of this lattice"):
+        music_lattice.index_of(Concept(top.extent, frozenset({0})))
 
 
 @given(small_contexts())
@@ -162,3 +165,20 @@ def test_covers_generate_the_order(ctx):
     for i in range(n):
         for j in range(n):
             assert reach[i][j] == (lat[i].extent <= lat[j].extent)
+
+
+@given(lattice_masses())
+def test_mobius_inversion_recovers_masses_from_bel_and_commonality(m):
+    """Bottom-up on extents, bel inverts to mass; top-down, on complemented
+    extents, so does the commonality q(c) = sum of m(d) over d >= c."""
+    lat = m.lattice
+    d, extents = m.focal[0], lat.extents
+    mass = [v.numerator * (d // v.denominator) for v in m.values]
+    bel = [v.numerator * (d // v.denominator) for v in m.belief_table().bel]
+    upward = sorted(range(len(lat)), key=lambda i: extents[i].bit_count())
+    assert dict(mobius_inversion((i, extents[i], bel[i]) for i in upward)) \
+        == dict(enumerate(mass))
+    q = [sum(x for f, x in zip(extents, mass) if e & ~f == 0)
+         for e in extents]
+    assert dict(mobius_inversion((i, ~e, q[i]) for i, e in enumerate(extents))) \
+        == dict(enumerate(mass))
