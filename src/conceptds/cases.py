@@ -153,8 +153,6 @@ def build_report(doc: ContextDocument, case_id: str = "document") -> CaseReport:
         if not isinstance(grid, dict):
             raise ParseError(f"expected table {table_name!r} must be an object")
         for row_name, cells in grid.items():
-            if row_name == "order":
-                continue
             if row_name not in rows:
                 raise ParseError(
                     f"expected table {table_name!r} references unknown row "
@@ -180,7 +178,8 @@ def build_report(doc: ContextDocument, case_id: str = "document") -> CaseReport:
         if table_name in expected:
             compare(table_name, rows, expected[table_name])
     if combined_block:
-        compare("combined", combined_rows, combined_block)
+        compare("combined", combined_rows,
+                {k: v for k, v in combined_block.items() if k != "order"})
 
     return CaseReport(
         case_id=case_id,

@@ -23,7 +23,7 @@ from .context import (ContextDocument, document_from_json, load_document,
                       parse_json_object)
 from .errors import (ConceptDSError, ParseError, TotalConflictError,
                      check_capacity)
-from .evidence import MassFunction, resolve_mass
+from .evidence import MAX_SET_CARRIER, MassFunction, resolve_mass
 from .lattice import ConceptLattice, enumerate_concepts
 from .oracle import (MAX_AXIOM_CARRIER, check_belief_axioms_set,
                      check_plausibility_axioms_set, random_context,
@@ -35,7 +35,9 @@ from .rationals import format_exact, format_fixed, parse_rational
 from .represent import (normalize_with_mass, represent_concepts,
                         represent_concepts_frame)
 
-MAX_MEASURE_SWEEP = 12
+# The sweep visits every subset of its carrier, as many as the concepts of
+# that carrier's powerset lattice.
+MAX_MEASURE_SWEEP = MAX_SET_CARRIER
 
 
 # ---------------------------------------------------------------------------

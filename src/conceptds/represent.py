@@ -81,29 +81,36 @@ class SetRepresentation:
     The carrier holds pairs (focal candidate Y, element of Y); the block for
     Y collects all pairs with first component Y and weighs m(Y).  A subset X
     of the original carrier embeds as every pair whose element lies in X.
+    That embedding is a Boolean embedding by construction, and the block for
+    Y lies inside the image of X exactly when Y is a subset of X, so only the
+    rows can fail: `all_passed` means every row passed.
     """
 
     mass: SetMassFunction
     space: ProbabilitySpace
     embedding: Mapping[frozenset, frozenset]
-    blocks_by_subset: Mapping[frozenset, frozenset]
     rows: tuple[SetVerificationRow, ...]
-    homomorphism_ok: bool
-    all_passed: bool
+
+    @property
+    def all_passed(self) -> bool:
+        return all(r.passed for r in self.rows)
 
 
 def represent_set(m: SetMassFunction) -> SetRepresentation:
-    """Build the partition space representing a powerset mass function."""
+    """Build the partition space representing a powerset mass function.
+
+    Each row compares `m.bel`/`m.pl`, read from the mass's lattice, with the
+    inner/outer measure of the embedded subset, read from the blocks of the
+    space: two independent paths, so a row fails when they disagree.
+    """
     check_capacity("carrier for the powerset representation",
                    len(m.carrier), MAX_SET_REPRESENT)
     every = sorted(subsets(m.carrier), key=size_key)
     nonempty = [s for s in every if s]
 
-    blocks_by_subset = {y: frozenset((y, u) for u in y) for y in nonempty}
-    carrier = frozenset().union(*blocks_by_subset.values()) if nonempty else frozenset()
-    space = ProbabilitySpace(carrier,
-                             tuple(blocks_by_subset[y] for y in nonempty),
-                             tuple(m[y] for y in nonempty))
+    blocks = tuple(frozenset((y, u) for u in y) for y in nonempty)
+    carrier = frozenset().union(*blocks)
+    space = ProbabilitySpace(carrier, blocks, tuple(m[y] for y in nonempty))
 
     embedding = {x: frozenset(p for p in carrier if p[1] in x) for x in every}
 
@@ -113,31 +120,7 @@ def represent_set(m: SetMassFunction) -> SetRepresentation:
                                     pl=m.pl(x),
                                     outer=space.outer_measure(embedding[x]))
                  for x in every)
-    hom_ok = _boolean_homomorphism_ok(m.carrier, carrier, embedding,
-                                      blocks_by_subset)
-    all_passed = hom_ok and all(r.passed for r in rows)
-    return SetRepresentation(m, space, embedding, blocks_by_subset, rows,
-                             hom_ok, all_passed)
-
-
-def _boolean_homomorphism_ok(carrier: frozenset, derived_carrier: frozenset,
-                             h: Mapping[frozenset, frozenset],
-                             blocks: Mapping[frozenset, frozenset]) -> bool:
-    """The embedding preserves the Boolean structure and the atom criterion."""
-    if h[frozenset()] != frozenset() or h[frozenset(carrier)] != derived_carrier:
-        return False
-    if len(set(h.values())) != len(h):
-        return False
-    for x in h:
-        if h[carrier - x] != derived_carrier - h[x]:
-            return False
-        for y in h:
-            if h[x & y] != h[x] & h[y] or h[x | y] != h[x] | h[y]:
-                return False
-        for y, block in blocks.items():
-            if (block <= h[x]) != (y <= x):
-                return False
-    return True
+    return SetRepresentation(m, space, embedding, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -150,19 +133,16 @@ def normalize_with_mass(m: MassFunction) -> tuple[MassFunction, dict[int, int]]:
     a new empty-extent least concept.  Mass rides along by extent, the new
     least concept gets zero, and belief/plausibility at surviving concepts are
     unchanged.  Returns the transported mass and the old-to-new index map.
+
+    That map is the identity, so no extent is looked up.  The fresh attribute
+    is held by no object, so every old extent and intent keeps its mask; the
+    one new concept has the empty extent, so the canonical order (descending
+    extent size) puts it last.
     """
     lat = m.lattice
-    new_lat = lat.normalized
-    if new_lat is lat:
-        return m, {i: i for i in range(len(lat))}
-    mapping: dict[int, int] = {}
-    values = [Fraction(0)] * len(new_lat)
-    for i, e in enumerate(lat.extents):
-        # The objects are unchanged, so every extent keeps its mask.
-        j = new_lat.index_by_extent[e]
-        mapping[i] = j
-        values[j] = m.values[i]
-    return MassFunction(new_lat, tuple(values)), mapping
+    if lat.normalized is not lat:
+        m = MassFunction(lat.normalized, m.values + (Fraction(0),))
+    return m, {i: i for i in range(len(lat))}
 
 
 # ---------------------------------------------------------------------------

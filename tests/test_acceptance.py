@@ -156,7 +156,7 @@ def test_criterion_06(capsys):
             carrier = frozenset(f"e{i}" for i in range(size))
             m = random_set_mass(600 + k, carrier, denominator_bound=8)
             rep = represent_set(m)
-            assert rep.homomorphism_ok
+            assert rep.all_passed
             for row in rep.rows:
                 assert row.bel == row.inner and row.pl == row.outer
 

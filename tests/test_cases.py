@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from conceptds import LabelError, ParseError, build_report, load_document
-from conceptds.cases import load_case
+from conceptds.cases import CellNote, load_case
 
 # Concepts in canonical order: top {a,b} "⊤", {a} "A", {b} "#2", bottom "⊥".
 DOC = {"objects": ["a", "b"], "attributes": ["x", "y"],
@@ -45,6 +46,8 @@ ORDER_ERROR = "'expected.combined.order' must be a list of mass names"
      "expected table 'bel' must be an object"),
     (_expected({"pl": {"m3": {}}}), ParseError,
      "expected table 'pl' references unknown row 'm3'"),
+    (_expected({"bel": {"order": {"A": "0.5"}}}), ParseError,
+     "expected table 'bel' references unknown row 'order'"),
     (_expected({"mass": {"m1": ["0.5"]}}), ParseError,
      "row 'm1' of expected table 'mass' must be an object"),
     (_expected({"combined": {"bel": {"B": "1"}}}), ParseError,
@@ -57,10 +60,20 @@ ORDER_ERROR = "'expected.combined.order' must be a list of mass names"
 ], ids=["expected-list", "expected-zero", "unknown-table",
         "combined-not-an-object", "unknown-combined-key", "order-number",
         "order-nested-list", "order-string", "order-unknown-mass",
-        "table-not-an-object", "unknown-row", "row-not-an-object",
+        "table-not-an-object", "unknown-row", "unknown-row-order",
+        "row-not-an-object",
         "unknown-column", "duplicate-label", "unknown-case"])
 def test_malformed_cases_raise_one_input_error(build, error, message):
     with pytest.raises(error) as info:
         build()
     assert str(info.value) == message
 
+
+
+def test_a_mass_named_order_has_its_cells_compared():
+    """Only the combined block's `order` key is skipped, not a row of that name."""
+    masses = {"order": DOC["masses"]["m1"]}
+    report = _report(masses=masses,
+                     expected={"mass": {"order": {"A": "0.10"}}})()
+    assert report.notes == (CellNote("mass", "order", "A", Fraction(1, 2),
+                                     Fraction(1, 10)),)

@@ -117,6 +117,15 @@ def test_canonical_order_sorts_by_extent(ctx):
     assert keys == sorted(keys)
 
 
+@given(small_contexts())
+def test_normalizing_appends_one_empty_extent_concept(ctx):
+    """The fresh attribute keeps every old mask and the old canonical order."""
+    lat = enumerate_concepts(ctx)
+    if lat.normalized is not lat:
+        assert lat.normalized.extents == lat.extents + (0,)
+        assert lat.normalized.intents[:len(lat)] == lat.intents
+
+
 @given(small_contexts(max_objects=4, max_attributes=4))
 def test_order_and_meet_and_join_agree_with_extents(ctx):
     lat = enumerate_concepts(ctx)

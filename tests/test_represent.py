@@ -32,7 +32,7 @@ def test_two_element_carrier_by_hand():
     m = SetMassFunction(carrier, {frozenset("a"): F(1, 2),
                                   frozenset("ab"): F(1, 2)})
     rep = represent_set(m)
-    assert rep.all_passed and rep.homomorphism_ok
+    assert rep.all_passed
     a_pairs = rep.embedding[frozenset("a")]
     assert a_pairs == frozenset({(frozenset("a"), "a"),
                                  (frozenset("ab"), "a")})
@@ -45,7 +45,6 @@ def test_two_element_carrier_by_hand():
 @given(set_masses())
 def test_powerset_representation_is_exact(m):
     rep = represent_set(m)
-    assert rep.homomorphism_ok
     assert all(row.passed for row in rep.rows)
     assert rep.all_passed
     assert len(rep.rows) == 2 ** len(m.carrier)
@@ -286,6 +285,12 @@ def test_certificate_catches_a_wrong_belief(music_case, monkeypatch, capsys):
     music = str(files("conceptds") / "data" / "music.json")
     assert run(["verify-representation", music]) == 1
     assert "result: FAIL" in capsys.readouterr().out
+    # The set-level certificate rests on its rows alone, and they fail too.
+    ab = frozenset("ab")
+    srep = represent_set(SetMassFunction(ab, {frozenset("a"): F(1, 2),
+                                              ab: F(1, 2)}))
+    assert not srep.all_passed
+    assert [row.subset for row in srep.rows if not row.passed] == [ab]
 
 
 @pytest.mark.parametrize("seed", range(6))
