@@ -397,11 +397,11 @@ def _table_from_entries(doc: Mapping) -> dict[frozenset, Fraction]:
     if not isinstance(doc["entries"], list):
         raise ParseError("'entries' must be a list of [subset, value] pairs")
     table: dict[frozenset, Fraction] = {}
-    for pair in doc["entries"]:
+    for i, pair in enumerate(doc["entries"]):
         if not (isinstance(pair, list) and len(pair) == 2
                 and isinstance(pair[0], list)):
             raise ParseError(f"entries must be [subset, value] pairs, got {pair!r}")
-        subset = json_elements(pair[0], "each entry's subset")
+        subset = json_elements(pair[0], f"the subset of 'entries'[{i}]")
         if not subset <= carrier:
             raise ParseError(f"{sorted(map(str, subset))} is not a subset of the carrier")
         if subset in table:

@@ -86,7 +86,8 @@ def json_elements(value: object, what: str) -> frozenset:
     """A JSON list of set elements as a frozenset.
 
     Elements are JSON scalars; a nested list or object cannot be a member of
-    a set and is rejected.
+    a set and is rejected.  So is a list that repeats an element, including
+    scalars Python holds equal, such as 0, 0.0 and false.
     """
     if not isinstance(value, list):
         raise ParseError(f"{what} must be a list")
@@ -94,7 +95,10 @@ def json_elements(value: object, what: str) -> frozenset:
         if isinstance(element, (list, dict)):
             raise ParseError(f"{what} must hold strings or numbers, "
                              f"got {element!r}")
-    return frozenset(value)
+    elements = frozenset(value)
+    if len(elements) != len(value):
+        raise ParseError(f"{what} repeats an element")
+    return elements
 
 
 def probability_space_from_json(doc: Mapping) -> ProbabilitySpace:
@@ -111,6 +115,6 @@ def probability_space_from_json(doc: Mapping) -> ProbabilitySpace:
     if not isinstance(mu, list):
         raise ParseError("'mu' must be a list of rationals")
     return ProbabilitySpace(carrier,
-                            tuple(json_elements(b, "each block")
-                                  for b in blocks),
+                            tuple(json_elements(b, f"'blocks'[{i}]")
+                                  for i, b in enumerate(blocks)),
                             tuple(parse_rational(v) for v in mu))

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Mapping
 
 from .context import FormalContext
@@ -179,35 +179,38 @@ class ConceptRepresentation(_Certificate):
     def checks(self) -> dict[str, bool]:
         """The structural checks, by display name, in print order.
 
-        They read only the extent masks, the extent index and the least
-        concept, so each fails when those disagree.  One sweep looks up the
-        intersection x of each pair of extents once.  The meet check asks
-        for a concept with extent x: both sides of h(c meet d) = h(c) meet
-        h(d) are then found alike.  The atom of d lies below h(c) when d's
-        extent lies inside the one found; the order check asks that this
-        agree with d <= c, both ways round, and holds wherever the meet
-        check does.  Distinct atoms differ from the least concept only at
-        their own coordinates, so they are disjoint when the least concept
-        meets every concept at itself.  O(concepts^2).
+        They read only the context, the extent masks, the extent index and
+        the least concept.  When the extents are exactly the context's, c
+        meet d is found at the intersection of their extents, so h preserves
+        meets and the atom of d lies below h(c) exactly when d <= c: order
+        and meet read that one predicate.  Distinct atoms differ from the
+        least concept only at their own coordinates, so they are disjoint
+        when it meets every concept at itself.  O(concepts x attributes).
         """
         lat = self.mass.lattice
         extents, index = lat.extents, lat.index_by_extent
-        order_ok = meet_ok = True
-        for i, e in enumerate(extents):
-            for f in extents[i:]:
-                x = e & f
-                k = index.get(x)
-                if k is None or extents[k] != x:
-                    meet_ok = False
-                    order_ok = order_ok and k is not None and all(
-                        (a & ~extents[k] == 0) == (a == x) for a in (e, f))
+        exact = _is_context_lattice(lat)
         bottom, below = lat.bottom_index, extents[lat.bottom_index]
         return {
-            "atom order matches the lattice order": order_ok,
+            "atom order matches the lattice order": exact,
             "atoms pairwise disjoint": len(lat) < 2 or all(
                 index.get(e & below) == bottom for e in extents),
-            "embedding meet-preserving": meet_ok,
+            "embedding meet-preserving": exact,
         }
+
+
+def _is_context_lattice(lat: ConceptLattice) -> bool:
+    """Whether the stored extents are exactly the context's: the index maps
+    each extent back to it and holds nothing else; each extent is the meet
+    of the columns containing it; the full object set and each extent cut
+    by a column are stored, so every intersection of columns is stored."""
+    extents, index = lat.extents, lat.index_by_extent
+    top = (1 << len(lat.context.objects)) - 1
+    cols = [sum(1 << g for g in c) for c in lat.context.attribute_extents]
+    return len(index) == len(extents) and top in index and all(
+        index.get(e) == i and all(e & c in index for c in cols)
+        and reduce(int.__and__, [c for c in cols if e & ~c == 0], top) == e
+        for i, e in enumerate(extents))
 
 
 def _require_empty_bottom(lat: ConceptLattice, what: str) -> None:
@@ -331,10 +334,7 @@ def represent_concepts_frame(m: MassFunction) -> FrameRepresentation:
             for group in subsets(range(n))),
         "embedded concepts closed": all(closed(e) for e in embedding),
         "embedding injective": len(set(embedding)) == n,
-        "embedding meet-preserving": all(
-            embedding[lat.index_by_extent[e & f]] == embedding[c] & embedding[d]
-            for c, e in enumerate(lat.extents)
-            for d, f in enumerate(lat.extents)),
+        "embedding meet-preserving": _is_context_lattice(lat),
     }
 
     block_indices = [c for c in range(n) if atoms[c]]

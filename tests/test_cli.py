@@ -355,6 +355,11 @@ def test_malformed_json_is_an_input_error(tmp_path, capsys):
 PARTITION_OF_LISTS = '{"carrier": [[1]], "blocks": [[[1]]], "mu": ["1"]}'
 ONE_OBJECT = '{"objects": ["a"], "attributes": ["x"], '
 ONE_ELEMENT = '{"carrier": [1], "kind": "bel", '
+# 0 and false are one member of a Python set: without the repeat check, each
+# of these documents reads as a smaller, valid space.
+REPEATED_CARRIER = '{"carrier": [0, false, 1], "blocks": [[0, 1]], "mu": ["1"]}'
+REPEATED_BLOCK = ('{"carrier": ["a", "b"], "blocks": [["a", "a"], ["b"]], '
+                  '"mu": ["1/2", "1/2"]}')
 
 
 @pytest.mark.parametrize("argv, text", [
@@ -373,12 +378,18 @@ ONE_ELEMENT = '{"carrier": [1], "kind": "bel", '
     (["check"], ONE_ELEMENT + '"entries": [[[1]]]}'),
     (["check"], ONE_ELEMENT + '"entries": [[[1], "1"], [[2], "1"]]}'),
     (["check"], '{"carrier": [1], "entries": [[[], "0"], [[1], "1"]]}'),
+    (["check"], REPEATED_CARRIER),
+    (["verify-representation"], REPEATED_CARRIER),
+    (["check"], REPEATED_BLOCK),
+    (["verify-representation"], REPEATED_BLOCK),
 ], ids=["incidence-not-a-list", "check-list-elements",
         "verify-list-elements", "check-table-list-elements",
         "duplicate-key", "huge-exponent", "bel-no-masses",
         "verify-no-masses", "verify-cxt", "check-no-entries",
         "check-entries-not-a-list", "check-entry-not-a-pair",
-        "check-subset-outside-carrier", "check-no-kind"])
+        "check-subset-outside-carrier", "check-no-kind",
+        "check-repeated-carrier", "verify-repeated-carrier",
+        "check-repeated-block", "verify-repeated-block"])
 def test_malformed_input_exits_two_with_one_error_line(argv, text, tmp_path,
                                                         monkeypatch, capsys):
     monkeypatch.delenv(ENV_UNSAFE_SCALE, raising=False)

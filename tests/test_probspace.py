@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -141,3 +142,15 @@ def test_parse_rejects_malformed_documents(text):
     with pytest.raises(ParseError):
         parse_probability_space(text)
 
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"carrier": [0, false, 1], "blocks": [[0, 1]], "mu": ["1"]}',
+     "'carrier' repeats an element"),
+    ('{"carrier": ["a", "b"], "blocks": [["a"], ["b", "b"]],'
+     ' "mu": ["1/2", "1/2"]}',
+     "'blocks'[1] repeats an element"),
+])
+def test_a_repeated_element_is_rejected_by_field(text, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse_probability_space(text)

@@ -19,7 +19,7 @@ from conceptds import (CapacityError, ConceptLattice, ConceptRepresentation,
 import conceptds.cli as cli
 from conceptds.cli import run
 
-from conftest import lattice_masses, set_masses
+from conftest import contranominal, lattice_masses, set_masses
 
 F = Fraction
 
@@ -165,6 +165,17 @@ def _without_pop_rnb():
     return tuple(pair for pair in MUSIC_PAIRS if pair[0] != 0b010)
 
 
+def _without_e_pop():
+    """E-Pop dropped: {a} is no pair's meet, only Pop cut by w's column."""
+    return tuple(pair for pair in MUSIC_PAIRS if pair[0] != 0b001)
+
+
+def _with_a_and_c():
+    """{a, c} added: every pairwise meet is still stored, but no attribute
+    is shared by a and c, so {a, c} is not an extent of the context."""
+    return MUSIC_PAIRS + ((0b101, 0b0000),)
+
+
 def _swap_pop_and_rnb(lat, setitem=dict.__setitem__):
     """Pop's and R&B's extents are looked up as each other."""
     index = lat.index_by_extent
@@ -179,10 +190,19 @@ def _with_swapped_index(context):
     return rep
 
 
+def _with_a_stray_entry(context):
+    """Pop-R&B dropped, but its extent still looked up, as Pop."""
+    rep = _hand_built(context, _without_pop_rnb())
+    rep.mass.lattice.index_by_extent[0b010] = 1
+    return rep
+
+
 def test_atom_order_check_can_fail(music_lattice):
     ctx = music_lattice.context
     assert atom_order_matches(_hand_built(ctx, _without_pop_rnb())) is False
     assert atom_order_matches(_with_swapped_index(ctx)) is False
+    assert atom_order_matches(_hand_built(ctx, _without_e_pop())) is False
+    assert atom_order_matches(_hand_built(ctx, _with_a_and_c())) is False
 
 
 def test_meet_preservation_check_can_fail(music_lattice):
@@ -190,6 +210,11 @@ def test_meet_preservation_check_can_fail(music_lattice):
     assert embedding_meet_preserving(
         _hand_built(ctx, _without_pop_rnb())) is False
     assert embedding_meet_preserving(_with_swapped_index(ctx)) is False
+    assert embedding_meet_preserving(
+        _hand_built(ctx, _without_e_pop())) is False
+    assert embedding_meet_preserving(
+        _hand_built(ctx, _with_a_and_c())) is False
+    assert embedding_meet_preserving(_with_a_stray_entry(ctx)) is False
 
 
 def test_atom_disjointness_check_can_fail(music_lattice):
@@ -229,16 +254,28 @@ class _CountingIndex(dict):
         return super().__contains__(key)
 
 
-def test_structural_checks_share_one_sweep(music_case, monkeypatch):
-    lat = music_case.lattice
-    rep = represent_concepts(music_case.masses["m3"])
+def _count_check_lookups(rep, monkeypatch) -> int:
+    lat = rep.mass.lattice
     index = _CountingIndex(lat.index_by_extent)
     monkeypatch.setattr(lat, "index_by_extent", index)
     assert atom_order_matches(rep)
     assert embedding_meet_preserving(rep)
     assert atoms_pairwise_disjoint(rep)
-    n = len(lat)
-    assert 0 < index.lookups <= n * n + n
+    return index.lookups
+
+
+def test_structural_checks_share_one_sweep(music_case, monkeypatch):
+    rep = represent_concepts(music_case.masses["m3"])
+    n = len(rep.mass.lattice)
+    assert 0 < _count_check_lookups(rep, monkeypatch) <= n * n + n
+    # The powerset of 8 elements separates the two costs: a sweep over the
+    # pairs of its 256 extents would make 33152 lookups, the bound is 2561.
+    lat = enumerate_concepts(contranominal(8))
+    rep = represent_concepts(MassFunction.vacuous(lat))
+    n, attributes = len(lat), len(lat.context.attributes)
+    assert (n, attributes) == (256, 8)
+    lookups = _count_check_lookups(rep, monkeypatch)
+    assert 0 < lookups <= n * (attributes + 2) + 1
 
 
 def test_verify_fails_on_a_failed_structural_check(monkeypatch, capsys):
@@ -347,6 +384,19 @@ def test_normalized_movies_frame_representation(movies3_case):
         rep = represent_concepts_frame(moved)
         assert _frame_structure_ok(rep)
         assert rep.all_passed
+
+
+def test_frame_meet_check_reports_a_missing_meet(music_lattice):
+    """Pop meet R&B has no concept: the meet line reads NO, and the
+    closure and injectivity lines still pass."""
+    vacuous = _hand_built(music_lattice.context, _without_pop_rnb()).mass
+    rep = represent_concepts_frame(vacuous)
+    assert rep.checks == {"atom extents closed": True,
+                          "atom unions closed": True,
+                          "embedded concepts closed": True,
+                          "embedding injective": True,
+                          "embedding meet-preserving": False}
+    assert rep.all_passed is False
 
 
 def test_frame_capacity_is_enforced():
