@@ -66,8 +66,9 @@ class FormalContext:
         return tuple(frozenset(c) for c in cols)
 
     @cached_property
-    def object_index(self) -> Mapping[str, int]:
-        return {name: i for i, name in enumerate(self.objects)}
+    def object_bit(self) -> Mapping[str, int]:
+        """Each object name with its bit in an extent mask."""
+        return {name: 1 << i for i, name in enumerate(self.objects)}
 
     @cached_property
     def attribute_index(self) -> Mapping[str, int]:
@@ -298,16 +299,17 @@ def document_from_json(doc: Mapping) -> ContextDocument:
     for name, assignment in raw_masses.items():
         if not isinstance(assignment, dict):
             raise ParseError(f"mass {name!r} must be an object mapping labels to rationals")
-        entries = tuple((label, parse_rational(value))
-                        for label, value in assignment.items())
-        for label, value in entries:
-            if value < 0:
+        entries = tuple([(label, parse_rational(value))
+                         for label, value in assignment.items()])
+        ratios = [v.as_integer_ratio() for _, v in entries]
+        for (label, value), (p, _) in zip(entries, ratios):
+            if p < 0:
                 raise MassError(f"mass {name!r} assigns {value} to {label!r}; "
                                 "masses must be nonnegative")
         # One integer sum over the lcm, not a gcd-normalising Fraction add
         # per entry.
-        d = math.lcm(*(v.denominator for _, v in entries))
-        total = sum(v.numerator * (d // v.denominator) for _, v in entries)
+        d = math.lcm(*[q for _, q in ratios])
+        total = sum([p * (d // q) for p, q in ratios])
         if total != d:
             raise MassError(f"mass {name!r} sums to {Fraction(total, d)}, "
                             "expected 1")

@@ -15,7 +15,7 @@ inversion are the lattice ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -44,27 +44,46 @@ class MassFunction:
 
     Values are indexed by canonical concept index.  The total is exactly one,
     and the least concept carries no mass whenever its extent is empty.
+    Construction checks all three in one pass over the values' integer
+    ratios, and that pass also fills `focal`: the support over one common
+    denominator, as (d, ((extent mask, numerator), ...)) in index order,
+    where d is the lcm of the values' denominators and focal concept i
+    carries mass numerator / d.
     """
 
     lattice: ConceptLattice
     values: tuple[Fraction, ...]
+    focal: tuple[int, tuple[tuple[int, int], ...]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(map(_exact, self.values)))
-        if len(self.values) != len(self.lattice):
-            raise MassError(f"expected {len(self.lattice)} values, got {len(self.values)}")
-        for i, v in enumerate(self.values):
-            if v.numerator < 0:
-                raise MassError(f"concept {i} has negative mass {v}")
-        d, focal = self.focal
-        total = sum(x for _, x in focal)
+        lat = self.lattice
+        values = tuple([v if type(v) is Fraction else Fraction(v)
+                        for v in self.values])
+        object.__setattr__(self, "values", values)
+        if len(values) != len(lat):
+            raise MassError(f"expected {len(lat)} values, got {len(values)}")
+        ratios = [v.as_integer_ratio() for v in values]
+        # A zero has denominator 1, so it leaves the lcm unchanged.
+        d = math.lcm(*[q for _, q in ratios])
+        extents = lat.extents
+        focal = []
+        total = 0
+        for i, (p, q) in enumerate(ratios):
+            if p:
+                if p < 0:
+                    raise MassError(f"concept {i} has negative mass {values[i]}")
+                x = p * (d // q)
+                total += x
+                focal.append((extents[i], x))
         if total != d:
             raise MassError(f"mass sums to {Fraction(total, d)}, expected 1")
-        bottom = self.lattice.bottom_index
-        if not self.lattice.extent_nonempty[bottom] and self.values[bottom] != 0:
+        bottom = lat.bottom_index
+        if not lat.extent_nonempty[bottom] and ratios[bottom][0]:
             raise MassError(
                 f"the least concept has an empty extent but carries mass "
-                f"{self.values[bottom]}")
+                f"{values[bottom]}")
+        object.__setattr__(self, "focal", (d, tuple(focal)))
 
     @classmethod
     def from_mapping(cls, lattice: ConceptLattice,
@@ -88,21 +107,6 @@ class MassFunction:
 
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, v in enumerate(self.values) if v)
-
-    @cached_property
-    def focal(self) -> tuple[int, tuple[tuple[int, int], ...]]:
-        """The support over one common denominator.
-
-        Returns the denominator d (the lcm of the support's denominators) and
-        one (extent mask, numerator) pair per focal concept, in index order:
-        the focal concept i carries mass numerator / d.
-        """
-        support = self.support()
-        d = math.lcm(*(self.values[i].denominator for i in support))
-        extents = self.lattice.extents
-        return d, tuple((extents[i], self.values[i].numerator
-                         * (d // self.values[i].denominator))
-                        for i in support)
 
     def _numerators(self, extent: int) -> tuple[int, int]:
         """The bel and pl numerators, over `focal`'s denominator, at an extent.
@@ -323,6 +327,40 @@ def labeled_index(lat: ConceptLattice, label: str, extent: ObjectSet) -> int:
     return index
 
 
+def _literal_extent(ctx: FormalContext, label: str) -> int:
+    """The extent mask that an extent literal like "{a,b}" spells out."""
+    inner = label[1:-1].strip()
+    bits = ctx.object_bit
+    extent = 0
+    for name in inner.split(",") if inner else ():
+        bit = bits.get(name.strip())
+        if bit is None:
+            raise LabelError(f"unknown object name {name.strip()!r} in "
+                             f"extent literal {label!r}")
+        extent |= bit
+    return extent
+
+
+def _is_literal(label: str) -> bool:
+    return label.startswith("{") and label.endswith("}")
+
+
+def _lattice_index(lat: ConceptLattice, label: str) -> int | None:
+    """The concept a label names by a built-in name or as an extent
+    literal, or None; kept in `lat.resolved_labels` once found."""
+    index = lat.resolved_labels.get(label)
+    if index is None:
+        if label in _TOP_NAMES:
+            index = lat.top_index
+        elif label in _BOTTOM_NAMES:
+            index = lat.bottom_index
+        elif _is_literal(label):
+            index = lat.index_by_extent.get(_literal_extent(lat.context, label))
+        if index is not None:
+            lat.resolved_labels[label] = index
+    return index
+
+
 def resolve_concept_label(lat: ConceptLattice, label: str,
                           label_extents: Mapping[str, ObjectSet] | None = None) -> int:
     """Resolve a label to a concept index, by name or by extent literal.
@@ -330,35 +368,32 @@ def resolve_concept_label(lat: ConceptLattice, label: str,
     Routes: the document's label map, the built-in top/bottom names, and
     braced extent literals like "{a,b}".  Two routes naming different
     concepts make the label ambiguous, which is an error.
+
+    The built-in names and the literals depend only on the lattice and the
+    label, so the lattice keeps the concept they name (`resolved_labels`)
+    and each literal is read once per lattice.  The label map is consulted
+    on every call, and a label that fails is never kept.
     """
-    label_extents = label_extents or {}
-    found: dict[int, str] = {}
-    if label in label_extents:
-        found[labeled_index(lat, label, label_extents[label])] = "document label"
-    if label in _TOP_NAMES:
-        found[lat.top_index] = "built-in name for the greatest concept"
-    if label in _BOTTOM_NAMES:
-        found[lat.bottom_index] = "built-in name for the least concept"
-    if label.startswith("{") and label.endswith("}"):
-        inner = label[1:-1].strip()
-        names = [s.strip() for s in inner.split(",")] if inner else []
-        indices = set()
-        for name in names:
-            index = lat.context.object_index.get(name)
-            if index is None:
-                raise LabelError(f"unknown object name {name!r} in extent literal {label!r}")
-            indices.add(index)
-        index = lat.index_with_extent(indices)
-        if index is not None:
-            found[index] = "extent literal"
-        elif label not in label_extents:
-            raise LabelError(f"no concept has extent {label}")
-    if not found:
-        raise LabelError(f"label {label!r} matches no concept")
-    if len(found) > 1:
-        routes = "; ".join(f"concept {i} via {how}" for i, how in sorted(found.items()))
+    if label_extents and label in label_extents:
+        named = labeled_index(lat, label, label_extents[label])
+        index = _lattice_index(lat, label)
+        if index is None or index == named:
+            return named
+        if label in _TOP_NAMES:
+            how = "built-in name for the greatest concept"
+        elif label in _BOTTOM_NAMES:
+            how = "built-in name for the least concept"
+        else:
+            how = "extent literal"
+        routes = "; ".join(f"concept {i} via {route}" for i, route in
+                           sorted([(named, "document label"), (index, how)]))
         raise LabelError(f"label {label!r} is ambiguous: {routes}")
-    return next(iter(found))
+    index = _lattice_index(lat, label)
+    if index is None:
+        if _is_literal(label):
+            raise LabelError(f"no concept has extent {label}")
+        raise LabelError(f"label {label!r} matches no concept")
+    return index
 
 
 def resolve_mass(spec: MassSpec, lat: ConceptLattice) -> MassFunction:

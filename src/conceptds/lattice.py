@@ -54,7 +54,10 @@ class ConceptLattice:
     `extents[i]` and `intents[i]` are the masks of concept i, and
     `index_by_extent` maps an extent mask back to its concept.  Concepts
     (`lat[i]`), order, meet and join are all computed from them on demand.
-    Instances are immutable by convention, built only by `enumerate_concepts`.
+    Instances are immutable by convention, built only by `enumerate_concepts`;
+    the one exception is `resolved_labels`, the memo in which
+    `evidence.resolve_concept_label` keeps each built-in name and extent
+    literal with the concept it names on this lattice.
     """
 
     def __init__(self, context: FormalContext, extents: tuple[int, ...],
@@ -66,6 +69,7 @@ class ConceptLattice:
         self.extent_nonempty: tuple[bool, ...] = tuple(e != 0 for e in extents)
         self.top_index = self.index_by_extent[(1 << len(context.objects)) - 1]
         self.bottom_index = intents.index((1 << len(context.attributes)) - 1)
+        self.resolved_labels: dict[str, int] = {}
 
     # -- basics ------------------------------------------------------------
 

@@ -85,14 +85,15 @@ def parse_probability_space(text: str) -> ProbabilitySpace:
 def json_elements(value: object, what: str) -> frozenset:
     """A JSON list of set elements as a frozenset.
 
-    Elements are JSON scalars; a nested list or object cannot be a member of
-    a set and is rejected.  So is a list that repeats an element, including
-    scalars Python holds equal, such as 0, 0.0 and false.
+    Elements are JSON strings and numbers; null, true, false, a nested list
+    or an object is rejected.  So is a list that repeats an element,
+    including numbers Python holds equal, such as 0 and 0.0.
     """
     if not isinstance(value, list):
         raise ParseError(f"{what} must be a list")
     for element in value:
-        if isinstance(element, (list, dict)):
+        if not isinstance(element, (str, int, float)) \
+                or isinstance(element, bool):
             raise ParseError(f"{what} must hold strings or numbers, "
                              f"got {element!r}")
     elements = frozenset(value)

@@ -18,25 +18,38 @@ from .errors import ParseError, check_capacity
 MAX_DECIMAL_EXPONENT = 1000
 
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)$")
+# ASCII "p/q" and integers: the forms documents write, read without
+# Fraction's own regex.
+_INTEGER_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_rational(value: object) -> Fraction:
     """Parse "p/q" or decimal strings (and ints) into an exact Fraction.
 
+    A string of ASCII digits, with an optional leading "-" and an optional
+    "/" and denominator, is read with `int` and built as Fraction(p, q).
+    Every other string (decimals, exponents, "+", "_", inner whitespace,
+    non-ASCII digits) goes to Fraction's own parser.  Either way a string
+    too long for `int` is a ParseError, not a ValueError.
+
     JSON floats are accepted through their shortest decimal repr, so a value
     written as 0.2 in a document means exactly 1/5.  A decimal exponent is
     bounded by MAX_DECIMAL_EXPONENT before any power of ten is built.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise ParseError(f"expected a rational number, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        value = repr(value)
-    if isinstance(value, str):
-        text = value.strip()
+    if type(value) is not str:
+        if isinstance(value, Fraction):
+            return value
+        if isinstance(value, bool):
+            raise ParseError(f"expected a rational number, got {value!r}")
+        if isinstance(value, int):
+            return Fraction(value)
+        if isinstance(value, float):
+            value = repr(value)
+        elif not isinstance(value, str):
+            raise ParseError(f"expected a rational number, got {value!r}")
+    text = value.strip()
+    ratio = _INTEGER_RATIO.fullmatch(text)
+    if ratio is None:
         exponent = _EXPONENT.search(text)
         if exponent:
             try:
@@ -44,11 +57,13 @@ def parse_rational(value: object) -> Fraction:
             except ValueError as exc:
                 raise ParseError(f"not a rational number: {value!r}") from exc
             check_capacity("decimal exponent", magnitude, MAX_DECIMAL_EXPONENT)
-        try:
+    try:
+        if ratio is None:
             return Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"not a rational number: {value!r}") from exc
-    raise ParseError(f"expected a rational number, got {value!r}")
+        p, q = ratio.groups()
+        return Fraction(int(p)) if q is None else Fraction(int(p), int(q))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"not a rational number: {value!r}") from exc
 
 
 def round_half_away(x: Fraction, digits: int = 2) -> Fraction:

@@ -355,11 +355,13 @@ def test_malformed_json_is_an_input_error(tmp_path, capsys):
 PARTITION_OF_LISTS = '{"carrier": [[1]], "blocks": [[[1]]], "mu": ["1"]}'
 ONE_OBJECT = '{"objects": ["a"], "attributes": ["x"], '
 ONE_ELEMENT = '{"carrier": [1], "kind": "bel", '
-# 0 and false are one member of a Python set: without the repeat check, each
+# 0 and 0.0 are one member of a Python set: without the repeat check, each
 # of these documents reads as a smaller, valid space.
-REPEATED_CARRIER = '{"carrier": [0, false, 1], "blocks": [[0, 1]], "mu": ["1"]}'
+REPEATED_CARRIER = '{"carrier": [0, 0.0, 1], "blocks": [[0, 1]], "mu": ["1"]}'
 REPEATED_BLOCK = ('{"carrier": ["a", "b"], "blocks": [["a", "a"], ["b"]], '
                   '"mu": ["1/2", "1/2"]}')
+NULL_AND_TRUE = ('{"carrier": [null, true, "x"], '
+                 '"blocks": [[null, true], ["x"]], "mu": ["1/2", "1/2"]}')
 
 
 @pytest.mark.parametrize("argv, text", [
@@ -382,6 +384,9 @@ REPEATED_BLOCK = ('{"carrier": ["a", "b"], "blocks": [["a", "a"], ["b"]], '
     (["verify-representation"], REPEATED_CARRIER),
     (["check"], REPEATED_BLOCK),
     (["verify-representation"], REPEATED_BLOCK),
+    (["check"], NULL_AND_TRUE),
+    (["verify-representation"], NULL_AND_TRUE),
+    (["bel"], ONE_OBJECT + '"masses": {"m": {"top": "' + "1" * 5000 + '"}}}'),
 ], ids=["incidence-not-a-list", "check-list-elements",
         "verify-list-elements", "check-table-list-elements",
         "duplicate-key", "huge-exponent", "bel-no-masses",
@@ -389,7 +394,8 @@ REPEATED_BLOCK = ('{"carrier": ["a", "b"], "blocks": [["a", "a"], ["b"]], '
         "check-entries-not-a-list", "check-entry-not-a-pair",
         "check-subset-outside-carrier", "check-no-kind",
         "check-repeated-carrier", "verify-repeated-carrier",
-        "check-repeated-block", "verify-repeated-block"])
+        "check-repeated-block", "verify-repeated-block",
+        "check-null-and-true", "verify-null-and-true", "5000-digit-mass"])
 def test_malformed_input_exits_two_with_one_error_line(argv, text, tmp_path,
                                                         monkeypatch, capsys):
     monkeypatch.delenv(ENV_UNSAFE_SCALE, raising=False)

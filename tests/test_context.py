@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
+import re
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conceptds import (FRESH_ATTRIBUTE, CapacityError, FormalContext,
@@ -42,10 +43,36 @@ def test_parse_rational_accepts_common_forms(raw, expected):
     assert parse_rational(raw) == expected
 
 
-@pytest.mark.parametrize("raw", [True, False, "abc", "1/0", None, [1]])
+@pytest.mark.parametrize("raw", [
+    True, False, "abc", "1/0", None, [1],
+    # Past int()'s 4300-digit limit: a ParseError, not int()'s ValueError.
+    pytest.param("1" * 5000, id="5000-digit-integer"),
+    pytest.param("1/" + "2" * 5000, id="5000-digit-denominator"),
+])
 def test_parse_rational_rejects_junk(raw):
     with pytest.raises(ParseError):
         parse_rational(raw)
+
+
+# Exponents of at most three characters stay under MAX_DECIMAL_EXPONENT, so
+# the bound never fires and Fraction never builds a huge power of ten.
+NUMERAL_TEXTS = st.text(alphabet="0123456789/-+_. \u0663e",
+                        max_size=12).filter(
+    lambda text: not re.search(r"e[-+]?[\d_]{4}", text))
+
+
+@settings(max_examples=500)
+@given(NUMERAL_TEXTS)
+def test_parse_rational_agrees_with_fraction(text):
+    """The integer fast path and the fallback together read a string
+    exactly as Fraction does, and fail exactly where it fails."""
+    try:
+        expected = Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ParseError):
+            parse_rational(text)
+    else:
+        assert parse_rational(text) == expected
 
 
 @pytest.mark.parametrize("raw", ["1e1000000", "1e-1000000", "2.5E+1001"])

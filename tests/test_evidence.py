@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given
 
 from conceptds import (CapacityError, FormalContext, LabelError, MassError,
-                       MassFunction, ProbabilitySpace, SetMassFunction,
-                       enumerate_concepts, mass_from_bel_lattice,
-                       mass_from_bel_set, resolve_concept_label, resolve_mass)
+                       MassFunction, MassSpec, ProbabilitySpace,
+                       SetMassFunction, enumerate_concepts,
+                       mass_from_bel_lattice, mass_from_bel_set,
+                       resolve_concept_label, resolve_mass)
 from conceptds import evidence
 from conceptds.errors import ENV_UNSAFE_SCALE
 
@@ -323,5 +324,64 @@ def test_resolve_mass_rejects_duplicate_targets(music_case):
     doubled = type(spec)(spec.name,
                          (("top", F(1, 2)), ("⊤", F(1, 2))),
                          spec.label_extents)
-    with pytest.raises(LabelError):
+    with pytest.raises(LabelError) as info:
         resolve_mass(doubled, music_case.lattice)
+    assert str(info.value) == ("mass 'm1': labels 'top' and '⊤' resolve to "
+                               "the same concept")
+    # On the second call both literals come from the lattice's memo.
+    lat = enumerate_concepts(music_case.lattice.context)
+    literals = type(spec)(spec.name, (("{a,b}", F(1, 2)), ("{b,a}", F(1, 2))))
+    for _ in range(2):
+        with pytest.raises(LabelError) as info:
+            resolve_mass(literals, lat)
+        assert str(info.value) == ("mass 'm1': labels '{a,b}' and '{b,a}' "
+                                   "resolve to the same concept")
+
+
+def test_a_kept_literal_still_meets_a_later_label_map(music_lattice):
+    """The memo keeps what the literal names; a label map that names the
+    same label is still read, on every call."""
+    lat = enumerate_concepts(music_lattice.context)
+    pop = lat.index_by_extent[0b011]
+    assert resolve_concept_label(lat, "{a,b}") == pop
+    assert lat.resolved_labels == {"{a,b}": pop}
+    assert resolve_concept_label(lat, "{a,b}", {"{a,b}": frozenset({0, 1})}) \
+        == pop
+    with pytest.raises(LabelError) as info:
+        resolve_concept_label(lat, "{a,b}", {"{a,b}": frozenset({0})})
+    assert str(info.value) == ("label '{a,b}' is ambiguous: concept 1 via "
+                               "extent literal; concept 3 via document label")
+    with pytest.raises(LabelError, match="not a concept extent"):
+        resolve_concept_label(lat, "{a,b}", {"{a,b}": frozenset({0, 2})})
+    assert resolve_concept_label(lat, "{a,b}") == pop
+
+
+@pytest.mark.parametrize("label, message", [
+    ("Jazz", "label 'Jazz' matches no concept"),
+    ("{a,q}", "unknown object name 'q' in extent literal '{a,q}'"),
+    ("{a,c}", "no concept has extent {a,c}"),
+])
+def test_an_unresolvable_label_fails_on_every_call(music_lattice, label,
+                                                    message):
+    lat = enumerate_concepts(music_lattice.context)
+    for _ in range(3):
+        with pytest.raises(LabelError) as info:
+            resolve_concept_label(lat, label)
+        assert str(info.value) == message
+    assert lat.resolved_labels == {}
+
+
+def test_each_literal_is_read_once_per_lattice(music_lattice, monkeypatch):
+    reads = []
+    real = evidence._literal_extent
+    monkeypatch.setattr(evidence, "_literal_extent",
+                        lambda ctx, label: reads.append(label)
+                        or real(ctx, label))
+    labels = ("{a,b}", "{b,c}", "{a}", "top")
+    specs = [MassSpec(f"m{k}", tuple((label, F(1, 4)) for label in labels))
+             for k in range(8)]
+    for rounds in (1, 2):
+        lat = enumerate_concepts(music_lattice.context)
+        for spec in specs:
+            resolve_mass(spec, lat)
+        assert sorted(reads) == sorted(["{a,b}", "{b,c}", "{a}"] * rounds)

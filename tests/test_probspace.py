@@ -145,7 +145,7 @@ def test_parse_rejects_malformed_documents(text):
 
 
 @pytest.mark.parametrize("text, message", [
-    ('{"carrier": [0, false, 1], "blocks": [[0, 1]], "mu": ["1"]}',
+    ('{"carrier": [0, 0.0, 1], "blocks": [[0, 1]], "mu": ["1"]}',
      "'carrier' repeats an element"),
     ('{"carrier": ["a", "b"], "blocks": [["a"], ["b", "b"]],'
      ' "mu": ["1/2", "1/2"]}',
@@ -154,3 +154,18 @@ def test_parse_rejects_malformed_documents(text):
 def test_a_repeated_element_is_rejected_by_field(text, message):
     with pytest.raises(ParseError, match=re.escape(message)):
         parse_probability_space(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"carrier": [null, true, "x"], "blocks": [[null, true], ["x"]],'
+     ' "mu": ["1/2", "1/2"]}',
+     "'carrier' must hold strings or numbers, got None"),
+    ('{"carrier": ["x", false], "blocks": [["x", false]], "mu": ["1"]}',
+     "'carrier' must hold strings or numbers, got False"),
+    ('{"carrier": ["x", 1], "blocks": [["x"], [true]], "mu": ["1/2", "1/2"]}',
+     "'blocks'[1] must hold strings or numbers, got True"),
+], ids=["null-and-true", "false", "true-in-a-block"])
+def test_null_and_booleans_are_not_elements(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_probability_space(text)
+    assert str(info.value) == message

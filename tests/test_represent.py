@@ -197,6 +197,20 @@ def _with_a_stray_entry(context):
     return rep
 
 
+def test_a_missing_meet_is_a_precondition_error(music_lattice):
+    pairs = _without_pop_rnb()
+    lat = ConceptLattice(music_lattice.context, tuple(e for e, _ in pairs),
+                         tuple(a for _, a in pairs))
+    pop = lat.index_by_extent[0b011]
+    m = MassFunction.from_mapping(lat, {pop: F(1, 2), lat.top_index: F(1, 2)})
+    with pytest.raises(PreconditionError) as info:
+        represent_concepts(m)
+    # R&B meets Pop in Pop-R&B, which is gone.
+    assert str(info.value) == (
+        "the conceptual representation needs the meet of concept 2 and "
+        "focal concept 1, which this lattice lacks")
+
+
 def test_atom_order_check_can_fail(music_lattice):
     ctx = music_lattice.context
     assert atom_order_matches(_hand_built(ctx, _without_pop_rnb())) is False
