@@ -72,7 +72,8 @@ class MassFunction:
         for i, (p, q) in enumerate(ratios):
             if p:
                 if p < 0:
-                    raise MassError(f"concept {i} has negative mass {values[i]}")
+                    raise MassError(
+                        f"concept {i} has negative mass {values[i]}")
                 x = p * (d // q)
                 total += x
                 focal.append((extents[i], x))
