@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conceptds import (CapacityError, MassError, PreconditionError,
+from conceptds import (AxiomReport, AxiomViolation, CapacityError,
+                       MassError, PreconditionError,
                        check_belief_axioms_set, check_plausibility_axioms_set,
                        brute_bel, brute_pl, enumerate_concepts, random_context,
                        random_mass, random_partition_space, random_set_mass)
@@ -88,6 +89,25 @@ def test_the_constant_one_table_is_not_a_belief_function():
     assert violation.note == "belief inequality fails at n=2"
     assert violation.lhs == 1
     assert violation.rhs == 2
+
+
+def test_a_table_that_fails_only_at_n_3():
+    # bel is 1/2 on each pair and 1 on the carrier: every pair inequality
+    # holds, but the three pairs together overcount the carrier.
+    carrier = frozenset({1, 2, 3})
+    bel = {x: F(1) if x == carrier else F(len(x) == 2, 2)
+           for x in _powerset(carrier)}
+    assert check_belief_axioms_set(bel, n_max=2) == AxiomReport(72, None)
+    pairs = (frozenset({1, 2}), frozenset({1, 3}), frozenset({2, 3}))
+    assert check_belief_axioms_set(bel) == AxiomReport(311, AxiomViolation(
+        pairs, F(1), F(3, 2), "belief inequality fails at n=3"))
+
+    pl = {x: 1 - bel[carrier - x] for x in bel}
+    assert check_plausibility_axioms_set(pl, n_max=2) == AxiomReport(72, None)
+    singletons = (frozenset({1}), frozenset({2}), frozenset({3}))
+    assert check_plausibility_axioms_set(pl) == AxiomReport(
+        157, AxiomViolation(singletons, F(0), F(-1, 2),
+                            "plausibility inequality fails at n=3"))
 
 
 def test_range_and_normalization_violations():
