@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import random
+from collections import Counter
 from fractions import Fraction
+from typing import Mapping
 
 import pytest
 from hypothesis import given
@@ -14,6 +17,8 @@ from conceptds import (AxiomReport, AxiomViolation, CapacityError,
                        brute_bel, brute_pl, enumerate_concepts, random_context,
                        random_mass, random_partition_space, random_set_mass)
 from conceptds.errors import ENV_UNSAFE_SCALE
+from conceptds.oracle import (_range_violation, _require_tuple_length,
+                              _scaled_table)
 
 from conftest import lattice_masses, set_masses
 
@@ -164,6 +169,186 @@ def test_incomplete_tables_are_rejected():
     table = {frozenset({1, 2}): F(1), frozenset(): F(0)}
     with pytest.raises(MassError, match="expected all"):
         check_belief_axioms_set(table)
+
+
+# ---------------------------------------------------------------------------
+# Differential test against the ordered sweep
+#
+# The two functions below are the checkers as they were before they evaluated
+# antichains only: they evaluate every ordered tuple.  They stay here as the
+# reference whose reports the antichain checkers must reproduce exactly.
+
+def ordered_check_belief_axioms_set(f: Mapping[frozenset, Fraction],
+                                    n_max: int = 3) -> AxiomReport:
+    """Exhaustively test the superadditive inclusion-exclusion inequalities.
+
+    For every tuple (A_1..A_n), 1 <= n <= n_max <= 3, the table must satisfy
+    f(A_1 ∪ ... ∪ A_n) >= sum over nonempty I of (-1)^(|I|+1) f(∩_{i in I} A_i),
+    along with f(S) = 1 and values within [0, 1].
+    """
+    _require_tuple_length(n_max)
+    every, t, denom = _scaled_table(f)
+    bad = _range_violation(every, t, denom, "a belief function's")
+    if bad is not None:
+        return AxiomReport(0, bad)
+    m = len(t)
+    checked = m  # n=1: f(A) >= f(A) holds identically
+    if n_max >= 2:
+        for a in range(m):
+            ta = t[a]
+            for b in range(m):
+                checked += 1
+                rhs = ta + t[b] - t[a & b]
+                if t[a | b] < rhs:
+                    return AxiomReport(checked, AxiomViolation(
+                        (every[a], every[b]),
+                        Fraction(t[a | b], denom), Fraction(rhs, denom),
+                        "belief inequality fails at n=2"))
+    if n_max >= 3:
+        for a in range(m):
+            ta = t[a]
+            for b in range(m):
+                ab = a & b
+                pair = ta + t[b] - t[ab]
+                union_ab = a | b
+                for c in range(m):
+                    checked += 1
+                    rhs = pair + t[c] - t[a & c] - t[b & c] + t[ab & c]
+                    if t[union_ab | c] < rhs:
+                        return AxiomReport(checked, AxiomViolation(
+                            (every[a], every[b], every[c]),
+                            Fraction(t[union_ab | c], denom),
+                            Fraction(rhs, denom),
+                            "belief inequality fails at n=3"))
+    return AxiomReport(checked, None)
+
+
+def ordered_check_plausibility_axioms_set(f: Mapping[frozenset, Fraction],
+                                          n_max: int = 3) -> AxiomReport:
+    """Exhaustively test the dual (subadditive) inclusion-exclusion bounds.
+
+    For every tuple (A_1..A_n), 1 <= n <= n_max <= 3, the table must satisfy
+    f(A_1 ∩ ... ∩ A_n) <= sum over nonempty I of (-1)^(|I|+1) f(∪_{i in I} A_i),
+    along with f(S) = 1 and values within [0, 1].
+    """
+    _require_tuple_length(n_max)
+    every, t, denom = _scaled_table(f)
+    bad = _range_violation(every, t, denom, "a plausibility function's")
+    if bad is not None:
+        return AxiomReport(0, bad)
+    m = len(t)
+    checked = m  # n=1: f(A) <= f(A) holds identically
+    if n_max >= 2:
+        for a in range(m):
+            ta = t[a]
+            for b in range(m):
+                checked += 1
+                rhs = ta + t[b] - t[a | b]
+                if t[a & b] > rhs:
+                    return AxiomReport(checked, AxiomViolation(
+                        (every[a], every[b]),
+                        Fraction(t[a & b], denom), Fraction(rhs, denom),
+                        "plausibility inequality fails at n=2"))
+    if n_max >= 3:
+        for a in range(m):
+            ta = t[a]
+            for b in range(m):
+                ab_union = a | b
+                pair = ta + t[b] - t[ab_union]
+                ab = a & b
+                for c in range(m):
+                    checked += 1
+                    rhs = pair + t[c] - t[a | c] - t[b | c] + t[ab_union | c]
+                    if t[ab & c] > rhs:
+                        return AxiomReport(checked, AxiomViolation(
+                            (every[a], every[b], every[c]),
+                            Fraction(t[ab & c], denom),
+                            Fraction(rhs, denom),
+                            "plausibility inequality fails at n=3"))
+    return AxiomReport(checked, None)
+
+
+def _table(kind, size, q, raw):
+    """A subset table over {0..size-1} built from the integers `raw`.
+
+    "bel" gives subset B the mass raw[B] / total over the nonempty subsets,
+    so masses may be negative; if the total is not positive, the carrier's
+    raw mass is raised to make it 1.  "pl" is the dual 1 - bel(carrier - A)
+    of that table.  "random" takes values raw[A] mod (q + 1) over q, with 1
+    on the carrier.
+    """
+    carrier = frozenset(range(size))
+    every = _powerset(carrier)
+    full = len(every) - 1
+    if kind == "random":
+        values = [F(r % (q + 1), q) for r in raw[:full]] + [F(1)]
+        return dict(zip(every, values))
+    mass = [0] + raw[1:full + 1]
+    total = sum(mass)
+    if total <= 0:
+        mass[full] += 1 - total
+        total = 1
+    bel = {x: F(sum(mass[b] for b in range(full + 1) if b & a == b), total)
+           for a, x in enumerate(every)}
+    if kind == "bel":
+        return bel
+    return {x: 1 - bel[carrier - x] for x in bel}
+
+
+def _reports(table):
+    """Every (checker, n_max) report pair, new and reference."""
+    for new, old in ((check_belief_axioms_set,
+                      ordered_check_belief_axioms_set),
+                     (check_plausibility_axioms_set,
+                      ordered_check_plausibility_axioms_set)):
+        for n_max in (1, 2, 3):
+            yield new(table, n_max), old(table, n_max)
+
+
+@st.composite
+def axiom_tables(draw):
+    size = draw(st.sampled_from((0, 1, 2, 3, 4) * 3 + (5,)))
+    kind = draw(st.sampled_from(("bel", "pl", "random")))
+    q = draw(st.integers(1, 12))
+    raw = draw(st.lists(st.integers(-1, 6), min_size=2 ** size,
+                        max_size=2 ** size))
+    return _table(kind, size, q, raw)
+
+
+@given(axiom_tables())
+def test_antichain_reports_equal_the_ordered_sweep(table):
+    for new, old in _reports(table):
+        assert new == old
+
+
+def test_antichain_reports_equal_the_ordered_sweep_at_every_failing_n():
+    rng = random.Random(2019)
+    failing_notes = Counter()
+    for i in range(600):
+        size = 5 if i % 50 == 0 else rng.randint(0, 4)
+        kind = ("bel", "pl", "random")[i % 3]
+        q = rng.randint(1, 12)
+        raw = [rng.randint(-1, 6) for _ in range(2 ** size)]
+        for new, old in _reports(_table(kind, size, q, raw)):
+            assert new == old
+            if not new.passed:
+                failing_notes[new.first_violation.note] += 1
+    for kind in ("belief", "plausibility"):
+        for n in (2, 3):
+            assert failing_notes[f"{kind} inequality fails at n={n}"]
+
+
+def test_carriers_past_the_bound_hold_masks_past_a_byte(monkeypatch):
+    # Uniform probability on nine points, with bel({7, 8}) lowered to 1/9:
+    # the witness pair has masks 128 and 256.
+    monkeypatch.setenv(ENV_UNSAFE_SCALE, "1")
+    carrier = frozenset(range(9))
+    bel = {x: F(len(x), 9) for x in _powerset(carrier)}
+    bel[frozenset({7, 8})] = F(1, 9)
+    report = check_belief_axioms_set(bel, n_max=2)
+    assert report == ordered_check_belief_axioms_set(bel, n_max=2)
+    assert report.checked_tuples == 512 + 128 * 512 + 256 + 1
+    assert report.first_violation.sets == (frozenset({7}), frozenset({8}))
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,9 @@ ORACLE = Path(conceptds.__file__).parent / "oracle.py"
 # Module -> the names it may not lend the oracle; None means every name.
 CHECKED = {"evidence": None, "combine": None, "represent": None,
            "lattice": {"mobius_inversion"}}
+# The checked functions; every module-level helper they reach is checked too.
 REFERENCE_FUNCTIONS = ("check_belief_axioms_set", "check_plausibility_axioms_set",
-                       "_scaled_table", "_range_violation", "brute_bel",
-                       "brute_pl")
+                       "brute_bel", "brute_pl")
 
 
 def _imported_from(tree: ast.AST) -> set[str]:
@@ -48,14 +48,36 @@ def _functions(tree: ast.Module) -> dict[str, ast.FunctionDef]:
             if isinstance(node, ast.FunctionDef)}
 
 
-def test_reference_functions_use_nothing_from_the_checked_modules():
-    tree = ast.parse(ORACLE.read_text(encoding="utf-8"), str(ORACLE))
+def _reached(functions: dict[str, ast.FunctionDef],
+             roots: tuple[str, ...]) -> set[str]:
+    """The roots and every module-level function their bodies name,
+    transitively."""
+    reached: set[str] = set()
+    todo = list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += _body_names(functions[name]) & functions.keys()
+    return reached
+
+
+def _borrowed(tree: ast.Module, roots: tuple[str, ...]) -> dict[str, list[str]]:
+    """Each reached function's checked names, for those that read any."""
     checked = _imported_from(tree)
-    assert checked, "the oracle imports its domain types from evidence"
     functions = _functions(tree)
     borrowed = {name: sorted(_body_names(functions[name]) & checked)
-                for name in REFERENCE_FUNCTIONS}
-    assert borrowed == {name: [] for name in REFERENCE_FUNCTIONS}
+                for name in _reached(functions, roots)}
+    return {name: names for name, names in borrowed.items() if names}
+
+
+def test_reference_functions_use_nothing_from_the_checked_modules():
+    tree = ast.parse(ORACLE.read_text(encoding="utf-8"), str(ORACLE))
+    assert _imported_from(tree), \
+        "the oracle imports its domain types from evidence"
+    reached = _reached(_functions(tree), REFERENCE_FUNCTIONS)
+    assert {"_scaled_table", "_range_violation", "_antichains"} <= reached
+    assert _borrowed(tree, REFERENCE_FUNCTIONS) == {}
 
 
 def test_the_walk_sees_bodies_but_not_annotations():
@@ -68,7 +90,9 @@ def test_the_walk_sees_bodies_but_not_annotations():
                      "        return combine.combine(m, m)\n"
                      "    return inner\n"
                      "def peels(m):\n    return dict(peel(m))\n"
-                     "def typed(m):\n    return Concept(m, m)\n")
+                     "def typed(m):\n    return Concept(m, m)\n"
+                     "def helper(m):\n    return bel(m)\n"
+                     "def reference(m):\n    return helper(typed(m))\n")
     checked = _imported_from(tree)
     assert checked == {"M", "bel", "combine", "peel"}
     functions = _functions(tree)
@@ -77,3 +101,8 @@ def test_the_walk_sees_bodies_but_not_annotations():
     assert _body_names(functions["nested"]) & checked == {"combine"}
     assert _body_names(functions["peels"]) & checked == {"peel"}
     assert not _body_names(functions["typed"]) & checked
+    # A helper that borrows a checked name is caught through its caller.
+    assert not _body_names(functions["reference"]) & checked
+    assert _reached(functions, ("reference",)) == {"reference", "helper",
+                                                   "typed"}
+    assert _borrowed(tree, ("reference",)) == {"helper": ["bel"]}
