@@ -100,6 +100,7 @@ def combine_many(masses: Sequence[MassFunction]) -> CombinationReport:
         return CombinationReport(first, ())
     lat = first.lattice
     extents, bottom = lat.extents, lat.bottom_index
+    index = lat.index_by_extent
     conflicting = not lat.extent_nonempty[bottom]
     above = _focal_above(lat, masses)
     product = {i: 1 for i, js in enumerate(above) if js}
@@ -108,7 +109,9 @@ def combine_many(masses: Sequence[MassFunction]) -> CombinationReport:
     conflicts: list[Fraction] = []
     for step, m in enumerate(masses, start=1):
         d = m.focal[0]
-        num = [v.numerator * (d // v.denominator) for v in m.values]
+        num = [0] * len(lat)
+        for e, x in m.focal[1]:
+            num[index[e]] = x
         product = {i: p * x for i, p in product.items()
                    if (x := sum([num[j] for j in above[i]]))}
         total *= d

@@ -292,6 +292,18 @@ def document_from_json(doc: Mapping) -> ContextDocument:
                 raise ParseError(f"unknown object name {name!r} in label {label!r}")
         labels[label] = frozenset(obj_idx[name] for name in names)
 
+    # Documents repeat their value strings, so each is parsed once.  Only
+    # strings are keys, since True == 1; a failure raises and is never kept.
+    parsed: dict[str, Fraction] = {}
+
+    def rational(value: object) -> Fraction:
+        if type(value) is not str:
+            return parse_rational(value)
+        x = parsed.get(value)
+        if x is None:
+            x = parsed[value] = parse_rational(value)
+        return x
+
     masses: list[MassSpec] = []
     raw_masses = doc.get("masses", {})
     if not isinstance(raw_masses, dict):
@@ -299,7 +311,7 @@ def document_from_json(doc: Mapping) -> ContextDocument:
     for name, assignment in raw_masses.items():
         if not isinstance(assignment, dict):
             raise ParseError(f"mass {name!r} must be an object mapping labels to rationals")
-        entries = tuple([(label, parse_rational(value))
+        entries = tuple([(label, rational(value))
                          for label, value in assignment.items()])
         ratios = [v.as_integer_ratio() for _, v in entries]
         for (label, value), (p, _) in zip(entries, ratios):

@@ -245,6 +245,25 @@ def test_document_rejects_bad_masses():
             {**base, "masses": {"m": {"top": "3/2", "{a}": "-1/2"}}}))
 
 
+def test_document_parses_each_value_string_once():
+    base = {"objects": ["a", "b"], "attributes": ["x"], "incidence": [],
+            "labels": {"A": ["a"], "B": ["b"]}}
+    doc = load_document(json.dumps({**base, "masses": {
+        "m1": {"A": "1/2", "top": "1/2"}, "m2": {"B": "1/2", "top": 0.5}}}))
+    (_, half), (_, again) = doc.masses[0].entries
+    assert half == Fraction(1, 2) and again is half
+    assert doc.masses[1].entries[0][1] is half
+    # Keys are strings only: True == 1, but true is still rejected.
+    with pytest.raises(ParseError, match="expected a rational number, got True"):
+        load_document(json.dumps({**base, "masses": {
+            "m1": {"top": "1"}, "m2": {"top": True}}}))
+    # A value that fails is not kept; it fails with the same text each time.
+    for masses in ({"m1": {"top": "1/0"}},
+                   {"m1": {"top": "1"}, "m2": {"top": "1/0"}}):
+        with pytest.raises(ParseError, match=r"not a rational number: '1/0'"):
+            load_document(json.dumps({**base, "masses": masses}))
+
+
 # ---------------------------------------------------------------------------
 # Normalization
 
