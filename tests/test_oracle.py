@@ -273,7 +273,7 @@ def _table(kind, size, q, raw):
 
     "bel" gives subset B the mass raw[B] / total over the nonempty subsets,
     so masses may be negative; if the total is not positive, the carrier's
-    raw mass is raised to make it 1.  "pl" is the dual 1 - bel(carrier - A)
+    raw mass is raised until the total is 1.  "pl" is the dual 1 - bel(carrier - A)
     of that table.  "random" takes values raw[A] mod (q + 1) over q, with 1
     on the carrier.
     """
