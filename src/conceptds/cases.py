@@ -36,7 +36,8 @@ def display_labels(lat: ConceptLattice,
     """One display name per concept, in canonical order.
 
     Document labels win; unlabeled extremes render as the top and bottom
-    symbols; anything else falls back to its index, `#i`.
+    symbols; anything else falls back to its index, `#i`.  A label equal to
+    the name another concept keeps is refused, so no two rows share a name.
     """
     names = [f"#{i}" for i in range(len(lat))]
     names[lat.top_index] = TOP_SYMBOL
@@ -49,6 +50,11 @@ def display_labels(lat: ConceptLattice,
                 f"labels {taken[i]!r} and {label!r} name the same concept")
         taken[i] = label
         names[i] = label
+    kept = {name: j for j, name in enumerate(names) if j not in taken}
+    for i, label in taken.items():
+        if label in kept:
+            raise LabelError(f"label {label!r} of concept {i} is also the "
+                             f"display name of concept {kept[label]}")
     return tuple(names)
 
 

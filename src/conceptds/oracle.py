@@ -3,9 +3,12 @@
 Everything here recomputes from first principles: the axiom checkers test
 plain inclusion-exclusion on subset tables, evaluating each distinct
 inequality once, on an antichain of subsets, and report what a sweep over
-every ordered tuple would report; the brute belief and plausibility scans
-work directly on extents.  None of it shares code paths with the modules it
-validates beyond the domain types themselves.
+every ordered tuple would report.  One sweep serves both: the plausibility
+inequality of f at (A_1..A_n) is the belief inequality of u(X) = -f(S - X)
+at (S - A_1..S - A_n), since complements swap ∪ and ∩ and the sign reverses
+the inequality.  The brute belief and plausibility scans work directly on
+extents.  None of it shares code paths with the modules it validates beyond
+the domain types themselves.
 """
 
 from __future__ import annotations
@@ -95,13 +98,18 @@ def _range_violation(every: list[frozenset], scaled: list[int], denom: int,
 
 
 @functools.cache
-def _antichains(m: int, n: int) -> array:
+def _antichains(m: int, n: int, flip: bool) -> array:
     """Every antichain of n (2 or 3) masks below m, flattened n at a time.
 
     The masks of each are increasing, and the antichains come in
     lexicographic order.  Within MAX_AXIOM_CARRIER a mask fits in a byte;
     wider carriers, let through by CONCEPTDS_UNSAFE_SCALE, take 8 bytes.
+    With `flip`, each mask is complemented, XOR-ed by m - 1, in place.
     """
+    if flip:
+        plain = _antichains(m, n, False)
+        return array(plain.typecode, (x ^ (m - 1) for x in plain))
+
     def apart(x: int, y: int) -> bool:
         return x & y != x and x & y != y
 
@@ -109,10 +117,52 @@ def _antichains(m: int, n: int) -> array:
         flat = (x for a in range(m) for b in range(a + 1, m) if apart(a, b)
                 for x in (a, b))
     else:
-        pairs = iter(_antichains(m, 2))
+        pairs = iter(_antichains(m, 2, False))
         flat = (x for a, b in zip(pairs, pairs) for c in range(b + 1, m)
                 if apart(a, c) and apart(b, c) for x in (a, b, c))
     return array("B" if m <= 256 else "Q", flat)
+
+
+def _inclusion_exclusion(f: Mapping[frozenset, Fraction], n_max: int,
+                         dual: bool) -> AxiomReport:
+    """The sweep of `check_belief_axioms_set` on f, or with `dual` on u over
+    complemented antichains; only a failure is mapped back to f."""
+    _require_tuple_length(n_max)
+    kind = "plausibility" if dual else "belief"
+    every, t, denom = _scaled_table(f)
+    bad = _range_violation(every, t, denom, f"a {kind} function's")
+    if bad is not None:
+        return AxiomReport(0, bad)
+    m = len(t)
+    full, sign = (m - 1, -1) if dual else (0, 1)
+    u = [sign * t[x ^ full] for x in range(m)]
+
+    def failure(masks: tuple[int, ...], lhs: int, rhs: int,
+                before: int) -> AxiomReport:
+        masks = tuple(x ^ full for x in masks)
+        rank = functools.reduce(lambda acc, x: acc * m + x, masks, 0)
+        return AxiomReport(before + rank + 1, AxiomViolation(
+            tuple(every[x] for x in masks),
+            Fraction(sign * lhs, denom), Fraction(sign * rhs, denom),
+            f"{kind} inequality fails at n={len(masks)}"))
+
+    checked = m  # n=1: each inequality holds identically
+    if n_max >= 2:
+        pairs = iter(_antichains(m, 2, dual))
+        for a, b in zip(pairs, pairs):
+            rhs = u[a] + u[b] - u[a & b]
+            if u[a | b] < rhs:
+                return failure((a, b), u[a | b], rhs, checked)
+        checked += m * m
+    if n_max >= 3:
+        triples = iter(_antichains(m, 3, dual))
+        for a, b, c in zip(triples, triples, triples):
+            rhs = (u[a] + u[b] + u[c] - u[a & b] - u[a & c] - u[b & c]
+                   + u[a & b & c])
+            if u[a | b | c] < rhs:
+                return failure((a, b, c), u[a | b | c], rhs, checked)
+        checked += m * m * m
+    return AxiomReport(checked, None)
 
 
 def check_belief_axioms_set(f: Mapping[frozenset, Fraction],
@@ -139,36 +189,7 @@ def check_belief_axioms_set(f: Mapping[frozenset, Fraction],
       m + m² + a·m² + b·m + c + 1 tuples up to it, m = 2^|S|.  A passing
       report counts all m + m² + m³ ordered tuples up to n_max.
     """
-    _require_tuple_length(n_max)
-    every, t, denom = _scaled_table(f)
-    bad = _range_violation(every, t, denom, "a belief function's")
-    if bad is not None:
-        return AxiomReport(0, bad)
-    m = len(t)
-    checked = m  # n=1: f(A) >= f(A) holds identically
-    if n_max >= 2:
-        pairs = iter(_antichains(m, 2))
-        for a, b in zip(pairs, pairs):
-            rhs = t[a] + t[b] - t[a & b]
-            if t[a | b] < rhs:
-                return AxiomReport(m + a * m + b + 1, AxiomViolation(
-                    (every[a], every[b]),
-                    Fraction(t[a | b], denom), Fraction(rhs, denom),
-                    "belief inequality fails at n=2"))
-        checked += m * m
-    if n_max >= 3:
-        triples = iter(_antichains(m, 3))
-        for a, b, c in zip(triples, triples, triples):
-            rhs = (t[a] + t[b] + t[c] - t[a & b] - t[a & c] - t[b & c]
-                   + t[a & b & c])
-            if t[a | b | c] < rhs:
-                return AxiomReport(
-                    m + m * m + a * m * m + b * m + c + 1, AxiomViolation(
-                        (every[a], every[b], every[c]),
-                        Fraction(t[a | b | c], denom), Fraction(rhs, denom),
-                        "belief inequality fails at n=3"))
-        checked += m * m * m
-    return AxiomReport(checked, None)
+    return _inclusion_exclusion(f, n_max, dual=False)
 
 
 def check_plausibility_axioms_set(f: Mapping[frozenset, Fraction],
@@ -179,49 +200,13 @@ def check_plausibility_axioms_set(f: Mapping[frozenset, Fraction],
     f(A_1 ∩ ... ∩ A_n) <= sum over nonempty I of (-1)^(|I|+1) f(∪_{i in I} A_i),
     along with f(S) = 1 and values within [0, 1].
 
-    Only antichains are evaluated, with the report of the ordered sweep, for
-    the reasons `check_belief_axioms_set` gives:
-
-    - Symmetry: the inequality does not change when the tuple is permuted.
-    - Repeats and containment: if some A_i ⊆ A_j with i != j, the
-      inequality is trivial at n = 2 and is exactly the n = 2 inequality of
-      two of the sets at n = 3: with x ⊆ y, the triple {x, y, z} reduces to
-      the pair (x, z).  Once every pair has passed, no such triple can fail.
-    - Same witness and count: the lexicographically first failing ordered
-      tuple is a sorted antichain, and the ordered sweep would have checked
-      m + a·m + b + 1 or m + m² + a·m² + b·m + c + 1 tuples up to it.  A
-      passing report counts all m + m² + m³ ordered tuples up to n_max.
+    This is the belief inequality of u(X) = -f(S - X) at (S - A_1..S - A_n):
+    complements swap ∪ and ∩, negation reverses the inequality, and
+    complements of an antichain form an antichain.  So the sweep of
+    `check_belief_axioms_set` runs on u, and its report, mapped back, is
+    the one the ordered sweep over f gives.
     """
-    _require_tuple_length(n_max)
-    every, t, denom = _scaled_table(f)
-    bad = _range_violation(every, t, denom, "a plausibility function's")
-    if bad is not None:
-        return AxiomReport(0, bad)
-    m = len(t)
-    checked = m  # n=1: f(A) <= f(A) holds identically
-    if n_max >= 2:
-        pairs = iter(_antichains(m, 2))
-        for a, b in zip(pairs, pairs):
-            rhs = t[a] + t[b] - t[a | b]
-            if t[a & b] > rhs:
-                return AxiomReport(m + a * m + b + 1, AxiomViolation(
-                    (every[a], every[b]),
-                    Fraction(t[a & b], denom), Fraction(rhs, denom),
-                    "plausibility inequality fails at n=2"))
-        checked += m * m
-    if n_max >= 3:
-        triples = iter(_antichains(m, 3))
-        for a, b, c in zip(triples, triples, triples):
-            rhs = (t[a] + t[b] + t[c] - t[a | b] - t[a | c] - t[b | c]
-                   + t[a | b | c])
-            if t[a & b & c] > rhs:
-                return AxiomReport(
-                    m + m * m + a * m * m + b * m + c + 1, AxiomViolation(
-                        (every[a], every[b], every[c]),
-                        Fraction(t[a & b & c], denom), Fraction(rhs, denom),
-                        "plausibility inequality fails at n=3"))
-        checked += m * m * m
-    return AxiomReport(checked, None)
+    return _inclusion_exclusion(f, n_max, dual=True)
 
 
 # ---------------------------------------------------------------------------

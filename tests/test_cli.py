@@ -410,6 +410,43 @@ def test_malformed_input_exits_two_with_one_error_line(argv, text, tmp_path,
     assert captured.err.startswith("error: ")
 
 
+def _music_labeled(**labels) -> str:
+    doc = json.loads((DATA / "music.json").read_text("utf-8"))
+    doc["labels"] = labels
+    doc["masses"] = {"m": {"top": "1"}}
+    del doc["expected"]
+    return json.dumps(doc, ensure_ascii=False)
+
+
+@pytest.mark.parametrize("argv, text, error", [
+    # b spans Pop-R&B, not the least extent, which keeps the name ⊥.
+    (["lattice"], _music_labeled(**{"⊥": ["b"]}),
+     "label '⊥' of concept 4 is also the display name of concept 6"),
+    (["lattice"], _music_labeled(**{"#1": ["b"]}),
+     "label '#1' of concept 4 is also the display name of concept 1"),
+    # The least extent {a} is nonempty; normalizing adds an empty one below.
+    (["verify-representation"], ONE_OBJECT + '"incidence": [["a", "x"]], '
+     '"labels": {"⊥": ["a"]}, "masses": {"m": {"top": "1"}}}',
+     "label '⊥' of concept 0 is also the display name of concept 1"),
+], ids=["lattice-bottom", "lattice-index", "verify-normalized-bottom"])
+def test_a_label_may_not_repeat_another_concepts_name(argv, text, error,
+                                                      tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    assert run(argv + [str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+
+
+def test_a_label_may_rename_its_own_concept(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(_music_labeled(**{"⊥": [], "#1": ["a", "b"]}),
+                    encoding="utf-8")
+    assert run(["lattice", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[1:2] == ["#1: ({a,b},{x})"]
+
+
 @pytest.mark.parametrize("path", [MUSIC, "space"])
 def test_verify_reads_and_parses_its_file_once(path, space_path, monkeypatch,
                                                capsys):

@@ -349,6 +349,13 @@ def test_carriers_past_the_bound_hold_masks_past_a_byte(monkeypatch):
     assert report == ordered_check_belief_axioms_set(bel, n_max=2)
     assert report.checked_tuples == 512 + 128 * 512 + 256 + 1
     assert report.first_violation.sets == (frozenset({7}), frozenset({8}))
+    # The pl dual sweeps complemented masks, 385 and 510 at its witness.
+    pl = {x: 1 - bel[carrier - x] for x in bel}
+    report = check_plausibility_axioms_set(pl, n_max=2)
+    assert report == ordered_check_plausibility_axioms_set(pl, n_max=2)
+    assert report.checked_tuples == 512 + 1 * 512 + 126 + 1
+    assert report.first_violation.sets == (frozenset({0}),
+                                           frozenset(range(1, 7)))
 
 
 # ---------------------------------------------------------------------------

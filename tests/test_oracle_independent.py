@@ -76,7 +76,8 @@ def test_reference_functions_use_nothing_from_the_checked_modules():
     assert _imported_from(tree), \
         "the oracle imports its domain types from evidence"
     reached = _reached(_functions(tree), REFERENCE_FUNCTIONS)
-    assert {"_scaled_table", "_range_violation", "_antichains"} <= reached
+    assert {"_scaled_table", "_range_violation", "_antichains",
+            "_inclusion_exclusion"} <= reached
     assert _borrowed(tree, REFERENCE_FUNCTIONS) == {}
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from importlib.resources import files
 
@@ -13,11 +14,12 @@ from conceptds import (CapacityError, ConceptLattice, ConceptRepresentation,
                        SetMassFunction, atom_order_matches,
                        atoms_pairwise_disjoint, combine_many,
                        embedding_meet_preserving, enumerate_concepts,
-                       normalize_with_mass, random_set_mass,
+                       normalize_with_mass, random_context, random_set_mass,
                        represent_concepts, represent_concepts_frame,
                        represent_set)
 import conceptds.cli as cli
 from conceptds.cli import run
+from conceptds.powerset import subsets
 
 from conftest import contranominal, lattice_masses, set_masses
 
@@ -410,6 +412,67 @@ def test_frame_meet_check_reports_a_missing_meet(music_lattice):
                           "embedded concepts closed": True,
                           "embedding injective": True,
                           "embedding meet-preserving": False}
+    assert rep.all_passed is False
+
+
+def reference_atom_unions_closed(rep) -> bool:
+    """Every union of atoms, all 2^n of them, closed in the derived context."""
+    derived = rep.derived_context
+
+    def closed(extent: frozenset) -> bool:
+        return derived.down(derived.up(extent)) == extent
+
+    return all(closed(frozenset().union(*(rep.atoms[c] for c in group)))
+               for group in subsets(range(len(rep.atoms))))
+
+
+def _random_hand_built(rng: random.Random) -> ConceptLattice:
+    """Distinct random extents with random intents, under an empty least
+    extent, on a random context: rarely a concept lattice."""
+    n_objects, n_attributes = rng.randint(1, 3), rng.randint(1, 3)
+    density = rng.choice((0.3, 0.6, 1.0))
+    context = random_context(rng.randrange(10 ** 6), n_objects, n_attributes,
+                             density)
+    top, full = (1 << n_objects) - 1, (1 << n_attributes) - 1
+    inner = rng.sample(range(1, top), rng.randint(0, min(top - 1, 6)))
+    extents = (top, *inner, 0)
+    intents = (*(rng.randrange(full) for _ in extents[:-1]), full)
+    return ConceptLattice(context, extents, intents)
+
+
+def test_atom_unions_closed_reads_the_atom_check():
+    rng = random.Random(14)
+    verdicts = []
+    for i in range(300):
+        if i % 2:
+            lat = enumerate_concepts(random_context(
+                i, rng.randint(1, 4), rng.randint(0, 4),
+                rng.choice((0.2, 0.5, 0.8, 1.0))))
+            if i % 4 == 1:
+                lat = lat.normalized
+            if (lat.extent_nonempty[lat.bottom_index] or len(lat) > 8
+                    or sum(map(int.bit_count, lat.extents)) > 24):
+                continue
+        else:
+            lat = _random_hand_built(rng)
+        rep = represent_concepts_frame(MassFunction.vacuous(lat))
+        verdict = reference_atom_unions_closed(rep)
+        assert rep.checks["atom unions closed"] == verdict
+        verdicts.append(verdict)
+    assert len(verdicts) > 200
+    assert set(verdicts) == {True, False}
+
+
+def test_an_object_with_every_attribute_breaks_the_atom_closures():
+    """Concept 1 holds a, which has every attribute, so the closure of any
+    union without concept 1's atom takes in the derived object (1, a)."""
+    context = FormalContext(("a", "b"), ("x",), frozenset({(0, 0)}))
+    lat = ConceptLattice(context, (0b11, 0b01, 0), (0, 0, 1))
+    rep = represent_concepts_frame(MassFunction(lat, (F(1, 2), F(1, 2),
+                                                      F(0))))
+    assert reference_atom_unions_closed(rep) is False
+    assert rep.checks["atom extents closed"] is False
+    assert rep.checks["atom unions closed"] is False
     assert rep.all_passed is False
 
 
