@@ -101,7 +101,7 @@ def combine_many(masses: Sequence[MassFunction]) -> CombinationReport:
     lat = first.lattice
     extents, bottom = lat.extents, lat.bottom_index
     index = lat.index_by_extent
-    conflicting = not lat.extent_nonempty[bottom]
+    conflicting = not extents[bottom]
     above = _focal_above(lat, masses)
     product = {i: 1 for i, js in enumerate(above) if js}
     total, conflict = 1, 0

@@ -22,8 +22,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .context import FormalContext, MassSpec, ObjectSet
 from .errors import LabelError, MassError, check_capacity
-from .lattice import (MAX_CONCEPTS, Concept, ConceptLattice,
-                      enumerate_concepts, mobius_inversion)
+from .lattice import (MAX_CONCEPTS, ConceptLattice, enumerate_concepts,
+                      mobius_inversion)
 from .powerset import size_key, subsets
 
 # A carrier of n elements has a 2^n-concept powerset lattice.
@@ -80,7 +80,7 @@ class MassFunction:
         if total != d:
             raise MassError(f"mass sums to {Fraction(total, d)}, expected 1")
         bottom = lat.bottom_index
-        if not lat.extent_nonempty[bottom] and ratios[bottom][0]:
+        if not extents[bottom] and ratios[bottom][0]:
             raise MassError(
                 f"the least concept has an empty extent but carries mass "
                 f"{values[bottom]}")
@@ -88,10 +88,9 @@ class MassFunction:
 
     @classmethod
     def from_mapping(cls, lattice: ConceptLattice,
-                     mapping: Mapping[int | Concept, Fraction]) -> "MassFunction":
+                     mapping: Mapping[int, Fraction]) -> "MassFunction":
         values = [Fraction(0)] * len(lattice)
-        for key, value in mapping.items():
-            index = key if isinstance(key, int) else lattice.index_of(key)
+        for index, value in mapping.items():
             values[index] += Fraction(value)
         return cls(lattice, tuple(values))
 
@@ -100,11 +99,8 @@ class MassFunction:
         """All mass on the greatest concept: total ignorance."""
         return cls.from_mapping(lattice, {lattice.top_index: Fraction(1)})
 
-    def _index(self, c: Concept | int) -> int:
-        return c if isinstance(c, int) else self.lattice.index_of(c)
-
-    def __getitem__(self, c: Concept | int) -> Fraction:
-        return self.values[self._index(c)]
+    def __getitem__(self, c: int) -> Fraction:
+        return self.values[c]
 
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, v in enumerate(self.values) if v)
@@ -126,18 +122,18 @@ class MassFunction:
                     bel += x
         return bel, pl
 
-    def bel(self, c: Concept | int) -> Fraction:
-        """Total mass of concepts at or below c."""
-        e = self.lattice.extents[self._index(c)]
+    def bel(self, c: int) -> Fraction:
+        """Total mass of concepts at or below concept c."""
+        e = self.lattice.extents[c]
         return Fraction(self._numerators(e)[0], self.focal[0])
 
-    def pl(self, c: Concept | int) -> Fraction:
-        """Total mass of concepts compatible with c.
+    def pl(self, c: int) -> Fraction:
+        """Total mass of concepts compatible with concept c.
 
         Compatible means the meet has a nonempty extent, i.e. some object
         witnesses both concepts at once.
         """
-        e = self.lattice.extents[self._index(c)]
+        e = self.lattice.extents[c]
         return Fraction(self._numerators(e)[1], self.focal[0])
 
     def belief_table(self) -> "BeliefTable":
@@ -307,7 +303,7 @@ def mass_from_bel_lattice(bel_values: Sequence[Fraction],
                             f"mass {Fraction(w, d)} on concept {i}")
         masses[i] = w
     bottom = lat.bottom_index
-    if not lat.extent_nonempty[bottom] and masses[bottom] != 0:
+    if not extents[bottom] and masses[bottom] != 0:
         raise MassError(f"recovered mass {Fraction(masses[bottom], d)} on the "
                         "empty-extent least concept; the table is not a belief "
                         "function here")

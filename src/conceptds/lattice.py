@@ -2,13 +2,14 @@
 
 Concepts are the closed (extent, intent) pairs of a context.  They are stored
 in a canonical order (descending extent size, then lexicographic extent) as
-`int` bitmasks over object and attribute indices only; a `Concept` is built
-from the masks when one is read.  Order, meets and joins are answered from
-the masks: c <= d when c's extent mask has no bit outside d's, a meet is the
-concept whose extent is the intersection of the two extents, and a join the
-concept whose intent is the intersection of the two intents.  Both
-intersections land on concepts because closed sets are closed under
-intersection.  No n x n table of the order or of meets is ever built.
+`int` bitmasks over object and attribute indices only, and a concept is named
+by its index in that order; a `Concept` view is built from the masks when one
+is read.  Order, meets and joins are read from the masks: c <= d when c's
+extent mask has no bit outside d's, a meet is the concept whose extent is the
+intersection of the two extents, and a join the concept whose intent is the
+intersection of the two intents.  Both intersections land on concepts because
+closed sets are closed under intersection.  No n x n table of the order or of
+meets is ever built.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Iterable, Iterator
 
 from .context import (AttributeSet, FormalContext, ObjectSet,
                       normalize_no_universal_object)
-from .errors import check_capacity
+from .errors import PreconditionError, check_capacity
 
 MAX_OBJECTS = 24
 MAX_CONCEPTS = 4096
@@ -51,13 +52,20 @@ def _members(mask: int) -> list[int]:
 class ConceptLattice:
     """All concepts of a context, as extent and intent bitmasks.
 
-    `extents[i]` and `intents[i]` are the masks of concept i, and
-    `index_by_extent` maps an extent mask back to its concept.  Concepts
-    (`lat[i]`), order, meet and join are all computed from them on demand.
-    Instances are immutable by convention, built only by `enumerate_concepts`;
+    A concept is named by its canonical index i alone.  `extents[i]` and
+    `intents[i]` are its masks; `index_by_extent` maps an extent mask back to
+    its concept, and `index_by_intent`, built on first use, maps an intent
+    mask back.  Order, meets and joins are one mask operation each: i <= j
+    when `extents[i] & ~extents[j] == 0`, the meet of i and j is
+    `index_by_extent[extents[i] & extents[j]]`, and their join is
+    `index_by_intent[intents[i] & intents[j]]`.  `lat[i]` and iteration give
+    read-only `Concept` views, built from the masks on each read.
+
+    Instances are immutable by convention, built by `enumerate_concepts`;
     the one exception is `resolved_labels`, the memo in which
     `evidence.resolve_concept_label` keeps each built-in name and extent
-    literal with the concept it names on this lattice.
+    literal with the concept it names on this lattice.  A lattice built by
+    hand must hold a greatest and a least concept.
     """
 
     def __init__(self, context: FormalContext, extents: tuple[int, ...],
@@ -66,12 +74,17 @@ class ConceptLattice:
         self.extents = extents
         self.intents = intents
         self.index_by_extent = {e: i for i, e in enumerate(extents)}
-        self.extent_nonempty: tuple[bool, ...] = tuple(e != 0 for e in extents)
-        self.top_index = self.index_by_extent[(1 << len(context.objects)) - 1]
-        self.bottom_index = intents.index((1 << len(context.attributes)) - 1)
+        top = self.index_by_extent.get((1 << len(context.objects)) - 1)
+        if top is None:
+            raise PreconditionError("this lattice lacks its greatest concept: "
+                                    "no extent holds every object")
+        full = (1 << len(context.attributes)) - 1
+        if full not in intents:
+            raise PreconditionError("this lattice lacks its least concept: "
+                                    "no intent holds every attribute")
+        self.top_index = top
+        self.bottom_index = intents.index(full)
         self.resolved_labels: dict[str, int] = {}
-
-    # -- basics ------------------------------------------------------------
 
     def __len__(self) -> int:
         return len(self.extents)
@@ -83,46 +96,15 @@ class ConceptLattice:
         return Concept(frozenset(_members(self.extents[index])),
                        frozenset(_members(self.intents[index])))
 
-    @property
-    def top(self) -> Concept:
-        return self[self.top_index]
-
-    @property
-    def bottom(self) -> Concept:
-        return self[self.bottom_index]
-
-    def index_of(self, concept: Concept) -> int:
-        index = self.index_by_extent.get(_mask(concept.extent))
-        if index is None or self.intents[index] != _mask(concept.intent):
-            raise ValueError(f"not a concept of this lattice: {concept}")
-        return index
-
     def index_with_extent(self, extent: Iterable[int]) -> int | None:
         """The index of the concept with this extent, or None if none has it."""
         return self.index_by_extent.get(_mask(extent))
-
-    def concept_with_extent(self, extent: Iterable[int]) -> Concept | None:
-        index = self.index_with_extent(extent)
-        return None if index is None else self[index]
-
-    # -- order, meet, join ---------------------------------------------------
-
-    def leq(self, c: Concept, d: Concept) -> bool:
-        return self.extents[self.index_of(c)] & ~self.extents[self.index_of(d)] == 0
-
-    def meet(self, c: Concept, d: Concept) -> Concept:
-        extent = self.extents[self.index_of(c)] & self.extents[self.index_of(d)]
-        return self[self.index_by_extent[extent]]
-
-    def join(self, c: Concept, d: Concept) -> Concept:
-        intent = self.intents[self.index_of(c)] & self.intents[self.index_of(d)]
-        return self[self._index_by_intent[intent]]
 
     @property
     def normalized(self) -> ConceptLattice:
         """This lattice, or when its least extent is nonempty, the lattice
         of the context with a fresh attribute held by no object, built once."""
-        if self.extent_nonempty[self.bottom_index]:
+        if self.extents[self.bottom_index]:
             return self._normalized
         return self
 
@@ -133,7 +115,8 @@ class ConceptLattice:
         return enumerate_concepts(normalize_no_universal_object(self.context))
 
     @cached_property
-    def _index_by_intent(self) -> dict[int, int]:
+    def index_by_intent(self) -> dict[int, int]:
+        """Each intent mask with the index of its concept."""
         return {a: i for i, a in enumerate(self.intents)}
 
     def covers(self) -> tuple[tuple[int, int], ...]:
@@ -147,7 +130,7 @@ class ConceptLattice:
         """
         rows = [_mask(intent) for intent in self.context.object_intents]
         everyone = (1 << len(rows)) - 1
-        by_intent = self._index_by_intent
+        by_intent = self.index_by_intent
         extents = self.extents
         edges = []
         for i, (e, a) in enumerate(zip(extents, self.intents)):

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping
 from .context import FormalContext
 from .errors import MassError, PreconditionError, check_capacity
 from .evidence import MassFunction, SetMassFunction
-from .lattice import MAX_OBJECTS, Concept, ConceptLattice
+from .lattice import MAX_OBJECTS, ConceptLattice
 from .powerset import size_key, subsets
 from .probspace import ProbabilitySpace
 
@@ -212,10 +212,10 @@ def check_plausibility_axioms_set(f: Mapping[frozenset, Fraction],
 # ---------------------------------------------------------------------------
 # Brute-force belief and plausibility (differential targets)
 
-def brute_bel(m: MassFunction, c: Concept | int) -> Fraction:
+def brute_bel(m: MassFunction, c: int) -> Fraction:
     """Belief by direct extent-inclusion scan; no order tables involved."""
     lat = m.lattice
-    extent = (lat[c] if isinstance(c, int) else c).extent
+    extent = lat[c].extent
     total = Fraction(0)
     for concept, value in zip(lat, m.values):
         if concept.extent <= extent:
@@ -223,14 +223,14 @@ def brute_bel(m: MassFunction, c: Concept | int) -> Fraction:
     return total
 
 
-def brute_pl(m: MassFunction, c: Concept | int) -> Fraction:
+def brute_pl(m: MassFunction, c: int) -> Fraction:
     """Plausibility by direct extent-intersection scan.
 
     The meet of two concepts has the intersection of their extents as its
     extent, so compatibility is exactly a nonempty extent intersection.
     """
     lat = m.lattice
-    extent = (lat[c] if isinstance(c, int) else c).extent
+    extent = lat[c].extent
     total = Fraction(0)
     for concept, value in zip(lat, m.values):
         if concept.extent & extent:
@@ -268,7 +268,7 @@ def random_mass(seed: int, lat: ConceptLattice,
     tame through combination folds.
     """
     eligible = [i for i in range(len(lat))
-                if i != lat.bottom_index or lat.extent_nonempty[i]]
+                if i != lat.bottom_index or lat.extents[i]]
     if not eligible:
         raise MassError("no concept of this lattice may carry mass")
     rng = random.Random(seed)

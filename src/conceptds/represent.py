@@ -36,7 +36,6 @@ from .powerset import size_key, subsets
 from .probspace import ProbabilitySpace
 
 MAX_SET_REPRESENT = 4
-MAX_FRAME_CONCEPTS = 8
 MAX_FRAME_OBJECTS = 24
 
 
@@ -214,7 +213,7 @@ def _is_context_lattice(lat: ConceptLattice) -> bool:
 
 
 def _require_empty_bottom(lat: ConceptLattice, what: str) -> None:
-    if lat.extent_nonempty[lat.bottom_index]:
+    if lat.extents[lat.bottom_index]:
         raise PreconditionError(
             f"{what} requires the least concept to have an empty extent; "
             "normalize the context first (see normalize_with_mass)")
@@ -312,13 +311,13 @@ def represent_concepts_frame(m: MassFunction) -> FrameRepresentation:
     lat = m.lattice
     ctx = lat.context
     _require_empty_bottom(lat, "the frame representation")
-    n = len(lat)
-    check_capacity("concepts for the frame representation", n,
-                   MAX_FRAME_CONCEPTS)
-    object_keys = tuple((ci, g) for ci in range(n)
-                        for g in sorted(lat[ci].extent))
+    # Every concept but the empty least one adds a derived object, so this
+    # bound also caps the concepts, at MAX_FRAME_OBJECTS + 1.
     check_capacity("derived objects for the frame representation",
-                   len(object_keys), MAX_FRAME_OBJECTS)
+                   sum(map(int.bit_count, lat.extents)), MAX_FRAME_OBJECTS)
+    n = len(lat)
+    object_keys = tuple((ci, g) for ci, e in enumerate(lat.extents)
+                        for g in range(len(ctx.objects)) if e >> g & 1)
     attribute_keys = tuple((ci, x) for ci in range(n)
                            for x in range(len(ctx.attributes)))
 

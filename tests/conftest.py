@@ -94,7 +94,7 @@ def lattice_masses(draw, max_objects: int = 4, max_attributes: int = 4,
     lat = enumerate_concepts(ctx)
     weights = draw(st.lists(st.integers(0, 6), min_size=len(lat),
                             max_size=len(lat)))
-    if not lat.extent_nonempty[lat.bottom_index]:
+    if not lat.extents[lat.bottom_index]:
         weights[lat.bottom_index] = 0
     if sum(weights) == 0:
         weights[lat.top_index] = 1

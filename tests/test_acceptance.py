@@ -207,7 +207,7 @@ def test_criterion_08(capsys):
                 assert left.result.values == right.result.values
                 assert left.conflict == right.conflict
                 for i in left.result.support():
-                    assert lat.extent_nonempty[i]
+                    assert lat.extents[i]
             vac = MassFunction.vacuous(lat)
             assert combine(m1, vac).result.values == m1.values
             assert combine(vac, m1).result.values == m1.values
@@ -227,7 +227,7 @@ def test_criterion_08(capsys):
             assert left == right
             if left is not None:
                 support = [i for i, v in enumerate(left) if v]
-                assert all(lat.extent_nonempty[i] for i in support)
+                assert all(lat.extents[i] for i in support)
 
 
 def test_criterion_09(capsys):

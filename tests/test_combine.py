@@ -120,7 +120,7 @@ def test_combined_support_avoids_the_empty_extent(seed):
     except TotalConflictError:
         return
     for i in combined.support():
-        assert combined.lattice.extent_nonempty[i]
+        assert combined.lattice.extents[i]
 
 
 def test_conflict_vanishes_when_the_bottom_extent_is_inhabited(movies3_case):

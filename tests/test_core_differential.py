@@ -67,7 +67,7 @@ def table_combine(m1, m2):
     for i in m1.support():
         for j in m2.support():
             k = meets[i][j]
-            if lat.extent_nonempty[k]:
+            if lat.extents[k]:
                 acc[k] += m1.values[i] * m2.values[j]
             else:
                 conflict += m1.values[i] * m2.values[j]
@@ -81,11 +81,12 @@ def test_bitset_core_matches_brute_force_and_definitions(case):
     lat, masses = case
     n = len(lat)
     leq, meets, joins = definition_tables(lat)
-    for i, c in enumerate(lat):
-        for j, d in enumerate(lat):
-            assert lat.leq(c, d) == leq[i][j]
-            assert lat.meet(c, d) == lat[meets[i][j]]
-            assert lat.join(c, d) == lat[joins[i][j]]
+    extents, intents = lat.extents, lat.intents
+    for i in range(n):
+        for j in range(n):
+            assert (extents[i] & ~extents[j] == 0) == leq[i][j]
+            assert lat.index_by_extent[extents[i] & extents[j]] == meets[i][j]
+            assert lat.index_by_intent[intents[i] & intents[j]] == joins[i][j]
     assert lat.covers() == table_covers(lat)
 
     for m in masses:
@@ -97,7 +98,7 @@ def test_bitset_core_matches_brute_force_and_definitions(case):
             for c in range(n))
         assert table.pl == tuple(
             sum((m.values[d] for d in range(n)
-                 if lat.extent_nonempty[meets[d][c]]), Fraction(0))
+                 if lat.extents[meets[d][c]]), Fraction(0))
             for c in range(n))
         assert [m.bel(c) for c in range(n)] == list(table.bel)
         assert [m.pl(c) for c in range(n)] == list(table.pl)
@@ -144,7 +145,7 @@ def wide_masses(rng, lat, count):
     """`count` masses, each on about three quarters of the concepts that
     may carry mass."""
     eligible = [i for i in range(len(lat))
-                if i != lat.bottom_index or lat.extent_nonempty[i]]
+                if i != lat.bottom_index or lat.extents[i]]
     masses = []
     for _ in range(count):
         weights = {i: rng.randint(0, 3) for i in eligible}
@@ -164,7 +165,7 @@ def test_wide_folds_match_the_table_rule_at_every_step(seed, count,
     ctx = (with_universal_object(ctx) if inhabited_bottom
            else normalize_no_universal_object(ctx))
     lat = enumerate_concepts(ctx)
-    assert lat.extent_nonempty[lat.bottom_index] == inhabited_bottom
+    assert bool(lat.extents[lat.bottom_index]) == inhabited_bottom
     masses = wide_masses(rng, lat, count)
     report = assert_fold_matches_the_table_rule(masses)
     if inhabited_bottom:
@@ -256,7 +257,7 @@ def test_the_core_builds_no_concept_views(music_case, monkeypatch):
     mass_from_bel_lattice(report.result.belief_table().bel, lat)
     assert represent_concepts(m1).all_passed
     assert built == []
-    assert lat[lat.top_index] == lat.top
+    assert lat[lat.top_index] == next(iter(lat))
     assert len(built) == 2
 
 
@@ -299,7 +300,7 @@ def test_mass_on_an_inhabited_least_concept(seed):
         rng.choice((0.3, 0.5, 0.7))))
     lat = enumerate_concepts(ctx)
     n, bottom = len(lat), lat.bottom_index
-    assert lat.extent_nonempty[bottom]
+    assert lat.extents[bottom]
     weights = {i: rng.randint(0, 3) for i in range(n)}
     weights[bottom] += 1
     total = sum(weights.values())

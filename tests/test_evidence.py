@@ -56,7 +56,7 @@ def test_vacuous_mass_is_certain_only_at_the_top(music_lattice):
     m = MassFunction.vacuous(music_lattice)
     for i in range(len(music_lattice)):
         assert m.bel(i) == (1 if i == music_lattice.top_index else 0)
-        assert m.pl(i) == (0 if not music_lattice.extent_nonempty[i] else 1)
+        assert m.pl(i) == (0 if not music_lattice.extents[i] else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -107,10 +107,11 @@ def test_bel_and_pl_are_monotone(m):
 
 
 def test_concept_keys_accumulate(music_lattice):
-    top = music_lattice[music_lattice.top_index]
-    m = MassFunction.from_mapping(music_lattice,
-                                  {top: F(1, 2), music_lattice.top_index: F(1, 2)})
-    assert m[music_lattice.top_index] == 1
+    """Each key's mass is added onto zero at its concept."""
+    lat = music_lattice
+    m = MassFunction.from_mapping(lat, {lat.top_index: F(1, 4),
+                                        lat.bottom_index - 1: F(3, 4)})
+    assert m.values == (F(1, 4),) + (F(0),) * (len(lat) - 3) + (F(3, 4), F(0))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given
 
-from conceptds import (CapacityError, Concept, FormalContext,
-                       enumerate_concepts)
+from conceptds import (CapacityError, ConceptLattice, FormalContext,
+                       PreconditionError, enumerate_concepts)
 from conceptds.errors import ENV_UNSAFE_SCALE
 from conceptds.lattice import MAX_CONCEPTS, mobius_inversion
 
@@ -30,8 +30,9 @@ def test_music_concepts_are_the_known_family(music_lattice):
 def test_movies_lattices_have_the_expected_sizes(movies1_case, movies3_case):
     assert len(movies1_case.lattice) == 5
     assert len(movies3_case.lattice) == 4
-    bottom = movies3_case.lattice.bottom
-    assert movies3_case.lattice.context.object_names(bottom.extent) == ("c",)
+    lat = movies3_case.lattice
+    bottom = lat[lat.bottom_index]
+    assert lat.context.object_names(bottom.extent) == ("c",)
 
 
 def test_music_cover_relation(music_case):
@@ -76,12 +77,19 @@ def test_concept_capacity_is_enforced_during_closure(monkeypatch):
         enumerate_concepts(contranominal(14))
 
 
-def test_index_of_rejects_foreign_concepts(music_lattice):
-    with pytest.raises(ValueError):
-        music_lattice.index_of(Concept(frozenset({0, 2}), frozenset()))
-    top = music_lattice.top
-    with pytest.raises(ValueError, match="not a concept of this lattice"):
-        music_lattice.index_of(Concept(top.extent, frozenset({0})))
+def test_index_with_extent_finds_only_extents(music_lattice):
+    lat = music_lattice
+    assert [lat.index_with_extent(c.extent) for c in lat] == list(range(len(lat)))
+    assert lat.index_with_extent({0, 2}) is None
+
+
+def test_a_hand_built_lattice_needs_both_extreme_concepts(music_lattice):
+    ctx, extents, intents = (music_lattice.context, music_lattice.extents,
+                             music_lattice.intents)
+    with pytest.raises(PreconditionError, match="lacks its greatest concept"):
+        ConceptLattice(ctx, extents[1:], intents[1:])
+    with pytest.raises(PreconditionError, match="lacks its least concept"):
+        ConceptLattice(ctx, extents[:-1], intents[:-1])
 
 
 @given(small_contexts())
@@ -96,7 +104,7 @@ def test_concepts_are_exactly_the_closed_pairs(ctx):
     # Closing any object set must land on an enumerated concept.
     for g in range(len(ctx.objects)):
         closure = ctx.down(ctx.up(frozenset([g])))
-        assert lat.concept_with_extent(closure) is not None
+        assert lat.index_with_extent(closure) is not None
 
 
 @given(small_contexts(max_objects=4, max_attributes=4))
@@ -129,19 +137,23 @@ def test_normalizing_appends_one_empty_extent_concept(ctx):
 @given(small_contexts(max_objects=4, max_attributes=4))
 def test_order_and_meet_and_join_agree_with_extents(ctx):
     lat = enumerate_concepts(ctx)
-    for c in lat:
-        for d in lat:
-            assert lat.leq(c, d) == (c.extent <= d.extent)
-            assert lat.meet(c, d).extent == c.extent & d.extent
-            assert lat.join(c, d).intent == c.intent & d.intent
+    extents, intents = lat.extents, lat.intents
+    for i, c in enumerate(lat):
+        for j, d in enumerate(lat):
+            assert (extents[i] & ~extents[j] == 0) == (c.extent <= d.extent)
+            meet = lat.index_by_extent[extents[i] & extents[j]]
+            assert lat[meet].extent == c.extent & d.extent
+            join = lat.index_by_intent[intents[i] & intents[j]]
+            assert lat[join].intent == c.intent & d.intent
 
 
 @given(small_contexts(max_objects=4, max_attributes=4))
 def test_meet_is_the_greatest_lower_bound(ctx):
     lat = enumerate_concepts(ctx)
-    for c in lat:
-        for d in lat:
-            m = lat.meet(c, d)
+    extents = lat.extents
+    for i, c in enumerate(lat):
+        for j, d in enumerate(lat):
+            m = lat[lat.index_by_extent[extents[i] & extents[j]]]
             assert m.extent <= c.extent and m.extent <= d.extent
             for k in lat:
                 if k.extent <= c.extent and k.extent <= d.extent:
@@ -151,10 +163,13 @@ def test_meet_is_the_greatest_lower_bound(ctx):
 @given(small_contexts(max_objects=4, max_attributes=4))
 def test_extreme_elements_absorb(ctx):
     lat = enumerate_concepts(ctx)
-    for c in lat:
-        assert lat.meet(c, lat.top) == c
-        assert lat.join(c, lat.bottom) == c
-        assert lat.leq(lat.bottom, c) and lat.leq(c, lat.top)
+    extents, intents = lat.extents, lat.intents
+    top, bottom = lat.top_index, lat.bottom_index
+    for c in range(len(lat)):
+        assert lat.index_by_extent[extents[c] & extents[top]] == c
+        assert lat.index_by_intent[intents[c] & intents[bottom]] == c
+        assert extents[bottom] & ~extents[c] == 0
+        assert extents[c] & ~extents[top] == 0
 
 
 @given(small_contexts(max_objects=4, max_attributes=4))

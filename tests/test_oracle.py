@@ -367,7 +367,6 @@ def test_brute_scans_agree_with_the_table_implementations(m):
     for c in range(len(lat)):
         assert brute_bel(m, c) == m.bel(c)
         assert brute_pl(m, c) == m.pl(c)
-        assert brute_bel(m, lat[c]) == m.bel(c)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +396,7 @@ def test_random_mass_is_valid_and_bounded(seed):
     assert sum(m.values) == 1
     for v in m.values:
         assert v.denominator <= 16
-    if not lat.extent_nonempty[lat.bottom_index]:
+    if not lat.extents[lat.bottom_index]:
         assert m.values[lat.bottom_index] == 0
 
 

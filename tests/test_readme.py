@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
+import importlib
 import io
 import re
 import shlex
@@ -12,6 +14,20 @@ from conceptds.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
+
+# How README's "Capacity bounds" paragraph states each bound constant that
+# `src/` passes to `check_capacity`; `{}` stands for the constant's value.
+CAPACITY_PHRASES = {
+    "MAX_OBJECTS": "{} objects per context",
+    "MAX_CONCEPTS": "{} concepts per lattice",
+    "MAX_SET_CARRIER": "{}-element carriers for set-level masses",
+    "MAX_MEASURE_SWEEP": "{}-element carriers for the partition-space "
+                         "measure sweep",
+    "MAX_AXIOM_CARRIER": "{}-element carriers for axiom sweeps",
+    "MAX_SET_REPRESENT": "{}-element carriers for the powerset construction",
+    "MAX_FRAME_OBJECTS": "{} derived objects for the frame construction",
+    "MAX_DECIMAL_EXPONENT": "decimal exponents up to {}",
+}
 
 
 def _block_after(heading: str, language: str) -> str:
@@ -42,3 +58,28 @@ def test_combine_taste_is_the_cli_output(capsys):
     assert program == "conceptds"
     assert run([subcommand, str(ROOT / path), *flags]) == 0
     assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
+
+
+def _capacity_bounds() -> dict[str, int]:
+    """Each constant that a module of `src/` passes to `check_capacity` as
+    its bound, with the value it has in that module."""
+    bounds = {}
+    for path in sorted((ROOT / "src" / "conceptds").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id == "check_capacity":
+                bound = node.args[2]
+                assert isinstance(bound, ast.Name), ast.unparse(bound)
+                module = importlib.import_module(f"conceptds.{path.stem}")
+                bounds[bound.id] = getattr(module, bound.id)
+    return bounds
+
+
+def test_readme_states_every_capacity_bound():
+    start = README.index("## Capacity bounds\n")
+    paragraph = " ".join(README[start:].split("\n\n")[1].split())
+    bounds = _capacity_bounds()
+    assert sorted(bounds) == sorted(CAPACITY_PHRASES)
+    stated = [CAPACITY_PHRASES[name].format(value)
+              for name, value in sorted(bounds.items())]
+    assert [phrase for phrase in stated if phrase not in paragraph] == []

@@ -14,8 +14,8 @@ from conceptds import (CapacityError, ConceptLattice, ConceptRepresentation,
                        SetMassFunction, atom_order_matches,
                        atoms_pairwise_disjoint, combine_many,
                        embedding_meet_preserving, enumerate_concepts,
-                       normalize_with_mass, random_context, random_set_mass,
-                       represent_concepts, represent_concepts_frame,
+                       normalize_with_mass, random_context, random_mass,
+                       random_set_mass, represent_concepts, represent_concepts_frame,
                        represent_set)
 import conceptds.cli as cli
 from conceptds.cli import run
@@ -77,7 +77,7 @@ def test_transport_preserves_belief_and_plausibility(movies3_case):
     old = m.lattice
     new = moved.lattice
     assert len(new) == len(old) + 1
-    assert not new.extent_nonempty[new.bottom_index]
+    assert not new.extents[new.bottom_index]
     assert moved.values[new.bottom_index] == 0
     for i in range(len(old)):
         j = mapping[i]
@@ -388,7 +388,7 @@ def test_music_frame_representation(music_case):
         assert rep.all_passed
         lat = m.lattice
         inhabited = sum(1 for c in range(len(lat))
-                        if lat.extent_nonempty[c])
+                        if lat.extents[c])
         assert len(rep.space.blocks) == inhabited
         assert len(rep.object_keys) == sum(len(lat[c].extent)
                                            for c in range(len(lat)))
@@ -450,7 +450,7 @@ def test_atom_unions_closed_reads_the_atom_check():
                 rng.choice((0.2, 0.5, 0.8, 1.0))))
             if i % 4 == 1:
                 lat = lat.normalized
-            if (lat.extent_nonempty[lat.bottom_index] or len(lat) > 8
+            if (lat.extents[lat.bottom_index] or len(lat) > 8
                     or sum(map(int.bit_count, lat.extents)) > 24):
                 continue
         else:
@@ -484,5 +484,15 @@ def test_frame_capacity_is_enforced():
                           if g != x)
     lat = enumerate_concepts(FormalContext(objects, attributes, incidence))
     assert len(lat) == 2 ** size
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="derived objects.*: 32 exceeds"):
         represent_concepts_frame(MassFunction.vacuous(lat))
+
+
+def test_the_frame_is_bounded_by_its_derived_objects_alone():
+    """Nine concepts and 16 derived objects: within the object bound."""
+    lat = enumerate_concepts(random_context(3, 4, 4, 0.5))
+    assert len(lat) == 9 and not lat.extents[lat.bottom_index]
+    rep = represent_concepts_frame(random_mass(3, lat))
+    assert len(rep.object_keys) == 16
+    assert _frame_structure_ok(rep)
+    assert rep.all_passed
