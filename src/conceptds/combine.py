@@ -14,17 +14,17 @@ mass at the least concept, the conflict, is the Moebius inversion
 K_k = sum of mu(bottom, c) * Q_k(c) over the concepts c, when the least
 extent is empty; otherwise nothing conflicts.  Step k of a fold discards
 (K_k - K_(k-1)) / (1 - K_(k-1)) of the weight that the first k - 1 masses
-left, and K_k = 1 is total conflict at step k.  One peel down the order at
-the end recovers the masses, and one division by 1 - K normalises them.
-The row mu(bottom, .) and that peel are both `lattice.mobius_inversion`, the
-second run on complemented extents.
+left, and K_k = 1 is total conflict at step k.  One inverse transform at the
+end recovers the masses, and one division by 1 - K normalises them.
 
-Between steps everything is an integer: numerators of the commonalities over
-the product of the masses' denominators.  Products vanish outside a down-set
-of concepts, the live set, which only shrinks.  A concept's commonality sums
-only the focal concepts above it, found once for all masses among the focal
-concepts at or before it in canonical order, so a mass costs at most
-O(live concepts x focal elements).
+All three are transforms along the closure operator (`lattice.zeta`,
+`lattice.mobius`, `lattice.mobius_row`), over the object steps that each
+fold builds once from the closure lookups: at most concepts x objects
+lookups, then per mass one pass over the steps.  Between steps everything is
+an integer: numerators of the commonalities over the product of the masses'
+denominators.  The cost does not grow with the number of focal elements, so
+dense masses fold fast; a sparse mass on a large lattice pays for the full
+step list all the same.
 
 On a powerset, `combine_set` is the same fold, run on the powerset lattice
 that every `SetMassFunction` is held on.
@@ -38,7 +38,7 @@ from typing import Sequence
 
 from .errors import TotalConflictError
 from .evidence import MassFunction, SetMassFunction
-from .lattice import ConceptLattice, mobius_inversion
+from .lattice import mobius, mobius_row, object_steps, zeta
 
 
 @dataclass(frozen=True)
@@ -65,20 +65,6 @@ def _require_same_lattice(m1: MassFunction, m2: MassFunction) -> None:
         raise ValueError("mass functions live on different lattices")
 
 
-def _focal_above(lat: ConceptLattice,
-                 masses: Sequence[MassFunction]) -> list[list[int]]:
-    """For every concept, the concepts at or above it that are focal in some
-    mass.  Only concepts at or before it in canonical order can lie above."""
-    focal = {f for m in masses for f, _ in m.focal[1]}
-    before: list[tuple[int, int]] = []
-    out = []
-    for i, e in enumerate(lat.extents):
-        if e in focal:
-            before.append((i, e))
-        out.append([j for j, f in before if f & e == e])
-    return out
-
-
 def combine(m1: MassFunction, m2: MassFunction) -> CombinationReport:
     """Combine two mass functions on the same lattice: a fold of two."""
     return combine_many([m1, m2])
@@ -87,9 +73,9 @@ def combine(m1: MassFunction, m2: MassFunction) -> CombinationReport:
 def combine_many(masses: Sequence[MassFunction]) -> CombinationReport:
     """Left fold of the conjunctive rule, keeping the conflict of every step.
 
-    `product` maps each live concept, in canonical order, to the numerator
-    over `total` of the unnormalised commonality of the masses folded so
-    far; `conflict` is the numerator of their unnormalised conflict.
+    `product` holds, at every concept in canonical order, the numerator over
+    `total` of the unnormalised commonality of the masses folded so far;
+    `conflict` is the numerator of their unnormalised conflict.
     """
     if not masses:
         raise ValueError("need at least one mass function")
@@ -99,21 +85,20 @@ def combine_many(masses: Sequence[MassFunction]) -> CombinationReport:
     if len(masses) == 1:
         return CombinationReport(first, ())
     lat = first.lattice
-    extents, bottom = lat.extents, lat.bottom_index
-    index = lat.index_by_extent
-    conflicting = not extents[bottom]
-    above = _focal_above(lat, masses)
-    product = {i: 1 for i, js in enumerate(above) if js}
+    steps = object_steps(lat)
+    n, bottom, index = len(lat), lat.bottom_index, lat.index_by_extent
+    conflicting = not lat.extents[bottom]
+    product: list[int] = []
     total, conflict = 1, 0
-    mobius: dict[int, int] = {}
+    mobius_bottom: list[tuple[int, int]] = []
     conflicts: list[Fraction] = []
     for step, m in enumerate(masses, start=1):
-        d = m.focal[0]
-        num = [0] * len(lat)
-        for e, x in m.focal[1]:
-            num[index[e]] = x
-        product = {i: p * x for i, p in product.items()
-                   if (x := sum([num[j] for j in above[i]]))}
+        d, focal = m.focal
+        q = [0] * n
+        for e, x in focal:
+            q[index[e]] = x
+        zeta(q, steps)
+        product = [p * x for p, x in zip(product, q)] if product else q
         total *= d
         if step == 1:
             continue
@@ -121,28 +106,22 @@ def combine_many(masses: Sequence[MassFunction]) -> CombinationReport:
             conflicts.append(Fraction(0))
             continue
         if step == 2:
-            # mu(bottom, .) inverts bottom's indicator over the live down-set.
-            mobius = {i: mu for i, mu in mobius_inversion(
-                (i, extents[i], int(i == bottom)) for i in reversed(product))
-                if mu}
+            mobius_bottom = [(i, mu) for i, mu in
+                             enumerate(mobius_row(steps, n, bottom)) if mu]
         before = conflict * d
-        conflict = sum(mu * product.get(i, 0) for i, mu in mobius.items())
+        conflict = sum([mu * product[i] for i, mu in mobius_bottom])
         if conflict == total:
             raise TotalConflictError(
                 f"total conflict while folding in mass {step} of {len(masses)}",
                 step=step)
         conflicts.append(Fraction(conflict - before, total - before))
 
-    # Peel top-down, on complemented extents: a concept's mass is its
-    # commonality less the masses strictly above it; outside the live set, 0.
+    mobius(product, steps)
     normalizer = total - conflict
-    values = [Fraction(0)] * len(lat)
-    for i, w in mobius_inversion((i, ~extents[i], x)
-                                 for i, x in product.items()):
-        if w:
-            values[i] = Fraction(w, normalizer)
+    zero = Fraction(0)
+    values = [Fraction(w, normalizer) if w else zero for w in product]
     if conflicting:
-        values[bottom] = Fraction(0)
+        values[bottom] = zero
     return CombinationReport(MassFunction(lat, tuple(values)), tuple(conflicts))
 
 

@@ -22,8 +22,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .context import FormalContext, MassSpec, ObjectSet
 from .errors import LabelError, MassError, check_capacity
-from .lattice import (MAX_CONCEPTS, ConceptLattice, enumerate_concepts,
-                      mobius_inversion)
+from .lattice import (MAX_CONCEPTS, ConceptLattice, attribute_steps,
+                      enumerate_concepts, mobius)
 from .powerset import size_key, subsets
 
 # A carrier of n elements has a 2^n-concept powerset lattice.
@@ -31,6 +31,13 @@ MAX_SET_CARRIER = MAX_CONCEPTS.bit_length() - 1
 
 _TOP_NAMES = frozenset({"top", "⊤"})
 _BOTTOM_NAMES = frozenset({"bottom", "bot", "⊥"})
+
+
+def _concept(size: int, c: int) -> int:
+    """c, when it indexes one of `size` concepts; no negative index wraps."""
+    if not 0 <= c < size:
+        raise LabelError(f"concept index {c} is outside 0..{size - 1}")
+    return c
 
 
 def _exact(value) -> Fraction:
@@ -89,7 +96,12 @@ class MassFunction:
     @classmethod
     def from_mapping(cls, lattice: ConceptLattice,
                      mapping: Mapping[int, Fraction]) -> "MassFunction":
-        values = [Fraction(0)] * len(lattice)
+        n = len(lattice)
+        # The least and greatest keys bound them all: two checks, not one
+        # per key.
+        for index in (min(mapping), max(mapping)) if mapping else ():
+            _concept(n, index)
+        values = [Fraction(0)] * n
         for index, value in mapping.items():
             values[index] += Fraction(value)
         return cls(lattice, tuple(values))
@@ -100,7 +112,7 @@ class MassFunction:
         return cls.from_mapping(lattice, {lattice.top_index: Fraction(1)})
 
     def __getitem__(self, c: int) -> Fraction:
-        return self.values[c]
+        return self.values[_concept(len(self.values), c)]
 
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, v in enumerate(self.values) if v)
@@ -124,7 +136,7 @@ class MassFunction:
 
     def bel(self, c: int) -> Fraction:
         """Total mass of concepts at or below concept c."""
-        e = self.lattice.extents[c]
+        e = self.lattice.extents[_concept(len(self.values), c)]
         return Fraction(self._numerators(e)[0], self.focal[0])
 
     def pl(self, c: int) -> Fraction:
@@ -133,7 +145,7 @@ class MassFunction:
         Compatible means the meet has a nonempty extent, i.e. some object
         witnesses both concepts at once.
         """
-        e = self.lattice.extents[c]
+        e = self.lattice.extents[_concept(len(self.values), c)]
         return Fraction(self._numerators(e)[1], self.focal[0])
 
     def belief_table(self) -> "BeliefTable":
@@ -276,13 +288,17 @@ def mass_from_bel_lattice(bel_values: Sequence[Fraction],
                           lat: ConceptLattice) -> MassFunction:
     """Invert a per-concept belief table by Moebius inversion.
 
-    Peels mass bottom-up, by ascending extent size: each concept keeps
-    whatever belief the focal concepts strictly below it do not already
-    account for.  Failures carry a witness.  Nonnegative masses sum to a
-    monotone table, so a table that is not monotone always peels to a
-    negative mass; only then is monotonicity scanned for, and a violating
-    pair reported in preference to the mass.  The work runs on integer
-    numerators over the lcm of the table's denominators.
+    One inverse down-zeta along the attribute steps (`lattice.mobius`) gives
+    every concept the belief that the concepts strictly below it do not
+    already account for: at most concepts x attributes closure lookups to
+    build the steps, then one integer subtraction per step, on numerators
+    over the lcm of the table's denominators, whatever the support.
+    Failures carry a witness.  A negative mass is reported at the first
+    concept by ascending extent size, then index, the order in which a peel
+    from the bottom would meet it.  Nonnegative masses sum to a monotone
+    table, so a table that is not monotone always inverts to a negative
+    mass; only then is monotonicity scanned for, and a violating pair
+    reported in preference to the mass.
     """
     values = tuple(map(_exact, bel_values))
     if len(values) != len(lat):
@@ -294,20 +310,22 @@ def mass_from_bel_lattice(bel_values: Sequence[Fraction],
     scaled = [v.numerator * (d // v.denominator) for v in values]
     extents = lat.extents
 
-    masses = [0] * len(lat)
-    upward = sorted(range(len(lat)), key=lambda k: extents[k].bit_count())
-    for i, w in mobius_inversion((i, extents[i], scaled[i]) for i in upward):
-        if w < 0:
-            _require_monotone(values, scaled, extents)
-            raise MassError(f"not a belief function on this lattice: recovered "
-                            f"mass {Fraction(w, d)} on concept {i}")
-        masses[i] = w
+    masses = scaled[:]
+    mobius(masses, attribute_steps(lat))
+    if min(masses) < 0:
+        i = min((i for i, w in enumerate(masses) if w < 0),
+                key=lambda i: (extents[i].bit_count(), i))
+        _require_monotone(values, scaled, extents)
+        raise MassError(f"not a belief function on this lattice: recovered "
+                        f"mass {Fraction(masses[i], d)} on concept {i}")
     bottom = lat.bottom_index
     if not extents[bottom] and masses[bottom] != 0:
         raise MassError(f"recovered mass {Fraction(masses[bottom], d)} on the "
                         "empty-extent least concept; the table is not a belief "
                         "function here")
-    return MassFunction(lat, tuple(Fraction(x, d) for x in masses))
+    zero = Fraction(0)
+    return MassFunction(lat, tuple(Fraction(x, d) if x else zero
+                                   for x in masses))
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,26 @@ intersection of the two extents, and a join the concept whose intent is the
 intersection of the two intents.  Both intersections land on concepts because
 closed sets are closed under intersection.  No n x n table of the order or of
 meets is ever built.
+
+Sums along the order run as zeta transforms over step lists built from the
+closure lookups (Kennes 1992; Bjorklund et al., SODA 2012).  Number the
+objects 0..|G|-1.  For an extent S and an object k outside it, the closure T
+of S plus k is the concept whose intent is S's intent cut by k's row; the
+step (S, T) is kept when T adds no object above k but k.  One pass per k of
+h[S] += h[T] turns h into its up-zeta, the sum of h over the extents
+containing S, because every extent has a least closed superset of S plus k.
+The passes in reverse, subtracting, invert it.  The same steps on intents,
+along attribute columns, give the down-zeta.  A list holds at most
+concepts x objects (resp. attributes) steps and costs as many lookups to
+build; combination and belief inversion build theirs per call, and trust
+the lookups only on the context's own lattice.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable, Iterator
 
 from .context import (AttributeSet, FormalContext, ObjectSet,
@@ -65,7 +79,8 @@ class ConceptLattice:
     the one exception is `resolved_labels`, the memo in which
     `evidence.resolve_concept_label` keeps each built-in name and extent
     literal with the concept it names on this lattice.  A lattice built by
-    hand must hold a greatest and a least concept.
+    hand must hold a greatest and a least concept, and the zeta transforms
+    check once, on first use, that it is its context's concept lattice.
     """
 
     def __init__(self, context: FormalContext, extents: tuple[int, ...],
@@ -115,6 +130,17 @@ class ConceptLattice:
         return enumerate_concepts(normalize_no_universal_object(self.context))
 
     @cached_property
+    def _lookups_hold(self) -> bool:
+        """Whether the closure lookups that the zeta transforms make hold:
+        `is_context_lattice`, and each intent holds exactly the attributes
+        common to its extent.  `enumerate_concepts` sets it; a lattice
+        built by hand computes it once, on first use."""
+        cols = [_mask(c) for c in self.context.attribute_extents]
+        return is_context_lattice(self) and all(
+            a == sum([1 << x for x, c in enumerate(cols) if e & ~c == 0])
+            for e, a in zip(self.extents, self.intents))
+
+    @cached_property
     def index_by_intent(self) -> dict[int, int]:
         """Each intent mask with the index of its concept."""
         return {a: i for i, a in enumerate(self.intents)}
@@ -144,22 +170,94 @@ class ConceptLattice:
         return tuple(edges)
 
 
-def mobius_inversion(triples: Iterable[tuple[int, int, int]]
-                     ) -> Iterator[tuple[int, int]]:
-    """Moebius inversion of integer values along the inclusion of masks.
+def is_context_lattice(lat: ConceptLattice) -> bool:
+    """Whether the stored extents are exactly the context's: the index maps
+    each extent back to it and holds nothing else; each extent is the meet
+    of the columns containing it; the full object set and each extent cut
+    by a column are stored, so every intersection of columns is stored."""
+    extents, index = lat.extents, lat.index_by_extent
+    top = (1 << len(lat.context.objects)) - 1
+    cols = [_mask(c) for c in lat.context.attribute_extents]
+    return len(index) == len(extents) and top in index and all(
+        index.get(e) == i and all(e & c in index for c in cols)
+        and reduce(int.__and__, [c for c in cols if e & ~c == 0], top) == e
+        for i, e in enumerate(extents))
 
-    `triples` holds (index, mask, value) with distinct masks, each after the
-    masks strictly inside it.  Yields (index, w): the value less the w already
-    yielded at masks inside this one.  For reverse inclusion pass complemented
-    masks, since f contains e exactly when ~f lies inside ~e.
+
+Steps = tuple[array, array]
+
+
+def _steps(lat: ConceptLattice, along: list[int], own: tuple[int, ...],
+           other: tuple[int, ...], lookup: dict[int, int]) -> Steps:
+    """The pairs (s, t), pass by pass, of a zeta transform on `own` masks.
+
+    Pass k runs over the concepts s whose mask lacks bit k.  The least
+    closed mask holding s's and k is t's, found as `lookup[other[s] &
+    along[k]]`; the pair is kept when t adds no bit above k besides k.
     """
-    peeled: list[tuple[int, int]] = []
-    for index, mask, value in triples:
-        outside = ~mask
-        w = value - sum([x for f, x in peeled if not f & outside])
-        if w:
-            peeled.append((mask, w))
-        yield index, w
+    if not lat._lookups_hold:
+        raise PreconditionError(
+            "the zeta transforms need the concept lattice of the context: "
+            "this lattice's extents, intents or extent index are not the "
+            "context's")
+    sources, targets = array("i"), array("i")
+    keep_s, keep_t = sources.append, targets.append
+    concepts = range(len(own))
+    for k, line in enumerate(along):
+        bit, shift = 1 << k, k + 1
+        for s, e, a in zip(concepts, own, other):
+            if not e & bit:
+                t = lookup[a & line]
+                if not (own[t] ^ e) >> shift:
+                    keep_s(s)
+                    keep_t(t)
+    return sources, targets
+
+
+def object_steps(lat: ConceptLattice) -> Steps:
+    """The steps of the up-zeta along the objects: `zeta` then turns masses
+    into commonalities, h(c) = sum of h(d) over the concepts d >= c.
+
+    At most sum(|G| - |extent|) steps, one `index_by_intent` lookup each.
+    """
+    rows = [_mask(intent) for intent in lat.context.object_intents]
+    return _steps(lat, rows, lat.extents, lat.intents, lat.index_by_intent)
+
+
+def attribute_steps(lat: ConceptLattice) -> Steps:
+    """The steps of the down-zeta along the attributes: `zeta` then turns
+    masses into beliefs, h(c) = sum of h(d) over the concepts d <= c.
+
+    At most sum(|M| - |intent|) steps, one `index_by_extent` lookup each.
+    """
+    cols = [_mask(extent) for extent in lat.context.attribute_extents]
+    return _steps(lat, cols, lat.intents, lat.extents, lat.index_by_extent)
+
+
+def zeta(values: list, steps: Steps) -> None:
+    """The zeta transform of `values`, in place, along `steps`."""
+    for s, t in zip(*steps):
+        values[s] += values[t]
+
+
+def mobius(values: list, steps: Steps) -> None:
+    """The Moebius transform, the inverse of `zeta`, in place: the passes
+    in reverse.  Within a pass no t is an s, so order there is free."""
+    sources, targets = steps
+    for s, t in zip(reversed(sources), reversed(targets)):
+        values[s] -= values[t]
+
+
+def mobius_row(steps: Steps, size: int, i: int) -> list[int]:
+    """mu(i, c) at every concept c, for `object_steps`: row i of the
+    inverse up-zeta, so that m(i) = sum of mu(i, c) * q(c).  It is the
+    transpose of `mobius` run on the indicator of i: the steps forward,
+    each subtracting the source from the target."""
+    row = [0] * size
+    row[i] = 1
+    for s, t in zip(*steps):
+        row[t] -= row[s]
+    return row
 
 
 def enumerate_concepts(ctx: FormalContext) -> ConceptLattice:
@@ -184,6 +282,8 @@ def enumerate_concepts(ctx: FormalContext) -> ConceptLattice:
                 extent |= 1 << g
         pairs.append((extent, intent))
     pairs.sort(key=lambda pair: (-pair[0].bit_count(), _members(pair[0])))
-    return ConceptLattice(ctx, tuple(e for e, _ in pairs),
-                          tuple(a for _, a in pairs))
+    lat = ConceptLattice(ctx, tuple(e for e, _ in pairs),
+                         tuple(a for _, a in pairs))
+    lat._lookups_hold = True
+    return lat
 

@@ -25,13 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Mapping
 
 from .context import FormalContext
 from .errors import PreconditionError, check_capacity
 from .evidence import MassFunction, SetMassFunction
-from .lattice import ConceptLattice
+from .lattice import ConceptLattice, is_context_lattice
 from .powerset import size_key, subsets
 from .probspace import ProbabilitySpace
 
@@ -188,7 +188,7 @@ class ConceptRepresentation(_Certificate):
         """
         lat = self.mass.lattice
         extents, index = lat.extents, lat.index_by_extent
-        exact = _is_context_lattice(lat)
+        exact = is_context_lattice(lat)
         bottom, below = lat.bottom_index, extents[lat.bottom_index]
         return {
             "atom order matches the lattice order": exact,
@@ -196,20 +196,6 @@ class ConceptRepresentation(_Certificate):
                 index.get(e & below) == bottom for e in extents),
             "embedding meet-preserving": exact,
         }
-
-
-def _is_context_lattice(lat: ConceptLattice) -> bool:
-    """Whether the stored extents are exactly the context's: the index maps
-    each extent back to it and holds nothing else; each extent is the meet
-    of the columns containing it; the full object set and each extent cut
-    by a column are stored, so every intersection of columns is stored."""
-    extents, index = lat.extents, lat.index_by_extent
-    top = (1 << len(lat.context.objects)) - 1
-    cols = [sum(1 << g for g in c) for c in lat.context.attribute_extents]
-    return len(index) == len(extents) and top in index and all(
-        index.get(e) == i and all(e & c in index for c in cols)
-        and reduce(int.__and__, [c for c in cols if e & ~c == 0], top) == e
-        for i, e in enumerate(extents))
 
 
 def _require_empty_bottom(lat: ConceptLattice, what: str) -> None:
@@ -346,7 +332,7 @@ def represent_concepts_frame(m: MassFunction) -> FrameRepresentation:
         "atom unions closed": atoms_closed,
         "embedded concepts closed": all(closed(e) for e in embedding),
         "embedding injective": len(set(embedding)) == n,
-        "embedding meet-preserving": _is_context_lattice(lat),
+        "embedding meet-preserving": is_context_lattice(lat),
     }
 
     block_indices = [c for c in range(n) if atoms[c]]

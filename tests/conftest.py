@@ -66,6 +66,16 @@ def contranominal(n: int) -> FormalContext:
                                    if g != m))
 
 
+def with_universal_object(ctx):
+    """The context plus an object holding every attribute, so that the
+    least concept's extent is inhabited."""
+    g = len(ctx.objects)
+    return FormalContext(ctx.objects + ("universal",), ctx.attributes,
+                         ctx.incidence | {(g, a)
+                                          for a in range(len(ctx.attributes))})
+
+
+
 # ---------------------------------------------------------------------------
 # Strategies
 

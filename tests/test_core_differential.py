@@ -8,6 +8,7 @@ frozensets, and bel/pl also from `oracle.brute_bel`/`brute_pl`.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -15,8 +16,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conceptds import (FormalContext, MassError, MassFunction,
-                       TotalConflictError, atom_order_matches,
+from conceptds import (MassError, MassFunction, TotalConflictError,
+                       atom_order_matches,
                        atoms_pairwise_disjoint, brute_bel, brute_pl,
                        check_belief_axioms_set, combine, combine_many,
                        embedding_meet_preserving, enumerate_concepts,
@@ -25,6 +26,10 @@ from conceptds import (FormalContext, MassError, MassFunction,
                        random_mass, random_set_mass, represent_concepts)
 from conceptds import lattice
 from conceptds.powerset import subsets
+
+from conftest import contranominal, with_universal_object
+
+F1 = Fraction(1)
 
 
 @st.composite
@@ -132,15 +137,6 @@ def assert_fold_matches_the_table_rule(masses):
     return report
 
 
-def with_universal_object(ctx):
-    """The context plus an object holding every attribute, so that the
-    least concept's extent is inhabited."""
-    g = len(ctx.objects)
-    return FormalContext(ctx.objects + ("universal",), ctx.attributes,
-                         ctx.incidence | {(g, a)
-                                          for a in range(len(ctx.attributes))})
-
-
 def wide_masses(rng, lat, count):
     """`count` masses, each on about three quarters of the concepts that
     may carry mass."""
@@ -218,6 +214,83 @@ def test_inversion_reports_the_first_monotonicity_violation(case, seed):
     else:
         assert violations == []
         assert back.belief_table().bel == tuple(bel)
+
+
+def reference_peel(bel_values, lat):
+    """Belief inversion as an ascending-extent peel, kept as the reference
+    for the transform: each concept, by ascending extent size, then index,
+    keeps the belief that the masses already peeled below it leave.
+    Returns the masses, or the text of the error the inversion raises."""
+    values = [Fraction(v) for v in bel_values]
+    n, extents = len(lat), lat.extents
+    d = math.lcm(*(v.denominator for v in values))
+    scaled = [v.numerator * (d // v.denominator) for v in values]
+    peeled, masses = [], [0] * n
+    for i in sorted(range(n), key=lambda k: extents[k].bit_count()):
+        e = extents[i]
+        w = scaled[i] - sum(x for f, x in peeled if f & ~e == 0)
+        if w < 0:
+            for a in range(n):
+                for b in range(a):
+                    if scaled[a] > scaled[b] and extents[a] & ~extents[b] == 0:
+                        return (f"bel is not monotone: concept {a} <= concept "
+                                f"{b} but {values[a]} > {values[b]}")
+            return (f"not a belief function on this lattice: recovered mass "
+                    f"{Fraction(w, d)} on concept {i}")
+        if w:
+            peeled.append((e, w))
+        masses[i] = w
+    bottom = lat.bottom_index
+    if not extents[bottom] and masses[bottom]:
+        return (f"recovered mass {Fraction(masses[bottom], d)} on the "
+                "empty-extent least concept; the table is not a belief "
+                "function here")
+    return tuple(Fraction(x, d) for x in masses)
+
+
+@given(seeded_lattice_masses(), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_inversion_fails_where_the_ascending_peel_does(case, inhabited, seed):
+    """Non-belief tables: monotone ones from a concave or clipped rescaling
+    of a belief table, and perturbed ones.  The transform names the concept
+    and text that the peel does, or returns its masses."""
+    lat, masses = case
+    if inhabited:
+        lat = enumerate_concepts(with_universal_object(lat.context))
+        masses = [random_mass(seed, lat, denominator_bound=12)]
+    rng = random.Random(seed)
+    bel = masses[0].belief_table().bel
+    tables = [bel, [b * (2 - b) for b in bel], [min(F1, 2 * b) for b in bel]]
+    perturbed = list(bel)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lat))
+        if i != lat.top_index:
+            perturbed[i] = Fraction(rng.randint(0, 4), 4)
+    tables.append(perturbed)
+    for table in tables:
+        expected = reference_peel(table, lat)
+        try:
+            got = mass_from_bel_lattice(table, lat).values
+        except MassError as exc:
+            got = str(exc)
+        assert got == expected
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 4), st.integers(2, 4))
+def test_dense_powerset_folds_match_the_table_rule_at_every_step(seed, size,
+                                                                 count):
+    """Masses on about three quarters of all subsets of 2-4 elements: the
+    results, every step's conflict and the step of a total conflict."""
+    rng = random.Random(seed)
+    lat = enumerate_concepts(contranominal(size))
+    masses = wide_masses(rng, lat, count)
+    if rng.random() < 0.3:
+        masses.append(MassFunction.from_mapping(
+            lat, {lat.index_by_extent[1]: Fraction(1)}))
+        masses.append(MassFunction.from_mapping(
+            lat, {lat.index_by_extent[2]: Fraction(1)}))
+        assert assert_fold_matches_the_table_rule(masses) is None
+    else:
+        assert_fold_matches_the_table_rule(masses)
 
 
 def dense_attributes(obj, n):

@@ -114,6 +114,23 @@ def test_concept_keys_accumulate(music_lattice):
     assert m.values == (F(1, 4),) + (F(0),) * (len(lat) - 3) + (F(3, 4), F(0))
 
 
+@pytest.mark.parametrize("index", [-1, -4, 4, 10])
+def test_an_index_outside_the_lattice_names_no_concept(movies3_case, index):
+    """On movies-3's four concepts, -1 no longer aliases concept 3, and 4
+    no longer gives a bare IndexError."""
+    lat = movies3_case.lattice
+    assert len(lat) == 4
+    m = MassFunction.vacuous(lat)
+    message = f"concept index {index} is outside 0..3"
+    for call in (lambda: MassFunction.from_mapping(lat, {index: F(1)}),
+                 lambda: m[index], lambda: m.bel(index),
+                 lambda: m.pl(index)):
+        with pytest.raises(LabelError) as info:
+            call()
+        assert str(info.value) == message
+    assert (m[3], m.bel(3), m.pl(3)) == (F(0), F(0), F(1))
+
+
 # ---------------------------------------------------------------------------
 # Set-level evidence
 

@@ -1,16 +1,19 @@
-"""Concept enumeration, order, meet, join and covers."""
+"""Concept enumeration, order, meet, join, covers and the zeta transforms."""
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conceptds import (CapacityError, ConceptLattice, FormalContext,
                        PreconditionError, enumerate_concepts)
 from conceptds.errors import ENV_UNSAFE_SCALE
-from conceptds.lattice import MAX_CONCEPTS, mobius_inversion
+from conceptds.lattice import (MAX_CONCEPTS, attribute_steps, mobius,
+                               mobius_row, object_steps, zeta)
 
-from conftest import contranominal, lattice_masses, small_contexts
+from conftest import (contranominal, lattice_masses, small_contexts,
+                      with_universal_object)
 
 
 def test_music_concepts_are_the_known_family(music_lattice):
@@ -192,17 +195,92 @@ def test_covers_generate_the_order(ctx):
 
 
 @given(lattice_masses())
-def test_mobius_inversion_recovers_masses_from_bel_and_commonality(m):
-    """Bottom-up on extents, bel inverts to mass; top-down, on complemented
-    extents, so does the commonality q(c) = sum of m(d) over d >= c."""
+def test_transforms_recover_masses_from_bel_and_commonality(m):
+    """The inverse down-zeta turns bel back into mass; the inverse up-zeta
+    does the same for the commonality q(c) = sum of m(d) over d >= c."""
     lat = m.lattice
     d, extents = m.focal[0], lat.extents
     mass = [v.numerator * (d // v.denominator) for v in m.values]
     bel = [v.numerator * (d // v.denominator) for v in m.belief_table().bel]
-    upward = sorted(range(len(lat)), key=lambda i: extents[i].bit_count())
-    assert dict(mobius_inversion((i, extents[i], bel[i]) for i in upward)) \
-        == dict(enumerate(mass))
+    mobius(bel, attribute_steps(lat))
+    assert bel == mass
     q = [sum(x for f, x in zip(extents, mass) if e & ~f == 0)
          for e in extents]
-    assert dict(mobius_inversion((i, ~e, q[i]) for i, e in enumerate(extents))) \
-        == dict(enumerate(mass))
+    mobius(q, object_steps(lat))
+    assert q == mass
+
+
+@st.composite
+def lattice_values(draw):
+    """A lattice of a random context, its least extent inhabited about half
+    of the time, and arbitrary integers, one per concept."""
+    ctx = draw(small_contexts())
+    if draw(st.booleans()):
+        ctx = with_universal_object(ctx)
+    lat = enumerate_concepts(ctx)
+    return lat, draw(st.lists(st.integers(-9, 9), min_size=len(lat),
+                              max_size=len(lat)))
+
+
+@given(lattice_values())
+def test_zeta_transforms_and_inverses_match_their_definitions(case):
+    lat, h = case
+    n, extents = len(lat), lat.extents
+    below = [[extents[i] & ~extents[j] == 0 for j in range(n)]
+             for i in range(n)]
+    for steps, up in ((object_steps(lat), True),
+                      (attribute_steps(lat), False)):
+        summed = h[:]
+        zeta(summed, steps)
+        assert summed == [sum(h[d] for d in range(n)
+                              if (below[c][d] if up else below[d][c]))
+                          for c in range(n)]
+        mobius(summed, steps)
+        assert summed == h
+        inverted = h[:]
+        mobius(inverted, steps)
+        zeta(inverted, steps)
+        assert inverted == h
+
+
+@given(lattice_values())
+def test_mobius_rows_invert_the_order(case):
+    """Row i is mu(i, .): zero off the up-set of i, and the sum of mu(i, c)
+    over i <= c <= x is 1 at x = i and 0 elsewhere."""
+    lat, _ = case
+    n, extents = len(lat), lat.extents
+    steps = object_steps(lat)
+    for i in range(n):
+        row = mobius_row(steps, n, i)
+        up = [extents[i] & ~extents[c] == 0 for c in range(n)]
+        assert all(up[c] or not row[c] for c in range(n))
+        for x in range(n):
+            assert sum(row[c] for c in range(n)
+                       if extents[c] & ~extents[x] == 0) == int(x == i)
+    bottom = mobius_row(steps, n, lat.bottom_index)
+    assert bottom[lat.bottom_index] == 1
+
+
+@given(lattice_values())
+def test_step_lists_stay_within_the_outside_generators(case):
+    """One step at most per concept and object outside its extent, and per
+    concept and attribute outside its intent; every step runs from a
+    concept to one strictly above it, resp. below it."""
+    lat, _ = case
+    ctx, extents, intents = lat.context, lat.extents, lat.intents
+    up, down = object_steps(lat), attribute_steps(lat)
+    assert len(up[0]) == len(up[1]) <= sum(
+        len(ctx.objects) - e.bit_count() for e in extents)
+    assert len(down[0]) == len(down[1]) <= sum(
+        len(ctx.attributes) - a.bit_count() for a in intents)
+    assert all(extents[s] != extents[t] and extents[s] & ~extents[t] == 0
+               for s, t in zip(*up))
+    assert all(intents[s] != intents[t] and intents[s] & ~intents[t] == 0
+               for s, t in zip(*down))
+
+
+def test_contranominal_steps_are_the_subset_lattice_transform():
+    """On a powerset the steps are those of the subset-sum transform:
+    n * 2^(n-1) along each side."""
+    lat = enumerate_concepts(contranominal(4))
+    assert len(object_steps(lat)[0]) == len(attribute_steps(lat)[0]) == 32

@@ -12,12 +12,14 @@ from hypothesis import given
 from conceptds import (CapacityError, ConceptLattice, ConceptRepresentation,
                        FormalContext, MassFunction, PreconditionError,
                        SetMassFunction, atom_order_matches,
-                       atoms_pairwise_disjoint, combine_many,
+                       atoms_pairwise_disjoint, combine, combine_many,
                        embedding_meet_preserving, enumerate_concepts,
-                       normalize_with_mass, random_context, random_mass,
-                       random_set_mass, represent_concepts, represent_concepts_frame,
+                       mass_from_bel_lattice, normalize_with_mass,
+                       random_context, random_mass, random_set_mass,
+                       represent_concepts, represent_concepts_frame,
                        represent_set)
 import conceptds.cli as cli
+import conceptds.lattice as lattice
 from conceptds.cli import run
 from conceptds.powerset import subsets
 
@@ -213,6 +215,64 @@ def test_a_missing_meet_is_a_precondition_error(music_lattice):
         "focal concept 1, which this lattice lacks")
 
 
+def test_the_transforms_refuse_a_lattice_that_is_not_the_contexts(
+        music_lattice):
+    """Combination and inversion trust the closure lookups: a hand-built
+    lattice missing a meet, or with its extent index swapped, is refused
+    before any lookup, not with a bare KeyError or with wrong values."""
+    ctx = music_lattice.context
+    for m in (_hand_built(ctx, _without_pop_rnb()).mass,
+              _with_swapped_index(ctx).mass):
+        lat = m.lattice
+        bel = m.belief_table().bel
+        for call in (lambda: combine(m, m),
+                     lambda: mass_from_bel_lattice(bel, lat)):
+            with pytest.raises(PreconditionError) as info:
+                call()
+            assert str(info.value) == (
+                "the zeta transforms need the concept lattice of the "
+                "context: this lattice's extents, intents or extent index "
+                "are not the context's")
+
+
+def test_a_hand_built_lattice_is_checked_once(music_case, monkeypatch):
+    """A hand-built copy of the context's own lattice combines and inverts
+    as the enumerated one does, after one check; an enumerated lattice is
+    never checked."""
+    checked = []
+    real = lattice.is_context_lattice
+    monkeypatch.setattr(lattice, "is_context_lattice",
+                        lambda lat: checked.append(lat) or real(lat))
+    masses = [music_case.masses[name] for name in ("m1", "m2", "m3")]
+    expected = combine_many(masses)
+    mass_from_bel_lattice(expected.result.belief_table().bel,
+                          music_case.lattice)
+    assert checked == []
+    lat = _hand_built(music_case.lattice.context, MUSIC_PAIRS).mass.lattice
+    copies = [MassFunction(lat, m.values) for m in masses]
+    for _ in range(2):
+        report = combine_many(copies)
+        assert report.result.values == expected.result.values
+        assert report.conflicts == expected.conflicts
+        assert mass_from_bel_lattice(report.result.belief_table().bel,
+                                     lat).values == expected.result.values
+    assert checked == [lat]
+
+
+def _e_pop_as_bottom():
+    """The all-attributes intent given to E-Pop, so it is the bottom."""
+    return tuple((e, 0b1111 if e == 0b001 else 0b0011 if e == 0 else a)
+                 for e, a in MUSIC_PAIRS)
+
+
+def test_a_hand_built_lattice_with_wrong_intents_is_refused(music_lattice):
+    """The extents are the context's, but E-Pop carries every attribute."""
+    m = _hand_built(music_lattice.context, _e_pop_as_bottom()).mass
+    assert lattice.is_context_lattice(m.lattice)
+    with pytest.raises(PreconditionError, match="zeta transforms need"):
+        combine(m, m)
+
+
 def test_atom_order_check_can_fail(music_lattice):
     ctx = music_lattice.context
     assert atom_order_matches(_hand_built(ctx, _without_pop_rnb())) is False
@@ -235,9 +295,7 @@ def test_meet_preservation_check_can_fail(music_lattice):
 
 def test_atom_disjointness_check_can_fail(music_lattice):
     """The all-attributes intent is given to E-Pop, so it is the bottom."""
-    pairs = tuple((e, 0b1111 if e == 0b001 else 0b0011 if e == 0 else a)
-                  for e, a in MUSIC_PAIRS)
-    rep = _hand_built(music_lattice.context, pairs)
+    rep = _hand_built(music_lattice.context, _e_pop_as_bottom())
     assert rep.mass.lattice.bottom_index == 3
     assert atoms_pairwise_disjoint(rep) is False
 
