@@ -36,9 +36,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import TotalConflictError
+from .errors import PreconditionError, TotalConflictError
 from .evidence import MassFunction, SetMassFunction
 from .lattice import mobius, mobius_row, object_steps, zeta
+from .rationals import fractions_over
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,7 @@ def _require_same_lattice(m1: MassFunction, m2: MassFunction) -> None:
     """Enumeration is deterministic, so equal contexts give equal lattices."""
     if m1.lattice is not m2.lattice \
             and m1.lattice.context != m2.lattice.context:
-        raise ValueError("mass functions live on different lattices")
+        raise PreconditionError("mass functions live on different lattices")
 
 
 def combine(m1: MassFunction, m2: MassFunction) -> CombinationReport:
@@ -78,7 +79,7 @@ def combine_many(masses: Sequence[MassFunction]) -> CombinationReport:
     `conflict` is the numerator of their unnormalised conflict.
     """
     if not masses:
-        raise ValueError("need at least one mass function")
+        raise PreconditionError("need at least one mass function")
     first = masses[0]
     for m in masses[1:]:
         _require_same_lattice(first, m)
@@ -117,18 +118,16 @@ def combine_many(masses: Sequence[MassFunction]) -> CombinationReport:
         conflicts.append(Fraction(conflict - before, total - before))
 
     mobius(product, steps)
-    normalizer = total - conflict
-    zero = Fraction(0)
-    values = [Fraction(w, normalizer) if w else zero for w in product]
     if conflicting:
-        values[bottom] = zero
+        product[bottom] = 0
+    values = fractions_over(product, total - conflict)
     return CombinationReport(MassFunction(lat, tuple(values)), tuple(conflicts))
 
 
 def combine_set(m1: SetMassFunction, m2: SetMassFunction) -> CombinationReport:
     """Combine two powerset mass functions over the same carrier."""
     if m1.carrier != m2.carrier:
-        raise ValueError("mass functions live on different carriers")
+        raise PreconditionError("mass functions live on different carriers")
     report = combine(m1.mass, m2.mass)
     return CombinationReport(SetMassFunction._wrap(m1.carrier, report.result),
                              report.conflicts)

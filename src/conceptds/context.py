@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -19,7 +18,7 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import MassError, ParseError
-from .rationals import parse_rational
+from .rationals import common_numerators, parse_rational
 
 ObjectSet = frozenset[int]
 AttributeSet = frozenset[int]
@@ -33,6 +32,10 @@ class FormalContext:
 
     `incidence` holds (object index, attribute index) pairs.  Name order is
     significant: every derived structure reports in these index spaces.
+
+    The table is also held as `int` bitmasks, `rows` and `columns`, built on
+    first read; `up`, `down` and every extent, intent and closure mask of
+    the lattice are computed from them.
     """
 
     objects: tuple[str, ...]
@@ -52,41 +55,39 @@ class FormalContext:
                 raise ParseError(f"incidence pair ({g}, {m}) is out of range")
 
     @cached_property
-    def object_intents(self) -> tuple[AttributeSet, ...]:
-        rows: list[set[int]] = [set() for _ in self.objects]
+    def rows(self) -> tuple[int, ...]:
+        """Bit m of `rows[g]` is set when object g has attribute m."""
+        rows = [0] * len(self.objects)
         for g, m in self.incidence:
-            rows[g].add(m)
-        return tuple(frozenset(r) for r in rows)
+            rows[g] |= 1 << m
+        return tuple(rows)
 
     @cached_property
-    def attribute_extents(self) -> tuple[ObjectSet, ...]:
-        cols: list[set[int]] = [set() for _ in self.attributes]
+    def columns(self) -> tuple[int, ...]:
+        """Bit g of `columns[m]` is set when object g has attribute m."""
+        columns = [0] * len(self.attributes)
         for g, m in self.incidence:
-            cols[m].add(g)
-        return tuple(frozenset(c) for c in cols)
+            columns[m] |= 1 << g
+        return tuple(columns)
 
     @cached_property
     def object_bit(self) -> Mapping[str, int]:
         """Each object name with its bit in an extent mask."""
         return {name: 1 << i for i, name in enumerate(self.objects)}
 
-    @cached_property
-    def attribute_index(self) -> Mapping[str, int]:
-        return {name: i for i, name in enumerate(self.attributes)}
-
     def up(self, objs: Iterable[int]) -> AttributeSet:
         """Attributes shared by all of `objs`; all attributes when empty."""
-        result = set(range(len(self.attributes)))
+        mask = (1 << len(self.attributes)) - 1
         for g in objs:
-            result &= self.object_intents[g]
-        return frozenset(result)
+            mask &= self.rows[g]
+        return frozenset(m for m in range(len(self.attributes)) if mask >> m & 1)
 
     def down(self, attrs: Iterable[int]) -> ObjectSet:
         """Objects that have all of `attrs`; all objects when empty."""
-        result = set(range(len(self.objects)))
+        mask = (1 << len(self.objects)) - 1
         for m in attrs:
-            result &= self.attribute_extents[m]
-        return frozenset(result)
+            mask &= self.columns[m]
+        return frozenset(g for g in range(len(self.objects)) if mask >> g & 1)
 
     def object_names(self, objs: Iterable[int]) -> tuple[str, ...]:
         return tuple(self.objects[g] for g in sorted(objs))
@@ -105,7 +106,7 @@ def normalize_no_universal_object(ctx: FormalContext) -> FormalContext:
         return ctx
     name = FRESH_ATTRIBUTE
     for k in itertools.count(1):
-        if name not in ctx.attribute_index:
+        if name not in ctx.attributes:
             break
         name = f"{FRESH_ATTRIBUTE}{k}"
     return FormalContext(ctx.objects, ctx.attributes + (name,), ctx.incidence)
@@ -179,9 +180,8 @@ def serialize_cxt(ctx: FormalContext) -> str:
     out = ["B", "", str(len(ctx.objects)), str(len(ctx.attributes)), ""]
     out.extend(ctx.objects)
     out.extend(ctx.attributes)
-    for g in range(len(ctx.objects)):
-        intent = ctx.object_intents[g]
-        out.append("".join("X" if m in intent else "."
+    for row in ctx.rows:
+        out.append("".join("X" if row >> m & 1 else "."
                            for m in range(len(ctx.attributes))))
     return "\n".join(out) + "\n"
 
@@ -313,15 +313,14 @@ def document_from_json(doc: Mapping) -> ContextDocument:
             raise ParseError(f"mass {name!r} must be an object mapping labels to rationals")
         entries = tuple([(label, rational(value))
                          for label, value in assignment.items()])
-        ratios = [v.as_integer_ratio() for _, v in entries]
-        for (label, value), (p, _) in zip(entries, ratios):
-            if p < 0:
-                raise MassError(f"mass {name!r} assigns {value} to {label!r}; "
-                                "masses must be nonnegative")
         # One integer sum over the lcm, not a gcd-normalising Fraction add
         # per entry.
-        d = math.lcm(*[q for _, q in ratios])
-        total = sum([p * (d // q) for p, q in ratios])
+        d, numerators = common_numerators([v for _, v in entries])
+        for (label, value), x in zip(entries, numerators):
+            if x < 0:
+                raise MassError(f"mass {name!r} assigns {value} to {label!r}; "
+                                "masses must be nonnegative")
+        total = sum(numerators)
         if total != d:
             raise MassError(f"mass {name!r} sums to {Fraction(total, d)}, "
                             "expected 1")

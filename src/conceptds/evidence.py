@@ -14,7 +14,6 @@ inversion are the lattice ones.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -25,6 +24,7 @@ from .errors import LabelError, MassError, check_capacity
 from .lattice import (MAX_CONCEPTS, ConceptLattice, attribute_steps,
                       enumerate_concepts, mobius)
 from .powerset import size_key, subsets
+from .rationals import common_numerators, fractions_over
 
 # A carrier of n elements has a 2^n-concept powerset lattice.
 MAX_SET_CARRIER = MAX_CONCEPTS.bit_length() - 1
@@ -34,15 +34,12 @@ _BOTTOM_NAMES = frozenset({"bottom", "bot", "⊥"})
 
 
 def _concept(size: int, c: int) -> int:
-    """c, when it indexes one of `size` concepts; no negative index wraps."""
+    """c, when an int indexing one of `size` concepts; no negative wraps."""
+    if not isinstance(c, int):
+        raise LabelError(f"concept index {c!r} is not an int")
     if not 0 <= c < size:
         raise LabelError(f"concept index {c} is outside 0..{size - 1}")
     return c
-
-
-def _exact(value) -> Fraction:
-    """The value as a Fraction; a Fraction passes through unchanged."""
-    return value if type(value) is Fraction else Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -70,24 +67,22 @@ class MassFunction:
         object.__setattr__(self, "values", values)
         if len(values) != len(lat):
             raise MassError(f"expected {len(lat)} values, got {len(values)}")
-        ratios = [v.as_integer_ratio() for v in values]
         # A zero has denominator 1, so it leaves the lcm unchanged.
-        d = math.lcm(*[q for _, q in ratios])
+        d, numerators = common_numerators(values)
         extents = lat.extents
         focal = []
         total = 0
-        for i, (p, q) in enumerate(ratios):
-            if p:
-                if p < 0:
+        for i, x in enumerate(numerators):
+            if x:
+                if x < 0:
                     raise MassError(
                         f"concept {i} has negative mass {values[i]}")
-                x = p * (d // q)
                 total += x
                 focal.append((extents[i], x))
         if total != d:
             raise MassError(f"mass sums to {Fraction(total, d)}, expected 1")
         bottom = lat.bottom_index
-        if not extents[bottom] and ratios[bottom][0]:
+        if not extents[bottom] and numerators[bottom]:
             raise MassError(
                 f"the least concept has an empty extent but carries mass "
                 f"{values[bottom]}")
@@ -97,13 +92,19 @@ class MassFunction:
     def from_mapping(cls, lattice: ConceptLattice,
                      mapping: Mapping[int, Fraction]) -> "MassFunction":
         n = len(lattice)
-        # The least and greatest keys bound them all: two checks, not one
-        # per key.
-        for index in (min(mapping), max(mapping)) if mapping else ():
-            _concept(n, index)
         values = [Fraction(0)] * n
-        for index, value in mapping.items():
-            values[index] += Fraction(value)
+        # The least and greatest keys bound them all: two checks, not one
+        # per key.  A key that is not an int fails a comparison or the fill;
+        # only then is each key checked, and if all pass, a value failed.
+        try:
+            for index in (min(mapping), max(mapping)) if mapping else ():
+                _concept(n, index)
+            for index, value in mapping.items():
+                values[index] += Fraction(value)
+        except TypeError:
+            for index in mapping:
+                _concept(n, index)
+            raise
         return cls(lattice, tuple(values))
 
     @classmethod
@@ -153,22 +154,11 @@ class MassFunction:
 
         O(concepts x focal concepts).
         """
-        d = self.focal[0]
-        # Few distinct values recur across concepts: build each Fraction once.
-        exact: dict[int, Fraction] = {}
-
-        def fraction(x: int) -> Fraction:
-            value = exact.get(x)
-            if value is None:
-                value = exact[x] = Fraction(x, d)
-            return value
-
-        bel, pl = [], []
-        for e in self.lattice.extents:
-            b, p = self._numerators(e)
-            bel.append(fraction(b))
-            pl.append(fraction(p))
-        return BeliefTable(self.lattice, tuple(bel), tuple(pl))
+        # bel and pl numerators, interleaved concept by concept.
+        numerators = [x for e in self.lattice.extents
+                      for x in self._numerators(e)]
+        exact = fractions_over(numerators, self.focal[0])
+        return BeliefTable(self.lattice, tuple(exact[0::2]), tuple(exact[1::2]))
 
 
 @dataclass(frozen=True)
@@ -300,14 +290,14 @@ def mass_from_bel_lattice(bel_values: Sequence[Fraction],
     mass; only then is monotonicity scanned for, and a violating pair
     reported in preference to the mass.
     """
-    values = tuple(map(_exact, bel_values))
+    values = tuple([v if type(v) is Fraction else Fraction(v)
+                    for v in bel_values])
     if len(values) != len(lat):
         raise MassError(f"expected {len(lat)} belief values, got {len(values)}")
     if values[lat.top_index] != 1:
         raise MassError(f"bel at the greatest concept is {values[lat.top_index]}, "
                         "expected 1")
-    d = math.lcm(*(v.denominator for v in values))
-    scaled = [v.numerator * (d // v.denominator) for v in values]
+    d, scaled = common_numerators(values)
     extents = lat.extents
 
     masses = scaled[:]
@@ -323,9 +313,7 @@ def mass_from_bel_lattice(bel_values: Sequence[Fraction],
         raise MassError(f"recovered mass {Fraction(masses[bottom], d)} on the "
                         "empty-extent least concept; the table is not a belief "
                         "function here")
-    zero = Fraction(0)
-    return MassFunction(lat, tuple(Fraction(x, d) if x else zero
-                                   for x in masses))
+    return MassFunction(lat, tuple(fractions_over(masses, d)))
 
 
 # ---------------------------------------------------------------------------

@@ -46,13 +46,6 @@ class Concept:
     intent: AttributeSet
 
 
-def _mask(indices: Iterable[int]) -> int:
-    mask = 0
-    for i in indices:
-        mask |= 1 << i
-    return mask
-
-
 def _members(mask: int) -> list[int]:
     """The set bits of a mask, ascending."""
     out = []
@@ -113,7 +106,7 @@ class ConceptLattice:
 
     def index_with_extent(self, extent: Iterable[int]) -> int | None:
         """The index of the concept with this extent, or None if none has it."""
-        return self.index_by_extent.get(_mask(extent))
+        return self.index_by_extent.get(sum({1 << g for g in extent}))
 
     @property
     def normalized(self) -> ConceptLattice:
@@ -135,9 +128,9 @@ class ConceptLattice:
         `is_context_lattice`, and each intent holds exactly the attributes
         common to its extent.  `enumerate_concepts` sets it; a lattice
         built by hand computes it once, on first use."""
-        cols = [_mask(c) for c in self.context.attribute_extents]
         return is_context_lattice(self) and all(
-            a == sum([1 << x for x, c in enumerate(cols) if e & ~c == 0])
+            a == sum([1 << x for x, c in enumerate(self.context.columns)
+                      if e & ~c == 0])
             for e, a in zip(self.extents, self.intents))
 
     @cached_property
@@ -154,7 +147,7 @@ class ConceptLattice:
         when every object j adds to i's extent generates j; an object that
         generated a smaller closure would lie strictly between i and j.
         """
-        rows = [_mask(intent) for intent in self.context.object_intents]
+        rows = self.context.rows
         everyone = (1 << len(rows)) - 1
         by_intent = self.index_by_intent
         extents = self.extents
@@ -177,7 +170,7 @@ def is_context_lattice(lat: ConceptLattice) -> bool:
     by a column are stored, so every intersection of columns is stored."""
     extents, index = lat.extents, lat.index_by_extent
     top = (1 << len(lat.context.objects)) - 1
-    cols = [_mask(c) for c in lat.context.attribute_extents]
+    cols = lat.context.columns
     return len(index) == len(extents) and top in index and all(
         index.get(e) == i and all(e & c in index for c in cols)
         and reduce(int.__and__, [c for c in cols if e & ~c == 0], top) == e
@@ -187,7 +180,7 @@ def is_context_lattice(lat: ConceptLattice) -> bool:
 Steps = tuple[array, array]
 
 
-def _steps(lat: ConceptLattice, along: list[int], own: tuple[int, ...],
+def _steps(lat: ConceptLattice, along: tuple[int, ...], own: tuple[int, ...],
            other: tuple[int, ...], lookup: dict[int, int]) -> Steps:
     """The pairs (s, t), pass by pass, of a zeta transform on `own` masks.
 
@@ -220,8 +213,8 @@ def object_steps(lat: ConceptLattice) -> Steps:
 
     At most sum(|G| - |extent|) steps, one `index_by_intent` lookup each.
     """
-    rows = [_mask(intent) for intent in lat.context.object_intents]
-    return _steps(lat, rows, lat.extents, lat.intents, lat.index_by_intent)
+    return _steps(lat, lat.context.rows, lat.extents, lat.intents,
+                  lat.index_by_intent)
 
 
 def attribute_steps(lat: ConceptLattice) -> Steps:
@@ -230,8 +223,8 @@ def attribute_steps(lat: ConceptLattice) -> Steps:
 
     At most sum(|M| - |intent|) steps, one `index_by_extent` lookup each.
     """
-    cols = [_mask(extent) for extent in lat.context.attribute_extents]
-    return _steps(lat, cols, lat.intents, lat.extents, lat.index_by_extent)
+    return _steps(lat, lat.context.columns, lat.intents, lat.extents,
+                  lat.index_by_extent)
 
 
 def zeta(values: list, steps: Steps) -> None:
@@ -269,7 +262,7 @@ def enumerate_concepts(ctx: FormalContext) -> ConceptLattice:
     is folded in, so an oversized lattice fails before it is built.
     """
     check_capacity("objects in context", len(ctx.objects), MAX_OBJECTS)
-    rows = [_mask(intent) for intent in ctx.object_intents]
+    rows = ctx.rows
     intents = {(1 << len(ctx.attributes)) - 1}
     for row in rows:
         intents |= {intent & row for intent in intents}

@@ -245,9 +245,9 @@ def random_context(seed: int, n_objects: int, n_attributes: int,
                    density: float | Fraction) -> FormalContext:
     """A context whose incidence pairs appear independently with `density`."""
     if not 0 <= density <= 1:
-        raise ValueError(f"density must be within [0, 1], got {density}")
+        raise PreconditionError(f"density must be within [0, 1], got {density}")
     if n_objects < 0 or n_attributes < 0:
-        raise ValueError("counts must be nonnegative")
+        raise PreconditionError("counts must be nonnegative")
     check_capacity("objects in random context", n_objects, MAX_OBJECTS)
     rng = random.Random(seed)
     incidence = frozenset((g, a)
@@ -297,7 +297,7 @@ def random_partition_space(seed: int, carrier: Iterable,
     """A random partition of the carrier with exact block probabilities."""
     carrier = frozenset(carrier)
     if not carrier:
-        raise ValueError("the carrier of a probability space must be nonempty")
+        raise PreconditionError("the carrier of a probability space must be nonempty")
     elements = sorted(carrier, key=repr)
     rng = random.Random(seed)
     n_groups = rng.randint(1, len(elements))

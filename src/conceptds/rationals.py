@@ -1,8 +1,10 @@
-"""Exact rational parsing, rounding, and fixed-point formatting.
+"""Exact rationals: parsing, rounding, formatting, and the numerator form.
 
-Every quantity in this package is a fractions.Fraction; floats exist only at
-the presentation boundary.  Rounding is half-away-from-zero, which is the
-convention used by the bundled example tables.
+Every value at this package's API is a fractions.Fraction; floats exist only
+at the presentation boundary.  Sums of mass run on integers, numerators over
+the lcm of the values' denominators, and `common_numerators` and
+`fractions_over` convert each way.  Rounding is half-away-from-zero, which is
+the convention used by the bundled example tables.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import ParseError, check_capacity
 
@@ -64,6 +67,20 @@ def parse_rational(value: object) -> Fraction:
         return Fraction(int(p)) if q is None else Fraction(int(p), int(q))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"not a rational number: {value!r}") from exc
+
+
+def common_numerators(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(d, numerators): d is the lcm of the values' denominators, and value i
+    is numerators[i] / d.  No values give d = 1."""
+    ratios = [v.as_integer_ratio() for v in values]
+    d = math.lcm(*[q for _, q in ratios])
+    return d, [p * (d // q) for p, q in ratios]
+
+
+def fractions_over(numerators: Sequence[int], d: int) -> list[Fraction]:
+    """Each numerator / d, one Fraction per distinct numerator."""
+    exact = {x: Fraction(x, d) for x in set(numerators)}
+    return [exact[x] for x in numerators]
 
 
 def round_half_away(x: Fraction, digits: int = 2) -> Fraction:

@@ -314,7 +314,7 @@ def represent_concepts_frame(m: MassFunction) -> FrameRepresentation:
         (p, q)
         for p, (ci, g) in enumerate(object_keys)
         for q, (dj, x) in enumerate(attribute_keys)
-        if ci != dj or (g, x) in ctx.incidence)
+        if ci != dj or ctx.rows[g] >> x & 1)
     derived = FormalContext(object_names, attribute_names, incidence)
 
     def closed(extent: frozenset) -> bool:

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conceptds import (MassFunction, SetMassFunction, TotalConflictError,
-                       combine, combine_many, combine_set, enumerate_concepts,
-                       random_mass)
+from conceptds import (MassFunction, PreconditionError, SetMassFunction,
+                       TotalConflictError, combine, combine_many, combine_set,
+                       enumerate_concepts, random_mass)
 
 from conftest import seeded_lattice_mass
 
@@ -170,12 +170,14 @@ def test_fold_of_one_is_the_identity(music_case):
     report = combine_many([m])
     assert report.result is m
     assert report.conflict == 0
-    with pytest.raises(ValueError, match="need at least one mass function"):
+    with pytest.raises(PreconditionError,
+                       match="need at least one mass function"):
         combine_many([])
 
 
 def test_mismatched_lattices_are_rejected(music_case, movies1_case):
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError,
+                       match="mass functions live on different lattices"):
         combine(music_case.masses["m1"], movies1_case.masses["m1"])
 
 
@@ -201,6 +203,7 @@ def test_set_combination_total_conflict():
     m2 = SetMassFunction(carrier, {frozenset("b"): F(1)})
     with pytest.raises(TotalConflictError):
         combine_set(m1, m2)
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError,
+                       match="mass functions live on different carriers"):
         combine_set(m1, SetMassFunction(frozenset("abc"),
                                         {frozenset("a"): F(1)}))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 import time
 from fractions import Fraction
@@ -17,8 +18,9 @@ from conceptds import (FRESH_ATTRIBUTE, CapacityError, FormalContext,
                        parse_cxt, parse_rational, round_half_away,
                        serialize_cxt)
 from conceptds.errors import ENV_UNSAFE_SCALE
+from conceptds.rationals import common_numerators, fractions_over
 
-from conftest import small_contexts
+from conftest import small_contexts, subsets_of
 
 MUSIC_DOC = json.dumps({
     "objects": ["a", "b", "c"],
@@ -112,6 +114,29 @@ def test_fixed_formatting():
     assert format_exact(Fraction(2)) == "2"
 
 
+def test_numerators_over_the_lcm_and_back():
+    values = [Fraction(1, 6), Fraction(0), Fraction(3, 4), Fraction(1, 6),
+              Fraction(-2, 3)]
+    d, numerators = common_numerators(values)
+    assert (d, numerators) == (12, [2, 0, 9, 2, -8])
+    assert common_numerators([]) == (1, [])
+    exact = fractions_over(numerators, d)
+    assert exact == values
+    assert exact[0] is exact[3]
+    assert exact[1] == Fraction(0) and exact[1].denominator == 1
+    assert fractions_over([0, 0], 7) == [Fraction(0), Fraction(0)]
+
+
+@given(st.lists(st.fractions(max_denominator=60), max_size=12))
+def test_numerator_form_round_trips_with_one_object_per_numerator(values):
+    d, numerators = common_numerators(values)
+    assert d == math.lcm(*(v.denominator for v in values))
+    exact = fractions_over(numerators, d)
+    assert exact == values
+    assert all(type(x) is Fraction for x in exact)
+    assert len({id(x) for x in exact}) == len(set(numerators))
+
+
 @given(st.fractions(), st.integers(0, 6))
 def test_rounding_error_is_at_most_half_a_unit(x, digits):
     unit = Fraction(1, 10 ** digits)
@@ -148,6 +173,31 @@ def test_derivation_operators_form_a_galois_connection(ctx):
         assert ctx.up(ctx.down(ctx.up(b))) == ctx.up(b)
     full = frozenset(objects)
     assert full <= ctx.down(ctx.up(full))
+
+
+@given(small_contexts())
+def test_row_and_column_masks_hold_the_incidence_pairs(ctx):
+    objects, attributes = range(len(ctx.objects)), range(len(ctx.attributes))
+    assert len(ctx.rows) == len(objects)
+    assert len(ctx.columns) == len(attributes)
+    assert {(g, m) for g in objects for m in attributes
+            if ctx.rows[g] >> m & 1} == ctx.incidence
+    assert {(g, m) for g in objects for m in attributes
+            if ctx.columns[m] >> g & 1} == ctx.incidence
+    # The masks are derived, so they take no part in equality or hashing.
+    again = FormalContext(ctx.objects, ctx.attributes, ctx.incidence)
+    assert again == ctx and hash(again) == hash(ctx)
+
+
+@given(small_contexts(), st.data())
+def test_up_and_down_match_their_set_definitions(ctx, data):
+    objects, attributes = range(len(ctx.objects)), range(len(ctx.attributes))
+    objs = data.draw(subsets_of(frozenset(objects)))
+    attrs = data.draw(subsets_of(frozenset(attributes)))
+    assert ctx.up(objs) == frozenset(
+        m for m in attributes if all((g, m) in ctx.incidence for g in objs))
+    assert ctx.down(attrs) == frozenset(
+        g for g in objects if all((g, m) in ctx.incidence for m in attrs))
 
 
 @given(small_contexts())

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,13 +11,13 @@ from hypothesis import given
 
 from conceptds import (CapacityError, FormalContext, LabelError, MassError,
                        MassFunction, MassSpec, ProbabilitySpace,
-                       SetMassFunction, enumerate_concepts,
+                       SetMassFunction, combine_many, enumerate_concepts,
                        mass_from_bel_lattice, mass_from_bel_set,
                        resolve_concept_label, resolve_mass)
 from conceptds import evidence
 from conceptds.errors import ENV_UNSAFE_SCALE
 
-from conftest import lattice_masses, set_masses
+from conftest import lattice_masses, seeded_lattice_mass, set_masses
 
 F = Fraction
 
@@ -129,6 +131,51 @@ def test_an_index_outside_the_lattice_names_no_concept(movies3_case, index):
             call()
         assert str(info.value) == message
     assert (m[3], m.bel(3), m.pl(3)) == (F(0), F(0), F(1))
+
+
+@pytest.mark.parametrize("index", [1.0, 2.5, "a", None, F(1)])
+def test_an_index_that_is_not_an_int_names_no_concept(movies3_case, index):
+    lat = movies3_case.lattice
+    m = MassFunction.vacuous(lat)
+    message = f"concept index {index!r} is not an int"
+    for call in (lambda: MassFunction.from_mapping(lat, {index: F(1)}),
+                 lambda: m[index], lambda: m.bel(index),
+                 lambda: m.pl(index)):
+        with pytest.raises(LabelError) as info:
+            call()
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("mapping", [
+    {0: F(1, 2), 1.5: F(1, 4), 3: F(1, 4)},  # between the extreme keys
+    {0: F(1, 2), "a": F(1, 2)},               # keys that do not compare
+])
+def test_a_key_that_is_not_an_int_fails_from_mapping(movies3_case, mapping):
+    bad = next(k for k in mapping if not isinstance(k, int))
+    with pytest.raises(LabelError) as info:
+        MassFunction.from_mapping(movies3_case.lattice, mapping)
+    assert str(info.value) == f"concept index {bad!r} is not an int"
+
+
+def test_a_bad_value_is_not_blamed_on_its_key(movies3_case):
+    """The keys are checked one by one when the fill raises a TypeError;
+    when they all pass, the value's own error goes on."""
+    with pytest.raises(Exception) as info:
+        MassFunction.from_mapping(movies3_case.lattice, {0: None})
+    assert not isinstance(info.value, LabelError)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_focal_holds_the_lcm_after_a_fold_and_an_inversion(seed):
+    m = seeded_lattice_mass(random.Random(seed), normalize=seed % 2 == 0)
+    lat = m.lattice
+    folded = combine_many([m, m, m]).result
+    inverted = mass_from_bel_lattice(m.belief_table().bel, lat)
+    for mass in (folded, inverted):
+        d = math.lcm(*(v.denominator for v in mass.values))
+        assert mass.focal == (d, tuple(
+            (lat.extents[i], v.numerator * (d // v.denominator))
+            for i, v in enumerate(mass.values) if v))
 
 
 # ---------------------------------------------------------------------------

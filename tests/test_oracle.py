@@ -380,9 +380,9 @@ def test_random_context_is_deterministic_and_respects_density():
     assert a.attributes == ("a0", "a1", "a2")
     assert random_context(1, 3, 3, 0).incidence == frozenset()
     assert len(random_context(1, 3, 3, 1).incidence) == 9
-    with pytest.raises(ValueError, match="density"):
+    with pytest.raises(PreconditionError, match="density"):
         random_context(1, 2, 2, 1.5)
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(PreconditionError, match="nonnegative"):
         random_context(1, -1, 2, 0.5)
     with pytest.raises(CapacityError):
         random_context(1, 25, 2, 0.5)
@@ -426,7 +426,7 @@ def test_random_partition_space_is_deterministic(seed):
     b = random_partition_space(seed, {1, 2, 3, 4})
     assert a == b
     assert sum(a.mu) == 1
-    with pytest.raises(ValueError, match="nonempty"):
+    with pytest.raises(PreconditionError, match="nonempty"):
         random_partition_space(seed, set())
 
 
