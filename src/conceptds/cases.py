@@ -10,10 +10,9 @@ renders, annotated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .combine import combine_many
 from .context import ContextDocument, ObjectSet, load_document
@@ -58,8 +57,7 @@ def display_labels(lat: ConceptLattice,
     return tuple(names)
 
 
-@dataclass(frozen=True)
-class CellNote:
+class CellNote(NamedTuple):
     """A recomputed cell whose rounding disagrees with the expected grid."""
 
     table: str
@@ -69,8 +67,7 @@ class CellNote:
     expected: Fraction
 
 
-@dataclass(frozen=True)
-class CaseReport:
+class CaseReport(NamedTuple):
     """Everything recomputed for one case, plus the disagreement notes."""
 
     case_id: str

@@ -32,9 +32,8 @@ that every `SetMassFunction` is held on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import PreconditionError, TotalConflictError
 from .evidence import MassFunction, SetMassFunction
@@ -42,8 +41,7 @@ from .lattice import mobius, mobius_row, object_steps, zeta
 from .rationals import fractions_over
 
 
-@dataclass(frozen=True)
-class CombinationReport:
+class CombinationReport(NamedTuple):
     """A combined mass function plus the conflict it discarded.
 
     `conflicts` holds, for each combination step, the total weight of the

@@ -12,12 +12,13 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import MassError, ParseError
+from .frozen import Frozen
 from .rationals import common_numerators, parse_rational
 
 ObjectSet = frozenset[int]
@@ -26,12 +27,16 @@ AttributeSet = frozenset[int]
 FRESH_ATTRIBUTE = "__none__"
 
 
-@dataclass(frozen=True)
-class FormalContext:
+def _is_index(i: object) -> bool:
+    return isinstance(i, int) and not isinstance(i, bool)
+
+
+class FormalContext(Frozen):
     """Objects, attributes, and which object has which attribute.
 
-    `incidence` holds (object index, attribute index) pairs.  Name order is
-    significant: every derived structure reports in these index spaces.
+    `incidence` holds (object index, attribute index) pairs of `int`s.  Name
+    order is significant: every derived structure reports in these index
+    spaces.
 
     The table is also held as `int` bitmasks, `rows` and `columns`, built on
     first read; `up`, `down` and every extent, intent and closure mask of
@@ -41,17 +46,28 @@ class FormalContext:
     objects: tuple[str, ...]
     attributes: tuple[str, ...]
     incidence: frozenset[tuple[int, int]]
+    _compared = ("objects", "attributes", "incidence")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "objects", tuple(self.objects))
-        object.__setattr__(self, "attributes", tuple(self.attributes))
-        object.__setattr__(self, "incidence", frozenset(self.incidence))
-        if len(set(self.objects)) != len(self.objects):
+    def __init__(self, objects: Iterable[str], attributes: Iterable[str],
+                 incidence: Iterable[tuple[int, int]]) -> None:
+        objects, attributes = tuple(objects), tuple(attributes)
+        incidence = frozenset(incidence)
+        object.__setattr__(self, "objects", objects)
+        object.__setattr__(self, "attributes", attributes)
+        object.__setattr__(self, "incidence", incidence)
+        if len(set(objects)) != len(objects):
             raise ParseError("object names are not pairwise distinct")
-        if len(set(self.attributes)) != len(self.attributes):
+        if len(set(attributes)) != len(attributes):
             raise ParseError("attribute names are not pairwise distinct")
-        for g, m in self.incidence:
-            if not (0 <= g < len(self.objects) and 0 <= m < len(self.attributes)):
+        n_objects, n_attributes = len(objects), len(attributes)
+        for g, m in incidence:
+            # A bool or a float would pass the range test below and be
+            # read as an index, or fail later as a bare TypeError.
+            if (type(g) is not int or type(m) is not int) \
+                    and not (_is_index(g) and _is_index(m)):
+                raise ParseError(f"incidence pair ({g!r}, {m!r}) does not "
+                                 "hold two int indices")
+            if not (0 <= g < n_objects and 0 <= m < n_attributes):
                 raise ParseError(f"incidence pair ({g}, {m}) is out of range")
 
     @cached_property
@@ -189,8 +205,7 @@ def serialize_cxt(ctx: FormalContext) -> str:
 # ---------------------------------------------------------------------------
 # JSON documents: a context plus optional labels and named mass functions
 
-@dataclass(frozen=True)
-class MassSpec:
+class MassSpec(NamedTuple):
     """A named mass assignment whose labels are not yet tied to concepts.
 
     Resolution against a concept lattice happens in the evidence module; the
@@ -199,11 +214,10 @@ class MassSpec:
 
     name: str
     entries: tuple[tuple[str, Fraction], ...]
-    label_extents: Mapping[str, ObjectSet] = field(default_factory=dict)
+    label_extents: Mapping[str, ObjectSet] = MappingProxyType({})
 
 
-@dataclass(frozen=True)
-class ContextDocument:
+class ContextDocument(NamedTuple):
     context: FormalContext
     masses: tuple[MassSpec, ...]
     labels: Mapping[str, ObjectSet]

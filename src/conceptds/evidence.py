@@ -14,13 +14,13 @@ inversion are the lattice ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .context import FormalContext, MassSpec, ObjectSet
 from .errors import LabelError, MassError, check_capacity
+from .frozen import Frozen
 from .lattice import (MAX_CONCEPTS, ConceptLattice, attribute_steps,
                       enumerate_concepts, mobius)
 from .powerset import size_key, subsets
@@ -42,8 +42,26 @@ def _concept(size: int, c: int) -> int:
     return c
 
 
-@dataclass(frozen=True)
-class MassFunction:
+# What Fraction raises on a value it cannot read: TypeError for None,
+# ValueError for "x", ZeroDivisionError for "1/0", OverflowError for inf.
+_NOT_RATIONAL = (TypeError, ValueError, ArithmeticError)
+
+
+def _not_rational(key: str, value: object) -> MassError:
+    return MassError(f"{key} has mass {value!r}, which is not a rational "
+                     "number")
+
+
+def _rational_masses(values: Iterable[tuple[int, object]]) -> None:
+    """Raise for the first (concept, value) whose value is not rational."""
+    for i, value in values:
+        try:
+            Fraction(value)
+        except _NOT_RATIONAL as exc:
+            raise _not_rational(f"concept {i}", value) from exc
+
+
+class MassFunction(Frozen):
     """An exact mass assignment over the concepts of a lattice.
 
     Values are indexed by canonical concept index.  The total is exactly one,
@@ -52,24 +70,32 @@ class MassFunction:
     ratios, and that pass also fills `focal`: the support over one common
     denominator, as (d, ((extent mask, numerator), ...)) in index order,
     where d is the lcm of the values' denominators and focal concept i
-    carries mass numerator / d.
+    carries mass numerator / d.  Equality and hashing read `lattice` and
+    `values` only.
     """
 
     lattice: ConceptLattice
     values: tuple[Fraction, ...]
-    focal: tuple[int, tuple[tuple[int, int], ...]] = field(
-        init=False, repr=False, compare=False)
+    focal: tuple[int, tuple[tuple[int, int], ...]]
+    _compared = ("lattice", "values")
 
-    def __post_init__(self) -> None:
-        lat = self.lattice
-        values = tuple([v if type(v) is Fraction else Fraction(v)
-                        for v in self.values])
+    def __init__(self, lattice: ConceptLattice,
+                 values: Iterable[Fraction]) -> None:
+        values = tuple(values)
+        try:
+            values = tuple([v if type(v) is Fraction else Fraction(v)
+                            for v in values])
+        except _NOT_RATIONAL:
+            _rational_masses(enumerate(values))
+            raise
+        object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "values", values)
-        if len(values) != len(lat):
-            raise MassError(f"expected {len(lat)} values, got {len(values)}")
+        if len(values) != len(lattice):
+            raise MassError(f"expected {len(lattice)} values, "
+                            f"got {len(values)}")
         # A zero has denominator 1, so it leaves the lcm unchanged.
         d, numerators = common_numerators(values)
-        extents = lat.extents
+        extents = lattice.extents
         focal = []
         total = 0
         for i, x in enumerate(numerators):
@@ -81,7 +107,7 @@ class MassFunction:
                 focal.append((extents[i], x))
         if total != d:
             raise MassError(f"mass sums to {Fraction(total, d)}, expected 1")
-        bottom = lat.bottom_index
+        bottom = lattice.bottom_index
         if not extents[bottom] and numerators[bottom]:
             raise MassError(
                 f"the least concept has an empty extent but carries mass "
@@ -96,14 +122,18 @@ class MassFunction:
         # The least and greatest keys bound them all: two checks, not one
         # per key.  A key that is not an int fails a comparison or the fill;
         # only then is each key checked, and if all pass, a value failed.
+        # A LabelError is a ValueError too, so it is let through first.
         try:
             for index in (min(mapping), max(mapping)) if mapping else ():
                 _concept(n, index)
             for index, value in mapping.items():
                 values[index] += Fraction(value)
-        except TypeError:
+        except LabelError:
+            raise
+        except _NOT_RATIONAL:
             for index in mapping:
                 _concept(n, index)
+            _rational_masses(mapping.items())
             raise
         return cls(lattice, tuple(values))
 
@@ -161,8 +191,7 @@ class MassFunction:
         return BeliefTable(self.lattice, tuple(exact[0::2]), tuple(exact[1::2]))
 
 
-@dataclass(frozen=True)
-class BeliefTable:
+class BeliefTable(NamedTuple):
     """Belief and plausibility at every concept, in canonical order."""
 
     lattice: ConceptLattice
@@ -198,7 +227,11 @@ class SetMassFunction:
         lat = _powerset_lattice(self._elements)
         masses = [Fraction(0)] * len(lat)
         for key, value in values.items():
-            masses[lat.index_by_extent[self._mask(key)]] += Fraction(value)
+            i = lat.index_by_extent[self._mask(key)]
+            try:
+                masses[i] += Fraction(value)
+            except _NOT_RATIONAL as exc:
+                raise _not_rational(f"subset {set(key)!r}", value) from exc
         self.mass = MassFunction(lat, tuple(masses))
 
     @classmethod

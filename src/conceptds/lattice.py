@@ -28,9 +28,8 @@ the lookups only on the context's own lattice.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .context import (AttributeSet, FormalContext, ObjectSet,
                       normalize_no_universal_object)
@@ -40,8 +39,7 @@ MAX_OBJECTS = 24
 MAX_CONCEPTS = 4096
 
 
-@dataclass(frozen=True)
-class Concept:
+class Concept(NamedTuple):
     extent: ObjectSet
     intent: AttributeSet
 

@@ -18,9 +18,8 @@ import math
 import random
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .context import FormalContext
 from .errors import MassError, PreconditionError, check_capacity
@@ -33,16 +32,14 @@ MAX_AXIOM_CARRIER = 5
 MAX_AXIOM_N = 3
 
 
-@dataclass(frozen=True)
-class AxiomViolation:
+class AxiomViolation(NamedTuple):
     sets: tuple[frozenset, ...]
     lhs: Fraction
     rhs: Fraction
     note: str
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     checked_tuples: int
     first_violation: AxiomViolation | None
 

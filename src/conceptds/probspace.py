@@ -8,17 +8,16 @@ of those two approximants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .context import parse_json_object
 from .errors import ParseError
+from .frozen import Frozen
 from .rationals import parse_rational
 
 
-@dataclass(frozen=True)
-class ProbabilitySpace:
+class ProbabilitySpace(Frozen):
     """A carrier partitioned into blocks, each carrying exact probability.
 
     Blocks with measure zero are permitted; empty blocks are not.
@@ -27,26 +26,31 @@ class ProbabilitySpace:
     carrier: frozenset
     blocks: tuple[frozenset, ...]
     mu: tuple[Fraction, ...]
+    _compared = ("carrier", "blocks", "mu")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "carrier", frozenset(self.carrier))
-        object.__setattr__(self, "blocks", tuple(frozenset(b) for b in self.blocks))
-        object.__setattr__(self, "mu", tuple(Fraction(v) for v in self.mu))
-        if len(self.blocks) != len(self.mu):
-            raise ParseError(f"{len(self.blocks)} blocks but {len(self.mu)} measures")
+    def __init__(self, carrier: Iterable, blocks: Iterable[Iterable],
+                 mu: Iterable[Fraction]) -> None:
+        carrier = frozenset(carrier)
+        blocks = tuple(frozenset(b) for b in blocks)
+        mu = tuple(Fraction(v) for v in mu)
+        object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "mu", mu)
+        if len(blocks) != len(mu):
+            raise ParseError(f"{len(blocks)} blocks but {len(mu)} measures")
         seen: set = set()
-        for block in self.blocks:
+        for block in blocks:
             if not block:
                 raise ParseError("blocks must be nonempty")
             if block & seen:
                 raise ParseError("blocks must be pairwise disjoint")
             seen |= block
-        if seen != self.carrier:
+        if seen != carrier:
             raise ParseError("blocks must cover the carrier exactly")
-        for v in self.mu:
+        for v in mu:
             if v < 0:
                 raise ParseError(f"negative block measure {v}")
-        total = sum(self.mu, Fraction(0))
+        total = sum(mu, Fraction(0))
         if total != 1:
             raise ParseError(f"block measures sum to {total}, expected 1")
 

@@ -23,14 +23,14 @@ context first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .context import FormalContext
 from .errors import PreconditionError, check_capacity
 from .evidence import MassFunction, SetMassFunction
+from .frozen import Frozen
 from .lattice import ConceptLattice, is_context_lattice
 from .powerset import size_key, subsets
 from .probspace import ProbabilitySpace
@@ -42,8 +42,7 @@ MAX_FRAME_OBJECTS = 24
 # ---------------------------------------------------------------------------
 # Verification records
 
-@dataclass(frozen=True)
-class VerificationRow:
+class VerificationRow(NamedTuple):
     """Belief/plausibility against inner/outer measure at one concept."""
 
     concept_index: int
@@ -57,8 +56,7 @@ class VerificationRow:
         return self.bel == self.inner and self.pl == self.outer
 
 
-@dataclass(frozen=True)
-class SetVerificationRow:
+class SetVerificationRow(NamedTuple):
     subset: frozenset
     bel: Fraction
     inner: Fraction
@@ -73,8 +71,7 @@ class SetVerificationRow:
 # ---------------------------------------------------------------------------
 # Powerset construction
 
-@dataclass(frozen=True)
-class SetRepresentation:
+class SetRepresentation(NamedTuple):
     """A partition space whose inner measure is the given belief function.
 
     The carrier holds pairs (focal candidate Y, element of Y); the block for
@@ -147,16 +144,7 @@ def normalize_with_mass(m: MassFunction) -> tuple[MassFunction, dict[int, int]]:
 # ---------------------------------------------------------------------------
 # Conceptual construction, algebraic form
 
-class _Certificate:
-    """`all_passed`: every row and every structural check passed."""
-
-    @property
-    def all_passed(self) -> bool:
-        return all(r.passed for r in self.rows) and all(self.checks.values())
-
-
-@dataclass(frozen=True)
-class ConceptRepresentation(_Certificate):
+class ConceptRepresentation(Frozen):
     """Per-concept rows of the product-of-down-sets construction.
 
     The embedded concept h(c) has, at coordinate a, the meet of c and a; the
@@ -167,6 +155,17 @@ class ConceptRepresentation(_Certificate):
 
     mass: MassFunction
     rows: tuple[VerificationRow, ...]
+    _compared = ("mass", "rows")
+
+    def __init__(self, mass: MassFunction,
+                 rows: tuple[VerificationRow, ...]) -> None:
+        object.__setattr__(self, "mass", mass)
+        object.__setattr__(self, "rows", rows)
+
+    @property
+    def all_passed(self) -> bool:
+        """Every row and every structural check passed."""
+        return all(r.passed for r in self.rows) and all(self.checks.values())
 
     def embedding(self, c: int) -> tuple[int, ...]:
         """The coordinate vector of h(c): at coordinate a, c meet a."""
@@ -264,8 +263,7 @@ def atoms_pairwise_disjoint(rep: ConceptRepresentation) -> bool:
 # ---------------------------------------------------------------------------
 # Conceptual construction, derived-context (frame) form
 
-@dataclass(frozen=True)
-class FrameRepresentation(_Certificate):
+class FrameRepresentation(NamedTuple):
     """The conceptual representation built concretely as a derived context.
 
     Derived objects are pairs (concept, object of its extent); derived
@@ -291,6 +289,11 @@ class FrameRepresentation(_Certificate):
     embedding: tuple[frozenset, ...]
     rows: tuple[VerificationRow, ...]
     checks: Mapping[str, bool]
+
+    @property
+    def all_passed(self) -> bool:
+        """Every row and every structural check passed."""
+        return all(r.passed for r in self.rows) and all(self.checks.values())
 
 
 def represent_concepts_frame(m: MassFunction) -> FrameRepresentation:

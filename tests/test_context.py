@@ -158,6 +158,25 @@ def test_out_of_range_incidence_rejected():
         FormalContext(("a",), ("x",), frozenset({(0, 1)}))
 
 
+@pytest.mark.parametrize("pair", [(0.5, 0), (0, 0.0), (True, 0), (0, False),
+                                  ("0", 0), (None, 0)])
+def test_an_incidence_index_that_is_not_an_int_is_rejected(pair):
+    """A float or a bool would pass the range check; a bool would be read
+    as object 1 and a float fail later as a bare TypeError."""
+    with pytest.raises(ParseError) as info:
+        FormalContext(("a", "b"), ("x",), {pair})
+    assert str(info.value) == \
+        f"incidence pair ({pair[0]!r}, {pair[1]!r}) does not hold two int indices"
+
+
+def test_an_int_subclass_is_an_incidence_index():
+    class Index(int):
+        pass
+
+    ctx = FormalContext(("a", "b"), ("x",), {(Index(1), Index(0))})
+    assert ctx.rows == (0, 1)
+
+
 def test_empty_derivations_return_everything():
     ctx = load_document(MUSIC_DOC).context
     assert ctx.up(()) == frozenset(range(4))

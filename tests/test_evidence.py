@@ -158,11 +158,32 @@ def test_a_key_that_is_not_an_int_fails_from_mapping(movies3_case, mapping):
 
 
 def test_a_bad_value_is_not_blamed_on_its_key(movies3_case):
-    """The keys are checked one by one when the fill raises a TypeError;
-    when they all pass, the value's own error goes on."""
-    with pytest.raises(Exception) as info:
+    """The keys are checked one by one when the fill raises; when they all
+    pass, the first value that is not rational is named with its key."""
+    with pytest.raises(MassError) as info:
         MassFunction.from_mapping(movies3_case.lattice, {0: None})
-    assert not isinstance(info.value, LabelError)
+    assert str(info.value) == \
+        "concept 0 has mass None, which is not a rational number"
+
+
+@pytest.mark.parametrize("value", [None, "x", "1/0", float("inf"), [1]])
+def test_a_value_that_is_not_rational_is_named_with_its_concept(
+        movies3_case, value):
+    lat = movies3_case.lattice
+    with pytest.raises(MassError) as info:
+        MassFunction.from_mapping(lat, {0: Fraction(1, 2), 1: value})
+    assert str(info.value) == \
+        f"concept 1 has mass {value!r}, which is not a rational number"
+    with pytest.raises(MassError) as info:
+        MassFunction(lat, (F(1, 2), value) + (F(0),) * (len(lat) - 2))
+    assert str(info.value) == \
+        f"concept 1 has mass {value!r}, which is not a rational number"
+
+
+def test_a_bad_key_is_blamed_before_a_bad_value(movies3_case):
+    with pytest.raises(LabelError, match="concept index 1.5 is not an int"):
+        MassFunction.from_mapping(movies3_case.lattice,
+                                  {0: "x", 1.5: F(1, 2), 2: F(1, 2)})
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -189,6 +210,15 @@ def test_set_mass_rejects_bad_support():
                                           frozenset("a"): F(1, 2)})
     with pytest.raises(MassError):
         SetMassFunction(frozenset("ab"), {frozenset("a"): F(1, 2)})
+
+
+@pytest.mark.parametrize("value", [None, "x", "1/0"])
+def test_set_mass_names_a_bad_value_with_its_subset(value):
+    with pytest.raises(MassError) as info:
+        SetMassFunction(frozenset("ab"), {frozenset("a"): F(1, 2),
+                                          frozenset("b"): value})
+    assert str(info.value) == \
+        f"subset {{'b'}} has mass {value!r}, which is not a rational number"
 
 
 def test_set_bel_and_pl_small_case():
