@@ -24,7 +24,7 @@ from .frozen import Frozen
 from .lattice import (MAX_CONCEPTS, ConceptLattice, attribute_steps,
                       enumerate_concepts, mobius)
 from .powerset import size_key, subsets
-from .rationals import common_numerators, fractions_over
+from .rationals import common_numerators, fractions_over, parse_rationals
 
 # A carrier of n elements has a 2^n-concept powerset lattice.
 MAX_SET_CARRIER = MAX_CONCEPTS.bit_length() - 1
@@ -35,30 +35,20 @@ _BOTTOM_NAMES = frozenset({"bottom", "bot", "⊥"})
 
 def _concept(size: int, c: int) -> int:
     """c, when an int indexing one of `size` concepts; no negative wraps."""
-    if not isinstance(c, int):
+    if not isinstance(c, int) or isinstance(c, bool):
         raise LabelError(f"concept index {c!r} is not an int")
     if not 0 <= c < size:
         raise LabelError(f"concept index {c} is outside 0..{size - 1}")
     return c
 
 
-# What Fraction raises on a value it cannot read: TypeError for None,
-# ValueError for "x", ZeroDivisionError for "1/0", OverflowError for inf.
-_NOT_RATIONAL = (TypeError, ValueError, ArithmeticError)
-
-
-def _not_rational(key: str, value: object) -> MassError:
-    return MassError(f"{key} has mass {value!r}, which is not a rational "
-                     "number")
-
-
-def _rational_masses(values: Iterable[tuple[int, object]]) -> None:
-    """Raise for the first (concept, value) whose value is not rational."""
-    for i, value in values:
-        try:
-            Fraction(value)
-        except _NOT_RATIONAL as exc:
-            raise _not_rational(f"concept {i}", value) from exc
+def _subset(subset: Iterable) -> frozenset:
+    """The subset a set-level argument names, or a MassError naming it."""
+    try:
+        return frozenset(subset)
+    except TypeError as exc:
+        raise MassError(f"subset {subset!r} is not an iterable of hashable "
+                        "elements") from exc
 
 
 class MassFunction(Frozen):
@@ -81,13 +71,8 @@ class MassFunction(Frozen):
 
     def __init__(self, lattice: ConceptLattice,
                  values: Iterable[Fraction]) -> None:
-        values = tuple(values)
-        try:
-            values = tuple([v if type(v) is Fraction else Fraction(v)
-                            for v in values])
-        except _NOT_RATIONAL:
-            _rational_masses(enumerate(values))
-            raise
+        values = parse_rationals(values, lambda i: f"concept {i} has mass",
+                                 MassError)
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "values", values)
         if len(values) != len(lattice):
@@ -119,23 +104,22 @@ class MassFunction(Frozen):
                      mapping: Mapping[int, Fraction]) -> "MassFunction":
         n = len(lattice)
         values = [Fraction(0)] * n
-        # The least and greatest keys bound them all: two checks, not one
-        # per key.  A key that is not an int fails a comparison or the fill;
-        # only then is each key checked, and if all pass, a value failed.
-        # A LabelError is a ValueError too, so it is let through first.
+        # The least and greatest keys bound them all, and one scan of the key
+        # types finds a bool between them: no call per key.  A key that is
+        # not an int fails a comparison, that scan or the fill; only then is
+        # each key checked.  The constructor reads the values.
         try:
             for index in (min(mapping), max(mapping)) if mapping else ():
                 _concept(n, index)
+            if bool in map(type, mapping):
+                raise TypeError("a bool is not a concept index")
             for index, value in mapping.items():
-                values[index] += Fraction(value)
-        except LabelError:
-            raise
-        except _NOT_RATIONAL:
+                values[index] = value
+        except TypeError:
             for index in mapping:
                 _concept(n, index)
-            _rational_masses(mapping.items())
             raise
-        return cls(lattice, tuple(values))
+        return cls(lattice, values)
 
     @classmethod
     def vacuous(cls, lattice: ConceptLattice) -> "MassFunction":
@@ -225,14 +209,14 @@ class SetMassFunction:
         check_capacity("carrier of a set-level mass", len(self.carrier),
                        MAX_SET_CARRIER)
         lat = _powerset_lattice(self._elements)
+        keys = list(values)
+        indices = [lat.index_by_extent[self._mask(key)] for key in keys]
         masses = [Fraction(0)] * len(lat)
-        for key, value in values.items():
-            i = lat.index_by_extent[self._mask(key)]
-            try:
-                masses[i] += Fraction(value)
-            except _NOT_RATIONAL as exc:
-                raise _not_rational(f"subset {set(key)!r}", value) from exc
-        self.mass = MassFunction(lat, tuple(masses))
+        for i, value in zip(indices, parse_rationals(
+                values.values(), lambda i: f"subset {set(keys[i])!r} has mass",
+                MassError)):
+            masses[i] += value
+        self.mass = MassFunction(lat, masses)
 
     @classmethod
     def _wrap(cls, carrier: frozenset, mass: MassFunction) -> "SetMassFunction":
@@ -246,7 +230,7 @@ class SetMassFunction:
         return sorted(self.carrier, key=repr)
 
     def _mask(self, subset: Iterable) -> int:
-        x = frozenset(subset)
+        x = _subset(subset)
         if not x <= self.carrier:
             raise MassError(f"{set(x)!r} is not a subset of the carrier")
         return sum(1 << i for i, e in enumerate(self._elements) if e in x)
@@ -283,7 +267,10 @@ def mass_from_bel_set(bel_table: Mapping[frozenset, Fraction]) -> SetMassFunctio
     The table must cover every subset of its carrier; `mass_from_bel_lattice`
     inverts it on the powerset lattice.
     """
-    table = {frozenset(k): v for k, v in bel_table.items()}
+    keys = [_subset(k) for k in bel_table]
+    table = dict(zip(keys, parse_rationals(
+        bel_table.values(), lambda i: f"subset {set(keys[i])!r} has bel",
+        MassError)))
     carrier: frozenset = frozenset().union(*table) if table else frozenset()
     check_capacity("carrier for belief inversion", len(carrier), MAX_SET_CARRIER)
     every = subsets(carrier)
@@ -323,8 +310,8 @@ def mass_from_bel_lattice(bel_values: Sequence[Fraction],
     mass; only then is monotonicity scanned for, and a violating pair
     reported in preference to the mass.
     """
-    values = tuple([v if type(v) is Fraction else Fraction(v)
-                    for v in bel_values])
+    values = parse_rationals(bel_values, lambda i: f"concept {i} has bel",
+                             MassError)
     if len(values) != len(lat):
         raise MassError(f"expected {len(lat)} belief values, got {len(values)}")
     if values[lat.top_index] != 1:

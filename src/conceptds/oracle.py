@@ -27,6 +27,7 @@ from .evidence import MassFunction, SetMassFunction
 from .lattice import MAX_OBJECTS, ConceptLattice
 from .powerset import size_key, subsets
 from .probspace import ProbabilitySpace
+from .rationals import parse_rationals
 
 MAX_AXIOM_CARRIER = 5
 MAX_AXIOM_N = 3
@@ -67,7 +68,9 @@ def _scaled_table(f: Mapping[frozenset, Fraction]
     Returns the subsets in mask order, the scaled value of each, and the
     common denominator.
     """
-    table = {frozenset(k): Fraction(v) for k, v in f.items()}
+    keys = [frozenset(k) for k in f]
+    table = dict(zip(keys, parse_rationals(
+        f.values(), lambda i: f"subset {set(keys[i])!r} has value", MassError)))
     carrier = frozenset().union(*table) if table else frozenset()
     check_capacity("carrier for axiom checking", len(carrier), MAX_AXIOM_CARRIER)
     every = subsets(carrier)
@@ -256,6 +259,14 @@ def random_context(seed: int, n_objects: int, n_attributes: int,
                          incidence)
 
 
+def _denominator(rng: random.Random, bound: int) -> int:
+    """A common denominator for a random mass, drawn from 1..bound."""
+    if bound < 1:
+        raise PreconditionError(
+            f"denominator_bound must be at least 1, got {bound}")
+    return rng.randint(1, bound)
+
+
 def random_mass(seed: int, lat: ConceptLattice,
                 denominator_bound: int = 64) -> MassFunction:
     """A mass function with every value's denominator within the bound.
@@ -269,7 +280,7 @@ def random_mass(seed: int, lat: ConceptLattice,
     if not eligible:
         raise MassError("no concept of this lattice may carry mass")
     rng = random.Random(seed)
-    q = rng.randint(1, denominator_bound)
+    q = _denominator(rng, denominator_bound)
     counts = Counter(rng.choices(eligible, k=q))
     return MassFunction.from_mapping(
         lat, {i: Fraction(k, q) for i, k in counts.items()})
@@ -283,7 +294,7 @@ def random_set_mass(seed: int, carrier: Iterable,
     if not candidates:
         raise MassError("an empty carrier has no subsets that may carry mass")
     rng = random.Random(seed)
-    q = rng.randint(1, denominator_bound)
+    q = _denominator(rng, denominator_bound)
     counts = Counter(rng.choices(range(len(candidates)), k=q))
     return SetMassFunction(carrier, {candidates[i]: Fraction(k, q)
                                      for i, k in counts.items()})
@@ -303,7 +314,7 @@ def random_partition_space(seed: int, carrier: Iterable,
         groups.setdefault(rng.randrange(n_groups), set()).add(e)
     blocks = sorted((frozenset(b) for b in groups.values()),
                     key=lambda b: sorted(map(repr, b)))
-    q = rng.randint(1, denominator_bound)
+    q = _denominator(rng, denominator_bound)
     counts = Counter(rng.choices(range(len(blocks)), k=q))
     mu = tuple(Fraction(counts.get(i, 0), q) for i in range(len(blocks)))
     return ProbabilitySpace(carrier, tuple(blocks), mu)

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping
 from .context import parse_json_object
 from .errors import ParseError
 from .frozen import Frozen
-from .rationals import parse_rational
+from .rationals import parse_rational, parse_rationals
 
 
 class ProbabilitySpace(Frozen):
@@ -32,7 +32,8 @@ class ProbabilitySpace(Frozen):
                  mu: Iterable[Fraction]) -> None:
         carrier = frozenset(carrier)
         blocks = tuple(frozenset(b) for b in blocks)
-        mu = tuple(Fraction(v) for v in mu)
+        mu = parse_rationals(mu, lambda i: f"block {i} has measure",
+                             ParseError)
         object.__setattr__(self, "carrier", carrier)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "mu", mu)
@@ -55,7 +56,11 @@ class ProbabilitySpace(Frozen):
             raise ParseError(f"block measures sum to {total}, expected 1")
 
     def _subset(self, subset: Iterable) -> frozenset:
-        y = frozenset(subset)
+        try:
+            y = frozenset(subset)
+        except TypeError as exc:
+            raise ParseError(f"subset {subset!r} is not an iterable of "
+                             "hashable elements") from exc
         if not y <= self.carrier:
             raise ParseError(f"{set(y)!r} is not a subset of the carrier")
         return y

@@ -1,20 +1,24 @@
 """Exact rationals: parsing, rounding, formatting, and the numerator form.
 
 Every value at this package's API is a fractions.Fraction; floats exist only
-at the presentation boundary.  Sums of mass run on integers, numerators over
-the lcm of the values' denominators, and `common_numerators` and
-`fractions_over` convert each way.  Rounding is half-away-from-zero, which is
+at the presentation boundary.  Every value taken in, by a document or a
+library call, is read by `parse_rational` (`parse_rationals` for a sequence),
+so its bounds and error rule hold at every entry point.  Sums of mass run on
+integers, numerators over the lcm of the values' denominators, and
+`common_numerators` and `fractions_over` convert each way.  Rounding is half-away-from-zero, which is
 the convention used by the bundled example tables.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import re
+from decimal import Decimal
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
-from .errors import ParseError, check_capacity
+from .errors import ConceptDSError, ParseError, check_capacity
 
 # Every float's shortest repr has an exponent within 324, so JSON numbers
 # always pass; "1e1000000" would build a 3.3-million-bit numerator.
@@ -27,7 +31,7 @@ _INTEGER_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_rational(value: object) -> Fraction:
-    """Parse "p/q" or decimal strings (and ints) into an exact Fraction.
+    """Parse "p/q" or decimal strings (and numbers) into an exact Fraction.
 
     A string of ASCII digits, with an optional leading "-" and an optional
     "/" and denominator, is read with `int` and built as Fraction(p, q).
@@ -35,21 +39,18 @@ def parse_rational(value: object) -> Fraction:
     non-ASCII digits) goes to Fraction's own parser.  Either way a string
     too long for `int` is a ParseError, not a ValueError.
 
-    JSON floats are accepted through their shortest decimal repr, so a value
-    written as 0.2 in a document means exactly 1/5.  A decimal exponent is
-    bounded by MAX_DECIMAL_EXPONENT before any power of ten is built.
+    Ints and other `numbers.Rational`s are exact; a bool is refused.  A
+    float is read through its shortest repr, so 0.2 means exactly 1/5, and a
+    Decimal through its string; a decimal exponent is bounded by
+    MAX_DECIMAL_EXPONENT before any power of ten is built.
     """
     if type(value) is not str:
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, bool):
+        if isinstance(value, bool) or not isinstance(
+                value, (numbers.Rational, float, Decimal, str)):
             raise ParseError(f"expected a rational number, got {value!r}")
-        if isinstance(value, int):
+        if isinstance(value, numbers.Rational):
             return Fraction(value)
-        if isinstance(value, float):
-            value = repr(value)
-        elif not isinstance(value, str):
-            raise ParseError(f"expected a rational number, got {value!r}")
+        value = float.__repr__(value) if isinstance(value, float) else str(value)
     text = value.strip()
     ratio = _INTEGER_RATIO.fullmatch(text)
     if ratio is None:
@@ -67,6 +68,25 @@ def parse_rational(value: object) -> Fraction:
         return Fraction(int(p)) if q is None else Fraction(int(p), int(q))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"not a rational number: {value!r}") from exc
+
+
+def parse_rationals(values: Iterable, name: Callable[[int], str],
+                    error: type[ConceptDSError]) -> tuple[Fraction, ...]:
+    """Each value read by `parse_rational`; a Fraction passes as it is.  Only
+    on a ParseError is each value read again, and the first bad one, at i,
+    raises `error`: "{name(i)} {value!r}, which is not a rational number"."""
+    values = tuple(values)
+    try:
+        return tuple([v if type(v) is Fraction else parse_rational(v)
+                      for v in values])
+    except ParseError:
+        for i, value in enumerate(values):
+            try:
+                parse_rational(value)
+            except ParseError as exc:
+                raise error(f"{name(i)} {value!r}, which is not a rational "
+                            "number") from exc
+        raise
 
 
 def common_numerators(values: Sequence[Fraction]) -> tuple[int, list[int]]:

@@ -133,7 +133,7 @@ def test_an_index_outside_the_lattice_names_no_concept(movies3_case, index):
     assert (m[3], m.bel(3), m.pl(3)) == (F(0), F(0), F(1))
 
 
-@pytest.mark.parametrize("index", [1.0, 2.5, "a", None, F(1)])
+@pytest.mark.parametrize("index", [1.0, 2.5, "a", None, F(1), True, False])
 def test_an_index_that_is_not_an_int_names_no_concept(movies3_case, index):
     lat = movies3_case.lattice
     m = MassFunction.vacuous(lat)
@@ -149,9 +149,10 @@ def test_an_index_that_is_not_an_int_names_no_concept(movies3_case, index):
 @pytest.mark.parametrize("mapping", [
     {0: F(1, 2), 1.5: F(1, 4), 3: F(1, 4)},  # between the extreme keys
     {0: F(1, 2), "a": F(1, 2)},               # keys that do not compare
+    {0: F(1, 2), True: F(1, 4), 3: F(1, 4)},  # a bool between int extremes
 ])
 def test_a_key_that_is_not_an_int_fails_from_mapping(movies3_case, mapping):
-    bad = next(k for k in mapping if not isinstance(k, int))
+    bad = next(k for k in mapping if type(k) is not int)
     with pytest.raises(LabelError) as info:
         MassFunction.from_mapping(movies3_case.lattice, mapping)
     assert str(info.value) == f"concept index {bad!r} is not an int"
@@ -184,6 +185,21 @@ def test_a_bad_key_is_blamed_before_a_bad_value(movies3_case):
     with pytest.raises(LabelError, match="concept index 1.5 is not an int"):
         MassFunction.from_mapping(movies3_case.lattice,
                                   {0: "x", 1.5: F(1, 2), 2: F(1, 2)})
+
+
+@pytest.mark.parametrize("value", [None, "x", "1/0"])
+def test_a_bel_value_that_is_not_rational_is_named(movies3_case, value):
+    lat = movies3_case.lattice
+    with pytest.raises(MassError) as info:
+        mass_from_bel_lattice([value] + [F(0)] * (len(lat) - 1), lat)
+    assert str(info.value) == \
+        f"concept 0 has bel {value!r}, which is not a rational number"
+    table = {frozenset(): F(0), frozenset("a"): value, frozenset("b"): F(0),
+             frozenset("ab"): F(1)}
+    with pytest.raises(MassError) as info:
+        mass_from_bel_set(table)
+    assert str(info.value) == \
+        f"subset {{'a'}} has bel {value!r}, which is not a rational number"
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -219,6 +235,17 @@ def test_set_mass_names_a_bad_value_with_its_subset(value):
                                           frozenset("b"): value})
     assert str(info.value) == \
         f"subset {{'b'}} has mass {value!r}, which is not a rational number"
+
+
+def test_a_subset_argument_that_is_not_a_set_is_named():
+    m = SetMassFunction(frozenset("ab"), {frozenset("ab"): F(1)})
+    for call in (lambda: SetMassFunction({"a", "b"}, {5: 1}),
+                 lambda: m.bel(5), lambda: m.pl(5), lambda: m[5],
+                 lambda: mass_from_bel_set({5: 1})):
+        with pytest.raises(MassError) as info:
+            call()
+        assert str(info.value) == \
+            "subset 5 is not an iterable of hashable elements"
 
 
 def test_set_bel_and_pl_small_case():

@@ -2,18 +2,27 @@
 
 Each parser is fed documents that mix the expected keys with arbitrary JSON
 values, and arbitrary text.  Any exception other than a ConceptDSError is a
-crash the command line would print as a traceback.
+crash the command line would print as a traceback.  The library's entry
+points are fed the same values, and read them as documents do.
 """
 
 from __future__ import annotations
 
 import json
+from decimal import Decimal
+from fractions import Fraction
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conceptds import (ConceptDSError, build_report, load_document,
-                       parse_cxt, probability_space_from_json)
+from conceptds import (CapacityError, ConceptDSError, FormalContext,
+                       MassFunction, ProbabilitySpace, SetMassFunction,
+                       build_report, check_belief_axioms_set,
+                       check_plausibility_axioms_set, enumerate_concepts,
+                       load_document, mass_from_bel_lattice, mass_from_bel_set,
+                       parse_cxt, parse_rational, probability_space_from_json)
+from conceptds.errors import ENV_UNSAFE_SCALE
 
 NAMES = st.sampled_from(["a", "b", "x", "y", "top", "⊥", "{a}", "{a,b}", ""])
 SCALARS = (st.none() | st.booleans() | st.integers(-3, 3) | st.floats()
@@ -102,3 +111,87 @@ EXPECTED = st.fixed_dictionaries({}, optional={
 def test_build_report_raises_only_conceptds_errors(expected):
     text = json.dumps({**CASE, "expected": expected})
     run_parser(lambda doc: build_report(load_document(doc)), text)
+
+
+# The powerset of {a, b} as a concept lattice, whose canonical order is
+# {a,b}, {a}, {b}, {}.  Each entry point takes four values in that order (or
+# as the measures of four blocks).  The tables below put x at {a} and y at
+# {b} and `top` first: 0 for a mass or measure, 1 for a belief table.
+LATTICE = enumerate_concepts(FormalContext(
+    ("a", "b"), ("x", "y"), frozenset({(0, 1), (1, 0)})))
+SUBSETS = (frozenset("ab"), frozenset("a"), frozenset("b"), frozenset())
+ENTRY_POINTS = {
+    "MassFunction": (lambda v: MassFunction(LATTICE, v), 0),
+    "from_mapping": (
+        lambda v: MassFunction.from_mapping(LATTICE, dict(enumerate(v))), 0),
+    "SetMassFunction": (
+        lambda v: SetMassFunction("ab", dict(zip(SUBSETS, v))).values, 0),
+    "ProbabilitySpace": (lambda v: ProbabilitySpace("abcd", "abcd", v), 0),
+    "mass_from_bel_lattice": (lambda v: mass_from_bel_lattice(v, LATTICE), 1),
+    "mass_from_bel_set": (
+        lambda v: mass_from_bel_set(dict(zip(SUBSETS, v))).values, 1),
+    "check_belief_axioms_set": (
+        lambda v: check_belief_axioms_set(dict(zip(SUBSETS, v))), 1),
+    "check_plausibility_axioms_set": (
+        lambda v: check_plausibility_axioms_set(dict(zip(SUBSETS, v))), 1),
+}
+entry_points = pytest.mark.parametrize(
+    "call, top", ENTRY_POINTS.values(), ids=list(ENTRY_POINTS))
+
+
+def outcome(call, values) -> object:
+    """What the call returns, or the type and text of its ConceptDSError."""
+    try:
+        return call(values)
+    except ConceptDSError as exc:
+        return type(exc), str(exc)
+
+
+@entry_points
+@given(values=st.lists(SCALARS, min_size=4, max_size=4))
+@example(values=[True, 0, 0, 0])
+def test_library_entry_points_read_values_as_documents_do(call, top, values):
+    """Only a ConceptDSError escapes, and a call that succeeds took only
+    values a document may hold."""
+    try:
+        call(values)
+    except ConceptDSError:
+        return
+    for value in values:
+        parse_rational(value)
+
+
+@entry_points
+def test_an_exponent_past_the_bound_is_refused_at_every_entry_point(
+        call, top, monkeypatch):
+    values = [top, "1e1001", 0, 0]
+    with pytest.raises(CapacityError, match="decimal exponent: 1001"):
+        call(values)
+    with pytest.raises(CapacityError, match="decimal exponent: 5000000"):
+        call([top, "1e5000000", 0, 0])
+    monkeypatch.setenv(ENV_UNSAFE_SCALE, "1")
+    assert str(10 ** 1001) in str(outcome(call, values))
+
+
+@entry_points
+def test_a_float_means_its_shortest_repr_at_every_entry_point(call, top):
+    """0.1 + 0.9 and 0.3 + 0.7 are 1 exactly, though not as binary floats."""
+    for x, y in ((0.1, 0.9), (0.3, 0.7)):
+        exact = call([top, Fraction(repr(x)), Fraction(repr(y)), 0])
+        assert outcome(call, [top, x, y, 0]) == exact
+
+
+@entry_points
+def test_a_bool_is_not_a_value_at_any_entry_point(call, top):
+    with pytest.raises(ConceptDSError, match="has [a-z]+ True, which is not "
+                                             "a rational number"):
+        call([True, 0, 0, 0])
+
+
+@entry_points
+def test_a_decimal_is_read_through_its_string_at_every_entry_point(call, top):
+    half = Decimal("0.5")
+    exact = call([top, Fraction(1, 2), Fraction(1, 2), 0])
+    assert outcome(call, [top, half, half, 0]) == exact
+    with pytest.raises(CapacityError, match="decimal exponent: 1001"):
+        call([top, Decimal("1E+1001"), 0, 0])

@@ -430,6 +430,17 @@ def test_random_partition_space_is_deterministic(seed):
         random_partition_space(seed, set())
 
 
+@pytest.mark.parametrize("bound", [0, -3])
+def test_generators_refuse_a_denominator_bound_below_one(bound):
+    lat = enumerate_concepts(random_context(1, 3, 3, 0.5))
+    message = f"^denominator_bound must be at least 1, got {bound}$"
+    for call in (lambda: random_mass(1, lat, bound),
+                 lambda: random_set_mass(1, {"x", "y"}, bound),
+                 lambda: random_partition_space(1, {1, 2, 3}, bound)):
+        with pytest.raises(PreconditionError, match=message):
+            call()
+
+
 @given(st.integers(0, 500))
 def test_axiom_checkers_accept_every_generated_mass(seed):
     m = random_set_mass(seed, {"x", "y"}, denominator_bound=12)

@@ -34,6 +34,10 @@ HALVES = ProbabilitySpace(
         (({1, 2}, {3}), (F(3, 2), F(-1, 2)), "negative"),
         (({1, 2}, {3}), (F(1, 2), F(1, 4)), "sum"),
         (({1, 2}, {3}), (F(1, 2),), "measures"),
+        (({1, 2}, {3}), (None, F(1)),
+         "^block 0 has measure None, which is not a rational number$"),
+        (({1, 2}, {3}), (F(1, 2), "x"),
+         "^block 1 has measure 'x', which is not a rational number$"),
     ],
 )
 def test_invalid_spaces_are_rejected(blocks, mu, fragment):
@@ -55,6 +59,15 @@ def test_subset_queries_stay_inside_the_carrier():
         HALVES.iota({9})
     with pytest.raises(ParseError, match="subset"):
         HALVES.outer_measure({1, 9})
+
+
+def test_a_subset_argument_that_is_not_a_set_is_named():
+    for query in (HALVES.inner_measure, HALVES.outer_measure, HALVES.iota,
+                  HALVES.gamma):
+        with pytest.raises(ParseError) as info:
+            query(5)
+        assert str(info.value) == \
+            "subset 5 is not an iterable of hashable elements"
 
 
 # ---------------------------------------------------------------------------
