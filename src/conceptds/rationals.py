@@ -50,6 +50,7 @@ def parse_rational(value: object) -> Fraction:
             raise ParseError(f"expected a rational number, got {value!r}")
         if isinstance(value, numbers.Rational):
             return Fraction(value)
+        # float.__repr__, since a float subclass may print its type name.
         value = float.__repr__(value) if isinstance(value, float) else str(value)
     text = value.strip()
     ratio = _INTEGER_RATIO.fullmatch(text)
