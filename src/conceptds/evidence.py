@@ -23,7 +23,8 @@ from .errors import LabelError, MassError, check_capacity
 from .frozen import Frozen
 from .lattice import (MAX_CONCEPTS, ConceptLattice, attribute_steps,
                       enumerate_concepts, mobius)
-from .powerset import size_key, subsets
+from .powerset import (read_subset, read_table, size_key, subset_text,
+                       subsets)
 from .rationals import common_numerators, fractions_over, parse_rationals
 
 # A carrier of n elements has a 2^n-concept powerset lattice.
@@ -40,15 +41,6 @@ def _concept(size: int, c: int) -> int:
     if not 0 <= c < size:
         raise LabelError(f"concept index {c} is outside 0..{size - 1}")
     return c
-
-
-def _subset(subset: Iterable) -> frozenset:
-    """The subset a set-level argument names, or a MassError naming it."""
-    try:
-        return frozenset(subset)
-    except TypeError as exc:
-        raise MassError(f"subset {subset!r} is not an iterable of hashable "
-                        "elements") from exc
 
 
 class MassFunction(Frozen):
@@ -104,21 +96,9 @@ class MassFunction(Frozen):
                      mapping: Mapping[int, Fraction]) -> "MassFunction":
         n = len(lattice)
         values = [Fraction(0)] * n
-        # The least and greatest keys bound them all, and one scan of the key
-        # types finds a bool between them: no call per key.  A key that is
-        # not an int fails a comparison, that scan or the fill; only then is
-        # each key checked.  The constructor reads the values.
-        try:
-            for index in (min(mapping), max(mapping)) if mapping else ():
-                _concept(n, index)
-            if bool in map(type, mapping):
-                raise TypeError("a bool is not a concept index")
-            for index, value in mapping.items():
-                values[index] = value
-        except TypeError:
-            for index in mapping:
-                _concept(n, index)
-            raise
+        # Keys are checked here, before the constructor reads any value.
+        for index, value in mapping.items():
+            values[_concept(n, index)] = value
         return cls(lattice, values)
 
     @classmethod
@@ -205,18 +185,14 @@ class SetMassFunction:
     """
 
     def __init__(self, carrier: Iterable, values: Mapping[Iterable, Fraction]):
-        self.carrier = frozenset(carrier)
+        self.carrier = read_subset(carrier, "carrier", MassError)
         check_capacity("carrier of a set-level mass", len(self.carrier),
                        MAX_SET_CARRIER)
+        table = read_table(values, "mass", MassError, self.carrier)
         lat = _powerset_lattice(self._elements)
-        keys = list(values)
-        indices = [lat.index_by_extent[self._mask(key)] for key in keys]
-        masses = [Fraction(0)] * len(lat)
-        for i, value in zip(indices, parse_rationals(
-                values.values(), lambda i: f"subset {set(keys[i])!r} has mass",
-                MassError)):
-            masses[i] += value
-        self.mass = MassFunction(lat, masses)
+        masses = dict.fromkeys(lat.extents, Fraction(0))
+        masses.update((self._mask(x), value) for x, value in table.items())
+        self.mass = MassFunction(lat, masses.values())
 
     @classmethod
     def _wrap(cls, carrier: frozenset, mass: MassFunction) -> "SetMassFunction":
@@ -230,9 +206,7 @@ class SetMassFunction:
         return sorted(self.carrier, key=repr)
 
     def _mask(self, subset: Iterable) -> int:
-        x = _subset(subset)
-        if not x <= self.carrier:
-            raise MassError(f"{set(x)!r} is not a subset of the carrier")
+        x = read_subset(subset, "subset", MassError, self.carrier)
         return sum(1 << i for i, e in enumerate(self._elements) if e in x)
 
     def _index(self, subset: Iterable) -> int:
@@ -267,16 +241,13 @@ def mass_from_bel_set(bel_table: Mapping[frozenset, Fraction]) -> SetMassFunctio
     The table must cover every subset of its carrier; `mass_from_bel_lattice`
     inverts it on the powerset lattice.
     """
-    keys = [_subset(k) for k in bel_table]
-    table = dict(zip(keys, parse_rationals(
-        bel_table.values(), lambda i: f"subset {set(keys[i])!r} has bel",
-        MassError)))
-    carrier: frozenset = frozenset().union(*table) if table else frozenset()
+    table = read_table(bel_table, "bel", MassError)
+    carrier: frozenset = frozenset().union(*table)
     check_capacity("carrier for belief inversion", len(carrier), MAX_SET_CARRIER)
     every = subsets(carrier)
     if len(table) != len(every):
         raise MassError(f"belief table has {len(table)} entries; expected all "
-                        f"{len(every)} subsets of {set(carrier) or set()!r}")
+                        f"{len(every)} subsets of {subset_text(carrier)}")
     lat = _powerset_lattice(sorted(carrier, key=repr))
     mass = mass_from_bel_lattice([table[every[e]] for e in lat.extents], lat)
     return SetMassFunction._wrap(carrier, mass)

@@ -22,12 +22,11 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
 from .context import FormalContext
-from .errors import MassError, PreconditionError, check_capacity
+from .errors import MassError, ParseError, PreconditionError, check_capacity
 from .evidence import MassFunction, SetMassFunction
 from .lattice import MAX_OBJECTS, ConceptLattice
-from .powerset import size_key, subsets
+from .powerset import read_subset, read_table, size_key, subsets
 from .probspace import ProbabilitySpace
-from .rationals import parse_rationals
 
 MAX_AXIOM_CARRIER = 5
 MAX_AXIOM_N = 3
@@ -68,10 +67,8 @@ def _scaled_table(f: Mapping[frozenset, Fraction]
     Returns the subsets in mask order, the scaled value of each, and the
     common denominator.
     """
-    keys = [frozenset(k) for k in f]
-    table = dict(zip(keys, parse_rationals(
-        f.values(), lambda i: f"subset {set(keys[i])!r} has value", MassError)))
-    carrier = frozenset().union(*table) if table else frozenset()
+    table = read_table(f, "value", MassError)
+    carrier = frozenset().union(*table)
     check_capacity("carrier for axiom checking", len(carrier), MAX_AXIOM_CARRIER)
     every = subsets(carrier)
     if len(table) != len(every):
@@ -289,7 +286,7 @@ def random_mass(seed: int, lat: ConceptLattice,
 def random_set_mass(seed: int, carrier: Iterable,
                     denominator_bound: int = 64) -> SetMassFunction:
     """A powerset mass function, supported on nonempty subsets."""
-    carrier = frozenset(carrier)
+    carrier = read_subset(carrier, "carrier", MassError)
     candidates = sorted((s for s in subsets(carrier) if s), key=size_key)
     if not candidates:
         raise MassError("an empty carrier has no subsets that may carry mass")
@@ -303,7 +300,7 @@ def random_set_mass(seed: int, carrier: Iterable,
 def random_partition_space(seed: int, carrier: Iterable,
                            denominator_bound: int = 64) -> ProbabilitySpace:
     """A random partition of the carrier with exact block probabilities."""
-    carrier = frozenset(carrier)
+    carrier = read_subset(carrier, "carrier", ParseError)
     if not carrier:
         raise PreconditionError("the carrier of a probability space must be nonempty")
     elements = sorted(carrier, key=repr)

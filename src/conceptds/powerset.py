@@ -1,12 +1,17 @@
-"""The powerset enumerator that every subset sweep in the package shares.
+"""Subsets: the powerset enumerator, and the one reader and rendering of a
+subset that every set-level entry point shares.
 
-It depends on nothing else in the package, so the brute-force oracle can use
-it without sharing code with the paths it checks.
+It depends on nothing in the package but `errors` and `rationals`, so the
+brute-force oracle can use it without sharing code with the paths it checks.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, TypeVar
+from fractions import Fraction
+from typing import Iterable, Mapping, TypeVar
+
+from .errors import ConceptDSError
+from .rationals import parse_rationals
 
 T = TypeVar("T")
 
@@ -28,3 +33,37 @@ def subsets(elements: Iterable[T]) -> list[frozenset[T]]:
 def size_key(subset: frozenset) -> tuple[int, list[str]]:
     """Display order of subsets: by size, then by their members' reprs."""
     return (len(subset), sorted(map(repr, subset)))
+
+
+def subset_text(subset: frozenset) -> str:
+    """A subset as Python prints a set, but with its members in repr order."""
+    return "{" + ", ".join(size_key(subset)[1]) + "}" if subset else "set()"
+
+
+def read_subset(value: object, what: str, error: type[ConceptDSError],
+                carrier: frozenset | None = None) -> frozenset:
+    """`value` as a frozenset, or `error`: "{what} {value!r} is not an
+    iterable of hashable elements".  Given a carrier, a subset with a member
+    outside it raises "{subset} is not a subset of the carrier"."""
+    try:
+        subset = frozenset(value)
+    except TypeError as exc:
+        raise error(f"{what} {value!r} is not an iterable of hashable "
+                    "elements") from exc
+    if carrier is not None and not subset <= carrier:
+        raise error(f"{subset_text(subset)} is not a subset of the carrier")
+    return subset
+
+
+def read_table(table: Mapping, what: str, error: type[ConceptDSError],
+               carrier: frozenset | None = None) -> dict[frozenset, Fraction]:
+    """A subset-keyed table of exact values.  Every key is read by
+    `read_subset`, and a subset named by two keys is refused, before any value
+    is read by `parse_rationals` and named "subset {subset} has {what} ..."."""
+    keys = [read_subset(key, "subset", error, carrier) for key in table]
+    if len(set(keys)) < len(keys):
+        twice = next(x for i, x in enumerate(keys) if x in keys[:i])
+        raise error(f"subset {subset_text(twice)} is named by two keys")
+    return dict(zip(keys, parse_rationals(
+        table.values(), lambda i: f"subset {subset_text(keys[i])} has {what}",
+        error)))

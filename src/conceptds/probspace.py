@@ -14,7 +14,8 @@ from typing import Iterable, Mapping
 from .context import parse_json_object
 from .errors import ParseError
 from .frozen import Frozen
-from .rationals import parse_rational, parse_rationals
+from .powerset import read_subset
+from .rationals import parse_rationals
 
 
 class ProbabilitySpace(Frozen):
@@ -30,8 +31,8 @@ class ProbabilitySpace(Frozen):
 
     def __init__(self, carrier: Iterable, blocks: Iterable[Iterable],
                  mu: Iterable[Fraction]) -> None:
-        carrier = frozenset(carrier)
-        blocks = tuple(frozenset(b) for b in blocks)
+        carrier = read_subset(carrier, "carrier", ParseError)
+        blocks = tuple(read_subset(b, "block", ParseError) for b in blocks)
         mu = parse_rationals(mu, lambda i: f"block {i} has measure",
                              ParseError)
         object.__setattr__(self, "carrier", carrier)
@@ -56,14 +57,7 @@ class ProbabilitySpace(Frozen):
             raise ParseError(f"block measures sum to {total}, expected 1")
 
     def _subset(self, subset: Iterable) -> frozenset:
-        try:
-            y = frozenset(subset)
-        except TypeError as exc:
-            raise ParseError(f"subset {subset!r} is not an iterable of "
-                             "hashable elements") from exc
-        if not y <= self.carrier:
-            raise ParseError(f"{set(y)!r} is not a subset of the carrier")
-        return y
+        return read_subset(subset, "subset", ParseError, self.carrier)
 
     def iota(self, subset: Iterable) -> frozenset:
         """Largest measurable set inside: union of blocks included in it."""
@@ -126,5 +120,4 @@ def probability_space_from_json(doc: Mapping) -> ProbabilitySpace:
         raise ParseError("'mu' must be a list of rationals")
     return ProbabilitySpace(carrier,
                             tuple(json_elements(b, f"'blocks'[{i}]")
-                                  for i, b in enumerate(blocks)),
-                            tuple(parse_rational(v) for v in mu))
+                                  for i, b in enumerate(blocks)), mu)

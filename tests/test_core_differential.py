@@ -16,15 +16,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conceptds import (MassError, MassFunction, TotalConflictError,
-                       atom_order_matches,
+from conceptds import (FormalContext, MassError, MassFunction,
+                       TotalConflictError, atom_order_matches,
                        atoms_pairwise_disjoint, brute_bel, brute_pl,
                        check_belief_axioms_set, combine, combine_many,
                        embedding_meet_preserving, enumerate_concepts,
                        mass_from_bel_lattice, mass_from_bel_set,
-                       normalize_no_universal_object, random_context,
-                       random_mass, random_set_mass, represent_concepts)
+                       normalize_no_universal_object, normalize_with_mass,
+                       random_context, random_mass, random_set_mass,
+                       represent_concepts, represent_concepts_frame)
 from conceptds import lattice
+from conceptds.represent import MAX_FRAME_OBJECTS
 from conceptds.powerset import subsets
 
 from conftest import contranominal, with_universal_object
@@ -95,25 +97,32 @@ def test_bitset_core_matches_brute_force_and_definitions(case):
     assert lat.covers() == table_covers(lat)
 
     for m in masses:
-        table = m.belief_table()
-        assert table.bel == tuple(brute_bel(m, c) for c in range(n))
-        assert table.pl == tuple(brute_pl(m, c) for c in range(n))
-        assert table.bel == tuple(
-            sum((m.values[d] for d in range(n) if leq[d][c]), Fraction(0))
-            for c in range(n))
-        assert table.pl == tuple(
-            sum((m.values[d] for d in range(n)
-                 if lat.extents[meets[d][c]]), Fraction(0))
-            for c in range(n))
-        assert [m.bel(c) for c in range(n)] == list(table.bel)
-        assert [m.pl(c) for c in range(n)] == list(table.pl)
-        assert mass_from_bel_lattice(table.bel, lat).values == m.values
+        assert_table_matches_the_definitions(m, leq, meets)
 
     report = assert_fold_matches_the_table_rule(masses)
     if report is not None:
         combined = report.result.belief_table()
         assert mass_from_bel_lattice(combined.bel, lat).values \
             == report.result.values
+
+
+def assert_table_matches_the_definitions(m, leq, meets):
+    """`belief_table`, `bel` and `pl` against the brute scans and the sums
+    over the order and meet tables, and the inversion round trip."""
+    lat, n = m.lattice, len(m.lattice)
+    table = m.belief_table()
+    assert table.bel == tuple(brute_bel(m, c) for c in range(n))
+    assert table.pl == tuple(brute_pl(m, c) for c in range(n))
+    assert table.bel == tuple(
+        sum((m.values[d] for d in range(n) if leq[d][c]), Fraction(0))
+        for c in range(n))
+    assert table.pl == tuple(
+        sum((m.values[d] for d in range(n)
+             if lat.extents[meets[d][c]]), Fraction(0))
+        for c in range(n))
+    assert [m.bel(c) for c in range(n)] == list(table.bel)
+    assert [m.pl(c) for c in range(n)] == list(table.pl)
+    assert mass_from_bel_lattice(table.bel, lat).values == m.values
 
 
 def assert_fold_matches_the_table_rule(masses):
@@ -135,6 +144,55 @@ def assert_fold_matches_the_table_rule(masses):
     assert report.result.values == expected.values
     assert report.conflicts == tuple(conflicts)
     return report
+
+
+# Named lattice shapes, each as its (J, M, <=) context: the join-irreducible
+# elements are the objects, the meet-irreducible ones the attributes, and j
+# has m when j <= m.  Each entry: the attributes, each object's attributes,
+# and the numbers of concepts and of cover edges.
+SHAPES = {
+    "M3": ("abc", {"a": "a", "b": "b", "c": "c"}, 5, 6),
+    "N5": ("abc", {"a": "ab", "b": "b", "c": "c"}, 5, 5),
+    "B3": ("xyz", {"x": "yz", "y": "xz", "z": "xy"}, 8, 12),
+    "4-chain": ("0ab", {"a": "ab", "b": "b", "1": ""}, 4, 3),
+    # `_witness_lattice` of tests/test_evidence.py, attributes renamed.
+    "witness": ("012", {"g0": "02", "g1": "12", "g2": "1"}, 6, 7),
+}
+
+
+def shape_context(name: str) -> FormalContext:
+    attributes, rows = SHAPES[name][:2]
+    objects = tuple(rows)
+    return FormalContext(objects, tuple(attributes), frozenset(
+        (g, attributes.index(a)) for g, obj in enumerate(objects)
+        for a in rows[obj]))
+
+
+@pytest.mark.parametrize("inhabited", [False, True],
+                         ids=["empty-bottom", "inhabited-bottom"])
+@pytest.mark.parametrize("name", SHAPES)
+def test_named_shapes_match_the_references(name, inhabited):
+    """Each shape, also with an object that has every attribute (the same
+    shape with an inhabited least concept), under three seeded masses."""
+    ctx = shape_context(name)
+    if inhabited:
+        ctx = with_universal_object(ctx)
+    lat = enumerate_concepts(ctx)
+    assert (len(lat), len(lat.covers())) == SHAPES[name][2:]
+    assert bool(lat.extents[lat.bottom_index]) == inhabited
+    leq, meets, _ = definition_tables(lat)
+    masses = [random_mass(seed, lat, denominator_bound=12)
+              for seed in range(3)]
+    for m in masses:
+        assert_table_matches_the_definitions(m, leq, meets)
+    assert_fold_matches_the_table_rule(masses)
+    for m in masses:
+        moved, _ = normalize_with_mass(m)
+        assert represent_concepts(moved).all_passed
+        # Every shape here fits the frame's bound on derived objects.
+        assert sum(map(int.bit_count, moved.lattice.extents)) \
+            <= MAX_FRAME_OBJECTS
+        assert represent_concepts_frame(moved).all_passed
 
 
 def wide_masses(rng, lat, count):

@@ -248,6 +248,53 @@ def test_a_subset_argument_that_is_not_a_set_is_named():
             "subset 5 is not an iterable of hashable elements"
 
 
+@pytest.mark.parametrize("call", [
+    lambda t: SetMassFunction("ab", t), mass_from_bel_set],
+    ids=["SetMassFunction", "mass_from_bel_set"])
+def test_a_subset_named_by_two_keys_is_refused(call):
+    """Two keys for {a} are neither summed nor is the last one kept, and the
+    refusal is a key error, reported before the bad value."""
+    for table in ({frozenset(): 0, ("a",): F(1, 2), frozenset("a"): F(1, 2),
+                   "b": 0, "ab": 1},
+                  {"a": None, ("a",): F(1, 2), "b": F(1, 2)}):
+        with pytest.raises(MassError) as info:
+            call(table)
+        assert str(info.value) == "subset {'a'} is named by two keys"
+    with pytest.raises(MassError) as info:
+        call({"ab": F(1, 2), ("b", "a"): F(1, 2)})
+    assert str(info.value) == "subset {'a', 'b'} is named by two keys"
+
+
+def test_set_level_texts_print_members_in_repr_order():
+    """As a set of reprs sorted, whatever order hashing gives the set."""
+    m = SetMassFunction("abc", {"abc": 1})
+    with pytest.raises(MassError) as info:
+        m.bel("zyx")
+    assert str(info.value) == "{'x', 'y', 'z'} is not a subset of the carrier"
+    with pytest.raises(MassError) as info:
+        SetMassFunction("abc", {"ca": F(1, 2), "b": None})
+    assert str(info.value) == \
+        "subset {'b'} has mass None, which is not a rational number"
+    with pytest.raises(MassError) as info:
+        SetMassFunction("abc", {"b": F(1, 2), "cb": "x"})
+    assert str(info.value) == \
+        "subset {'b', 'c'} has mass 'x', which is not a rational number"
+    with pytest.raises(MassError) as info:
+        mass_from_bel_set({"": 0, "cab": 1})
+    assert str(info.value) == ("belief table has 2 entries; expected all 8 "
+                               "subsets of {'a', 'b', 'c'}")
+    with pytest.raises(MassError) as info:
+        mass_from_bel_set({})
+    assert str(info.value) == \
+        "belief table has 0 entries; expected all 1 subsets of set()"
+
+
+def test_a_key_outside_the_carrier_is_blamed_before_a_bad_value():
+    with pytest.raises(MassError) as info:
+        SetMassFunction("ab", {"a": None, "zb": F(1, 2)})
+    assert str(info.value) == "{'b', 'z'} is not a subset of the carrier"
+
+
 def test_set_bel_and_pl_small_case():
     m = SetMassFunction(frozenset("ab"), {frozenset("a"): F(1, 2),
                                           frozenset("ab"): F(1, 2)})

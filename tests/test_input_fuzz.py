@@ -13,7 +13,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conceptds import (CapacityError, ConceptDSError, FormalContext,
@@ -21,7 +21,8 @@ from conceptds import (CapacityError, ConceptDSError, FormalContext,
                        build_report, check_belief_axioms_set,
                        check_plausibility_axioms_set, enumerate_concepts,
                        load_document, mass_from_bel_lattice, mass_from_bel_set,
-                       parse_cxt, parse_rational, probability_space_from_json)
+                       parse_cxt, parse_rational, probability_space_from_json,
+                       random_partition_space, random_set_mass)
 from conceptds.errors import ENV_UNSAFE_SCALE
 
 NAMES = st.sampled_from(["a", "b", "x", "y", "top", "⊥", "{a}", "{a,b}", ""])
@@ -195,3 +196,84 @@ def test_a_decimal_is_read_through_its_string_at_every_entry_point(call, top):
     assert outcome(call, [top, half, half, 0]) == exact
     with pytest.raises(CapacityError, match="decimal exponent: 1001"):
         call([top, Decimal("1E+1001"), 0, 0])
+
+
+# ---------------------------------------------------------------------------
+# Subsets: every carrier, block, subset argument and table key is read as a
+# set, and a value that is not one is named with the argument it was given as.
+
+class Unhashables:
+    """A hashable key whose members are not hashable."""
+
+    def __iter__(self):
+        return iter([[]])
+
+    def __repr__(self):
+        return "Unhashables()"
+
+
+SET_MASS = SetMassFunction("ab", {"ab": 1})
+SPACE = ProbabilitySpace("ab", ["a", "b"], [Fraction(1, 2), Fraction(1, 2)])
+# Name -> (the call on one value, the name its error gives the value, and
+# whether the value is a table key, so that it must be hashable itself).
+SUBSET_ARGUMENTS = {
+    "SetMassFunction carrier": (lambda v: SetMassFunction(v, {}), "carrier",
+                                False),
+    "SetMassFunction key": (lambda v: SetMassFunction("ab", {v: 1}), "subset",
+                            True),
+    "SetMassFunction[]": (SET_MASS.__getitem__, "subset", False),
+    "SetMassFunction.bel": (SET_MASS.bel, "subset", False),
+    "SetMassFunction.pl": (SET_MASS.pl, "subset", False),
+    "mass_from_bel_set key": (lambda v: mass_from_bel_set({v: 1}), "subset",
+                              True),
+    "ProbabilitySpace carrier": (lambda v: ProbabilitySpace(v, [], []),
+                                 "carrier", False),
+    "ProbabilitySpace block": (lambda v: ProbabilitySpace(["a"], [v], [1]),
+                               "block", False),
+    "iota": (SPACE.iota, "subset", False),
+    "gamma": (SPACE.gamma, "subset", False),
+    "inner_measure": (SPACE.inner_measure, "subset", False),
+    "outer_measure": (SPACE.outer_measure, "subset", False),
+    "check_belief_axioms_set key": (
+        lambda v: check_belief_axioms_set({v: 1}), "subset", True),
+    "check_plausibility_axioms_set key": (
+        lambda v: check_plausibility_axioms_set({v: 1}), "subset", True),
+    "random_set_mass carrier": (lambda v: random_set_mass(0, v), "carrier",
+                                False),
+    "random_partition_space carrier": (
+        lambda v: random_partition_space(0, v), "carrier", False),
+}
+subset_arguments = pytest.mark.parametrize(
+    "call, what, key", SUBSET_ARGUMENTS.values(), ids=list(SUBSET_ARGUMENTS))
+NOT_SETS = [5, None, 1.5, True, Unhashables(), ["a", []], [{}], ([1], 2)]
+
+
+def hashable(value) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("call, what, value", [
+    pytest.param(call, what, value, id=f"{name}-{value!r}")
+    for name, (call, what, key) in SUBSET_ARGUMENTS.items()
+    for value in NOT_SETS if hashable(value) or not key])
+def test_a_value_that_is_not_a_set_is_named_with_its_argument(
+        call, what, value):
+    """SetMassFunction(5, {}) and ProbabilitySpace(["a"], [5], [1]) among
+    them: a named ConceptDSError, never a bare TypeError."""
+    with pytest.raises(ConceptDSError) as info:
+        call(value)
+    assert str(info.value) == \
+        f"{what} {value!r} is not an iterable of hashable elements"
+
+
+@subset_arguments
+@settings(max_examples=40)
+@given(value=SCALARS | st.frozensets(SCALARS, max_size=3)
+       | st.lists(VALUES, max_size=3) | st.sampled_from(NOT_SETS))
+def test_subset_arguments_raise_only_conceptds_errors(call, what, key, value):
+    assume(hashable(value) or not key)
+    run_parser(call, value)

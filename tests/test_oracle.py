@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conceptds import (AxiomReport, AxiomViolation, CapacityError,
-                       MassError, PreconditionError,
+                       MassError, ParseError, PreconditionError,
                        check_belief_axioms_set, check_plausibility_axioms_set,
                        brute_bel, brute_pl, enumerate_concepts, random_context,
                        random_mass, random_partition_space, random_set_mass)
@@ -169,6 +169,32 @@ def test_incomplete_tables_are_rejected():
     table = {frozenset({1, 2}): F(1), frozenset(): F(0)}
     with pytest.raises(MassError, match="expected all"):
         check_belief_axioms_set(table)
+
+
+@pytest.mark.parametrize("checker", [check_belief_axioms_set,
+                                     check_plausibility_axioms_set])
+def test_a_subset_named_by_two_keys_is_refused(checker):
+    """The table below held two values for {a}: the checkers kept the last
+    one and passed it."""
+    table = {frozenset(): F(0), ("a",): F(1, 2), frozenset("a"): F(1)}
+    with pytest.raises(MassError) as info:
+        checker(table)
+    assert str(info.value) == "subset {'a'} is named by two keys"
+    with pytest.raises(MassError) as info:
+        checker({"": 0, "a": None, "b": 0, "ab": 1, "ba": 1})
+    assert str(info.value) == "subset {'a', 'b'} is named by two keys"
+
+
+@pytest.mark.parametrize("checker", [check_belief_axioms_set,
+                                     check_plausibility_axioms_set])
+def test_a_key_that_is_not_a_set_is_named(checker):
+    with pytest.raises(MassError) as info:
+        checker({frozenset(): 0, 5: 1})
+    assert str(info.value) == "subset 5 is not an iterable of hashable elements"
+    with pytest.raises(MassError) as info:
+        checker({"": 0, "a": 0, "b": 0, "ba": None})
+    assert str(info.value) == \
+        "subset {'a', 'b'} has value None, which is not a rational number"
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +454,18 @@ def test_random_partition_space_is_deterministic(seed):
     assert sum(a.mu) == 1
     with pytest.raises(PreconditionError, match="nonempty"):
         random_partition_space(seed, set())
+
+
+@pytest.mark.parametrize("carrier", [5, ["a", []]])
+def test_generators_name_a_carrier_that_is_not_a_set(carrier):
+    """Each raises what its constructor raises on that carrier."""
+    message = f"carrier {carrier!r} is not an iterable of hashable elements"
+    with pytest.raises(MassError) as info:
+        random_set_mass(0, carrier)
+    assert str(info.value) == message
+    with pytest.raises(ParseError) as info:
+        random_partition_space(0, carrier)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("bound", [0, -3])

@@ -54,6 +54,15 @@ def test_zero_measure_blocks_are_fine():
     assert space.outer_measure({2}) == 0
 
 
+def test_a_subset_outside_the_carrier_prints_its_members_in_repr_order():
+    with pytest.raises(ParseError) as info:
+        HALVES.outer_measure({9, 1, 10})
+    assert str(info.value) == "{1, 10, 9} is not a subset of the carrier"
+    with pytest.raises(ParseError) as info:
+        ProbabilitySpace({"a"}, [{"a"}], [1]).iota("cb")
+    assert str(info.value) == "{'b', 'c'} is not a subset of the carrier"
+
+
 def test_subset_queries_stay_inside_the_carrier():
     with pytest.raises(ParseError, match="subset"):
         HALVES.iota({9})
@@ -138,6 +147,15 @@ def test_parse_round_trip():
         ' "mu": ["1/2", "0.5"]}')
     assert space.blocks == (frozenset({1, 2}), frozenset({3}))
     assert space.mu == (F(1, 2), F(1, 2))
+
+
+def test_a_bad_measure_in_a_document_is_named_with_its_block():
+    """The document path names the block, as a library call does."""
+    with pytest.raises(ParseError) as info:
+        parse_probability_space('{"carrier": ["a", "b"], '
+                                '"blocks": [["a"], ["b"]], "mu": ["1/2", "x"]}')
+    assert str(info.value) == \
+        "block 1 has measure 'x', which is not a rational number"
 
 
 @pytest.mark.parametrize(
