@@ -1,9 +1,12 @@
 """Formal contexts: derivation operators, CXT and JSON input, normalization.
 
 A formal context is a finite cross table between objects and attributes.  The
-two derivation operators `up` (attributes common to a set of objects) and
-`down` (objects having all of a set of attributes) form the Galois connection
-that everything else in this package is built on.  Objects and attributes are
+two derivation operators, the intent of a set of objects (the attributes they
+share) and the extent of a set of attributes (the objects having them all),
+form the Galois connection that everything else in this package is built on.
+`FormalContext` owns them, on bitmasks: `intent_of`, `extent_of` and
+`closure`, with `members` the one conversion of a mask back to indexes;
+`up` and `down` are their frozenset views.  Objects and attributes are
 addressed by index; the name lists fix the index spaces.
 """
 
@@ -13,12 +16,13 @@ import itertools
 import json
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import MassError, ParseError
+from .errors import LabelError, MassError, ParseError
 from .frozen import Frozen
+from .powerset import read_sequence
 from .rationals import common_numerators, parse_rational
 
 ObjectSet = frozenset[int]
@@ -31,6 +35,35 @@ def _is_index(i: object) -> bool:
     return isinstance(i, int) and not isinstance(i, bool)
 
 
+def members(mask: int) -> list[int]:
+    """The set bits of a mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def read_index(i: object, size: int, what: str) -> int:
+    """i, when an int indexing one of `size` `what`s; no negative wraps.
+    Anything else raises `LabelError`."""
+    if not _is_index(i):
+        raise LabelError(f"{what} index {i!r} is not an int")
+    if not 0 <= i < size:
+        raise LabelError(f"{what} index {i} is outside 0..{size - 1}")
+    return i
+
+
+def mask_of(indexes: Iterable[int], size: int, what: str) -> int:
+    """The mask of an iterable of `what` indexes, each read by
+    `read_index`."""
+    mask = 0
+    for i in read_sequence(indexes, f"{what} indexes", LabelError):
+        mask |= 1 << read_index(i, size, what)
+    return mask
+
+
 class FormalContext(Frozen):
     """Objects, attributes, and which object has which attribute.
 
@@ -39,8 +72,8 @@ class FormalContext(Frozen):
     spaces.
 
     The table is also held as `int` bitmasks, `rows` and `columns`, built on
-    first read; `up`, `down` and every extent, intent and closure mask of
-    the lattice are computed from them.
+    first read.  The derivation operators `intent_of`, `extent_of` and
+    `closure` run on them.
     """
 
     objects: tuple[str, ...]
@@ -91,19 +124,33 @@ class FormalContext(Frozen):
         """Each object name with its bit in an extent mask."""
         return {name: 1 << i for i, name in enumerate(self.objects)}
 
+    def intent_of(self, extent: int) -> int:
+        """The attributes whose columns hold an object mask."""
+        return sum([1 << m for m, c in enumerate(self.columns)
+                    if extent & ~c == 0])
+
+    def extent_of(self, intent: int) -> int:
+        """The AND of an attribute mask's columns; all objects when empty."""
+        mask = (1 << len(self.objects)) - 1
+        for m in members(intent):
+            mask &= self.columns[m]
+        return mask
+
+    def closure(self, extent: int) -> int:
+        """`extent_of(intent_of(extent))` in one pass over the columns."""
+        return reduce(int.__and__, [c for c in self.columns
+                                    if extent & ~c == 0],
+                      (1 << len(self.objects)) - 1)
+
     def up(self, objs: Iterable[int]) -> AttributeSet:
         """Attributes shared by all of `objs`; all attributes when empty."""
-        mask = (1 << len(self.attributes)) - 1
-        for g in objs:
-            mask &= self.rows[g]
-        return frozenset(m for m in range(len(self.attributes)) if mask >> m & 1)
+        return frozenset(members(self.intent_of(
+            mask_of(objs, len(self.objects), "object"))))
 
     def down(self, attrs: Iterable[int]) -> ObjectSet:
         """Objects that have all of `attrs`; all objects when empty."""
-        mask = (1 << len(self.objects)) - 1
-        for m in attrs:
-            mask &= self.columns[m]
-        return frozenset(g for g in range(len(self.objects)) if mask >> g & 1)
+        return frozenset(members(self.extent_of(
+            mask_of(attrs, len(self.attributes), "attribute"))))
 
     def object_names(self, objs: Iterable[int]) -> tuple[str, ...]:
         return tuple(self.objects[g] for g in sorted(objs))
@@ -118,7 +165,7 @@ def normalize_no_universal_object(ctx: FormalContext) -> FormalContext:
     When some object already has all attributes, a fresh attribute held by no
     object is appended; otherwise the context is returned unchanged.
     """
-    if not ctx.down(range(len(ctx.attributes))):
+    if not ctx.extent_of((1 << len(ctx.attributes)) - 1):
         return ctx
     name = FRESH_ATTRIBUTE
     for k in itertools.count(1):

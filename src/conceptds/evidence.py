@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .context import FormalContext, MassSpec, ObjectSet
+from .context import FormalContext, MassSpec, ObjectSet, read_index
 from .errors import LabelError, MassError, check_capacity
 from .frozen import Frozen
 from .lattice import (MAX_CONCEPTS, ConceptLattice, attribute_steps,
@@ -32,15 +32,6 @@ MAX_SET_CARRIER = MAX_CONCEPTS.bit_length() - 1
 
 _TOP_NAMES = frozenset({"top", "⊤"})
 _BOTTOM_NAMES = frozenset({"bottom", "bot", "⊥"})
-
-
-def _concept(size: int, c: int) -> int:
-    """c, when an int indexing one of `size` concepts; no negative wraps."""
-    if not isinstance(c, int) or isinstance(c, bool):
-        raise LabelError(f"concept index {c!r} is not an int")
-    if not 0 <= c < size:
-        raise LabelError(f"concept index {c} is outside 0..{size - 1}")
-    return c
 
 
 class MassFunction(Frozen):
@@ -98,7 +89,7 @@ class MassFunction(Frozen):
         values = [Fraction(0)] * n
         # Keys are checked here, before the constructor reads any value.
         for index, value in mapping.items():
-            values[_concept(n, index)] = value
+            values[read_index(index, n, "concept")] = value
         return cls(lattice, values)
 
     @classmethod
@@ -107,7 +98,7 @@ class MassFunction(Frozen):
         return cls.from_mapping(lattice, {lattice.top_index: Fraction(1)})
 
     def __getitem__(self, c: int) -> Fraction:
-        return self.values[_concept(len(self.values), c)]
+        return self.values[read_index(c, len(self.values), "concept")]
 
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, v in enumerate(self.values) if v)
@@ -131,7 +122,7 @@ class MassFunction(Frozen):
 
     def bel(self, c: int) -> Fraction:
         """Total mass of concepts at or below concept c."""
-        e = self.lattice.extents[_concept(len(self.values), c)]
+        e = self.lattice.extents[read_index(c, len(self.values), "concept")]
         return Fraction(self._numerators(e)[0], self.focal[0])
 
     def pl(self, c: int) -> Fraction:
@@ -140,7 +131,7 @@ class MassFunction(Frozen):
         Compatible means the meet has a nonempty extent, i.e. some object
         witnesses both concepts at once.
         """
-        e = self.lattice.extents[_concept(len(self.values), c)]
+        e = self.lattice.extents[read_index(c, len(self.values), "concept")]
         return Fraction(self._numerators(e)[1], self.focal[0])
 
     def belief_table(self) -> "BeliefTable":

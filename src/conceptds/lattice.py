@@ -4,7 +4,10 @@ Concepts are the closed (extent, intent) pairs of a context.  They are stored
 in a canonical order (descending extent size, then lexicographic extent) as
 `int` bitmasks over object and attribute indices only, and a concept is named
 by its index in that order; a `Concept` view is built from the masks when one
-is read.  Order, meets and joins are read from the masks: c <= d when c's
+is read.  Extents, intents and closure tests come from the context's mask
+operators (`FormalContext.extent_of`, `intent_of`, `closure`); only the
+incremental lookups below cut an intent by a row themselves.
+Order, meets and joins are read from the masks: c <= d when c's
 extent mask has no bit outside d's, a meet is the concept whose extent is the
 intersection of the two extents, and a join the concept whose intent is the
 intersection of the two intents.  Both intersections land on concepts because
@@ -28,11 +31,11 @@ the lookups only on the context's own lattice.
 from __future__ import annotations
 
 from array import array
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
-from .context import (AttributeSet, FormalContext, ObjectSet,
-                      normalize_no_universal_object)
+from .context import (AttributeSet, FormalContext, ObjectSet, mask_of,
+                      members, normalize_no_universal_object)
 from .errors import PreconditionError, check_capacity
 
 MAX_OBJECTS = 24
@@ -42,16 +45,6 @@ MAX_CONCEPTS = 4096
 class Concept(NamedTuple):
     extent: ObjectSet
     intent: AttributeSet
-
-
-def _members(mask: int) -> list[int]:
-    """The set bits of a mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 class ConceptLattice:
@@ -99,12 +92,14 @@ class ConceptLattice:
         return map(self.__getitem__, range(len(self.extents)))
 
     def __getitem__(self, index: int) -> Concept:
-        return Concept(frozenset(_members(self.extents[index])),
-                       frozenset(_members(self.intents[index])))
+        return Concept(frozenset(members(self.extents[index])),
+                       frozenset(members(self.intents[index])))
 
     def index_with_extent(self, extent: Iterable[int]) -> int | None:
-        """The index of the concept with this extent, or None if none has it."""
-        return self.index_by_extent.get(sum({1 << g for g in extent}))
+        """The index of the concept with this extent, or None if none has it.
+        An object index outside 0..n-1 raises `LabelError`."""
+        return self.index_by_extent.get(
+            mask_of(extent, len(self.context.objects), "object"))
 
     @property
     def normalized(self) -> ConceptLattice:
@@ -127,8 +122,7 @@ class ConceptLattice:
         common to its extent.  `enumerate_concepts` sets it; a lattice
         built by hand computes it once, on first use."""
         return is_context_lattice(self) and all(
-            a == sum([1 << x for x, c in enumerate(self.context.columns)
-                      if e & ~c == 0])
+            a == self.context.intent_of(e)
             for e, a in zip(self.extents, self.intents))
 
     @cached_property
@@ -152,7 +146,7 @@ class ConceptLattice:
         edges = []
         for i, (e, a) in enumerate(zip(extents, self.intents)):
             generated: dict[int, int] = {}
-            for g in _members(everyone & ~e):
+            for g in members(everyone & ~e):
                 j = by_intent[a & rows[g]]
                 generated[j] = generated.get(j, 0) + 1
             size = e.bit_count()
@@ -168,10 +162,9 @@ def is_context_lattice(lat: ConceptLattice) -> bool:
     by a column are stored, so every intersection of columns is stored."""
     extents, index = lat.extents, lat.index_by_extent
     top = (1 << len(lat.context.objects)) - 1
-    cols = lat.context.columns
     return len(index) == len(extents) and top in index and all(
-        index.get(e) == i and all(e & c in index for c in cols)
-        and reduce(int.__and__, [c for c in cols if e & ~c == 0], top) == e
+        index.get(e) == i and all(e & c in index for c in lat.context.columns)
+        and lat.context.closure(e) == e
         for i, e in enumerate(extents))
 
 
@@ -260,19 +253,12 @@ def enumerate_concepts(ctx: FormalContext) -> ConceptLattice:
     is folded in, so an oversized lattice fails before it is built.
     """
     check_capacity("objects in context", len(ctx.objects), MAX_OBJECTS)
-    rows = ctx.rows
     intents = {(1 << len(ctx.attributes)) - 1}
-    for row in rows:
+    for row in ctx.rows:
         intents |= {intent & row for intent in intents}
         check_capacity("concepts in lattice", len(intents), MAX_CONCEPTS)
-    pairs = []
-    for intent in intents:
-        extent = 0
-        for g, row in enumerate(rows):
-            if intent & ~row == 0:
-                extent |= 1 << g
-        pairs.append((extent, intent))
-    pairs.sort(key=lambda pair: (-pair[0].bit_count(), _members(pair[0])))
+    pairs = [(ctx.extent_of(intent), intent) for intent in intents]
+    pairs.sort(key=lambda pair: (-pair[0].bit_count(), members(pair[0])))
     lat = ConceptLattice(ctx, tuple(e for e, _ in pairs),
                          tuple(a for _, a in pairs))
     lat._lookups_hold = True

@@ -55,11 +55,27 @@ def read_subset(value: object, what: str, error: type[ConceptDSError],
     return subset
 
 
+def read_sequence(value: object, what: str,
+                  error: type[ConceptDSError]) -> tuple:
+    """`value` as a tuple, or `error`: "{what} must be an iterable, not
+    {type}"."""
+    try:
+        items = iter(value)
+    except TypeError:
+        raise error(f"{what} must be an iterable, not "
+                    f"{type(value).__name__}") from None
+    return tuple(items)
+
+
 def read_table(table: Mapping, what: str, error: type[ConceptDSError],
                carrier: frozenset | None = None) -> dict[frozenset, Fraction]:
-    """A subset-keyed table of exact values.  Every key is read by
+    """A subset-keyed table of exact values.  A table that is not a mapping
+    raises "{what} table must be a mapping, not {type}".  Every key is read by
     `read_subset`, and a subset named by two keys is refused, before any value
     is read by `parse_rationals` and named "subset {subset} has {what} ..."."""
+    if not isinstance(table, Mapping):
+        raise error(f"{what} table must be a mapping, not "
+                    f"{type(table).__name__}")
     keys = [read_subset(key, "subset", error, carrier) for key in table]
     if len(set(keys)) < len(keys):
         twice = next(x for i, x in enumerate(keys) if x in keys[:i])

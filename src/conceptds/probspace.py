@@ -14,7 +14,7 @@ from typing import Iterable, Mapping
 from .context import parse_json_object
 from .errors import ParseError
 from .frozen import Frozen
-from .powerset import read_subset
+from .powerset import read_sequence, read_subset
 from .rationals import parse_rationals
 
 
@@ -32,9 +32,10 @@ class ProbabilitySpace(Frozen):
     def __init__(self, carrier: Iterable, blocks: Iterable[Iterable],
                  mu: Iterable[Fraction]) -> None:
         carrier = read_subset(carrier, "carrier", ParseError)
-        blocks = tuple(read_subset(b, "block", ParseError) for b in blocks)
-        mu = parse_rationals(mu, lambda i: f"block {i} has measure",
-                             ParseError)
+        blocks = tuple(read_subset(b, "block", ParseError)
+                       for b in read_sequence(blocks, "blocks", ParseError))
+        mu = parse_rationals(read_sequence(mu, "mu", ParseError),
+                             lambda i: f"block {i} has measure", ParseError)
         object.__setattr__(self, "carrier", carrier)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "mu", mu)

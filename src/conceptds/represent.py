@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, NamedTuple
 
-from .context import FormalContext
+from .context import FormalContext, members
 from .errors import PreconditionError, check_capacity
 from .evidence import MassFunction, SetMassFunction
 from .frozen import Frozen
@@ -306,7 +306,7 @@ def represent_concepts_frame(m: MassFunction) -> FrameRepresentation:
                    sum(map(int.bit_count, lat.extents)), MAX_FRAME_OBJECTS)
     n = len(lat)
     object_keys = tuple((ci, g) for ci, e in enumerate(lat.extents)
-                        for g in range(len(ctx.objects)) if e >> g & 1)
+                        for g in members(e))
     attribute_keys = tuple((ci, x) for ci in range(n)
                            for x in range(len(ctx.attributes)))
 
@@ -321,7 +321,8 @@ def represent_concepts_frame(m: MassFunction) -> FrameRepresentation:
     derived = FormalContext(object_names, attribute_names, incidence)
 
     def closed(extent: frozenset) -> bool:
-        return derived.down(derived.up(extent)) == extent
+        mask = sum(1 << p for p in extent)
+        return derived.closure(mask) == mask
 
     atoms = tuple(frozenset(p for p, (ci, _) in enumerate(object_keys)
                             if ci == c)

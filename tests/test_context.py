@@ -13,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conceptds import (FRESH_ATTRIBUTE, CapacityError, FormalContext,
-                       MassError, ParseError, format_exact, format_fixed,
-                       load_document, normalize_no_universal_object,
-                       parse_cxt, parse_rational, round_half_away,
-                       serialize_cxt)
+                       LabelError, MassError, ParseError, format_exact,
+                       format_fixed, load_document,
+                       normalize_no_universal_object, parse_cxt,
+                       parse_rational, round_half_away, serialize_cxt)
+from conceptds.context import members
 from conceptds.errors import ENV_UNSAFE_SCALE
 from conceptds.rationals import common_numerators, fractions_over
 
@@ -228,6 +229,58 @@ def test_up_is_antitone(ctx):
         assert ctx.up(larger) <= ctx.up(smaller)
 
 
+TWO_OBJECTS = FormalContext(("a", "b"), ("x", "y"), {(0, 0), (1, 1)})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: TWO_OBJECTS.up([-1]), "object index -1 is outside 0..1"),
+    (lambda: TWO_OBJECTS.down([-1]), "attribute index -1 is outside 0..1"),
+    (lambda: TWO_OBJECTS.up([2]), "object index 2 is outside 0..1"),
+    (lambda: TWO_OBJECTS.down([0, 2]), "attribute index 2 is outside 0..1"),
+    (lambda: TWO_OBJECTS.up([True]), "object index True is not an int"),
+    (lambda: TWO_OBJECTS.down([0.0]), "attribute index 0.0 is not an int"),
+    (lambda: TWO_OBJECTS.up(5), "object indexes must be an iterable, not int"),
+], ids=["up-negative", "down-negative", "up-past-the-end", "down-past-the-end",
+        "up-bool", "down-float", "up-not-iterable"])
+def test_up_and_down_read_only_indexes_in_range(call, message):
+    """A negative index no longer wraps to the last object or attribute,
+    and one past the end is not a bare IndexError."""
+    with pytest.raises(LabelError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def _mask(indexes) -> int:
+    return sum(1 << i for i in indexes)
+
+
+@given(small_contexts(), st.data())
+def test_mask_operators_agree_with_up_down_and_the_set_definitions(ctx, data):
+    objects, attributes = range(len(ctx.objects)), range(len(ctx.attributes))
+    objs = data.draw(subsets_of(frozenset(objects)))
+    attrs = data.draw(subsets_of(frozenset(attributes)))
+    intent = _mask(m for m in attributes
+                   if all((g, m) in ctx.incidence for g in objs))
+    extent = _mask(g for g in objects
+                   if all((g, m) in ctx.incidence for m in attrs))
+    assert ctx.intent_of(_mask(objs)) == intent == _mask(ctx.up(objs))
+    assert ctx.extent_of(_mask(attrs)) == extent == _mask(ctx.down(attrs))
+    assert ctx.closure(_mask(objs)) == _mask(ctx.down(ctx.up(objs)))
+    assert members(_mask(objs)) == sorted(objs)
+
+
+@given(small_contexts(), st.data())
+def test_closure_is_extensive_monotone_and_idempotent(ctx, data):
+    objects = frozenset(range(len(ctx.objects)))
+    small = _mask(data.draw(subsets_of(objects)))
+    large = small | _mask(data.draw(subsets_of(objects)))
+    closure = ctx.closure
+    assert small & ~closure(small) == 0
+    assert closure(small) & ~closure(large) == 0
+    assert closure(closure(small)) == closure(small)
+    assert closure(small) == ctx.extent_of(ctx.intent_of(small))
+
+
 # ---------------------------------------------------------------------------
 # CXT round trip and errors
 
@@ -261,6 +314,19 @@ def test_cxt_errors_carry_line_numbers(mangle, bad_line):
 def test_cxt_truncated_input():
     with pytest.raises(ParseError):
         parse_cxt("B\n\n2\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("B\nx\n1\n1\n\na\nx\nX\n",
+     "line 2: expected a blank line after the header"),
+    ("B\n\n1\n1\nx\na\nx\nX\n",
+     "line 5: expected a blank line after the counts"),
+], ids=["header", "counts"])
+def test_cxt_wants_a_blank_line_after_the_header_and_the_counts(text,
+                                                                message):
+    with pytest.raises(ParseError) as info:
+        parse_cxt(text)
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +369,20 @@ def test_document_with_labels_masses_and_expected():
 def test_document_rejects_malformed_payloads(payload):
     with pytest.raises(ParseError):
         load_document(payload)
+
+
+@pytest.mark.parametrize("part, message", [
+    ({"labels": {"c": "a"}}, "label 'c' must map to a list of object names"),
+    ({"masses": ["m"]},
+     "'masses' must be an object mapping names to assignments"),
+    ({"masses": {"m": ["top"]}},
+     "mass 'm' must be an object mapping labels to rationals"),
+], ids=["label", "masses", "mass"])
+def test_document_names_a_label_or_mass_of_the_wrong_shape(part, message):
+    with pytest.raises(ParseError) as info:
+        load_document(json.dumps({"objects": ["a"], "attributes": ["x"],
+                                  **part}))
+    assert str(info.value) == message
 
 
 def test_document_rejects_bad_masses():

@@ -228,6 +228,11 @@ def test_set_mass_rejects_bad_support():
         SetMassFunction(frozenset("ab"), {frozenset("a"): F(1, 2)})
 
 
+def test_set_mass_support_lists_the_focal_subsets_in_size_order():
+    m = SetMassFunction("ab", {"ab": F(1, 2), "b": F(1, 4), "a": F(1, 4)})
+    assert m.support() == (frozenset("a"), frozenset("b"), frozenset("ab"))
+
+
 @pytest.mark.parametrize("value", [None, "x", "1/0"])
 def test_set_mass_names_a_bad_value_with_its_subset(value):
     with pytest.raises(MassError) as info:
@@ -472,6 +477,15 @@ def test_ambiguous_labels_raise(music_lattice):
     with pytest.raises(LabelError) as info:
         resolve_concept_label(music_lattice, "top", shadowing)
     assert "ambiguous" in str(info.value)
+
+
+def test_a_label_map_that_shadows_the_least_concept_is_ambiguous(
+        music_lattice):
+    with pytest.raises(LabelError) as info:
+        resolve_concept_label(music_lattice, "⊥", {"⊥": frozenset({0})})
+    assert str(info.value) == (
+        "label '⊥' is ambiguous: concept 3 via document label; concept 6 "
+        "via built-in name for the least concept")
 
 
 def test_conflicting_label_routes_are_ambiguous(music_lattice):

@@ -17,8 +17,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conceptds import (CapacityError, ConceptDSError, FormalContext,
-                       MassFunction, ProbabilitySpace, SetMassFunction,
-                       build_report, check_belief_axioms_set,
+                       MassError, MassFunction, ParseError, ProbabilitySpace,
+                       SetMassFunction, build_report, check_belief_axioms_set,
                        check_plausibility_axioms_set, enumerate_concepts,
                        load_document, mass_from_bel_lattice, mass_from_bel_set,
                        parse_cxt, parse_rational, probability_space_from_json,
@@ -277,3 +277,33 @@ def test_a_value_that_is_not_a_set_is_named_with_its_argument(
 def test_subset_arguments_raise_only_conceptds_errors(call, what, key, value):
     assume(hashable(value) or not key)
     run_parser(call, value)
+
+
+# ---------------------------------------------------------------------------
+# Containers: a table or a sequence argument that is not one is named, with
+# the caller's error class, where it was a bare TypeError.
+
+NOT_CONTAINERS = {
+    "SetMassFunction values": (lambda: SetMassFunction("a", 5), MassError,
+                               "mass table must be a mapping, not int"),
+    "mass_from_bel_set": (lambda: mass_from_bel_set(5), MassError,
+                          "bel table must be a mapping, not int"),
+    "check_belief_axioms_set": (lambda: check_belief_axioms_set(5), MassError,
+                                "value table must be a mapping, not int"),
+    "check_plausibility_axioms_set": (
+        lambda: check_plausibility_axioms_set(5), MassError,
+        "value table must be a mapping, not int"),
+    "ProbabilitySpace blocks": (lambda: ProbabilitySpace(["a"], 5, [1]),
+                                ParseError,
+                                "blocks must be an iterable, not int"),
+    "ProbabilitySpace mu": (lambda: ProbabilitySpace(["a"], ["a"], 5),
+                            ParseError, "mu must be an iterable, not int"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", NOT_CONTAINERS.values(),
+                         ids=list(NOT_CONTAINERS))
+def test_a_table_or_sequence_that_is_not_one_is_named(call, error, message):
+    with pytest.raises(ConceptDSError) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

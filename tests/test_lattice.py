@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conceptds import (CapacityError, ConceptLattice, FormalContext,
-                       PreconditionError, enumerate_concepts)
+                       LabelError, PreconditionError, enumerate_concepts)
 from conceptds.errors import ENV_UNSAFE_SCALE
 from conceptds.lattice import (MAX_CONCEPTS, attribute_steps, mobius,
                                mobius_row, object_steps, zeta)
@@ -84,6 +84,22 @@ def test_index_with_extent_finds_only_extents(music_lattice):
     lat = music_lattice
     assert [lat.index_with_extent(c.extent) for c in lat] == list(range(len(lat)))
     assert lat.index_with_extent({0, 2}) is None
+
+
+@pytest.mark.parametrize("extent, message", [
+    ({-1}, "object index -1 is outside 0..1"),
+    ({0, 2}, "object index 2 is outside 0..1"),
+    ({False}, "object index False is not an int"),
+])
+def test_index_with_extent_reads_only_object_indexes_in_range(extent,
+                                                              message):
+    """A negative index does not wrap, and one past the end is refused,
+    not reported as a missing extent."""
+    lat = enumerate_concepts(FormalContext(("a", "b"), ("x", "y"),
+                                           {(0, 0), (1, 1)}))
+    with pytest.raises(LabelError) as info:
+        lat.index_with_extent(extent)
+    assert str(info.value) == message
 
 
 def test_a_hand_built_lattice_needs_both_extreme_concepts(music_lattice):
