@@ -28,7 +28,7 @@ from .lattice import ConceptLattice, enumerate_concepts
 from .oracle import (MAX_AXIOM_CARRIER, check_belief_axioms_set,
                      check_plausibility_axioms_set, random_context,
                      random_mass)
-from .powerset import subsets
+from .powerset import subset_text, subsets
 from .probspace import (ProbabilitySpace, json_elements,
                         probability_space_from_json)
 from .rationals import format_exact, format_fixed, parse_rational
@@ -403,9 +403,9 @@ def _table_from_entries(doc: Mapping) -> dict[frozenset, Fraction]:
             raise ParseError(f"entries must be [subset, value] pairs, got {pair!r}")
         subset = json_elements(pair[0], f"the subset of 'entries'[{i}]")
         if not subset <= carrier:
-            raise ParseError(f"{sorted(map(str, subset))} is not a subset of the carrier")
+            raise ParseError(f"{subset_text(subset)} is not a subset of the carrier")
         if subset in table:
-            raise ParseError(f"duplicate entry for subset {sorted(map(str, subset))}")
+            raise ParseError(f"duplicate entry for subset {subset_text(subset)}")
         table[subset] = parse_rational(pair[1])
     if carrier not in table:
         raise ParseError("the table must include an entry for the whole carrier")

@@ -153,10 +153,16 @@ class FormalContext(Frozen):
             mask_of(attrs, len(self.attributes), "attribute"))))
 
     def object_names(self, objs: Iterable[int]) -> tuple[str, ...]:
-        return tuple(self.objects[g] for g in sorted(objs))
+        """The names of `objs`, ascending; each index is read by
+        `read_index`."""
+        return tuple(self.objects[g] for g in members(
+            mask_of(objs, len(self.objects), "object")))
 
     def attribute_names(self, attrs: Iterable[int]) -> tuple[str, ...]:
-        return tuple(self.attributes[m] for m in sorted(attrs))
+        """The names of `attrs`, ascending; each index is read by
+        `read_index`."""
+        return tuple(self.attributes[m] for m in members(
+            mask_of(attrs, len(self.attributes), "attribute")))
 
 
 def normalize_no_universal_object(ctx: FormalContext) -> FormalContext:

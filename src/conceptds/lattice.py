@@ -24,8 +24,8 @@ containing S, because every extent has a least closed superset of S plus k.
 The passes in reverse, subtracting, invert it.  The same steps on intents,
 along attribute columns, give the down-zeta.  A list holds at most
 concepts x objects (resp. attributes) steps and costs as many lookups to
-build; combination and belief inversion build theirs per call, and trust
-the lookups only on the context's own lattice.
+build; combination and belief inversion build theirs per call.  The
+lookups always land, because a lattice is only ever built from its context.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
 from .context import (AttributeSet, FormalContext, ObjectSet, mask_of,
-                      members, normalize_no_universal_object)
-from .errors import PreconditionError, check_capacity
+                      members, normalize_no_universal_object, read_index)
+from .errors import check_capacity
 
 MAX_OBJECTS = 24
 MAX_CONCEPTS = 4096
@@ -57,43 +57,49 @@ class ConceptLattice:
     when `extents[i] & ~extents[j] == 0`, the meet of i and j is
     `index_by_extent[extents[i] & extents[j]]`, and their join is
     `index_by_intent[intents[i] & intents[j]]`.  `lat[i]` and iteration give
-    read-only `Concept` views, built from the masks on each read.
+    read-only `Concept` views, built from the masks on each read; i must be
+    an int in 0..n-1, or `lat[i]` raises `LabelError`.
 
-    Instances are immutable by convention, built by `enumerate_concepts`;
-    the one exception is `resolved_labels`, the memo in which
-    `evidence.resolve_concept_label` keeps each built-in name and extent
-    literal with the concept it names on this lattice.  A lattice built by
-    hand must hold a greatest and a least concept, and the zeta transforms
-    check once, on first use, that it is its context's concept lattice.
+    The constructor takes the context alone and enumerates its concepts
+    (`enumerate_concepts` is the same call): intents are exactly the
+    intersections of object intents, including the empty intersection, all
+    attributes; extents are derived from them.  The number of intents is
+    checked against MAX_CONCEPTS after each object is folded in, so an
+    oversized lattice fails before it is built.  In canonical order the
+    greatest concept is always 0 and the least always n - 1.
+
+    Instances are immutable by convention; the one exception is
+    `resolved_labels`, the memo in which `evidence.resolve_concept_label`
+    keeps each built-in name and extent literal with the concept it names
+    on this lattice.
     """
 
-    def __init__(self, context: FormalContext, extents: tuple[int, ...],
-                 intents: tuple[int, ...]):
+    def __init__(self, context: FormalContext):
+        check_capacity("objects in context", len(context.objects), MAX_OBJECTS)
+        intents = {(1 << len(context.attributes)) - 1}
+        for row in context.rows:
+            intents |= {intent & row for intent in intents}
+            check_capacity("concepts in lattice", len(intents), MAX_CONCEPTS)
+        pairs = [(context.extent_of(intent), intent) for intent in intents]
+        pairs.sort(key=lambda pair: (-pair[0].bit_count(), members(pair[0])))
         self.context = context
-        self.extents = extents
-        self.intents = intents
-        self.index_by_extent = {e: i for i, e in enumerate(extents)}
-        top = self.index_by_extent.get((1 << len(context.objects)) - 1)
-        if top is None:
-            raise PreconditionError("this lattice lacks its greatest concept: "
-                                    "no extent holds every object")
-        full = (1 << len(context.attributes)) - 1
-        if full not in intents:
-            raise PreconditionError("this lattice lacks its least concept: "
-                                    "no intent holds every attribute")
-        self.top_index = top
-        self.bottom_index = intents.index(full)
+        self.extents = tuple(e for e, _ in pairs)
+        self.intents = tuple(a for _, a in pairs)
+        self.index_by_extent = {e: i for i, e in enumerate(self.extents)}
+        self.top_index, self.bottom_index = 0, len(pairs) - 1
         self.resolved_labels: dict[str, int] = {}
 
     def __len__(self) -> int:
         return len(self.extents)
 
     def __iter__(self) -> Iterator[Concept]:
-        return map(self.__getitem__, range(len(self.extents)))
+        for e, a in zip(self.extents, self.intents):
+            yield Concept(frozenset(members(e)), frozenset(members(a)))
 
     def __getitem__(self, index: int) -> Concept:
-        return Concept(frozenset(members(self.extents[index])),
-                       frozenset(members(self.intents[index])))
+        i = read_index(index, len(self), "concept")
+        return Concept(frozenset(members(self.extents[i])),
+                       frozenset(members(self.intents[i])))
 
     def index_with_extent(self, extent: Iterable[int]) -> int | None:
         """The index of the concept with this extent, or None if none has it.
@@ -113,17 +119,7 @@ class ConceptLattice:
     # reference cycle, freed only by the cycle collector.
     @cached_property
     def _normalized(self) -> ConceptLattice:
-        return enumerate_concepts(normalize_no_universal_object(self.context))
-
-    @cached_property
-    def _lookups_hold(self) -> bool:
-        """Whether the closure lookups that the zeta transforms make hold:
-        `is_context_lattice`, and each intent holds exactly the attributes
-        common to its extent.  `enumerate_concepts` sets it; a lattice
-        built by hand computes it once, on first use."""
-        return is_context_lattice(self) and all(
-            a == self.context.intent_of(e)
-            for e, a in zip(self.extents, self.intents))
+        return ConceptLattice(normalize_no_universal_object(self.context))
 
     @cached_property
     def index_by_intent(self) -> dict[int, int]:
@@ -171,7 +167,7 @@ def is_context_lattice(lat: ConceptLattice) -> bool:
 Steps = tuple[array, array]
 
 
-def _steps(lat: ConceptLattice, along: tuple[int, ...], own: tuple[int, ...],
+def _steps(along: tuple[int, ...], own: tuple[int, ...],
            other: tuple[int, ...], lookup: dict[int, int]) -> Steps:
     """The pairs (s, t), pass by pass, of a zeta transform on `own` masks.
 
@@ -179,11 +175,6 @@ def _steps(lat: ConceptLattice, along: tuple[int, ...], own: tuple[int, ...],
     closed mask holding s's and k is t's, found as `lookup[other[s] &
     along[k]]`; the pair is kept when t adds no bit above k besides k.
     """
-    if not lat._lookups_hold:
-        raise PreconditionError(
-            "the zeta transforms need the concept lattice of the context: "
-            "this lattice's extents, intents or extent index are not the "
-            "context's")
     sources, targets = array("i"), array("i")
     keep_s, keep_t = sources.append, targets.append
     concepts = range(len(own))
@@ -204,7 +195,7 @@ def object_steps(lat: ConceptLattice) -> Steps:
 
     At most sum(|G| - |extent|) steps, one `index_by_intent` lookup each.
     """
-    return _steps(lat, lat.context.rows, lat.extents, lat.intents,
+    return _steps(lat.context.rows, lat.extents, lat.intents,
                   lat.index_by_intent)
 
 
@@ -214,7 +205,7 @@ def attribute_steps(lat: ConceptLattice) -> Steps:
 
     At most sum(|M| - |intent|) steps, one `index_by_extent` lookup each.
     """
-    return _steps(lat, lat.context.columns, lat.intents, lat.extents,
+    return _steps(lat.context.columns, lat.intents, lat.extents,
                   lat.index_by_extent)
 
 
@@ -244,23 +235,5 @@ def mobius_row(steps: Steps, size: int, i: int) -> list[int]:
     return row
 
 
-def enumerate_concepts(ctx: FormalContext) -> ConceptLattice:
-    """Build the concept lattice of a context.
-
-    Intents are exactly the intersections of object intents (including the
-    empty intersection, i.e. all attributes); extents are derived from them.
-    The number of intents is checked against MAX_CONCEPTS after each object
-    is folded in, so an oversized lattice fails before it is built.
-    """
-    check_capacity("objects in context", len(ctx.objects), MAX_OBJECTS)
-    intents = {(1 << len(ctx.attributes)) - 1}
-    for row in ctx.rows:
-        intents |= {intent & row for intent in intents}
-        check_capacity("concepts in lattice", len(intents), MAX_CONCEPTS)
-    pairs = [(ctx.extent_of(intent), intent) for intent in intents]
-    pairs.sort(key=lambda pair: (-pair[0].bit_count(), members(pair[0])))
-    lat = ConceptLattice(ctx, tuple(e for e, _ in pairs),
-                         tuple(a for _, a in pairs))
-    lat._lookups_hold = True
-    return lat
-
+# The constructor is the enumeration; this is its public name.
+enumerate_concepts = ConceptLattice

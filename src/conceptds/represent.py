@@ -223,25 +223,19 @@ def represent_concepts(m: MassFunction) -> ConceptRepresentation:
     denominator, focal = m.focal
     table = m.belief_table()
     rows = []
-    # A lattice built by hand may lack a meet.  The handler costs the loop
-    # nothing until a lookup fails, and c and f then name the failing pair.
-    try:
-        for c, e in enumerate(extents):
-            inner = outer = 0
-            for f, x in focal:
-                k = index[e & f]
-                if f & ~extents[k] == 0:
-                    inner += x
-                if k != bottom:
-                    outer += x
-            rows.append(VerificationRow(concept_index=c, bel=table.bel[c],
-                                        inner=Fraction(inner, denominator),
-                                        pl=table.pl[c],
-                                        outer=Fraction(outer, denominator)))
-    except KeyError:
-        raise PreconditionError(
-            f"the conceptual representation needs the meet of concept {c} "
-            f"and focal concept {index[f]}, which this lattice lacks") from None
+    # Every meet lands in the index: extents are closed under intersection.
+    for c, e in enumerate(extents):
+        inner = outer = 0
+        for f, x in focal:
+            k = index[e & f]
+            if f & ~extents[k] == 0:
+                inner += x
+            if k != bottom:
+                outer += x
+        rows.append(VerificationRow(concept_index=c, bel=table.bel[c],
+                                    inner=Fraction(inner, denominator),
+                                    pl=table.pl[c],
+                                    outer=Fraction(outer, denominator)))
     return ConceptRepresentation(m, tuple(rows))
 
 

@@ -277,6 +277,23 @@ def test_check_rejects_bad_tables(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("carrier, entries, message", [
+    ([2], [[[1], "1"]], "{1} is not a subset of the carrier"),
+    ([2], [[["1"], "1"]], "{'1'} is not a subset of the carrier"),
+    ([1], [[[1], "1"], [[1], "1"]], "duplicate entry for subset {1}"),
+    (["1"], [[["1"], "1"], [["1"], "1"]], "duplicate entry for subset {'1'}"),
+], ids=["int-outside", "str-outside", "int-twice", "str-twice"])
+def test_check_names_a_bad_entry_by_its_subset(carrier, entries, message,
+                                               tmp_path, capsys):
+    """A subset is printed as `read_table` prints it, so the int 1 and the
+    string "1" read apart."""
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"carrier": carrier, "kind": "bel",
+                                "entries": entries}), encoding="utf-8")
+    assert run(["check", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("n_max, unsafe", [("0", False), ("-1", False),
                                            ("4", True)])
 def test_check_rejects_tuple_lengths_it_does_not_check(

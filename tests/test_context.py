@@ -240,11 +240,21 @@ TWO_OBJECTS = FormalContext(("a", "b"), ("x", "y"), {(0, 0), (1, 1)})
     (lambda: TWO_OBJECTS.up([True]), "object index True is not an int"),
     (lambda: TWO_OBJECTS.down([0.0]), "attribute index 0.0 is not an int"),
     (lambda: TWO_OBJECTS.up(5), "object indexes must be an iterable, not int"),
+    (lambda: TWO_OBJECTS.object_names([-1]),
+     "object index -1 is outside 0..1"),
+    (lambda: TWO_OBJECTS.object_names([2]), "object index 2 is outside 0..1"),
+    (lambda: TWO_OBJECTS.attribute_names([-2]),
+     "attribute index -2 is outside 0..1"),
+    (lambda: TWO_OBJECTS.attribute_names([True]),
+     "attribute index True is not an int"),
 ], ids=["up-negative", "down-negative", "up-past-the-end", "down-past-the-end",
-        "up-bool", "down-float", "up-not-iterable"])
+        "up-bool", "down-float", "up-not-iterable", "object-names-negative",
+        "object-names-past-the-end", "attribute-names-negative",
+        "attribute-names-bool"])
 def test_up_and_down_read_only_indexes_in_range(call, message):
     """A negative index no longer wraps to the last object or attribute,
-    and one past the end is not a bare IndexError."""
+    and one past the end is not a bare IndexError; the name readers
+    `object_names` and `attribute_names` read indexes the same way."""
     with pytest.raises(LabelError) as info:
         call()
     assert str(info.value) == message

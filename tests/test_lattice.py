@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conceptds import (CapacityError, ConceptLattice, FormalContext,
-                       LabelError, PreconditionError, enumerate_concepts)
+                       LabelError, MassFunction, brute_bel,
+                       enumerate_concepts)
 from conceptds.errors import ENV_UNSAFE_SCALE
 from conceptds.lattice import (MAX_CONCEPTS, attribute_steps, mobius,
                                mobius_row, object_steps, zeta)
@@ -102,13 +103,37 @@ def test_index_with_extent_reads_only_object_indexes_in_range(extent,
     assert str(info.value) == message
 
 
-def test_a_hand_built_lattice_needs_both_extreme_concepts(music_lattice):
-    ctx, extents, intents = (music_lattice.context, music_lattice.extents,
-                             music_lattice.intents)
-    with pytest.raises(PreconditionError, match="lacks its greatest concept"):
-        ConceptLattice(ctx, extents[1:], intents[1:])
-    with pytest.raises(PreconditionError, match="lacks its least concept"):
-        ConceptLattice(ctx, extents[:-1], intents[:-1])
+@pytest.mark.parametrize("index, message", [
+    (-1, "concept index -1 is outside 0..3"),
+    (4, "concept index 4 is outside 0..3"),
+    (True, "concept index True is not an int"),
+], ids=["negative", "past-the-end", "bool"])
+def test_a_concept_is_read_only_at_an_index_in_range(index, message):
+    """A negative index does not wrap to the least concept, and one past
+    the end is not a bare IndexError; `brute_bel` reads the same."""
+    lat = enumerate_concepts(FormalContext(("a", "b"), ("x", "y"),
+                                           {(0, 0), (1, 1)}))
+    assert len(lat) == 4
+    with pytest.raises(LabelError) as info:
+        lat[index]
+    assert str(info.value) == message
+    with pytest.raises(LabelError) as info:
+        brute_bel(MassFunction.vacuous(lat), index)
+    assert str(info.value) == message
+
+
+@given(small_contexts())
+def test_the_extremes_are_first_and_last_and_every_meet_lands(ctx):
+    """The greatest concept is first and the least last, and every meet and
+    join lands on a stored extent or intent."""
+    lat = ConceptLattice(ctx)
+    assert lat.top_index == 0 and lat.bottom_index == len(lat) - 1
+    assert lat.extents[0] == (1 << len(ctx.objects)) - 1
+    assert lat.intents[-1] == (1 << len(ctx.attributes)) - 1
+    for e in lat.extents:
+        assert all(e & f in lat.index_by_extent for f in lat.extents)
+    for a in lat.intents:
+        assert all(a & b in lat.index_by_intent for b in lat.intents)
 
 
 @given(small_contexts())
