@@ -12,10 +12,11 @@ unnormalised combination has commonality q12 = q1 * q2, pointwise, and a fold
 of k masses has the product Q_k of their commonalities.  Its unnormalised
 mass at the least concept, the conflict, is the Moebius inversion
 K_k = sum of mu(bottom, c) * Q_k(c) over the concepts c, when the least
-extent is empty; otherwise nothing conflicts.  Step k of a fold discards
+extent is empty; otherwise K_k = 0.  Step k of a fold discards
 (K_k - K_(k-1)) / (1 - K_(k-1)) of the weight that the first k - 1 masses
 left, and K_k = 1 is total conflict at step k.  One inverse transform at the
-end recovers the masses, and one division by 1 - K normalises them.
+end recovers the masses and, at the least concept, the conflict, which is
+dropped; one division by 1 - K normalises the rest.
 
 All three are transforms along the closure operator (`lattice.zeta`,
 `lattice.mobius`, `lattice.mobius_row`), over the object steps that each
@@ -73,8 +74,9 @@ def combine_many(masses: Sequence[MassFunction]) -> CombinationReport:
     """Left fold of the conjunctive rule, keeping the conflict of every step.
 
     `product` holds, at every concept in canonical order, the numerator over
-    `total` of the unnormalised commonality of the masses folded so far;
-    `conflict` is the numerator of their unnormalised conflict.
+    `total` of the unnormalised commonality of the masses folded so far,
+    from all ones; `conflict` is the numerator of their unnormalised
+    conflict.  Every mass runs the same step body.
     """
     if not masses:
         raise PreconditionError("need at least one mass function")
@@ -86,10 +88,11 @@ def combine_many(masses: Sequence[MassFunction]) -> CombinationReport:
     lat = first.lattice
     steps = object_steps(lat)
     n, bottom, index = len(lat), lat.bottom_index, lat.index_by_extent
-    conflicting = not lat.extents[bottom]
-    product: list[int] = []
+    # mu(bottom, .); empty when no meet is empty, so that no step conflicts.
+    mobius_bottom = [] if lat.extents[bottom] else [
+        (i, mu) for i, mu in enumerate(mobius_row(steps, n, bottom)) if mu]
+    product = [1] * n
     total, conflict = 1, 0
-    mobius_bottom: list[tuple[int, int]] = []
     conflicts: list[Fraction] = []
     for step, m in enumerate(masses, start=1):
         d, focal = m.focal
@@ -97,16 +100,8 @@ def combine_many(masses: Sequence[MassFunction]) -> CombinationReport:
         for e, x in focal:
             q[index[e]] = x
         zeta(q, steps)
-        product = [p * x for p, x in zip(product, q)] if product else q
+        product = [p * x for p, x in zip(product, q)]
         total *= d
-        if step == 1:
-            continue
-        if not conflicting:
-            conflicts.append(Fraction(0))
-            continue
-        if step == 2:
-            mobius_bottom = [(i, mu) for i, mu in
-                             enumerate(mobius_row(steps, n, bottom)) if mu]
         before = conflict * d
         conflict = sum([mu * product[i] for i, mu in mobius_bottom])
         if conflict == total:
@@ -116,10 +111,10 @@ def combine_many(masses: Sequence[MassFunction]) -> CombinationReport:
         conflicts.append(Fraction(conflict - before, total - before))
 
     mobius(product, steps)
-    if conflicting:
-        product[bottom] = 0
+    product[bottom] -= conflict  # the unnormalised mass of the least concept
     values = fractions_over(product, total - conflict)
-    return CombinationReport(MassFunction(lat, tuple(values)), tuple(conflicts))
+    # The first mass discards nothing.
+    return CombinationReport(MassFunction(lat, values), tuple(conflicts[1:]))
 
 
 def combine_set(m1: SetMassFunction, m2: SetMassFunction) -> CombinationReport:

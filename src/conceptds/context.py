@@ -20,9 +20,9 @@ from functools import cached_property, reduce
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import LabelError, MassError, ParseError
+from .errors import LabelError, MassError, ParseError, value_text
 from .frozen import Frozen
-from .powerset import read_sequence
+from .powerset import read_sequence, read_subset
 from .rationals import common_numerators, parse_rational
 
 ObjectSet = frozenset[int]
@@ -49,7 +49,7 @@ def read_index(i: object, size: int, what: str) -> int:
     """i, when an int indexing one of `size` `what`s; no negative wraps.
     Anything else raises `LabelError`."""
     if not _is_index(i):
-        raise LabelError(f"{what} index {i!r} is not an int")
+        raise LabelError(f"{what} index {value_text(i)} is not an int")
     if not 0 <= i < size:
         raise LabelError(f"{what} index {i} is outside 0..{size - 1}")
     return i
@@ -71,20 +71,24 @@ class FormalContext(Frozen):
     order is significant: every derived structure reports in these index
     spaces.
 
-    The table is also held as `int` bitmasks, `rows` and `columns`, built on
-    first read.  The derivation operators `intent_of`, `extent_of` and
-    `closure` run on them.
+    The table is also held as `int` bitmasks, set in the one pass that
+    validates each pair: bit m of `rows[g]`, and bit g of `columns[m]`, is
+    set when object g has attribute m.  The derivation operators
+    `intent_of`, `extent_of` and `closure` run on them.
     """
 
     objects: tuple[str, ...]
     attributes: tuple[str, ...]
     incidence: frozenset[tuple[int, int]]
+    rows: tuple[int, ...]
+    columns: tuple[int, ...]
     _compared = ("objects", "attributes", "incidence")
 
     def __init__(self, objects: Iterable[str], attributes: Iterable[str],
                  incidence: Iterable[tuple[int, int]]) -> None:
-        objects, attributes = tuple(objects), tuple(attributes)
-        incidence = frozenset(incidence)
+        objects = read_sequence(objects, "objects", ParseError)
+        attributes = read_sequence(attributes, "attributes", ParseError)
+        incidence = read_subset(incidence, "incidence", ParseError)
         object.__setattr__(self, "objects", objects)
         object.__setattr__(self, "attributes", attributes)
         object.__setattr__(self, "incidence", incidence)
@@ -93,31 +97,25 @@ class FormalContext(Frozen):
         if len(set(attributes)) != len(attributes):
             raise ParseError("attribute names are not pairwise distinct")
         n_objects, n_attributes = len(objects), len(attributes)
-        for g, m in incidence:
+        rows, columns = [0] * n_objects, [0] * n_attributes
+        for pair in incidence:
+            try:
+                g, m = pair
+            except (TypeError, ValueError):
+                raise ParseError(f"incidence pair {value_text(pair)} does "
+                                 "not hold two items") from None
             # A bool or a float would pass the range test below and be
             # read as an index, or fail later as a bare TypeError.
             if (type(g) is not int or type(m) is not int) \
                     and not (_is_index(g) and _is_index(m)):
-                raise ParseError(f"incidence pair ({g!r}, {m!r}) does not "
-                                 "hold two int indices")
+                raise ParseError(f"incidence pair {value_text((g, m))} "
+                                 "does not hold two int indices")
             if not (0 <= g < n_objects and 0 <= m < n_attributes):
                 raise ParseError(f"incidence pair ({g}, {m}) is out of range")
-
-    @cached_property
-    def rows(self) -> tuple[int, ...]:
-        """Bit m of `rows[g]` is set when object g has attribute m."""
-        rows = [0] * len(self.objects)
-        for g, m in self.incidence:
             rows[g] |= 1 << m
-        return tuple(rows)
-
-    @cached_property
-    def columns(self) -> tuple[int, ...]:
-        """Bit g of `columns[m]` is set when object g has attribute m."""
-        columns = [0] * len(self.attributes)
-        for g, m in self.incidence:
             columns[m] |= 1 << g
-        return tuple(columns)
+        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "columns", tuple(columns))
 
     @cached_property
     def object_bit(self) -> Mapping[str, int]:

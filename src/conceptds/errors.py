@@ -1,4 +1,5 @@
-"""Exception types and the desk-scale capacity guard."""
+"""Exception types, the desk-scale capacity guard, and the one rendering of a
+caller's value in an error text."""
 
 from __future__ import annotations
 
@@ -58,3 +59,35 @@ def check_capacity(what: str, actual: int, bound: int) -> None:
         raise CapacityError(
             f"{what}: {actual} exceeds the supported bound of {bound} "
             f"(set {ENV_UNSAFE_SCALE}=1 to override at your own risk)")
+
+
+_BRACKETS = {list: "[]", tuple: "()", dict: "{}", set: "{}", frozenset: "{}"}
+
+
+def value_text(value: object, _open: frozenset = frozenset()) -> str:
+    """`repr(value)`, but with the members of every set and frozenset in it,
+    at any depth, in the order of their own texts, so that an error text
+    does not change with PYTHONHASHSEED.  A value that holds no set prints
+    as its repr; a list or dict inside itself prints as "[...]" or "{...}".
+    """
+    kind = type(value)
+    if kind not in _BRACKETS:
+        return repr(value)
+    left, right = _BRACKETS[kind]
+    if id(value) in _open:
+        return f"{left}...{right}"
+    _open |= {id(value)}
+    if kind is dict:
+        items = [f"{value_text(k, _open)}: {value_text(v, _open)}"
+                 for k, v in value.items()]
+    else:
+        items = [value_text(x, _open) for x in value]
+    if kind is set or kind is frozenset:
+        if not items:
+            return f"{kind.__name__}()"
+        items.sort()
+        if kind is frozenset:
+            left, right = "frozenset({", "})"
+    elif kind is tuple and len(items) == 1:
+        right = ",)"
+    return left + ", ".join(items) + right

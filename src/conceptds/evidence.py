@@ -23,8 +23,8 @@ from .errors import LabelError, MassError, check_capacity
 from .frozen import Frozen
 from .lattice import (MAX_CONCEPTS, ConceptLattice, attribute_steps,
                       enumerate_concepts, mobius)
-from .powerset import (read_subset, read_table, size_key, subset_text,
-                       subsets)
+from .powerset import (read_mapping, read_sequence, read_subset, read_table,
+                       size_key, subset_text, subsets)
 from .rationals import common_numerators, fractions_over, parse_rationals
 
 # A carrier of n elements has a 2^n-concept powerset lattice.
@@ -54,8 +54,8 @@ class MassFunction(Frozen):
 
     def __init__(self, lattice: ConceptLattice,
                  values: Iterable[Fraction]) -> None:
-        values = parse_rationals(values, lambda i: f"concept {i} has mass",
-                                 MassError)
+        values = parse_rationals(read_sequence(values, "values", MassError),
+                                 lambda i: f"concept {i} has mass", MassError)
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "values", values)
         if len(values) != len(lattice):
@@ -88,7 +88,8 @@ class MassFunction(Frozen):
         n = len(lattice)
         values = [Fraction(0)] * n
         # Keys are checked here, before the constructor reads any value.
-        for index, value in mapping.items():
+        for index, value in read_mapping(mapping, "mass table",
+                                         MassError).items():
             values[read_index(index, n, "concept")] = value
         return cls(lattice, values)
 
@@ -181,9 +182,8 @@ class SetMassFunction:
                        MAX_SET_CARRIER)
         table = read_table(values, "mass", MassError, self.carrier)
         lat = _powerset_lattice(self._elements)
-        masses = dict.fromkeys(lat.extents, Fraction(0))
-        masses.update((self._mask(x), value) for x, value in table.items())
-        self.mass = MassFunction(lat, masses.values())
+        self.mass = MassFunction.from_mapping(lat, {
+            lat.index_by_extent[self._mask(x)]: v for x, v in table.items()})
 
     @classmethod
     def _wrap(cls, carrier: frozenset, mass: MassFunction) -> "SetMassFunction":
@@ -272,8 +272,9 @@ def mass_from_bel_lattice(bel_values: Sequence[Fraction],
     mass; only then is monotonicity scanned for, and a violating pair
     reported in preference to the mass.
     """
-    values = parse_rationals(bel_values, lambda i: f"concept {i} has bel",
-                             MassError)
+    values = parse_rationals(
+        read_sequence(bel_values, "bel_values", MassError),
+        lambda i: f"concept {i} has bel", MassError)
     if len(values) != len(lat):
         raise MassError(f"expected {len(lat)} belief values, got {len(values)}")
     if values[lat.top_index] != 1:

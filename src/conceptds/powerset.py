@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, TypeVar
 
-from .errors import ConceptDSError
+from .errors import ConceptDSError, value_text
 from .rationals import parse_rationals
 
 T = TypeVar("T")
@@ -37,19 +37,20 @@ def size_key(subset: frozenset) -> tuple[int, list[str]]:
 
 def subset_text(subset: frozenset) -> str:
     """A subset as Python prints a set, but with its members in repr order."""
-    return "{" + ", ".join(size_key(subset)[1]) + "}" if subset else "set()"
+    return value_text(set(subset))
 
 
 def read_subset(value: object, what: str, error: type[ConceptDSError],
                 carrier: frozenset | None = None) -> frozenset:
-    """`value` as a frozenset, or `error`: "{what} {value!r} is not an
-    iterable of hashable elements".  Given a carrier, a subset with a member
-    outside it raises "{subset} is not a subset of the carrier"."""
+    """`value` as a frozenset, or `error`: "{what} {value} is not an
+    iterable of hashable elements", the value printed by `value_text`.
+    Given a carrier, a subset with a member outside it raises "{subset} is
+    not a subset of the carrier"."""
     try:
         subset = frozenset(value)
     except TypeError as exc:
-        raise error(f"{what} {value!r} is not an iterable of hashable "
-                    "elements") from exc
+        raise error(f"{what} {value_text(value)} is not an iterable of "
+                    "hashable elements") from exc
     if carrier is not None and not subset <= carrier:
         raise error(f"{subset_text(subset)} is not a subset of the carrier")
     return subset
@@ -67,16 +68,24 @@ def read_sequence(value: object, what: str,
     return tuple(items)
 
 
+def read_mapping(value: object, what: str,
+                 error: type[ConceptDSError]) -> Mapping:
+    """`value`, when a mapping, or `error`: "{what} must be a mapping, not
+    {type}"."""
+    if not isinstance(value, Mapping):
+        raise error(f"{what} must be a mapping, not {type(value).__name__}")
+    return value
+
+
 def read_table(table: Mapping, what: str, error: type[ConceptDSError],
                carrier: frozenset | None = None) -> dict[frozenset, Fraction]:
     """A subset-keyed table of exact values.  A table that is not a mapping
-    raises "{what} table must be a mapping, not {type}".  Every key is read by
-    `read_subset`, and a subset named by two keys is refused, before any value
-    is read by `parse_rationals` and named "subset {subset} has {what} ..."."""
-    if not isinstance(table, Mapping):
-        raise error(f"{what} table must be a mapping, not "
-                    f"{type(table).__name__}")
-    keys = [read_subset(key, "subset", error, carrier) for key in table]
+    raises "{what} table must be a mapping, not {type}" (`read_mapping`).
+    Every key is read by `read_subset`, and a subset named by two keys is
+    refused, before any value is read by `parse_rationals` and named
+    "subset {subset} has {what} ..."."""
+    keys = [read_subset(key, "subset", error, carrier)
+            for key in read_mapping(table, f"{what} table", error)]
     if len(set(keys)) < len(keys):
         twice = next(x for i, x in enumerate(keys) if x in keys[:i])
         raise error(f"subset {subset_text(twice)} is named by two keys")

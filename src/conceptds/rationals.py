@@ -18,7 +18,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .errors import ConceptDSError, ParseError, check_capacity
+from .errors import ConceptDSError, ParseError, check_capacity, value_text
 
 # Every float's shortest repr has an exponent within 324, so JSON numbers
 # always pass; "1e1000000" would build a 3.3-million-bit numerator.
@@ -47,7 +47,8 @@ def parse_rational(value: object) -> Fraction:
     if type(value) is not str:
         if isinstance(value, bool) or not isinstance(
                 value, (numbers.Rational, float, Decimal, str)):
-            raise ParseError(f"expected a rational number, got {value!r}")
+            raise ParseError(
+                f"expected a rational number, got {value_text(value)}")
         if isinstance(value, numbers.Rational):
             return Fraction(value)
         # float.__repr__, since a float subclass may print its type name.
@@ -75,7 +76,8 @@ def parse_rationals(values: Iterable, name: Callable[[int], str],
                     error: type[ConceptDSError]) -> tuple[Fraction, ...]:
     """Each value read by `parse_rational`; a Fraction passes as it is.  Only
     on a ParseError is each value read again, and the first bad one, at i,
-    raises `error`: "{name(i)} {value!r}, which is not a rational number"."""
+    raises `error`: "{name(i)} {value}, which is not a rational number",
+    the value printed by `errors.value_text`."""
     values = tuple(values)
     try:
         return tuple([v if type(v) is Fraction else parse_rational(v)
@@ -85,8 +87,8 @@ def parse_rationals(values: Iterable, name: Callable[[int], str],
             try:
                 parse_rational(value)
             except ParseError as exc:
-                raise error(f"{name(i)} {value!r}, which is not a rational "
-                            "number") from exc
+                raise error(f"{name(i)} {value_text(value)}, which is not a "
+                            "rational number") from exc
         raise
 
 

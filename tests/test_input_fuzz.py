@@ -281,7 +281,13 @@ def test_subset_arguments_raise_only_conceptds_errors(call, what, key, value):
 
 # ---------------------------------------------------------------------------
 # Containers: a table or a sequence argument that is not one is named, with
-# the caller's error class, where it was a bare TypeError.
+# the caller's error class, where it was a bare TypeError (or, for a pair
+# that does not hold two items, a ValueError, and for a mapping without
+# `items`, an AttributeError).
+
+def _lattice():
+    return enumerate_concepts(FormalContext("ab", "x", {(0, 0)}))
+
 
 NOT_CONTAINERS = {
     "SetMassFunction values": (lambda: SetMassFunction("a", 5), MassError,
@@ -298,6 +304,22 @@ NOT_CONTAINERS = {
                                 "blocks must be an iterable, not int"),
     "ProbabilitySpace mu": (lambda: ProbabilitySpace(["a"], ["a"], 5),
                             ParseError, "mu must be an iterable, not int"),
+    "FormalContext objects": (lambda: FormalContext(5, "x", []), ParseError,
+                              "objects must be an iterable, not int"),
+    "FormalContext incidence": (
+        lambda: FormalContext("a", "x", 5), ParseError,
+        "incidence 5 is not an iterable of hashable elements"),
+    "FormalContext pair": (lambda: FormalContext("a", "x", [(0,)]),
+                           ParseError,
+                           "incidence pair (0,) does not hold two items"),
+    "MassFunction values": (lambda: MassFunction(_lattice(), 5), MassError,
+                            "values must be an iterable, not int"),
+    "mass_from_bel_lattice": (
+        lambda: mass_from_bel_lattice(5, _lattice()), MassError,
+        "bel_values must be an iterable, not int"),
+    "MassFunction.from_mapping": (
+        lambda: MassFunction.from_mapping(_lattice(), 5), MassError,
+        "mass table must be a mapping, not int"),
 }
 
 

@@ -4,7 +4,8 @@ refusal of a bool and the naming of a bad value hold at every entry point.
 
 Subsets have one rendering too: no f-string formats a `set(...)` call, whose
 text would follow the hash seed, and every error text is the same under
-PYTHONHASHSEED 0-3.
+PYTHONHASHSEED 0-3, also where it prints a caller's raw value that holds a
+set (`errors.value_text`).
 """
 
 from __future__ import annotations
@@ -13,9 +14,11 @@ import ast
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import conceptds
+from conceptds.errors import value_text
 
 PACKAGE = Path(conceptds.__file__).parent
 OWNER = "rationals.py"
@@ -121,6 +124,7 @@ HASH_PROBE = """
 from conceptds import *
 from conceptds.oracle import random_partition_space, random_set_mass
 m = SetMassFunction("abc", {"abc": 1})
+lat = enumerate_concepts(FormalContext("ab", "x", {(0, 0)}))
 space = ProbabilitySpace("abcd", ["ab", "cd"], ["1/2", "1/2"])
 calls = [
     lambda: SetMassFunction("abc", {"ab": None}),
@@ -137,6 +141,9 @@ calls = [
     lambda: space.iota("abxyz"), lambda: space.outer_measure("xyzw"),
     lambda: ProbabilitySpace(["a"], [5], [1]),
     lambda: random_set_mass(0, 5), lambda: random_partition_space(0, 5),
+    lambda: SetMassFunction([{"a", "b", "c"}, []], {}),
+    lambda: MassFunction.vacuous(lat).bel({"p", "q", "r"}),
+    lambda: MassFunction.from_mapping(lat, {0: {"p", "q", "r"}}),
 ]
 for call in calls:
     try:
@@ -160,11 +167,37 @@ def test_error_texts_do_not_depend_on_the_hash_seed():
             [sys.executable, "-c", HASH_PROBE], env=env, capture_output=True,
             text=True, check=True).stdout.splitlines())
     errors = [lines[:-1] for lines in outputs]
-    assert len(errors[0]) == 18 and "no error" not in errors[0]
+    assert len(errors[0]) == 21 and "no error" not in errors[0]
     assert {"MassError subset {'a', 'b'} is named by two keys",
             "MassError {'w', 'x', 'y', 'z'} is not a subset of the carrier",
             "ParseError {'w', 'x', 'y', 'z'} is not a subset of the carrier",
+            "MassError carrier [{'a', 'b', 'c'}, []] is not an iterable of "
+            "hashable elements",
+            "LabelError concept index {'p', 'q', 'r'} is not an int",
+            "MassError concept 0 has mass {'p', 'q', 'r'}, which is not a "
+            "rational number",
             } <= set(errors[0])
     assert errors == [errors[0]] * 4
     assert len({lines[-1] for lines in outputs}) > 1, \
         "the seeds must change the order of a set's own repr"
+
+
+def test_value_text_is_repr_with_set_members_in_order():
+    """Values that hold no set print as their repr; a set at any depth
+    prints its members sorted by their own texts."""
+    loop: list = [1]
+    loop.append(loop)
+    book: dict = {"k": 1}
+    book["self"] = book
+    plain = [5, None, "x", (1,), (), [], {}, {"a": [1, (2,)]}, 1.5, True,
+             Fraction(1, 2)]
+    assert [value_text(v) for v in plain] == [repr(v) for v in plain]
+    assert value_text(loop) == repr(loop) == "[1, [...]]"
+    assert value_text(book) == repr(book) == "{'k': 1, 'self': {...}}"
+    assert [value_text(v) for v in (set(), frozenset(), {"b", "a"},
+                                    frozenset("ba"), ({"b", "a"},),
+                                    {frozenset("dc"): {"b", "a"}},
+                                    frozenset({frozenset("ba"), "c"}))] == [
+        "set()", "frozenset()", "{'a', 'b'}", "frozenset({'a', 'b'})",
+        "({'a', 'b'},)", "{frozenset({'c', 'd'}): {'a', 'b'}}",
+        "frozenset({'c', frozenset({'a', 'b'})})"]

@@ -26,6 +26,8 @@ CAPACITY_PHRASES = {
     "MAX_AXIOM_CARRIER": "{}-element carriers for axiom sweeps",
     "MAX_SET_REPRESENT": "{}-element carriers for the powerset construction",
     "MAX_FRAME_OBJECTS": "{} derived objects for the frame construction",
+    "MAX_FRAME_CELLS": "{} derived cross-table cells for the frame "
+                       "construction",
     "MAX_DECIMAL_EXPONENT": "decimal exponents up to {}",
 }
 

@@ -20,6 +20,7 @@ from conceptds import (CapacityError, ConceptLattice, ConceptRepresentation,
                        represent_set)
 import conceptds.cli as cli
 import conceptds.lattice as lattice
+import conceptds.represent as represent
 from conceptds.cli import run
 from conceptds.powerset import subsets
 
@@ -502,6 +503,21 @@ def test_frame_capacity_is_enforced():
     assert len(lat) == 2 ** size
     with pytest.raises(CapacityError, match="derived objects.*: 32 exceeds"):
         represent_concepts_frame(MassFunction.vacuous(lat))
+
+
+def test_the_frame_is_bounded_by_its_derived_cells(monkeypatch):
+    """One object with none of 32769 attributes: 2 concepts and 1 derived
+    object, but 1 x 2 x 32769 derived cross-table cells.  The bound is
+    checked before any derived pair or context is built."""
+    attributes = tuple(f"x{i}" for i in range(32769))
+    lat = enumerate_concepts(FormalContext(("g",), attributes, ()))
+    monkeypatch.setattr(represent, "FormalContext", None)
+    with pytest.raises(CapacityError) as info:
+        represent_concepts_frame(MassFunction.vacuous(lat))
+    assert str(info.value) == (
+        "derived cross-table cells for the frame representation: 65538 "
+        "exceeds the supported bound of 65536 (set CONCEPTDS_UNSAFE_SCALE=1 "
+        "to override at your own risk)")
 
 
 def test_the_frame_is_bounded_by_its_derived_objects_alone():
