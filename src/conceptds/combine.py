@@ -19,13 +19,14 @@ end recovers the masses and, at the least concept, the conflict, which is
 dropped; one division by 1 - K normalises the rest.
 
 All three are transforms along the closure operator (`lattice.zeta`,
-`lattice.mobius`, `lattice.mobius_row`), over the object steps that each
-fold builds once from the closure lookups: at most concepts x objects
-lookups, then per mass one pass over the steps.  Between steps everything is
-an integer: numerators of the commonalities over the product of the masses'
-denominators.  The cost does not grow with the number of focal elements, so
-dense masses fold fast; a sparse mass on a large lattice pays for the full
-step list all the same.
+`lattice.mobius`, and the lattice's kept Moebius row of its least concept),
+over the object steps the lattice builds once and keeps
+(`ConceptLattice.steps`): at most concepts x objects lookups on the first
+use, shared with covers, bel/pl tables and belief inversion, then per mass
+one pass over the steps.  Between steps everything is an integer: numerators
+of the commonalities over the product of the masses' denominators.  The cost
+does not grow with the number of focal elements, so dense masses fold fast;
+a sparse mass on a large lattice pays for the full step list all the same.
 
 On a powerset, `combine_set` is the same fold, run on the powerset lattice
 that every `SetMassFunction` is held on.
@@ -38,7 +39,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import PreconditionError, TotalConflictError
 from .evidence import MassFunction, SetMassFunction
-from .lattice import mobius, mobius_row, object_steps, zeta
+from .lattice import mobius, zeta
 from .rationals import fractions_over
 
 
@@ -86,11 +87,8 @@ def combine_many(masses: Sequence[MassFunction]) -> CombinationReport:
     if len(masses) == 1:
         return CombinationReport(first, ())
     lat = first.lattice
-    steps = object_steps(lat)
+    steps, mobius_bottom = lat.steps, lat.mobius_bottom
     n, bottom, index = len(lat), lat.bottom_index, lat.index_by_extent
-    # mu(bottom, .); empty when no meet is empty, so that no step conflicts.
-    mobius_bottom = [] if lat.extents[bottom] else [
-        (i, mu) for i, mu in enumerate(mobius_row(steps, n, bottom)) if mu]
     product = [1] * n
     total, conflict = 1, 0
     conflicts: list[Fraction] = []

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .errors import LabelError, MassError, ParseError, value_text
 from .frozen import Frozen
-from .powerset import read_sequence, read_subset
+from .powerset import read_sequence, read_subset, read_text
 from .rationals import common_numerators, parse_rational
 
 ObjectSet = frozenset[int]
@@ -92,9 +92,10 @@ class FormalContext(Frozen):
         object.__setattr__(self, "objects", objects)
         object.__setattr__(self, "attributes", attributes)
         object.__setattr__(self, "incidence", incidence)
-        if len(set(objects)) != len(objects):
+        if len(read_subset(objects, "objects", ParseError)) != len(objects):
             raise ParseError("object names are not pairwise distinct")
-        if len(set(attributes)) != len(attributes):
+        if len(read_subset(attributes, "attributes", ParseError)) \
+                != len(attributes):
             raise ParseError("attribute names are not pairwise distinct")
         n_objects, n_attributes = len(objects), len(attributes)
         rows, columns = [0] * n_objects, [0] * n_attributes
@@ -189,7 +190,8 @@ def parse_cxt(text: str) -> FormalContext:
     count, a blank line, one name per line (objects then attributes), then one
     row per object made of `X` / `.` characters.
     """
-    lines = [line.rstrip("\r") for line in text.split("\n")]
+    lines = [line.rstrip("\r")
+             for line in read_text(text, "CXT text", ParseError).split("\n")]
 
     def get(i: int, what: str) -> str:
         if i >= len(lines):
@@ -305,7 +307,8 @@ def parse_json_object(text: str) -> dict:
 
 def load_document(text: str) -> ContextDocument:
     """Parse the JSON context document format; see `document_from_json`."""
-    return document_from_json(parse_json_object(text))
+    return document_from_json(parse_json_object(
+        read_text(text, "document text", ParseError)))
 
 
 def document_from_json(doc: Mapping) -> ContextDocument:

@@ -3,6 +3,7 @@ caller's value in an error text."""
 
 from __future__ import annotations
 
+import itertools
 import os
 
 ENV_UNSAFE_SCALE = "CONCEPTDS_UNSAFE_SCALE"
@@ -62,6 +63,8 @@ def check_capacity(what: str, actual: int, bound: int) -> None:
 
 
 _BRACKETS = {list: "[]", tuple: "()", dict: "{}", set: "{}", frozenset: "{}"}
+# Members of one container that an error text prints before "...".
+MAX_SHOWN_MEMBERS = 16
 
 
 def value_text(value: object, _open: frozenset = frozenset()) -> str:
@@ -69,6 +72,9 @@ def value_text(value: object, _open: frozenset = frozenset()) -> str:
     at any depth, in the order of their own texts, so that an error text
     does not change with PYTHONHASHSEED.  A value that holds no set prints
     as its repr; a list or dict inside itself prints as "[...]" or "{...}".
+    A container of more than MAX_SHOWN_MEMBERS members prints that many,
+    the first in its own order (a set's, in the order of their texts), and
+    then "...", so that an error text stays short whatever the value.
     """
     kind = type(value)
     if kind not in _BRACKETS:
@@ -77,12 +83,16 @@ def value_text(value: object, _open: frozenset = frozenset()) -> str:
     if id(value) in _open:
         return f"{left}...{right}"
     _open |= {id(value)}
+    unordered = kind is set or kind is frozenset
+    members = value.items() if kind is dict else value
+    if not unordered:
+        members = itertools.islice(members, MAX_SHOWN_MEMBERS + 1)
     if kind is dict:
         items = [f"{value_text(k, _open)}: {value_text(v, _open)}"
-                 for k, v in value.items()]
+                 for k, v in members]
     else:
-        items = [value_text(x, _open) for x in value]
-    if kind is set or kind is frozenset:
+        items = [value_text(x, _open) for x in members]
+    if unordered:
         if not items:
             return f"{kind.__name__}()"
         items.sort()
@@ -90,4 +100,6 @@ def value_text(value: object, _open: frozenset = frozenset()) -> str:
             left, right = "frozenset({", "})"
     elif kind is tuple and len(items) == 1:
         right = ",)"
+    if len(items) > MAX_SHOWN_MEMBERS:
+        items[MAX_SHOWN_MEMBERS:] = ["..."]
     return left + ", ".join(items) + right

@@ -2,9 +2,11 @@
 
 A mass function distributes one unit of evidence over concepts.  Belief at a
 concept sums the mass at or below it; plausibility sums the mass of every
-concept whose meet with it has a nonempty extent.  Both are read from one
-sweep of the focal concepts per concept, on integer numerators over a common
-denominator.
+concept whose meet with it has a nonempty extent.  Both are computed on
+integer numerators over a common denominator, on one of two paths: a sweep
+of the focal concepts per concept, or the lattice's zeta transforms, which
+cost about three passes over its step list whatever the support.
+`MassFunction.belief_table` picks one from the sizes it sees.
 
 Set-level evidence is the special case of a powerset.  The powerset of a
 carrier is the concept lattice of its contranominal context, so a
@@ -21,8 +23,8 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from .context import FormalContext, MassSpec, ObjectSet, read_index
 from .errors import LabelError, MassError, check_capacity
 from .frozen import Frozen
-from .lattice import (MAX_CONCEPTS, ConceptLattice, attribute_steps,
-                      enumerate_concepts, mobius)
+from .lattice import (MAX_CONCEPTS, ConceptLattice, enumerate_concepts,
+                      mobius_down, zeta, zeta_down)
 from .powerset import (read_mapping, read_sequence, read_subset, read_table,
                        size_key, subset_text, subsets)
 from .rationals import common_numerators, fractions_over, parse_rationals
@@ -136,15 +138,60 @@ class MassFunction(Frozen):
         return Fraction(self._numerators(e)[1], self.focal[0])
 
     def belief_table(self) -> "BeliefTable":
-        """bel and pl at every concept, from one sweep of the support each.
+        """bel and pl at every concept.
 
-        O(concepts x focal concepts).
+        The sweep costs concepts x focal concepts; the transforms cost about
+        three passes over the lattice's steps, plus, unless the lattice
+        holds them already, concepts x objects closure lookups to build
+        them.  So the transforms run when the lattice holds its steps, or
+        when concepts x focal concepts exceeds 3 x concepts x objects, the
+        build's cost; otherwise the sweep runs.  Both give the same values.
         """
+        lat = self.lattice
+        if lat.holds_steps \
+                or len(self.focal[1]) > 3 * len(lat.context.objects):
+            return self._transformed_table()
+        return self._swept_table()
+
+    def _swept_table(self) -> "BeliefTable":
+        """bel and pl at every concept, from one sweep of the support each."""
         # bel and pl numerators, interleaved concept by concept.
         numerators = [x for e in self.lattice.extents
                       for x in self._numerators(e)]
         exact = fractions_over(numerators, self.focal[0])
         return BeliefTable(self.lattice, tuple(exact[0::2]), tuple(exact[1::2]))
+
+    def _transformed_table(self) -> "BeliefTable":
+        """bel and pl at every concept, from the lattice's zeta transforms.
+
+        bel is the down-zeta of the mass.  The mass that meets concept c at
+        an empty least concept is the conflict of m with the categorical
+        mass on c, the sum of mu(bottom, x) * q(x) over x <= c, for q the
+        commonality of m; so it is the down-zeta of mu(bottom, .) * q, and
+        pl is the total less it.  When the least extent is inhabited, the
+        kept row is empty, no meet is empty and pl is the total.
+        """
+        lat = self.lattice
+        d, focal = self.focal
+        n, index, steps = len(lat), lat.index_by_extent, lat.steps
+        bel = [0] * n
+        for e, x in focal:
+            bel[index[e]] = x
+        q = bel[:]
+        zeta(q, steps)
+        pl = [0] * n
+        for c, mu in lat.mobius_bottom:
+            pl[c] = mu * q[c]
+        del q
+        zeta_down(pl, steps)
+        pl = [d - k for k in pl]
+        zeta_down(bel, steps)
+        # One conversion of both, so that equal numerators share a Fraction;
+        # q is dropped and pl appended in place, so that the table's peak
+        # heap stays near the sweep's.
+        bel += pl
+        exact = fractions_over(bel, d)
+        return BeliefTable(lat, tuple(exact[:n]), tuple(exact[n:]))
 
 
 class BeliefTable(NamedTuple):
@@ -260,11 +307,12 @@ def mass_from_bel_lattice(bel_values: Sequence[Fraction],
                           lat: ConceptLattice) -> MassFunction:
     """Invert a per-concept belief table by Moebius inversion.
 
-    One inverse down-zeta along the attribute steps (`lattice.mobius`) gives
-    every concept the belief that the concepts strictly below it do not
-    already account for: at most concepts x attributes closure lookups to
-    build the steps, then one integer subtraction per step, on numerators
-    over the lcm of the table's denominators, whatever the support.
+    One inverse down-zeta along the lattice's kept steps
+    (`lattice.mobius_down`) gives every concept the belief that the
+    concepts strictly below it do not already account for: one integer
+    subtraction per step, on numerators over the lcm of the table's
+    denominators, whatever the support, plus at most concepts x objects
+    closure lookups when the lattice does not hold its steps yet.
     Failures carry a witness.  A negative mass is reported at the first
     concept by ascending extent size, then index, the order in which a peel
     from the bottom would meet it.  Nonnegative masses sum to a monotone
@@ -284,7 +332,7 @@ def mass_from_bel_lattice(bel_values: Sequence[Fraction],
     extents = lat.extents
 
     masses = scaled[:]
-    mobius(masses, attribute_steps(lat))
+    mobius_down(masses, lat.steps)
     if min(masses) < 0:
         i = min((i for i, w in enumerate(masses) if w < 0),
                 key=lambda i: (extents[i].bit_count(), i))

@@ -14,17 +14,20 @@ intersection of the two intents.  Both intersections land on concepts because
 closed sets are closed under intersection.  No n x n table of the order or of
 meets is ever built.
 
-Sums along the order run as zeta transforms over step lists built from the
-closure lookups (Kennes 1992; Bjorklund et al., SODA 2012).  Number the
-objects 0..|G|-1.  For an extent S and an object k outside it, the closure T
-of S plus k is the concept whose intent is S's intent cut by k's row; the
-step (S, T) is kept when T adds no object above k but k.  One pass per k of
-h[S] += h[T] turns h into its up-zeta, the sum of h over the extents
-containing S, because every extent has a least closed superset of S plus k.
-The passes in reverse, subtracting, invert it.  The same steps on intents,
-along attribute columns, give the down-zeta.  A list holds at most
-concepts x objects (resp. attributes) steps and costs as many lookups to
-build; combination and belief inversion build theirs per call.  The
+Sums along the order run as zeta transforms over one step list per lattice,
+built from the closure lookups (Kennes 1992; Bjorklund et al., SODA 2012).
+Number the objects 0..|G|-1.  For an extent S and an object k outside it,
+the closure T of S plus k is the concept whose intent is S's intent cut by
+k's row; the step (S, T) is kept when T adds no object above k but k.  One
+pass per k of h[S] += h[T] turns h into its up-zeta, the sum of h over the
+extents containing S, because every extent has a least closed superset of S
+plus k.  The passes in reverse, subtracting, invert it.  The down-zeta, the
+sum of h over the extents inside S, is the transpose: the steps in reverse,
+h[T] += h[S]; its inverse is the steps forward, h[T] -= h[S].  The list
+holds at most concepts x objects steps and costs as many lookups to build;
+the lattice builds it on first use (`ConceptLattice.steps`) and keeps it,
+with the Moebius row of its least concept, so that covers, bel/pl tables,
+combination and belief inversion on one lattice share one build.  The
 lookups always land, because a lattice is only ever built from its context.
 """
 
@@ -40,6 +43,8 @@ from .errors import check_capacity
 
 MAX_OBJECTS = 24
 MAX_CONCEPTS = 4096
+
+Steps = tuple[array, array]
 
 
 class Concept(NamedTuple):
@@ -71,7 +76,8 @@ class ConceptLattice:
     Instances are immutable by convention; the one exception is
     `resolved_labels`, the memo in which `evidence.resolve_concept_label`
     keeps each built-in name and extent literal with the concept it names
-    on this lattice.
+    on this lattice.  `steps` and `mobius_bottom` are built on first use
+    and kept.
     """
 
     def __init__(self, context: FormalContext):
@@ -126,28 +132,57 @@ class ConceptLattice:
         """Each intent mask with the index of its concept."""
         return {a: i for i, a in enumerate(self.intents)}
 
+    @cached_property
+    def steps(self) -> Steps:
+        """The object steps of every zeta and Moebius transform on this
+        lattice (`object_steps`), built on first use."""
+        return object_steps(self)
+
+    @property
+    def holds_steps(self) -> bool:
+        """Whether `steps` is built already, so that a transform costs no
+        closure lookup."""
+        return "steps" in self.__dict__
+
+    @cached_property
+    def mobius_bottom(self) -> tuple[tuple[int, int], ...]:
+        """(c, mu(bottom, c)) at every concept c where it is nonzero, when
+        the least extent is empty: then the unnormalised conflict of a
+        commonality q is the sum of mu(bottom, c) * q(c).  Empty when the
+        least extent is inhabited, since then no meet is empty."""
+        if self.extents[self.bottom_index]:
+            return ()
+        row = [0] * len(self)
+        row[self.bottom_index] = 1
+        mobius_down(row, self.steps)
+        return tuple((c, mu) for c, mu in enumerate(row) if mu)
+
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Edges (i, j) where concept i is covered by concept j.
 
-        Lindig's neighbour test: for each object g outside i's extent, the
-        closure of that extent plus g is the concept whose intent is i's
-        intent cut down to g's attributes.  Such a closure j covers i exactly
-        when every object j adds to i's extent generates j; an object that
-        generated a smaller closure would lie strictly between i and j.
+        Read from `steps`: a cover j of i is the target of i's step in pass
+        k, the greatest object j adds to i's extent, because the closure of
+        i's extent plus k lies above i and inside j.  Every other target of
+        i lies above some cover, so the covers are the minimal targets,
+        found in ascending extent size, which is descending index.
         """
-        rows = self.context.rows
-        everyone = (1 << len(rows)) - 1
-        by_intent = self.index_by_intent
         extents = self.extents
+        above: list[list[int]] = [[] for _ in extents]
+        for s, t in zip(*self.steps):
+            above[s].append(t)
         edges = []
-        for i, (e, a) in enumerate(zip(extents, self.intents)):
-            generated: dict[int, int] = {}
-            for g in members(everyone & ~e):
-                j = by_intent[a & rows[g]]
-                generated[j] = generated.get(j, 0) + 1
-            size = e.bit_count()
-            edges.extend((i, j) for j in sorted(generated)
-                         if generated[j] == extents[j].bit_count() - size)
+        for i, targets in enumerate(above):
+            covers: list[int] = []
+            found: list[int] = []  # their extents
+            for j in sorted(targets, reverse=True):
+                outside = ~extents[j]
+                for e in found:
+                    if not e & outside:
+                        break
+                else:
+                    covers.append(j)
+                    found.append(extents[j])
+            edges.extend((i, j) for j in reversed(covers))
         return tuple(edges)
 
 
@@ -164,75 +199,64 @@ def is_context_lattice(lat: ConceptLattice) -> bool:
         for i, e in enumerate(extents))
 
 
-Steps = tuple[array, array]
+def object_steps(lat: ConceptLattice) -> Steps:
+    """The pairs (s, t), pass by pass, of the zeta transforms of `lat`.
 
-
-def _steps(along: tuple[int, ...], own: tuple[int, ...],
-           other: tuple[int, ...], lookup: dict[int, int]) -> Steps:
-    """The pairs (s, t), pass by pass, of a zeta transform on `own` masks.
-
-    Pass k runs over the concepts s whose mask lacks bit k.  The least
-    closed mask holding s's and k is t's, found as `lookup[other[s] &
-    along[k]]`; the pair is kept when t adds no bit above k besides k.
+    Pass k runs over the concepts s whose extent lacks object k.  The
+    closure of s's extent plus k is t, found as `index_by_intent[intents[s]
+    & rows[k]]`; the pair is kept when t adds no object above k besides k.
+    At most sum(|G| - |extent|) steps, one lookup each; `lat.steps` keeps
+    the one list a lattice needs.
     """
-    sources, targets = array("i"), array("i")
+    extents, intents = lat.extents, lat.intents
+    lookup = lat.index_by_intent
+    # Two bytes an index while they fit: the lattice keeps the list.
+    code = "h" if len(extents) <= 1 << 15 else "i"
+    sources, targets = array(code), array(code)
     keep_s, keep_t = sources.append, targets.append
-    concepts = range(len(own))
-    for k, line in enumerate(along):
+    concepts = range(len(extents))
+    for k, row in enumerate(lat.context.rows):
         bit, shift = 1 << k, k + 1
-        for s, e, a in zip(concepts, own, other):
+        for s, e, a in zip(concepts, extents, intents):
             if not e & bit:
-                t = lookup[a & line]
-                if not (own[t] ^ e) >> shift:
+                t = lookup[a & row]
+                if not (extents[t] ^ e) >> shift:
                     keep_s(s)
                     keep_t(t)
     return sources, targets
 
 
-def object_steps(lat: ConceptLattice) -> Steps:
-    """The steps of the up-zeta along the objects: `zeta` then turns masses
-    into commonalities, h(c) = sum of h(d) over the concepts d >= c.
-
-    At most sum(|G| - |extent|) steps, one `index_by_intent` lookup each.
-    """
-    return _steps(lat.context.rows, lat.extents, lat.intents,
-                  lat.index_by_intent)
-
-
-def attribute_steps(lat: ConceptLattice) -> Steps:
-    """The steps of the down-zeta along the attributes: `zeta` then turns
-    masses into beliefs, h(c) = sum of h(d) over the concepts d <= c.
-
-    At most sum(|M| - |intent|) steps, one `index_by_extent` lookup each.
-    """
-    return _steps(lat.context.columns, lat.intents, lat.extents,
-                  lat.index_by_extent)
-
-
 def zeta(values: list, steps: Steps) -> None:
-    """The zeta transform of `values`, in place, along `steps`."""
+    """The up-zeta, in place: h(c) becomes the sum of h(d) over the
+    concepts d >= c, so that masses turn into commonalities."""
     for s, t in zip(*steps):
         values[s] += values[t]
 
 
 def mobius(values: list, steps: Steps) -> None:
-    """The Moebius transform, the inverse of `zeta`, in place: the passes
-    in reverse.  Within a pass no t is an s, so order there is free."""
+    """The inverse of `zeta`, in place: the passes in reverse.  Within a
+    pass no t is an s, so order there is free."""
     sources, targets = steps
     for s, t in zip(reversed(sources), reversed(targets)):
         values[s] -= values[t]
 
 
-def mobius_row(steps: Steps, size: int, i: int) -> list[int]:
-    """mu(i, c) at every concept c, for `object_steps`: row i of the
-    inverse up-zeta, so that m(i) = sum of mu(i, c) * q(c).  It is the
-    transpose of `mobius` run on the indicator of i: the steps forward,
-    each subtracting the source from the target."""
-    row = [0] * size
-    row[i] = 1
+def zeta_down(values: list, steps: Steps) -> None:
+    """The down-zeta, in place: h(c) becomes the sum of h(d) over the
+    concepts d <= c, so that masses turn into beliefs.  It is the transpose
+    of `zeta`: the steps in reverse, each adding the source to the
+    target."""
+    sources, targets = steps
+    for s, t in zip(reversed(sources), reversed(targets)):
+        values[t] += values[s]
+
+
+def mobius_down(values: list, steps: Steps) -> None:
+    """The inverse of `zeta_down`, in place, and the transpose of `mobius`:
+    the steps forward, each subtracting the source from the target.  Run
+    on the indicator of i, it gives mu(i, .)."""
     for s, t in zip(*steps):
-        row[t] -= row[s]
-    return row
+        values[t] -= values[s]
 
 
 # The constructor is the enumeration; this is its public name.

@@ -77,6 +77,13 @@ def read_mapping(value: object, what: str,
     return value
 
 
+def read_text(value: object, what: str, error: type[ConceptDSError]) -> str:
+    """`value`, when a str, or `error`: "{what} must be a str, not {type}"."""
+    if not isinstance(value, str):
+        raise error(f"{what} must be a str, not {type(value).__name__}")
+    return value
+
+
 def read_table(table: Mapping, what: str, error: type[ConceptDSError],
                carrier: frozenset | None = None) -> dict[frozenset, Fraction]:
     """A subset-keyed table of exact values.  A table that is not a mapping

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping
 from .context import parse_json_object
 from .errors import ParseError
 from .frozen import Frozen
-from .powerset import read_sequence, read_subset
+from .powerset import read_sequence, read_subset, read_text
 from .rationals import parse_rationals
 
 
@@ -83,7 +83,8 @@ class ProbabilitySpace(Frozen):
 
 def parse_probability_space(text: str) -> ProbabilitySpace:
     """Parse {"carrier": [...], "blocks": [[...], ...], "mu": [...]} JSON."""
-    return probability_space_from_json(parse_json_object(text))
+    return probability_space_from_json(parse_json_object(
+        read_text(text, "partition-space text", ParseError)))
 
 
 def json_elements(value: object, what: str) -> frozenset:

@@ -216,15 +216,16 @@ def represent_concepts(m: MassFunction) -> ConceptRepresentation:
     lies below anything.  So the atom lies below h(c) when d's extent lies
     inside k's, and it meets h(c) above the least element when k is not the
     least concept.  The sums over those criteria are compared against the
-    evidence module's `MassFunction.belief_table`, in O(concepts x focal
-    concepts).  The structural checks run on first use of `checks` or
-    `all_passed`.
+    sweep of `MassFunction.belief_table`, which reads the focal extents
+    alone, in O(concepts x focal concepts), whether or not the lattice
+    holds the steps of its transforms.  The structural checks run on first
+    use of `checks` or `all_passed`.
     """
     lat = m.lattice
     _require_empty_bottom(lat, "the conceptual representation")
     extents, index, bottom = lat.extents, lat.index_by_extent, lat.bottom_index
     denominator, focal = m.focal
-    table = m.belief_table()
+    table = m._swept_table()
     rows = []
     # Every meet lands in the index: extents are closed under intersection.
     for c, e in enumerate(extents):
@@ -344,7 +345,7 @@ def represent_concepts_frame(m: MassFunction) -> FrameRepresentation:
     space = ProbabilitySpace(frozenset(range(len(object_keys))),
                              tuple(atoms[c] for c in block_indices),
                              tuple(m.values[c] for c in block_indices))
-    table = m.belief_table()
+    table = m._swept_table()
     rows = tuple(VerificationRow(concept_index=c, bel=table.bel[c],
                                  inner=space.inner_measure(embedding[c]),
                                  pl=table.pl[c],

@@ -402,23 +402,96 @@ class _CountingSupport:
         self.sweeps += 1
         return iter(self.pairs)
 
+    def __len__(self):
+        return len(self.pairs)
 
-def test_belief_table_sweeps_the_support_once_per_concept(music_case):
-    lat = music_case.lattice
-    m = MassFunction(lat, music_case.masses["m3"].values)
+
+def _counted(lat, values):
+    """A mass on `lat` whose support counts its sweeps."""
+    m = MassFunction(lat, values)
     d, pairs = m.focal
     support = _CountingSupport(pairs)
     m.__dict__["focal"] = (d, support)
+    return m, support
+
+
+def test_belief_table_picks_the_sweep_or_the_transforms(music_case):
+    """A small support on a lattice without its steps is swept once per
+    concept; once `covers` or a fold has built the steps, the support is
+    read once, into the transforms.  A support of more than 3 x objects
+    focal concepts builds the steps itself."""
+    values = music_case.masses["m3"].values
+    lat = enumerate_concepts(music_case.lattice.context)
+    m, support = _counted(lat, values)
     table = m.belief_table()
-    assert support.sweeps == len(lat)
+    assert support.sweeps == len(lat) and not lat.holds_steps
     assert [m.bel(c) for c in range(len(lat))] == list(table.bel)
     assert [m.pl(c) for c in range(len(lat))] == list(table.pl)
     assert support.sweeps == 3 * len(lat)
+    lat.covers()
+    m, support = _counted(lat, values)
+    assert m.belief_table()[1:] == table[1:] and support.sweeps == 1
     # The certificate sums its own criteria in one more sweep per concept
-    # and reads bel and pl from one belief table.
+    # and reads bel and pl from the sweep, whatever the lattice holds.
     support.sweeps = 0
     assert represent_concepts(m).all_passed
     assert support.sweeps == 2 * len(lat)
+
+    lat = enumerate_concepts(music_case.lattice.context)
+    m1, m2 = (MassFunction(lat, music_case.masses[name].values)
+              for name in ("m1", "m2"))
+    combine(m1, m2)
+    m, support = _counted(lat, values)
+    assert m.belief_table()[1:] == table[1:] and support.sweeps == 1
+
+    lat = enumerate_concepts(contranominal(4))
+    assert len(lat.context.objects) == 4
+    full = [Fraction(0)] + [Fraction(1, 15)] * 15
+    m, support = _counted(lat, full[::-1])
+    assert len(support) == 15 and not lat.holds_steps
+    table = m.belief_table()
+    assert support.sweeps == 1 and lat.holds_steps
+    assert table.bel == tuple(brute_bel(m, c) for c in range(len(lat)))
+    assert table.pl == tuple(brute_pl(m, c) for c in range(len(lat)))
+
+
+@given(seeded_lattice_masses(), st.booleans())
+def test_both_table_paths_are_the_brute_scans(case, inhabited):
+    """The sweep and the transforms each give `brute_bel` and `brute_pl`,
+    with the least extent empty and inhabited."""
+    lat, masses = case
+    ctx = lat.context
+    lat = enumerate_concepts(with_universal_object(ctx) if inhabited
+                             else normalize_no_universal_object(ctx))
+    assert bool(lat.extents[lat.bottom_index]) == inhabited
+    n = len(lat)
+    for seed in range(len(masses)):
+        m = random_mass(seed, lat, denominator_bound=12)
+        bel = tuple(brute_bel(m, c) for c in range(n))
+        pl = tuple(brute_pl(m, c) for c in range(n))
+        for table in (m._swept_table(), m._transformed_table()):
+            assert (table.bel, table.pl) == (bel, pl)
+
+
+def test_one_op_builds_the_step_list_once(monkeypatch):
+    """covers, four tables, a fold of three and an inversion on one
+    lattice: one build of the steps, which all of them share."""
+    built = []
+    real = lattice.object_steps
+    monkeypatch.setattr(lattice, "object_steps",
+                        lambda lat: built.append(lat) or real(lat))
+    rng = random.Random(24)
+    lat = enumerate_concepts(random_context(rng.randrange(2 ** 32), 12, 8,
+                                            0.5))
+    masses = [random_mass(rng.randrange(2 ** 32), lat) for _ in range(3)]
+    assert lat.covers() == table_covers(lat)
+    tables = [m.belief_table() for m in masses]
+    report = combine_many(masses)
+    table = report.result.belief_table()
+    assert mass_from_bel_lattice(table.bel, lat) == report.result
+    assert built == [lat] and len(lat) > 20
+    for m, t in zip(masses, tables):
+        assert t.bel == tuple(brute_bel(m, c) for c in range(len(lat)))
 
 
 @given(st.integers(0, 2 ** 32 - 1))

@@ -21,8 +21,9 @@ from conceptds import (CapacityError, ConceptDSError, FormalContext,
                        SetMassFunction, build_report, check_belief_axioms_set,
                        check_plausibility_axioms_set, enumerate_concepts,
                        load_document, mass_from_bel_lattice, mass_from_bel_set,
-                       parse_cxt, parse_rational, probability_space_from_json,
-                       random_partition_space, random_set_mass)
+                       parse_cxt, parse_probability_space, parse_rational,
+                       probability_space_from_json, random_partition_space,
+                       random_set_mass)
 from conceptds.errors import ENV_UNSAFE_SCALE
 
 NAMES = st.sampled_from(["a", "b", "x", "y", "top", "⊥", "{a}", "{a,b}", ""])
@@ -312,6 +313,19 @@ NOT_CONTAINERS = {
     "FormalContext pair": (lambda: FormalContext("a", "x", [(0,)]),
                            ParseError,
                            "incidence pair (0,) does not hold two items"),
+    "FormalContext object names": (
+        lambda: FormalContext([[1]], "x", []), ParseError,
+        "objects ([1],) is not an iterable of hashable elements"),
+    "FormalContext attribute names": (
+        lambda: FormalContext("a", [{}], []), ParseError,
+        "attributes ({},) is not an iterable of hashable elements"),
+    "load_document": (lambda: load_document(5), ParseError,
+                      "document text must be a str, not int"),
+    "parse_probability_space": (
+        lambda: parse_probability_space(b"{}"), ParseError,
+        "partition-space text must be a str, not bytes"),
+    "parse_cxt": (lambda: parse_cxt(5), ParseError,
+                  "CXT text must be a str, not int"),
     "MassFunction values": (lambda: MassFunction(_lattice(), 5), MassError,
                             "values must be an iterable, not int"),
     "mass_from_bel_lattice": (
@@ -329,3 +343,21 @@ def test_a_table_or_sequence_that_is_not_one_is_named(call, error, message):
     with pytest.raises(ConceptDSError) as info:
         call()
     assert type(info.value) is error and str(info.value) == message
+
+
+def test_a_long_value_is_cut_in_its_error_text():
+    """Sixteen members of each container, then "...": 303 incidence pairs
+    print as 186 characters, not 2964."""
+    pairs = [[0, 0]] * 3 + [[0, i] for i in range(300)]
+    with pytest.raises(ParseError) as info:
+        FormalContext("a", "x", pairs)
+    shown = ", ".join(map(str, pairs[:16]))
+    assert str(info.value) == (f"incidence [{shown}, ...] is not an iterable "
+                               "of hashable elements")
+    assert len(str(info.value)) == 186
+    # A set's members are cut after they are put in the order of their texts.
+    with pytest.raises(MassError) as info:
+        SetMassFunction("ab", {frozenset(range(20)): 1})
+    assert str(info.value) == (
+        "{0, 1, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 2, 3, 4, 5, ...} "
+        "is not a subset of the carrier")

@@ -10,8 +10,8 @@ from conceptds import (CapacityError, ConceptLattice, FormalContext,
                        LabelError, MassFunction, brute_bel,
                        enumerate_concepts)
 from conceptds.errors import ENV_UNSAFE_SCALE
-from conceptds.lattice import (MAX_CONCEPTS, attribute_steps, mobius,
-                               mobius_row, object_steps, zeta)
+from conceptds.lattice import (MAX_CONCEPTS, mobius, mobius_down,
+                               object_steps, zeta, zeta_down)
 
 from conftest import (contranominal, lattice_masses, small_contexts,
                       with_universal_object)
@@ -243,11 +243,11 @@ def test_transforms_recover_masses_from_bel_and_commonality(m):
     d, extents = m.focal[0], lat.extents
     mass = [v.numerator * (d // v.denominator) for v in m.values]
     bel = [v.numerator * (d // v.denominator) for v in m.belief_table().bel]
-    mobius(bel, attribute_steps(lat))
+    mobius_down(bel, lat.steps)
     assert bel == mass
     q = [sum(x for f, x in zip(extents, mass) if e & ~f == 0)
          for e in extents]
-    mobius(q, object_steps(lat))
+    mobius(q, lat.steps)
     assert q == mass
 
 
@@ -265,63 +265,70 @@ def lattice_values(draw):
 
 @given(lattice_values())
 def test_zeta_transforms_and_inverses_match_their_definitions(case):
+    """Up: the sum over d >= c; down, the transpose on the same steps: the
+    sum over d <= c; each inverse undoes its transform both ways round."""
     lat, h = case
     n, extents = len(lat), lat.extents
     below = [[extents[i] & ~extents[j] == 0 for j in range(n)]
              for i in range(n)]
-    for steps, up in ((object_steps(lat), True),
-                      (attribute_steps(lat), False)):
+    for transform, inverse, up in ((zeta, mobius, True),
+                                   (zeta_down, mobius_down, False)):
         summed = h[:]
-        zeta(summed, steps)
+        transform(summed, lat.steps)
         assert summed == [sum(h[d] for d in range(n)
                               if (below[c][d] if up else below[d][c]))
                           for c in range(n)]
-        mobius(summed, steps)
+        inverse(summed, lat.steps)
         assert summed == h
         inverted = h[:]
-        mobius(inverted, steps)
-        zeta(inverted, steps)
+        inverse(inverted, lat.steps)
+        transform(inverted, lat.steps)
         assert inverted == h
 
 
 @given(lattice_values())
 def test_mobius_rows_invert_the_order(case):
-    """Row i is mu(i, .): zero off the up-set of i, and the sum of mu(i, c)
-    over i <= c <= x is 1 at x = i and 0 elsewhere."""
+    """The inverse down-zeta of the indicator of i is mu(i, .): zero off
+    the up-set of i, and the sum of mu(i, c) over i <= c <= x is 1 at x = i
+    and 0 elsewhere.  The lattice keeps the nonzero entries of the least
+    concept's row when its extent is empty, and none otherwise."""
     lat, _ = case
     n, extents = len(lat), lat.extents
-    steps = object_steps(lat)
+    rows = []
     for i in range(n):
-        row = mobius_row(steps, n, i)
+        row = [int(c == i) for c in range(n)]
+        mobius_down(row, lat.steps)
         up = [extents[i] & ~extents[c] == 0 for c in range(n)]
         assert all(up[c] or not row[c] for c in range(n))
         for x in range(n):
             assert sum(row[c] for c in range(n)
                        if extents[c] & ~extents[x] == 0) == int(x == i)
-    bottom = mobius_row(steps, n, lat.bottom_index)
+        rows.append(row)
+    bottom = rows[lat.bottom_index]
     assert bottom[lat.bottom_index] == 1
+    assert lat.mobius_bottom == (() if extents[lat.bottom_index] else tuple(
+        (c, mu) for c, mu in enumerate(bottom) if mu))
 
 
 @given(lattice_values())
 def test_step_lists_stay_within_the_outside_generators(case):
-    """One step at most per concept and object outside its extent, and per
-    concept and attribute outside its intent; every step runs from a
-    concept to one strictly above it, resp. below it."""
+    """One step at most per concept and object outside its extent; every
+    step runs from a concept to one strictly above it.  The lattice builds
+    the list on first use and keeps it."""
     lat, _ = case
-    ctx, extents, intents = lat.context, lat.extents, lat.intents
-    up, down = object_steps(lat), attribute_steps(lat)
-    assert len(up[0]) == len(up[1]) <= sum(
+    ctx, extents = lat.context, lat.extents
+    assert not lat.holds_steps
+    steps = lat.steps
+    assert lat.holds_steps and lat.steps is steps
+    assert steps == object_steps(lat)
+    assert len(steps[0]) == len(steps[1]) <= sum(
         len(ctx.objects) - e.bit_count() for e in extents)
-    assert len(down[0]) == len(down[1]) <= sum(
-        len(ctx.attributes) - a.bit_count() for a in intents)
     assert all(extents[s] != extents[t] and extents[s] & ~extents[t] == 0
-               for s, t in zip(*up))
-    assert all(intents[s] != intents[t] and intents[s] & ~intents[t] == 0
-               for s, t in zip(*down))
+               for s, t in zip(*steps))
 
 
 def test_contranominal_steps_are_the_subset_lattice_transform():
     """On a powerset the steps are those of the subset-sum transform:
-    n * 2^(n-1) along each side."""
+    n * 2^(n-1) of them."""
     lat = enumerate_concepts(contranominal(4))
-    assert len(object_steps(lat)[0]) == len(attribute_steps(lat)[0]) == 32
+    assert len(lat.steps[0]) == 32

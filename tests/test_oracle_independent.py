@@ -1,7 +1,8 @@
 """The oracle's reference functions never route through the code they check.
 
 They may use the domain types of `.lattice`, but not its zeta and Moebius
-transforms or their step lists, which belief inversion and combination run.
+transforms, nor the step list and Moebius row a lattice keeps for them, which
+bel/pl tables, belief inversion and combination run.
 """
 
 from __future__ import annotations
@@ -13,9 +14,12 @@ import conceptds
 
 ORACLE = Path(conceptds.__file__).parent / "oracle.py"
 # Module -> the names it may not lend the oracle; None means every name.
+# The lattice's names are refused however they are read: imported, or as an
+# attribute, such as `lat.steps` or `lattice.zeta`.
 CHECKED = {"evidence": None, "combine": None, "represent": None,
-           "lattice": {"zeta", "mobius", "mobius_row", "object_steps",
-                       "attribute_steps"}}
+           "lattice": {"zeta", "mobius", "zeta_down", "mobius_down",
+                       "object_steps", "steps", "holds_steps",
+                       "mobius_bottom"}}
 # The checked functions; every module-level helper they reach is checked too.
 REFERENCE_FUNCTIONS = ("check_belief_axioms_set", "check_plausibility_axioms_set",
                        "brute_bel", "brute_pl")
@@ -39,9 +43,11 @@ def _imported_from(tree: ast.AST) -> set[str]:
 
 
 def _body_names(function: ast.FunctionDef) -> set[str]:
-    """Every name the body reads, leaving out the signature's annotations."""
-    return {node.id for statement in function.body
-            for node in ast.walk(statement) if isinstance(node, ast.Name)}
+    """Every name and attribute name the body reads, leaving out the
+    signature's annotations."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for statement in function.body for node in ast.walk(statement)
+            if isinstance(node, (ast.Name, ast.Attribute))}
 
 
 def _functions(tree: ast.Module) -> dict[str, ast.FunctionDef]:
@@ -65,7 +71,7 @@ def _reached(functions: dict[str, ast.FunctionDef],
 
 def _borrowed(tree: ast.Module, roots: tuple[str, ...]) -> dict[str, list[str]]:
     """Each reached function's checked names, for those that read any."""
-    checked = _imported_from(tree)
+    checked = _imported_from(tree) | CHECKED["lattice"]
     functions = _functions(tree)
     borrowed = {name: sorted(_body_names(functions[name]) & checked)
                 for name in _reached(functions, roots)}
@@ -94,7 +100,9 @@ def test_the_walk_sees_bodies_but_not_annotations():
                      "def peels(m):\n    return dict(peel(m))\n"
                      "def typed(m):\n    return Concept(m, m)\n"
                      "def helper(m):\n    return bel(m)\n"
-                     "def reference(m):\n    return helper(typed(m))\n")
+                     "def reference(m):\n    return helper(typed(m))\n"
+                     "def kept(m):\n    return m.lattice.steps\n"
+                     "def through(v, s):\n    return lattice.zeta(v, s)\n")
     checked = _imported_from(tree)
     assert checked == {"M", "bel", "combine", "peel"}
     functions = _functions(tree)
@@ -108,3 +116,6 @@ def test_the_walk_sees_bodies_but_not_annotations():
     assert _reached(functions, ("reference",)) == {"reference", "helper",
                                                    "typed"}
     assert _borrowed(tree, ("reference",)) == {"helper": ["bel"]}
+    # The lattice's kept steps and its transforms are caught as attributes.
+    assert _borrowed(tree, ("kept", "through")) == {"kept": ["steps"],
+                                                    "through": ["zeta"]}
