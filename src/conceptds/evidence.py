@@ -3,10 +3,10 @@
 A mass function distributes one unit of evidence over concepts.  Belief at a
 concept sums the mass at or below it; plausibility sums the mass of every
 concept whose meet with it has a nonempty extent.  Both are computed on
-integer numerators over a common denominator, on one of two paths: a sweep
-of the focal concepts per concept, or the lattice's zeta transforms, which
-cost about three passes over its step list whatever the support.
-`MassFunction.belief_table` picks one from the sizes it sees.
+integer numerators over a common denominator.  `MassFunction.belief_table`
+runs the lattice's zeta transforms, about three passes over its step list
+whatever the support; `bel`, `pl` and the certificates' reference table
+sweep the focal concepts once per concept instead.
 
 Set-level evidence is the special case of a powerset.  The powerset of a
 carrier is the concept lattice of its contranominal context, so a
@@ -138,30 +138,6 @@ class MassFunction(Frozen):
         return Fraction(self._numerators(e)[1], self.focal[0])
 
     def belief_table(self) -> "BeliefTable":
-        """bel and pl at every concept.
-
-        The sweep costs concepts x focal concepts; the transforms cost about
-        three passes over the lattice's steps, plus, unless the lattice
-        holds them already, concepts x objects closure lookups to build
-        them.  So the transforms run when the lattice holds its steps, or
-        when concepts x focal concepts exceeds 3 x concepts x objects, the
-        build's cost; otherwise the sweep runs.  Both give the same values.
-        """
-        lat = self.lattice
-        if lat.holds_steps \
-                or len(self.focal[1]) > 3 * len(lat.context.objects):
-            return self._transformed_table()
-        return self._swept_table()
-
-    def _swept_table(self) -> "BeliefTable":
-        """bel and pl at every concept, from one sweep of the support each."""
-        # bel and pl numerators, interleaved concept by concept.
-        numerators = [x for e in self.lattice.extents
-                      for x in self._numerators(e)]
-        exact = fractions_over(numerators, self.focal[0])
-        return BeliefTable(self.lattice, tuple(exact[0::2]), tuple(exact[1::2]))
-
-    def _transformed_table(self) -> "BeliefTable":
         """bel and pl at every concept, from the lattice's zeta transforms.
 
         bel is the down-zeta of the mass.  The mass that meets concept c at
@@ -169,7 +145,9 @@ class MassFunction(Frozen):
         mass on c, the sum of mu(bottom, x) * q(x) over x <= c, for q the
         commonality of m; so it is the down-zeta of mu(bottom, .) * q, and
         pl is the total less it.  When the least extent is inhabited, the
-        kept row is empty, no meet is empty and pl is the total.
+        kept row is empty, no meet is empty and pl is the total.  About
+        three passes over the lattice's steps, plus at most concepts x
+        objects closure lookups when the lattice does not hold them yet.
         """
         lat = self.lattice
         d, focal = self.focal
@@ -192,6 +170,16 @@ class MassFunction(Frozen):
         bel += pl
         exact = fractions_over(bel, d)
         return BeliefTable(lat, tuple(exact[:n]), tuple(exact[n:]))
+
+    def _swept_table(self) -> "BeliefTable":
+        """bel and pl at every concept, from one sweep of the support each:
+        the path that reads no step, which the certificates of `represent`
+        compare against."""
+        # bel and pl numerators, interleaved concept by concept.
+        numerators = [x for e in self.lattice.extents
+                      for x in self._numerators(e)]
+        exact = fractions_over(numerators, self.focal[0])
+        return BeliefTable(self.lattice, tuple(exact[0::2]), tuple(exact[1::2]))
 
 
 class BeliefTable(NamedTuple):

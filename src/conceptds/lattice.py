@@ -138,12 +138,6 @@ class ConceptLattice:
         lattice (`object_steps`), built on first use."""
         return object_steps(self)
 
-    @property
-    def holds_steps(self) -> bool:
-        """Whether `steps` is built already, so that a transform costs no
-        closure lookup."""
-        return "steps" in self.__dict__
-
     @cached_property
     def mobius_bottom(self) -> tuple[tuple[int, int], ...]:
         """(c, mu(bottom, c)) at every concept c where it is nonzero, when

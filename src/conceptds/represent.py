@@ -216,9 +216,9 @@ def represent_concepts(m: MassFunction) -> ConceptRepresentation:
     lies below anything.  So the atom lies below h(c) when d's extent lies
     inside k's, and it meets h(c) above the least element when k is not the
     least concept.  The sums over those criteria are compared against the
-    sweep of `MassFunction.belief_table`, which reads the focal extents
-    alone, in O(concepts x focal concepts), whether or not the lattice
-    holds the steps of its transforms.  The structural checks run on first
+    table that `MassFunction._swept_table` sweeps from the focal extents
+    alone, in O(concepts x focal concepts), never against the lattice's
+    transforms, which `belief_table` runs.  The structural checks run on first
     use of `checks` or `all_passed`.
     """
     lat = m.lattice

@@ -402,9 +402,6 @@ class _CountingSupport:
         self.sweeps += 1
         return iter(self.pairs)
 
-    def __len__(self):
-        return len(self.pairs)
-
 
 def _counted(lat, values):
     """A mass on `lat` whose support counts its sweeps."""
@@ -415,27 +412,28 @@ def _counted(lat, values):
     return m, support
 
 
-def test_belief_table_picks_the_sweep_or_the_transforms(music_case):
-    """A small support on a lattice without its steps is swept once per
-    concept; once `covers` or a fold has built the steps, the support is
-    read once, into the transforms.  A support of more than 3 x objects
-    focal concepts builds the steps itself."""
+def test_belief_table_reads_the_support_once(music_case):
+    """`belief_table` reads the support once, into the transforms, and
+    builds the lattice's steps when it does not hold them; `bel` and `pl`
+    sweep it once per call, and the certificate sweeps it twice per concept,
+    whatever the lattice holds."""
     values = music_case.masses["m3"].values
     lat = enumerate_concepts(music_case.lattice.context)
     m, support = _counted(lat, values)
+    assert "steps" not in lat.__dict__
     table = m.belief_table()
-    assert support.sweeps == len(lat) and not lat.holds_steps
+    assert support.sweeps == 1 and "steps" in lat.__dict__
     assert [m.bel(c) for c in range(len(lat))] == list(table.bel)
     assert [m.pl(c) for c in range(len(lat))] == list(table.pl)
-    assert support.sweeps == 3 * len(lat)
-    lat.covers()
-    m, support = _counted(lat, values)
-    assert m.belief_table()[1:] == table[1:] and support.sweeps == 1
-    # The certificate sums its own criteria in one more sweep per concept
-    # and reads bel and pl from the sweep, whatever the lattice holds.
+    assert support.sweeps == 1 + 2 * len(lat)
     support.sweeps = 0
     assert represent_concepts(m).all_passed
     assert support.sweeps == 2 * len(lat)
+
+    lat = enumerate_concepts(music_case.lattice.context)
+    lat.covers()
+    m, support = _counted(lat, values)
+    assert m.belief_table()[1:] == table[1:] and support.sweeps == 1
 
     lat = enumerate_concepts(music_case.lattice.context)
     m1, m2 = (MassFunction(lat, music_case.masses[name].values)
@@ -444,21 +442,12 @@ def test_belief_table_picks_the_sweep_or_the_transforms(music_case):
     m, support = _counted(lat, values)
     assert m.belief_table()[1:] == table[1:] and support.sweeps == 1
 
-    lat = enumerate_concepts(contranominal(4))
-    assert len(lat.context.objects) == 4
-    full = [Fraction(0)] + [Fraction(1, 15)] * 15
-    m, support = _counted(lat, full[::-1])
-    assert len(support) == 15 and not lat.holds_steps
-    table = m.belief_table()
-    assert support.sweeps == 1 and lat.holds_steps
-    assert table.bel == tuple(brute_bel(m, c) for c in range(len(lat)))
-    assert table.pl == tuple(brute_pl(m, c) for c in range(len(lat)))
-
 
 @given(seeded_lattice_masses(), st.booleans())
 def test_both_table_paths_are_the_brute_scans(case, inhabited):
-    """The sweep and the transforms each give `brute_bel` and `brute_pl`,
-    with the least extent empty and inhabited."""
+    """The transforms of `belief_table` and the certificates' sweep each
+    give `brute_bel` and `brute_pl`, with the least extent empty and
+    inhabited."""
     lat, masses = case
     ctx = lat.context
     lat = enumerate_concepts(with_universal_object(ctx) if inhabited
@@ -469,7 +458,7 @@ def test_both_table_paths_are_the_brute_scans(case, inhabited):
         m = random_mass(seed, lat, denominator_bound=12)
         bel = tuple(brute_bel(m, c) for c in range(n))
         pl = tuple(brute_pl(m, c) for c in range(n))
-        for table in (m._swept_table(), m._transformed_table()):
+        for table in (m.belief_table(), m._swept_table()):
             assert (table.bel, table.pl) == (bel, pl)
 
 

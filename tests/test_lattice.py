@@ -317,9 +317,9 @@ def test_step_lists_stay_within_the_outside_generators(case):
     the list on first use and keeps it."""
     lat, _ = case
     ctx, extents = lat.context, lat.extents
-    assert not lat.holds_steps
+    assert "steps" not in lat.__dict__
     steps = lat.steps
-    assert lat.holds_steps and lat.steps is steps
+    assert lat.steps is steps
     assert steps == object_steps(lat)
     assert len(steps[0]) == len(steps[1]) <= sum(
         len(ctx.objects) - e.bit_count() for e in extents)

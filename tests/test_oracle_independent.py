@@ -18,8 +18,7 @@ ORACLE = Path(conceptds.__file__).parent / "oracle.py"
 # attribute, such as `lat.steps` or `lattice.zeta`.
 CHECKED = {"evidence": None, "combine": None, "represent": None,
            "lattice": {"zeta", "mobius", "zeta_down", "mobius_down",
-                       "object_steps", "steps", "holds_steps",
-                       "mobius_bottom"}}
+                       "object_steps", "steps", "mobius_bottom"}}
 # The checked functions; every module-level helper they reach is checked too.
 REFERENCE_FUNCTIONS = ("check_belief_axioms_set", "check_plausibility_axioms_set",
                        "brute_bel", "brute_pl")
