@@ -16,7 +16,9 @@ extent is empty; otherwise K_k = 0.  Step k of a fold discards
 (K_k - K_(k-1)) / (1 - K_(k-1)) of the weight that the first k - 1 masses
 left, and K_k = 1 is total conflict at step k.  One inverse transform at the
 end recovers the masses and, at the least concept, the conflict, which is
-dropped; one division by 1 - K normalises the rest.
+dropped; one division by 1 - K normalises the rest.  Those numerators are
+nonnegative and sum to their denominator by construction, so the result is
+built from them, reduced by their gcd, without a second check.
 
 All three are transforms along the closure operator (`lattice.zeta`,
 `lattice.mobius`, and the lattice's kept Moebius row of its least concept),
@@ -40,7 +42,7 @@ from typing import NamedTuple, Sequence
 from .errors import PreconditionError, TotalConflictError
 from .evidence import MassFunction, SetMassFunction
 from .lattice import mobius, zeta
-from .rationals import fractions_over
+from .rationals import fractions_over, lowest_numerators
 
 
 class CombinationReport(NamedTuple):
@@ -110,9 +112,12 @@ def combine_many(masses: Sequence[MassFunction]) -> CombinationReport:
 
     mobius(product, steps)
     product[bottom] -= conflict  # the unnormalised mass of the least concept
-    values = fractions_over(product, total - conflict)
+    # Nonnegative numerators that sum to total - conflict: no second check.
+    d, product = lowest_numerators(product, total - conflict)
+    result = MassFunction._from_numerators(
+        lat, tuple(fractions_over(product, d)), d, product)
     # The first mass discards nothing.
-    return CombinationReport(MassFunction(lat, values), tuple(conflicts[1:]))
+    return CombinationReport(result, tuple(conflicts[1:]))
 
 
 def combine_set(m1: SetMassFunction, m2: SetMassFunction) -> CombinationReport:

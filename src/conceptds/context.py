@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, NamedTuple
 from .errors import LabelError, MassError, ParseError, value_text
 from .frozen import Frozen
 from .powerset import read_sequence, read_subset, read_text
-from .rationals import common_numerators, parse_rational
+from .rationals import check_unit, read_over_lcm
 
 ObjectSet = frozenset[int]
 AttributeSet = frozenset[int]
@@ -261,13 +261,22 @@ def serialize_cxt(ctx: FormalContext) -> str:
 class MassSpec(NamedTuple):
     """A named mass assignment whose labels are not yet tied to concepts.
 
-    Resolution against a concept lattice happens in the evidence module; the
-    entry total is validated here so a bad document fails at parse time.
+    Resolution against a concept lattice happens in the evidence module
+    (`resolve_mass`).  `document_from_json` checks the signs and the total
+    of the entries' values once, so that a bad document fails at parse
+    time, and keeps what that check computed as `numerators`: (d, the
+    entries' numerators over d, in entry order), d the lcm of the values'
+    denominators; `resolve_mass` builds the mass from them without a second
+    check.  A spec built by hand leaves `numerators` None, and its values
+    are read and checked when it is resolved; so does a spec whose entries
+    are replaced (`spec._replace(entries=..., numerators=None)`), since
+    the numerators describe the entries they were checked with.
     """
 
     name: str
     entries: tuple[tuple[str, Fraction], ...]
     label_extents: Mapping[str, ObjectSet] = MappingProxyType({})
+    numerators: tuple[int, tuple[int, ...]] | None = None
 
 
 class ContextDocument(NamedTuple):
@@ -360,18 +369,8 @@ def document_from_json(doc: Mapping) -> ContextDocument:
                 raise ParseError(f"unknown object name {name!r} in label {label!r}")
         labels[label] = frozenset(obj_idx[name] for name in names)
 
-    # Documents repeat their value strings, so each is parsed once.  Only
-    # strings are keys, since True == 1; a failure raises and is never kept.
-    parsed: dict[str, Fraction] = {}
-
-    def rational(value: object) -> Fraction:
-        if type(value) is not str:
-            return parse_rational(value)
-        x = parsed.get(value)
-        if x is None:
-            x = parsed[value] = parse_rational(value)
-        return x
-
+    # Documents repeat their value strings, so each is read once.
+    known: dict[str, tuple[Fraction, int, int]] = {}
     masses: list[MassSpec] = []
     raw_masses = doc.get("masses", {})
     if not isinstance(raw_masses, dict):
@@ -379,20 +378,14 @@ def document_from_json(doc: Mapping) -> ContextDocument:
     for name, assignment in raw_masses.items():
         if not isinstance(assignment, dict):
             raise ParseError(f"mass {name!r} must be an object mapping labels to rationals")
-        entries = tuple([(label, rational(value))
-                         for label, value in assignment.items()])
-        # One integer sum over the lcm, not a gcd-normalising Fraction add
-        # per entry.
-        d, numerators = common_numerators([v for _, v in entries])
-        for (label, value), x in zip(entries, numerators):
-            if x < 0:
-                raise MassError(f"mass {name!r} assigns {value} to {label!r}; "
-                                "masses must be nonnegative")
-        total = sum(numerators)
-        if total != d:
-            raise MassError(f"mass {name!r} sums to {Fraction(total, d)}, "
-                            "expected 1")
-        masses.append(MassSpec(name, entries, labels))
+        values, d, numerators = read_over_lcm(assignment.values(), known)
+        entries = tuple(zip(assignment, values))
+        check_unit(d, numerators,
+                   lambda i: f"mass {name!r} assigns {values[i]} to "
+                             f"{entries[i][0]!r}; masses must be nonnegative",
+                   f"mass {name!r} sums to", MassError)
+        masses.append(MassSpec(name, entries, labels,
+                               (d, tuple(numerators))))
 
     return ContextDocument(context, tuple(masses), labels, doc.get("expected"))
 

@@ -5,8 +5,8 @@ concept sums the mass at or below it; plausibility sums the mass of every
 concept whose meet with it has a nonempty extent.  Both are computed on
 integer numerators over a common denominator.  `MassFunction.belief_table`
 runs the lattice's zeta transforms, about three passes over its step list
-whatever the support; `bel`, `pl` and the certificates' reference table
-sweep the focal concepts once per concept instead.
+whatever the support; `bel`, `pl` and the certificates' reference
+(`_numerators`) sweep the focal concepts once per concept instead.
 
 Set-level evidence is the special case of a powerset.  The powerset of a
 carrier is the concept lattice of its contranominal context, so a
@@ -26,8 +26,9 @@ from .frozen import Frozen
 from .lattice import (MAX_CONCEPTS, ConceptLattice, enumerate_concepts,
                       mobius_down, zeta, zeta_down)
 from .powerset import (read_mapping, read_sequence, read_subset, read_table,
-                       size_key, subset_text, subsets)
-from .rationals import common_numerators, fractions_over, parse_rationals
+                       read_text, size_key, subset_text, subsets)
+from .rationals import (check_unit, common_numerators, fractions_over,
+                        lowest_numerators, parse_rationals)
 
 # A carrier of n elements has a 2^n-concept powerset lattice.
 MAX_SET_CARRIER = MAX_CONCEPTS.bit_length() - 1
@@ -41,12 +42,15 @@ class MassFunction(Frozen):
 
     Values are indexed by canonical concept index.  The total is exactly one,
     and the least concept carries no mass whenever its extent is empty.
-    Construction checks all three in one pass over the values' integer
-    ratios, and that pass also fills `focal`: the support over one common
+    The constructor reads every value, checks the length, and checks signs
+    and the total on the values' integer ratios (`rationals.check_unit`);
+    it then ends in the one constructor body, `_hold`, which checks the
+    least concept and fills `focal`: the support over one common
     denominator, as (d, ((extent mask, numerator), ...)) in index order,
     where d is the lcm of the values' denominators and focal concept i
-    carries mass numerator / d.  Equality and hashing read `lattice` and
-    `values` only.
+    carries mass numerator / d.  `_from_numerators` runs that body alone,
+    for numerators that a document, the fold or belief inversion has
+    already checked.  Equality and hashing read `lattice` and `values` only.
     """
 
     lattice: ConceptLattice
@@ -58,31 +62,39 @@ class MassFunction(Frozen):
                  values: Iterable[Fraction]) -> None:
         values = parse_rationals(read_sequence(values, "values", MassError),
                                  lambda i: f"concept {i} has mass", MassError)
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "values", values)
         if len(values) != len(lattice):
             raise MassError(f"expected {len(lattice)} values, "
                             f"got {len(values)}")
-        # A zero has denominator 1, so it leaves the lcm unchanged.
         d, numerators = common_numerators(values)
-        extents = lattice.extents
-        focal = []
-        total = 0
-        for i, x in enumerate(numerators):
-            if x:
-                if x < 0:
-                    raise MassError(
-                        f"concept {i} has negative mass {values[i]}")
-                total += x
-                focal.append((extents[i], x))
-        if total != d:
-            raise MassError(f"mass sums to {Fraction(total, d)}, expected 1")
-        bottom = lattice.bottom_index
-        if not extents[bottom] and numerators[bottom]:
+        check_unit(d, numerators,
+                   lambda i: f"concept {i} has negative mass {values[i]}",
+                   "mass sums to", MassError)
+        self._hold(lattice, values, d, numerators)
+
+    @classmethod
+    def _from_numerators(cls, lattice: ConceptLattice,
+                         values: tuple[Fraction, ...], d: int,
+                         numerators: Sequence[int]) -> "MassFunction":
+        """The mass whose value at concept i is values[i] == numerators[i] / d,
+        for nonnegative numerators that sum to d over the lcm of the values'
+        denominators, checked by the caller; only `_hold`'s check runs."""
+        mass = cls.__new__(cls)
+        mass._hold(lattice, values, d, numerators)
+        return mass
+
+    def _hold(self, lattice: ConceptLattice, values: tuple[Fraction, ...],
+              d: int, numerators: Sequence[int]) -> None:
+        """The one constructor body: the check that needs the lattice, no
+        mass on an empty least extent, and then the fields."""
+        extents, bottom = lattice.extents, lattice.bottom_index
+        if numerators[bottom] and not extents[bottom]:
             raise MassError(
                 f"the least concept has an empty extent but carries mass "
                 f"{values[bottom]}")
-        object.__setattr__(self, "focal", (d, tuple(focal)))
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "focal", (d, tuple(
+            [(extents[i], x) for i, x in enumerate(numerators) if x])))
 
     @classmethod
     def from_mapping(cls, lattice: ConceptLattice,
@@ -173,8 +185,8 @@ class MassFunction(Frozen):
 
     def _swept_table(self) -> "BeliefTable":
         """bel and pl at every concept, from one sweep of the support each:
-        the path that reads no step, which the certificates of `represent`
-        compare against."""
+        the path that reads no step, which the frame certificate of
+        `represent` compares against."""
         # bel and pl numerators, interleaved concept by concept.
         numerators = [x for e in self.lattice.extents
                       for x in self._numerators(e)]
@@ -332,7 +344,9 @@ def mass_from_bel_lattice(bel_values: Sequence[Fraction],
         raise MassError(f"recovered mass {Fraction(masses[bottom], d)} on the "
                         "empty-extent least concept; the table is not a belief "
                         "function here")
-    return MassFunction(lat, tuple(fractions_over(masses, d)))
+    d, masses = lowest_numerators(masses, d)
+    return MassFunction._from_numerators(
+        lat, tuple(fractions_over(masses, d)), d, masses)
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +408,10 @@ def resolve_concept_label(lat: ConceptLattice, label: str,
     The built-in names and the literals depend only on the lattice and the
     label, so the lattice keeps the concept they name (`resolved_labels`)
     and each literal is read once per lattice.  The label map is consulted
-    on every call, and a label that fails is never kept.
+    on every call, and a label that fails is never kept.  A label that is
+    not a `str` raises `LabelError` ("label must be a str, not int").
     """
+    label = read_text(label, "label", LabelError)
     if label_extents and label in label_extents:
         named = labeled_index(lat, label, label_extents[label])
         index = _lattice_index(lat, label)
@@ -419,14 +435,39 @@ def resolve_concept_label(lat: ConceptLattice, label: str,
 
 
 def resolve_mass(spec: MassSpec, lat: ConceptLattice) -> MassFunction:
-    """Tie a parsed mass assignment to the concepts of a lattice."""
-    seen: dict[int, str] = {}
-    values = [Fraction(0)] * len(lat)
+    """Tie a parsed mass assignment to the concepts of a lattice.
+
+    Each label is resolved by `resolve_concept_label`, except a `str` that
+    is no document label and that the lattice already keeps in
+    `resolved_labels`, which is read from there; two labels of one concept
+    are refused.  A spec from `document_from_json` carries the numerators
+    of its one sign-and-total check, so the mass is built from them, and
+    only the check that needs the lattice runs here: no mass on an empty
+    least extent.  A spec built by hand, without them, goes through the
+    validating `MassFunction` constructor, with every check and error text
+    of a hand-built mass.
+    """
+    n = len(lat)
+    named, known = spec.label_extents, lat.resolved_labels
+    seen: list[str | None] = [None] * n
+    values = [Fraction(0)] * n
+    indexes = []
     for label, value in spec.entries:
-        index = resolve_concept_label(lat, label, spec.label_extents)
-        if index in seen:
+        index = None
+        if type(label) is str and not (named and label in named):
+            index = known.get(label)
+        if index is None:
+            index = resolve_concept_label(lat, label, named)
+        if seen[index] is not None:
             raise LabelError(f"mass {spec.name!r}: labels {seen[index]!r} and "
                              f"{label!r} resolve to the same concept")
         seen[index] = label
         values[index] = value
-    return MassFunction(lat, tuple(values))
+        indexes.append(index)
+    if spec.numerators is None:
+        return MassFunction(lat, tuple(values))
+    d, checked = spec.numerators
+    numerators = [0] * n
+    for index, x in zip(indexes, checked):
+        numerators[index] = x
+    return MassFunction._from_numerators(lat, tuple(values), d, numerators)

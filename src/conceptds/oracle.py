@@ -27,6 +27,7 @@ from .evidence import MassFunction, SetMassFunction
 from .lattice import MAX_OBJECTS, ConceptLattice
 from .powerset import read_subset, read_table, size_key, subsets
 from .probspace import ProbabilitySpace
+from .rationals import read_size
 
 MAX_AXIOM_CARRIER = 5
 MAX_AXIOM_N = 3
@@ -243,6 +244,8 @@ def random_context(seed: int, n_objects: int, n_attributes: int,
     """A context whose incidence pairs appear independently with `density`."""
     if not 0 <= density <= 1:
         raise PreconditionError(f"density must be within [0, 1], got {density}")
+    n_objects = read_size(n_objects, "n_objects", PreconditionError)
+    n_attributes = read_size(n_attributes, "n_attributes", PreconditionError)
     if n_objects < 0 or n_attributes < 0:
         raise PreconditionError("counts must be nonnegative")
     check_capacity("objects in random context", n_objects, MAX_OBJECTS)
@@ -258,10 +261,8 @@ def random_context(seed: int, n_objects: int, n_attributes: int,
 
 def _denominator(rng: random.Random, bound: int) -> int:
     """A common denominator for a random mass, drawn from 1..bound."""
-    if bound < 1:
-        raise PreconditionError(
-            f"denominator_bound must be at least 1, got {bound}")
-    return rng.randint(1, bound)
+    return rng.randint(1, read_size(bound, "denominator_bound",
+                                    PreconditionError, least=1))
 
 
 def random_mass(seed: int, lat: ConceptLattice,

@@ -2,10 +2,14 @@
 
 Every value at this package's API is a fractions.Fraction; floats exist only
 at the presentation boundary.  Every value taken in, by a document or a
-library call, is read by `parse_rational` (`parse_rationals` for a sequence),
-so its bounds and error rule hold at every entry point.  Sums of mass run on
-integers, numerators over the lcm of the values' denominators, and
-`common_numerators` and `fractions_over` convert each way.  Rounding is half-away-from-zero, which is
+library call, is read by `parse_rational` (`parse_rationals` for a sequence,
+`read_over_lcm` for a document's mass), so its bounds and error rule hold at
+every entry point; counts and digits are read by `read_size`.  Sums of mass
+run on integers, numerators over the lcm of the values' denominators, and
+this module owns that form: `common_numerators` and `read_over_lcm` build
+it, `lowest_numerators` reduces integers over any denominator to it,
+`check_unit` is the one sign-and-total check of a mass on it, and
+`fractions_over` converts back.  Rounding is half-away-from-zero, which is
 the convention used by the bundled example tables.
 """
 
@@ -18,7 +22,8 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .errors import ConceptDSError, ParseError, check_capacity, value_text
+from .errors import (ConceptDSError, ParseError, PreconditionError,
+                     check_capacity, value_text)
 
 # Every float's shortest repr has an exponent within 324, so JSON numbers
 # always pass; "1e1000000" would build a 3.3-million-bit numerator.
@@ -72,6 +77,18 @@ def parse_rational(value: object) -> Fraction:
         raise ParseError(f"not a rational number: {value!r}") from exc
 
 
+def read_size(value: object, what: str, error: type[ConceptDSError],
+              least: int | None = None) -> int:
+    """`value`, when an int and not a bool, or `error`: "{what} must be an
+    int, not {type}".  Given `least`, a smaller int raises "{what} must be
+    at least {least}, got {value}"."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise error(f"{what} must be an int, not {type(value).__name__}")
+    if least is not None and value < least:
+        raise error(f"{what} must be at least {least}, got {value}")
+    return value
+
+
 def parse_rationals(values: Iterable, name: Callable[[int], str],
                     error: type[ConceptDSError]) -> tuple[Fraction, ...]:
     """Each value read by `parse_rational`; a Fraction passes as it is.  Only
@@ -100,6 +117,52 @@ def common_numerators(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     return d, [p * (d // q) for p, q in ratios]
 
 
+def read_over_lcm(values: Iterable, known: dict[str, tuple[Fraction, int, int]]
+                  ) -> tuple[list[Fraction], int, list[int]]:
+    """Each value read by `parse_rational`, and `common_numerators` of what
+    it reads, as (values, d, numerators).  A string is read once for every
+    call that shares `known`, which keeps its value with its integer ratio;
+    only strings are keys, since True == 1."""
+    ratios = [known[v] if type(v) is str and v in known else _ratio(v, known)
+              for v in values]
+    d = math.lcm(*{q for _, _, q in ratios})
+    return [x for x, _, _ in ratios], d, [p * (d // q) for _, p, q in ratios]
+
+
+def _ratio(value: object, known: dict[str, tuple[Fraction, int, int]]
+           ) -> tuple[Fraction, int, int]:
+    x = parse_rational(value)
+    ratio = (x, *x.as_integer_ratio())
+    if type(value) is str:
+        known[value] = ratio
+    return ratio
+
+
+def check_unit(d: int, numerators: Sequence[int],
+               negative: Callable[[int], str], total: str,
+               error: type[ConceptDSError]) -> None:
+    """The one sign-and-total check of a mass, on its numerators over d,
+    whether a document or a library call gives it: the first negative
+    numerator, at i, raises error(negative(i)), and then a total t other
+    than 1 raises error(f"{total} {t}, expected 1")."""
+    if min(numerators, default=0) < 0:
+        raise error(negative(next(i for i, x in enumerate(numerators)
+                                  if x < 0)))
+    t = sum(numerators)
+    if t != d:
+        raise error(f"{total} {Fraction(t, d)}, expected 1")
+
+
+def lowest_numerators(numerators: list[int], d: int) -> tuple[int, list[int]]:
+    """The same values numerators[i] / d over the lcm of their denominators,
+    the form `common_numerators` gives: d and every numerator divided by
+    their gcd."""
+    g = math.gcd(d, *numerators)
+    if g == 1:
+        return d, numerators
+    return d // g, [x // g for x in numerators]
+
+
 def fractions_over(numerators: Sequence[int], d: int) -> list[Fraction]:
     """Each numerator / d, one Fraction per distinct numerator."""
     exact = {x: Fraction(x, d) for x in set(numerators)}
@@ -107,14 +170,18 @@ def fractions_over(numerators: Sequence[int], d: int) -> list[Fraction]:
 
 
 def round_half_away(x: Fraction, digits: int = 2) -> Fraction:
-    """Round to `digits` decimal places, ties going away from zero."""
-    scale = Fraction(10) ** digits
+    """Round to `digits` decimal places, ties going away from zero; a
+    negative `digits` rounds to tens, hundreds and so on.  `digits` is read
+    by `read_size`."""
+    scale = Fraction(10) ** read_size(digits, "digits", PreconditionError)
     n = math.floor(abs(x) * scale + Fraction(1, 2))
     return Fraction(-n if x < 0 else n) / scale
 
 
 def format_fixed(x: Fraction, digits: int = 2) -> str:
-    """Render x rounded half-away-from-zero with exactly `digits` decimals."""
+    """Render x rounded half-away-from-zero with exactly `digits` decimals;
+    `digits` is read by `read_size`, and must be at least 0."""
+    digits = read_size(digits, "digits", PreconditionError, least=0)
     n = round_half_away(x, digits) * Fraction(10) ** digits
     units = abs(int(n))
     sign = "-" if n < 0 else ""

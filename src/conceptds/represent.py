@@ -34,6 +34,7 @@ from .frozen import Frozen
 from .lattice import ConceptLattice, is_context_lattice
 from .powerset import size_key, subsets
 from .probspace import ProbabilitySpace
+from .rationals import fractions_over
 
 MAX_SET_REPRESENT = 4
 MAX_FRAME_OBJECTS = 24
@@ -215,20 +216,23 @@ def represent_concepts(m: MassFunction) -> ConceptRepresentation:
     and d; every other coordinate of the atom is the least concept, which
     lies below anything.  So the atom lies below h(c) when d's extent lies
     inside k's, and it meets h(c) above the least element when k is not the
-    least concept.  The sums over those criteria are compared against the
-    table that `MassFunction._swept_table` sweeps from the focal extents
-    alone, in O(concepts x focal concepts), never against the lattice's
-    transforms, which `belief_table` runs.  The structural checks run on first
-    use of `checks` or `all_passed`.
+    least concept.  The sums over those criteria, numerators over the
+    mass's one denominator, sit beside the bel and pl numerators that
+    `MassFunction._numerators` sweeps from the focal extents alone, in
+    O(concepts x focal concepts), never beside the lattice's transforms,
+    which `belief_table` runs.  Each distinct numerator of the rows becomes
+    one Fraction, so a row's bel and inner are one object when equal, and
+    so are its pl and outer.  The structural checks run on first use of
+    `checks` or `all_passed`.
     """
     lat = m.lattice
     _require_empty_bottom(lat, "the conceptual representation")
     extents, index, bottom = lat.extents, lat.index_by_extent, lat.bottom_index
     denominator, focal = m.focal
-    table = m._swept_table()
-    rows = []
+    # bel, inner, pl and outer numerators over `denominator`, row by row.
+    numerators = []
     # Every meet lands in the index: extents are closed under intersection.
-    for c, e in enumerate(extents):
+    for e in extents:
         inner = outer = 0
         for f, x in focal:
             k = index[e & f]
@@ -236,11 +240,12 @@ def represent_concepts(m: MassFunction) -> ConceptRepresentation:
                 inner += x
             if k != bottom:
                 outer += x
-        rows.append(VerificationRow(concept_index=c, bel=table.bel[c],
-                                    inner=Fraction(inner, denominator),
-                                    pl=table.pl[c],
-                                    outer=Fraction(outer, denominator)))
-    return ConceptRepresentation(m, tuple(rows))
+        bel, pl = m._numerators(e)
+        numerators += (bel, inner, pl, outer)
+    exact = fractions_over(numerators, denominator)
+    return ConceptRepresentation(m, tuple([
+        VerificationRow(c, *exact[4 * c:4 * c + 4])
+        for c in range(len(extents))]))
 
 
 def atom_order_matches(rep: ConceptRepresentation) -> bool:

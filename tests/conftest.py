@@ -81,9 +81,9 @@ def with_universal_object(ctx):
 
 @st.composite
 def small_contexts(draw, max_objects: int = 5, max_attributes: int = 5,
-                   min_objects: int = 0):
+                   min_objects: int = 0, min_attributes: int = 0):
     n_obj = draw(st.integers(min_objects, max_objects))
-    n_attr = draw(st.integers(0, max_attributes))
+    n_attr = draw(st.integers(min_attributes, max_attributes))
     if n_obj and n_attr:
         incidence = draw(st.frozensets(
             st.tuples(st.integers(0, n_obj - 1), st.integers(0, n_attr - 1)),

@@ -2,22 +2,28 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conceptds import (CapacityError, FormalContext, LabelError, MassError,
                        MassFunction, MassSpec, ProbabilitySpace,
-                       SetMassFunction, combine_many, enumerate_concepts,
+                       SetMassFunction, TotalConflictError, combine_many,
+                       enumerate_concepts, load_case, load_document,
                        mass_from_bel_lattice, mass_from_bel_set,
+                       normalize_no_universal_object, random_mass,
                        resolve_concept_label, resolve_mass)
-from conceptds import evidence
+from conceptds import context, evidence, rationals
+from conceptds.context import members
 from conceptds.errors import ENV_UNSAFE_SCALE
 
-from conftest import lattice_masses, seeded_lattice_mass, set_masses
+from conftest import (lattice_masses, seeded_lattice_mass, set_masses,
+                      small_contexts, with_universal_object)
 
 F = Fraction
 
@@ -568,3 +574,119 @@ def test_each_literal_is_read_once_per_lattice(music_lattice, monkeypatch):
         for spec in specs:
             resolve_mass(spec, lat)
         assert sorted(reads) == sorted(["{a,b}", "{b,c}", "{a}"] * rounds)
+
+
+# ---------------------------------------------------------------------------
+# Masses built once, from the numerators of their one check
+
+def _document(ctx: FormalContext, masses: list[MassFunction]) -> str:
+    """A document whose masses are `masses`, each concept named by its
+    extent literal; every other concept is written out with its zero."""
+    lat = masses[0].lattice
+
+    def literal(i: int) -> str:
+        return "{" + ",".join(ctx.objects[g]
+                              for g in members(lat.extents[i])) + "}"
+
+    return json.dumps({
+        "objects": list(ctx.objects), "attributes": list(ctx.attributes),
+        "incidence": [[ctx.objects[g], ctx.attributes[m]]
+                      for g, m in sorted(ctx.incidence)],
+        "masses": {f"m{k}": {literal(i): str(v)
+                             for i, v in enumerate(m.values) if v or i % 2}
+                   for k, m in enumerate(masses)}})
+
+
+@pytest.mark.parametrize("inhabited", [False, True], ids=["empty", "inhabited"])
+@given(ctx=small_contexts(min_objects=1), data=st.data())
+def test_masses_from_numerators_equal_the_checked_constructor(inhabited, ctx,
+                                                              data):
+    """Document masses, fold results and inversions are the masses the
+    validating constructor builds from their values, `focal` included."""
+    ctx = with_universal_object(ctx) if inhabited \
+        else normalize_no_universal_object(ctx)
+    lat = enumerate_concepts(ctx)
+    assert bool(lat.extents[lat.bottom_index]) is inhabited
+    seeds = data.draw(st.lists(st.integers(0, 2 ** 32 - 1), min_size=1,
+                               max_size=3))
+    masses = [random_mass(seed, lat) for seed in seeds]
+    doc = load_document(_document(ctx, masses))
+    resolved = [resolve_mass(spec, lat) for spec in doc.masses]
+    assert resolved == masses
+    built = resolved + [mass_from_bel_lattice(m.belief_table().bel, lat)
+                        for m in masses]
+    try:
+        built.append(combine_many(resolved).result)
+    except TotalConflictError:
+        pass
+    for m in built:
+        checked = MassFunction(lat, m.values)
+        assert m == checked and m.focal == checked.focal
+
+
+def test_a_document_mass_is_checked_once(monkeypatch):
+    """Resolving a document of k masses runs the sign-and-total check k
+    times, at parse; the fold and the inversion run it on nothing."""
+    checks = []
+    real = rationals.check_unit
+
+    def counted(*args, **kwargs):
+        checks.append(args[0])
+        return real(*args, **kwargs)
+
+    for module in (context, evidence):
+        monkeypatch.setattr(module, "check_unit", counted)
+    doc = load_case("movies-1")
+    assert len(doc.masses) == len(checks) > 1
+    lat = enumerate_concepts(doc.context)
+    masses = [resolve_mass(spec, lat) for spec in doc.masses]
+    combine_many(masses)
+    mass_from_bel_lattice(masses[0].belief_table().bel, lat)
+    assert len(checks) == len(doc.masses)
+    # A mass or a spec built by hand is checked when it is built.
+    MassFunction(lat, masses[0].values)
+    spec = doc.masses[0]
+    assert resolve_mass(MassSpec(spec.name, spec.entries, spec.label_extents),
+                        lat) == masses[0]
+    assert len(checks) == len(doc.masses) + 2
+
+
+@pytest.mark.parametrize("masses, message", [
+    ({"nowhere": "-1/2", "{q}": "3/2"},
+     "mass 'm' assigns -1/2 to 'nowhere'; masses must be nonnegative"),
+    ({"nowhere": "1/2", "{q}": "1/4"}, "mass 'm' sums to 3/4, expected 1"),
+])
+def test_a_document_mass_error_comes_before_any_label_error(masses, message):
+    with pytest.raises(MassError) as info:
+        load_document(json.dumps({"objects": ["a"], "attributes": ["x"],
+                                  "masses": {"m": masses}}))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("values, message", [
+    ((F(3, 2), F(-1, 2)), "concept {a} has negative mass -1/2"),
+    ((F(1, 2), F(1, 4)), "mass sums to 3/4, expected 1"),
+    (("3/2", -0.5), "concept {a} has negative mass -1/2"),
+    ((F(1, 2), "x"), "concept {a} has mass 'x', which is not a rational "
+                     "number"),
+])
+def test_a_hand_built_spec_keeps_every_check(music_lattice, values, message):
+    a = resolve_concept_label(music_lattice, "{a}")
+    spec = MassSpec("m", tuple(zip(("top", "{a}"), values)))
+    with pytest.raises(MassError) as info:
+        resolve_mass(spec, music_lattice)
+    assert str(info.value) == message.format(a=a)
+    assert resolve_mass(MassSpec("m", (("top", "1/2"), ("{a}", 0.5))),
+                        music_lattice).values[a] == F(1, 2)
+
+
+@pytest.mark.parametrize("label", [5, None, ("top",), ["top"]])
+def test_a_label_that_is_not_a_str_is_named(music_lattice, label):
+    kind = type(label).__name__
+    with pytest.raises(LabelError) as info:
+        resolve_concept_label(music_lattice, label, 0)
+    assert str(info.value) == f"label must be a str, not {kind}"
+    resolve_concept_label(music_lattice, "top")
+    with pytest.raises(LabelError) as info:
+        resolve_mass(MassSpec("m", ((label, F(1)),)), music_lattice)
+    assert str(info.value) == f"label must be a str, not {kind}"

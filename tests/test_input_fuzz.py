@@ -17,13 +17,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conceptds import (CapacityError, ConceptDSError, FormalContext,
-                       MassError, MassFunction, ParseError, ProbabilitySpace,
-                       SetMassFunction, build_report, check_belief_axioms_set,
-                       check_plausibility_axioms_set, enumerate_concepts,
-                       load_document, mass_from_bel_lattice, mass_from_bel_set,
-                       parse_cxt, parse_probability_space, parse_rational,
-                       probability_space_from_json, random_partition_space,
-                       random_set_mass)
+                       MassError, MassFunction, ParseError, PreconditionError,
+                       ProbabilitySpace, SetMassFunction, build_report,
+                       check_belief_axioms_set, check_plausibility_axioms_set,
+                       enumerate_concepts, format_fixed, load_document,
+                       mass_from_bel_lattice, mass_from_bel_set, parse_cxt,
+                       parse_probability_space, parse_rational,
+                       probability_space_from_json, random_context,
+                       random_mass, random_partition_space, random_set_mass,
+                       round_half_away)
 from conceptds.errors import ENV_UNSAFE_SCALE
 
 NAMES = st.sampled_from(["a", "b", "x", "y", "top", "⊥", "{a}", "{a,b}", ""])
@@ -361,3 +363,53 @@ def test_a_long_value_is_cut_in_its_error_text():
     assert str(info.value) == (
         "{0, 1, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 2, 3, 4, 5, ...} "
         "is not a subset of the carrier")
+
+
+NOT_SIZES = {
+    "random_context n_objects": (
+        lambda: random_context(0, "x", 2, 0.5),
+        "n_objects must be an int, not str"),
+    "random_context bool": (lambda: random_context(0, True, 2, 0.5),
+                            "n_objects must be an int, not bool"),
+    "random_context n_attributes": (
+        lambda: random_context(0, 2, 2.0, 0.5),
+        "n_attributes must be an int, not float"),
+    "random_context negative": (lambda: random_context(0, -1, 2, 0.5),
+                                "counts must be nonnegative"),
+    "random_mass": (lambda: random_mass(0, _lattice(), "x"),
+                    "denominator_bound must be an int, not str"),
+    "random_mass zero": (lambda: random_mass(0, _lattice(), 0),
+                         "denominator_bound must be at least 1, got 0"),
+    "random_set_mass": (lambda: random_set_mass(0, range(3), "x"),
+                        "denominator_bound must be an int, not str"),
+    "random_partition_space": (
+        lambda: random_partition_space(0, "ab", False),
+        "denominator_bound must be an int, not bool"),
+    "round_half_away": (lambda: round_half_away(Fraction(1, 2), "x"),
+                        "digits must be an int, not str"),
+    "format_fixed": (lambda: format_fixed(Fraction(1, 3), 1.0),
+                     "digits must be an int, not float"),
+    "format_fixed negative": (lambda: format_fixed(Fraction(1, 3), -1),
+                              "digits must be at least 0, got -1"),
+}
+
+
+@pytest.mark.parametrize("call, message", NOT_SIZES.values(),
+                         ids=list(NOT_SIZES))
+def test_a_count_or_digits_that_is_not_a_size_is_named(call, message):
+    with pytest.raises(ConceptDSError) as info:
+        call()
+    assert type(info.value) is PreconditionError
+    assert str(info.value) == message
+
+
+def test_reading_sizes_leaves_every_draw_and_rounding_as_it_was():
+    ctx = random_context(7, 4, 3, 0.5)
+    assert sorted(ctx.incidence) == [(0, 0), (0, 1), (1, 0), (1, 2), (2, 0),
+                                     (2, 2), (3, 0), (3, 1), (3, 2)]
+    assert random_mass(3, enumerate_concepts(ctx), 10).values == \
+        (Fraction(1, 4),) * 4
+    assert random_set_mass(5, range(3), 8).values == {
+        frozenset({1, 2}): Fraction(3, 5), frozenset({0, 1, 2}): Fraction(2, 5)}
+    assert round_half_away(Fraction(15), -1) == 20
+    assert format_fixed(Fraction(2, 3), 0) == "1"

@@ -1,13 +1,16 @@
-"""Relabelling a context changes no result but by the relabelling.
+"""Changes to a context that keep its concept lattice change no result but
+by the concept map.
 
 Permuting the objects or the attributes of a context gives an isomorphic
-concept lattice (Ganter and Wille, 1999, section 1.5).  An object
-permutation keeps every intent mask, so concepts are matched by intent; an
-attribute permutation keeps every extent mask, so they are matched by
-extent.  Each mass moves along that match, and then the concept count, the
-cover edges, the bel and pl tables, the fold's values and per-step
-conflicts, and the inversion round trip must all move with it.  No oracle
-is consulted.
+concept lattice, and so do duplicating an object or an attribute and adding
+an object whose row (or an attribute whose column) is the AND of two others
+(Ganter and Wille, 1999, section 1.5).  An object change keeps
+every intent mask, so concepts are matched by intent; an attribute change
+keeps every extent mask, so they are matched by extent.  Each mass moves
+along that match, and then the concept count, the cover edges, the bel and
+pl tables, the fold's values and per-step conflicts, the inversion round
+trip and the certificate's rows must all move with it.  No oracle is
+consulted.
 """
 
 from __future__ import annotations
@@ -16,9 +19,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conceptds import (FormalContext, MassFunction, TotalConflictError,
-                       combine_many, enumerate_concepts, mass_from_bel_lattice,
-                       random_mass)
+from conceptds import (ConceptLattice, FormalContext, MassFunction,
+                       PreconditionError, TotalConflictError, combine_many,
+                       enumerate_concepts, mass_from_bel_lattice, random_mass,
+                       represent_concepts)
 from conceptds.context import members
 
 from conftest import small_contexts
@@ -43,6 +47,21 @@ def _relabelled(ctx: FormalContext, side: str,
                          {(g, perm[m]) for g, m in ctx.incidence})
 
 
+def _with_object(ctx: FormalContext, row: int) -> FormalContext:
+    """`ctx` plus one last object whose row is the attribute mask `row`."""
+    g = len(ctx.objects)
+    return FormalContext(ctx.objects + (f"o{g}+",), ctx.attributes,
+                         ctx.incidence | {(g, m) for m in members(row)})
+
+
+def _with_attribute(ctx: FormalContext, column: int) -> FormalContext:
+    """`ctx` plus one last attribute whose column is the object mask
+    `column`."""
+    m = len(ctx.attributes)
+    return FormalContext(ctx.objects, ctx.attributes + (f"a{m}+",),
+                         ctx.incidence | {(g, m) for g in members(column)})
+
+
 def _fold(masses: list[MassFunction]):
     """The fold's values and conflicts, or the step of total conflict."""
     try:
@@ -50,6 +69,56 @@ def _fold(masses: list[MassFunction]):
     except TotalConflictError as exc:
         return exc.step
     return report.result.values, report.conflicts
+
+
+def _rows(m: MassFunction):
+    """The certificate's rows without their indexes, or None when the
+    least extent is inhabited and there is no certificate."""
+    try:
+        rows = represent_concepts(m).rows
+    except PreconditionError:
+        return None
+    return [row[1:] for row in rows]
+
+
+def _results_move_along(old: ConceptLattice, new: ConceptLattice,
+                        to: list[int], seeds: list[int]) -> None:
+    """Every result on `new` is the one on `old` moved along `to`, for the
+    masses that `seeds` draw on `old`."""
+    assert len(to) == len(old)
+    assert sorted(to) == list(range(len(new)))
+    assert {(to[i], to[j]) for i, j in old.covers()} == set(new.covers())
+
+    def move(m: MassFunction) -> MassFunction:
+        values = [m.values[0]] * len(new)
+        for i, v in enumerate(m.values):
+            values[to[i]] = v
+        return MassFunction(new, values)
+
+    def back(moved: list) -> list:
+        return [moved[j] for j in to]
+
+    masses = [random_mass(seed, old) for seed in seeds]
+    for m in masses:
+        table, moved_table = m.belief_table(), move(m).belief_table()
+        assert back(moved_table.bel) == list(table.bel)
+        assert back(moved_table.pl) == list(table.pl)
+        assert mass_from_bel_lattice(moved_table.bel, new) == move(m)
+        rows, moved_rows = _rows(m), _rows(move(m))
+        assert (rows is None) is (moved_rows is None)
+        if rows is not None:
+            assert back(moved_rows) == rows
+
+    folded, moved_fold = _fold(masses), _fold([move(m) for m in masses])
+    if isinstance(folded, int):
+        assert moved_fold == folded
+    else:
+        values, conflicts = folded
+        assert moved_fold == (move(MassFunction(old, values)).values,
+                              conflicts)
+
+
+SEEDS = st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=3)
 
 
 @pytest.mark.parametrize("side", ["objects", "attributes"])
@@ -68,28 +137,44 @@ def test_relabelling_moves_every_result_along_the_concept_map(side, ctx,
         to = [new.index_by_extent[e] for e in old.extents]
         assert [new.intents[j] for j in to] == \
             [_moved(perm, a) for a in old.intents]
-    assert sorted(to) == list(range(len(new)))
-    assert {(to[i], to[j]) for i, j in old.covers()} == set(new.covers())
+    _results_move_along(old, new, to, data.draw(SEEDS))
 
-    def move(m: MassFunction) -> MassFunction:
-        values = [m.values[0]] * len(new)
-        for i, v in enumerate(m.values):
-            values[to[i]] = v
-        return MassFunction(new, values)
 
-    seeds = data.draw(st.lists(st.integers(0, 2 ** 32 - 1), min_size=1,
-                               max_size=3))
-    masses = [random_mass(seed, old) for seed in seeds]
-    for m in masses:
-        table, moved_table = m.belief_table(), move(m).belief_table()
-        assert [moved_table.bel[j] for j in to] == list(table.bel)
-        assert [moved_table.pl[j] for j in to] == list(table.pl)
-        assert mass_from_bel_lattice(moved_table.bel, new) == move(m)
+@pytest.mark.parametrize("change", ["duplicate", "and"])
+@given(ctx=small_contexts(min_objects=2), data=st.data())
+def test_a_reducible_object_moves_every_result_along_the_concept_map(
+        change, ctx, data):
+    """A copy of object g, or an object whose row is the AND of the rows
+    of g and h, lies in exactly the extents that hold g (and h)."""
+    g, h = data.draw(st.permutations(range(len(ctx.objects))))[:2]
+    if change == "duplicate":
+        h = g
+    old = enumerate_concepts(ctx)
+    new = enumerate_concepts(_with_object(ctx, ctx.rows[g] & ctx.rows[h]))
+    to = [new.index_by_intent[a] for a in old.intents]
+    added = 1 << len(ctx.objects)
+    both = 1 << g | 1 << h
+    assert [new.extents[j] for j in to] == \
+        [e | added if e & both == both else e for e in old.extents]
+    _results_move_along(old, new, to, data.draw(SEEDS))
 
-    folded, moved_fold = _fold(masses), _fold([move(m) for m in masses])
-    if isinstance(folded, int):
-        assert moved_fold == folded
-    else:
-        values, conflicts = folded
-        assert moved_fold == (move(MassFunction(old, values)).values,
-                              conflicts)
+
+@pytest.mark.parametrize("change", ["duplicate", "and"])
+@given(ctx=small_contexts(min_objects=1, min_attributes=2), data=st.data())
+def test_a_reducible_attribute_moves_every_result_along_the_concept_map(
+        change, ctx, data):
+    """A copy of attribute m, or an attribute whose column is the AND of
+    the columns of m and n, lies in exactly the intents that hold m (and
+    n)."""
+    m, n = data.draw(st.permutations(range(len(ctx.attributes))))[:2]
+    if change == "duplicate":
+        n = m
+    old = enumerate_concepts(ctx)
+    new = enumerate_concepts(
+        _with_attribute(ctx, ctx.columns[m] & ctx.columns[n]))
+    to = [new.index_by_extent[e] for e in old.extents]
+    added = 1 << len(ctx.attributes)
+    both = 1 << m | 1 << n
+    assert [new.intents[j] for j in to] == \
+        [a | added if a & both == both else a for a in old.intents]
+    _results_move_along(old, new, to, data.draw(SEEDS))

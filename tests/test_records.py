@@ -23,7 +23,7 @@ from conceptds.represent import SetVerificationRow
 
 RECORDS = {
     Concept: ("extent", "intent"),
-    MassSpec: ("name", "entries", "label_extents"),
+    MassSpec: ("name", "entries", "label_extents", "numerators"),
     ContextDocument: ("context", "masses", "labels", "expected"),
     BeliefTable: ("lattice", "bel", "pl"),
     CombinationReport: ("result", "conflicts"),

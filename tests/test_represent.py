@@ -129,6 +129,16 @@ def test_representation_is_exact_on_random_masses(m):
 
 
 @given(lattice_masses(normalize=True))
+def test_rows_hold_the_swept_table_and_one_fraction_per_value(m):
+    """bel and pl are the sweep's, and a passing row's inner and outer are
+    the very objects its bel and pl are."""
+    rows = represent_concepts(m).rows
+    table = m._swept_table()
+    assert [(r.bel, r.pl) for r in rows] == list(zip(table.bel, table.pl))
+    assert all(r.inner is r.bel and r.outer is r.pl for r in rows)
+
+
+@given(lattice_masses(normalize=True))
 def test_embedding_is_the_meet_vector(m):
     rep = represent_concepts(m)
     lat = m.lattice
