@@ -3,10 +3,11 @@
 A mass function distributes one unit of evidence over concepts.  Belief at a
 concept sums the mass at or below it; plausibility sums the mass of every
 concept whose meet with it has a nonempty extent.  Both are computed on
-integer numerators over a common denominator.  `MassFunction.belief_table`
-runs the lattice's zeta transforms, about three passes over its step list
-whatever the support; `bel`, `pl` and the certificates' reference
-(`_numerators`) sweep the focal concepts once per concept instead.
+integer numerators over a common denominator.  A whole table comes from one
+path, the lattice's zeta transforms (`MassFunction.belief_table`), about
+three passes over its step list whatever the support; the certificates of
+`represent` check those transforms against their own meet sums.  `bel` and
+`pl` at one concept sweep the focal concepts once (`_numerators`).
 
 Set-level evidence is the special case of a powerset.  The powerset of a
 carrier is the concept lattice of its contranominal context, so a
@@ -149,8 +150,9 @@ class MassFunction(Frozen):
         e = self.lattice.extents[read_index(c, len(self.values), "concept")]
         return Fraction(self._numerators(e)[1], self.focal[0])
 
-    def belief_table(self) -> "BeliefTable":
-        """bel and pl at every concept, from the lattice's zeta transforms.
+    def _table_numerators(self) -> tuple[list[int], list[int]]:
+        """bel and pl numerators, over `focal`'s denominator, at every
+        concept, from the lattice's zeta transforms.
 
         bel is the down-zeta of the mass.  The mass that meets concept c at
         an empty least concept is the conflict of m with the categorical
@@ -160,6 +162,8 @@ class MassFunction(Frozen):
         kept row is empty, no meet is empty and pl is the total.  About
         three passes over the lattice's steps, plus at most concepts x
         objects closure lookups when the lattice does not hold them yet.
+        `belief_table` converts these numerators, and the certificates of
+        `represent` compare them with their meet sums.
         """
         lat = self.lattice
         d, focal = self.focal
@@ -172,26 +176,25 @@ class MassFunction(Frozen):
         pl = [0] * n
         for c, mu in lat.mobius_bottom:
             pl[c] = mu * q[c]
+        # q is dropped before pl's last list is built, so that no more
+        # than three lists of n numerators are alive at once.
         del q
         zeta_down(pl, steps)
         pl = [d - k for k in pl]
         zeta_down(bel, steps)
-        # One conversion of both, so that equal numerators share a Fraction;
-        # q is dropped and pl appended in place, so that the table's peak
-        # heap stays near the sweep's.
-        bel += pl
-        exact = fractions_over(bel, d)
-        return BeliefTable(lat, tuple(exact[:n]), tuple(exact[n:]))
+        return bel, pl
 
-    def _swept_table(self) -> "BeliefTable":
-        """bel and pl at every concept, from one sweep of the support each:
-        the path that reads no step, which the frame certificate of
-        `represent` compares against."""
-        # bel and pl numerators, interleaved concept by concept.
-        numerators = [x for e in self.lattice.extents
-                      for x in self._numerators(e)]
-        exact = fractions_over(numerators, self.focal[0])
-        return BeliefTable(self.lattice, tuple(exact[0::2]), tuple(exact[1::2]))
+    def belief_table(self) -> "BeliefTable":
+        """bel and pl at every concept, from the lattice's zeta transforms
+        (`_table_numerators`)."""
+        bel, pl = self._table_numerators()
+        n = len(bel)
+        # One conversion of both, so that equal numerators share a Fraction;
+        # pl is appended in place, so that no list of 2n numerators is built
+        # beside both.
+        bel += pl
+        exact = fractions_over(bel, self.focal[0])
+        return BeliefTable(self.lattice, tuple(exact[:n]), tuple(exact[n:]))
 
 
 class BeliefTable(NamedTuple):

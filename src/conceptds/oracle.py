@@ -27,7 +27,7 @@ from .evidence import MassFunction, SetMassFunction
 from .lattice import MAX_OBJECTS, ConceptLattice
 from .powerset import read_subset, read_table, size_key, subsets
 from .probspace import ProbabilitySpace
-from .rationals import read_size
+from .rationals import parse_rationals, read_size
 
 MAX_AXIOM_CARRIER = 5
 MAX_AXIOM_N = 3
@@ -241,9 +241,14 @@ def brute_pl(m: MassFunction, c: int) -> Fraction:
 
 def random_context(seed: int, n_objects: int, n_attributes: int,
                    density: float | Fraction) -> FormalContext:
-    """A context whose incidence pairs appear independently with `density`."""
-    if not 0 <= density <= 1:
+    """A context whose incidence pairs appear independently with `density`,
+    read by `parse_rationals`.  A float is drawn against as the float it is,
+    not as the shortest decimal that `parse_rational` reads it as."""
+    bound, = parse_rationals((density,), lambda _: "density is",
+                             PreconditionError)
+    if not 0 <= bound <= 1:
         raise PreconditionError(f"density must be within [0, 1], got {density}")
+    threshold = density if isinstance(density, float) else bound
     n_objects = read_size(n_objects, "n_objects", PreconditionError)
     n_attributes = read_size(n_attributes, "n_attributes", PreconditionError)
     if n_objects < 0 or n_attributes < 0:
@@ -253,7 +258,7 @@ def random_context(seed: int, n_objects: int, n_attributes: int,
     incidence = frozenset((g, a)
                           for g in range(n_objects)
                           for a in range(n_attributes)
-                          if rng.random() < density)
+                          if rng.random() < threshold)
     return FormalContext(tuple(f"o{g}" for g in range(n_objects)),
                          tuple(f"a{a}" for a in range(n_attributes)),
                          incidence)

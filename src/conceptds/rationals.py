@@ -172,15 +172,17 @@ def fractions_over(numerators: Sequence[int], d: int) -> list[Fraction]:
 def round_half_away(x: Fraction, digits: int = 2) -> Fraction:
     """Round to `digits` decimal places, ties going away from zero; a
     negative `digits` rounds to tens, hundreds and so on.  `digits` is read
-    by `read_size`."""
+    by `read_size`, and then x by `parse_rationals`."""
     scale = Fraction(10) ** read_size(digits, "digits", PreconditionError)
+    x, = parse_rationals((x,), lambda _: "x is", PreconditionError)
     n = math.floor(abs(x) * scale + Fraction(1, 2))
     return Fraction(-n if x < 0 else n) / scale
 
 
 def format_fixed(x: Fraction, digits: int = 2) -> str:
     """Render x rounded half-away-from-zero with exactly `digits` decimals;
-    `digits` is read by `read_size`, and must be at least 0."""
+    `digits` is read by `read_size`, and must be at least 0, and x by
+    `round_half_away`."""
     digits = read_size(digits, "digits", PreconditionError, least=0)
     n = round_half_away(x, digits) * Fraction(10) ** digits
     units = abs(int(n))

@@ -11,10 +11,12 @@ constructions are provided:
   and is never materialized.  Coordinate d of the embedded concept h(c) is
   the meet of c and d, the concept whose extent is the intersection of
   theirs; inner and outer measures are read from that extent semantics over
-  the focal concepts only, so they cross-check the evidence module's
-  bel/pl rather than repeating them.
+  the focal concepts only, and checked against the bel/pl that the
+  lattice's zeta transforms give, the tables the evidence module prints.
 * `represent_concepts_frame`: the same content built concretely as a derived
-  formal context, exercised at small scale as a cross-check.
+  formal context, exercised at small scale as a cross-check; its rows
+  check the same transforms (`MassFunction.belief_table`) against the
+  inner and outer measures of the derived space.
 
 Both conceptual constructions require the least concept to have an empty
 extent; `normalize_with_mass` transports a mass function to the normalized
@@ -67,9 +69,7 @@ class SetVerificationRow(NamedTuple):
     pl: Fraction
     outer: Fraction
 
-    @property
-    def passed(self) -> bool:
-        return self.bel == self.inner and self.pl == self.outer
+    passed = VerificationRow.passed
 
 
 # ---------------------------------------------------------------------------
@@ -217,13 +217,13 @@ def represent_concepts(m: MassFunction) -> ConceptRepresentation:
     lies below anything.  So the atom lies below h(c) when d's extent lies
     inside k's, and it meets h(c) above the least element when k is not the
     least concept.  The sums over those criteria, numerators over the
-    mass's one denominator, sit beside the bel and pl numerators that
-    `MassFunction._numerators` sweeps from the focal extents alone, in
-    O(concepts x focal concepts), never beside the lattice's transforms,
-    which `belief_table` runs.  Each distinct numerator of the rows becomes
-    one Fraction, so a row's bel and inner are one object when equal, and
-    so are its pl and outer.  The structural checks run on first use of
-    `checks` or `all_passed`.
+    mass's one denominator, in O(concepts x focal concepts), sit beside the
+    bel and pl numerators of the lattice's zeta transforms, the path that
+    `belief_table` prints, so the certificate checks the transforms against
+    the meet sums.  A lattice that does not hold its steps yet builds them.
+    Each distinct numerator of the rows becomes one Fraction, so a row's bel
+    and inner are one object when equal, and so are its pl and outer.  The
+    structural checks run on first use of `checks` or `all_passed`.
     """
     lat = m.lattice
     _require_empty_bottom(lat, "the conceptual representation")
@@ -232,7 +232,7 @@ def represent_concepts(m: MassFunction) -> ConceptRepresentation:
     # bel, inner, pl and outer numerators over `denominator`, row by row.
     numerators = []
     # Every meet lands in the index: extents are closed under intersection.
-    for e in extents:
+    for e, bel, pl in zip(extents, *m._table_numerators()):
         inner = outer = 0
         for f, x in focal:
             k = index[e & f]
@@ -240,7 +240,6 @@ def represent_concepts(m: MassFunction) -> ConceptRepresentation:
                 inner += x
             if k != bottom:
                 outer += x
-        bel, pl = m._numerators(e)
         numerators += (bel, inner, pl, outer)
     exact = fractions_over(numerators, denominator)
     return ConceptRepresentation(m, tuple([
@@ -350,11 +349,9 @@ def represent_concepts_frame(m: MassFunction) -> FrameRepresentation:
     space = ProbabilitySpace(frozenset(range(len(object_keys))),
                              tuple(atoms[c] for c in block_indices),
                              tuple(m.values[c] for c in block_indices))
-    table = m._swept_table()
-    rows = tuple(VerificationRow(concept_index=c, bel=table.bel[c],
-                                 inner=space.inner_measure(embedding[c]),
-                                 pl=table.pl[c],
-                                 outer=space.outer_measure(embedding[c]))
-                 for c in range(n))
+    _, bel, pl = m.belief_table()
+    rows = tuple(VerificationRow(c, bel[c], space.inner_measure(e), pl[c],
+                                 space.outer_measure(e))
+                 for c, e in enumerate(embedding))
     return FrameRepresentation(m, derived, object_keys, atoms, space,
                                embedding, rows, checks)

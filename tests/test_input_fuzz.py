@@ -403,6 +403,47 @@ def test_a_count_or_digits_that_is_not_a_size_is_named(call, message):
     assert str(info.value) == message
 
 
+NOT_RATIONALS = {
+    "random_context density": (lambda: random_context(0, 2, 2, "x"),
+                               "density is 'x', which is not a rational "
+                               "number"),
+    "random_context bool density": (
+        lambda: random_context(0, 2, 2, True),
+        "density is True, which is not a rational number"),
+    "format_fixed": (lambda: format_fixed("x", 2),
+                     "x is 'x', which is not a rational number"),
+    "round_half_away": (lambda: round_half_away("x"),
+                        "x is 'x', which is not a rational number"),
+    "round_half_away None": (lambda: round_half_away(None, 1),
+                             "x is None, which is not a rational number"),
+}
+
+
+@pytest.mark.parametrize("call, message", NOT_RATIONALS.values(),
+                         ids=list(NOT_RATIONALS))
+def test_a_density_or_value_that_is_not_rational_is_named(call, message):
+    with pytest.raises(ConceptDSError) as info:
+        call()
+    assert type(info.value) is PreconditionError
+    assert str(info.value) == message
+
+
+def test_reading_densities_leaves_every_draw_as_it_was():
+    """Each context's rows, as drawn before densities were read by
+    `parse_rationals`; a float is still drawn against as a float."""
+    drawn = {(1, 5, 4, 0.3): (9, 0, 3, 2, 9),
+             (2, 4, 6, Fraction(1, 3)): (12, 34, 0, 46),
+             (3, 6, 3, Decimal("0.7")): (7, 7, 5, 5, 6, 3),
+             (4, 3, 5, 0.5): (31, 17, 30),
+             (5, 4, 4, 1): (15, 15, 15, 15),
+             (6, 4, 4, 0): (0, 0, 0, 0)}
+    for args, rows in drawn.items():
+        assert random_context(*args).rows == rows
+    assert random_context(4, 3, 5, "1/2").rows == (31, 17, 30)
+    assert round_half_away("0.125") == Fraction(13, 100)
+    assert format_fixed("-1/3", 3) == "-0.333"
+
+
 def test_reading_sizes_leaves_every_draw_and_rounding_as_it_was():
     ctx = random_context(7, 4, 3, 0.5)
     assert sorted(ctx.incidence) == [(0, 0), (0, 1), (1, 0), (1, 2), (2, 0),

@@ -5,11 +5,13 @@ from __future__ import annotations
 import ast
 import contextlib
 import importlib
+import inspect
 import io
 import re
 import shlex
 from pathlib import Path
 
+import conceptds
 from conceptds.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -85,3 +87,66 @@ def test_readme_states_every_capacity_bound():
     stated = [CAPACITY_PHRASES[name].format(value)
               for name, value in sorted(bounds.items())]
     assert [phrase for phrase in stated if phrase not in paragraph] == []
+
+
+MODULES = {path.stem for path in (ROOT / "src" / "conceptds").glob("*.py")
+           if path.stem != "__init__"}
+# A backticked dotted name, maybe called: `lattice.zeta`, `rep.embedding(c)`.
+DOTTED = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\([^`]*\))?`")
+
+
+def _resolves(name: str) -> bool | None:
+    """Whether a dotted name resolves from its root, or None when its root
+    is neither a `conceptds` module nor a public name of the package, so
+    that the name is not checked (`m.bel`, `lat.steps`)."""
+    root, *parts = name.split(".")
+    if root == "conceptds":
+        root, *parts = parts
+    if root in MODULES:
+        obj = importlib.import_module(f"conceptds.{root}")
+    elif root in conceptds.__all__:
+        obj = getattr(conceptds, root)
+    else:
+        return None
+    for part in parts:
+        if not hasattr(obj, part):
+            # An instance attribute: annotated on the class, or set by its
+            # `__init__`; nothing below it is looked up.
+            return isinstance(obj, type) and (
+                any(part in vars(k).get("__annotations__", {})
+                    for k in obj.__mro__)
+                or f"self.{part} =" in inspect.getsource(obj.__init__))
+        obj = getattr(obj, part)
+    return True
+
+
+def _named(text: str) -> list[str]:
+    return [name for name in DOTTED.findall(text) if _resolves(name) is not None]
+
+
+def _docstrings(path: Path) -> str:
+    return "\n".join(
+        ast.get_docstring(node) or "" for node in ast.walk(
+            ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)))
+
+
+def test_every_dotted_name_in_the_docs_resolves():
+    """Each backticked dotted name that README and the docstrings of `src/`
+    root at a `conceptds` module or a public name exists, so no text names
+    code that is gone."""
+    assert _resolves("MassFunction.belief_table") is True
+    assert _resolves("MassFunction.no_such_table") is False
+    assert _resolves("lattice.no_such_transform") is False
+    assert _resolves("FormalContext.rows") is True
+    assert _resolves("ConceptLattice.extents") is True
+    assert _resolves("ConceptLattice.no_such_field") is False
+    assert _resolves("m.bel") is None
+    readme = _named(README)
+    assert len(readme) >= 20, "the walk must see README's dotted names"
+    texts = {"README.md": readme} | {
+        path.name: _named(_docstrings(path))
+        for path in sorted((ROOT / "src" / "conceptds").glob("*.py"))}
+    assert {where: [name for name in names if not _resolves(name)]
+            for where, names in texts.items()
+            if not all(map(_resolves, names))} == {}

@@ -129,11 +129,12 @@ def test_representation_is_exact_on_random_masses(m):
 
 
 @given(lattice_masses(normalize=True))
-def test_rows_hold_the_swept_table_and_one_fraction_per_value(m):
-    """bel and pl are the sweep's, and a passing row's inner and outer are
-    the very objects its bel and pl are."""
+def test_rows_hold_the_transforms_and_one_fraction_per_value(m):
+    """bel and pl are the transforms' table, the one `belief_table` prints,
+    and a passing row's inner and outer are the very objects its bel and pl
+    are."""
     rows = represent_concepts(m).rows
-    table = m._swept_table()
+    table = m.belief_table()
     assert [(r.bel, r.pl) for r in rows] == list(zip(table.bel, table.pl))
     assert all(r.inner is r.bel and r.outer is r.pl for r in rows)
 
@@ -162,12 +163,20 @@ MUSIC_PAIRS = ((0b111, 0b0000), (0b011, 0b0010), (0b110, 0b0100),
 
 def _doctored(context, extents, intents) -> ConceptLattice:
     """A test double for a broken enumerator: the context's lattice with its
-    masks, extent index and extreme concepts replaced."""
+    masks, extent index and extreme concepts replaced.
+
+    Its steps are every comparable pair (s, t), s strictly below t, with s
+    in ascending order: a zeta step list for any family of distinct
+    extents, read from the stored extents, not from the context."""
     lat = enumerate_concepts(context)
     lat.extents, lat.intents = tuple(extents), tuple(intents)
     lat.index_by_extent = {e: i for i, e in enumerate(lat.extents)}
     lat.top_index = lat.extents.index((1 << len(context.objects)) - 1)
     lat.bottom_index = lat.intents.index((1 << len(context.attributes)) - 1)
+    rising = sorted(range(len(lat)), key=lambda i: lat.extents[i].bit_count())
+    pairs = [(s, t) for s in rising for t in range(len(lat)) if t != s
+             and not lat.extents[s] & ~lat.extents[t]]
+    lat.steps = ([s for s, _ in pairs], [t for _, t in pairs])
     return lat
 
 
@@ -352,25 +361,66 @@ def _numerators_without_top_in_bel(self, extent):
     return bel, sum(x for f, x in self.focal[1] if f & extent)
 
 
+TABLE_NUMERATORS = MassFunction._table_numerators
+
+
+def _transforms_without_top_in_bel(self):
+    """The transforms' numerators, but leaving the top concept's mass out
+    of bel at the top."""
+    bel, pl = TABLE_NUMERATORS(self)
+    top = self.lattice.top_index
+    bel[top] -= dict(self.focal[1]).get(self.lattice.extents[top], 0)
+    return bel, pl
+
+
 def test_certificate_catches_a_wrong_belief(music_case, monkeypatch, capsys):
     m = music_case.masses["m1"]
     assert represent_concepts(m).all_passed
+    # The conceptual certificates read the transforms, not the sweep.
     monkeypatch.setattr(MassFunction, "_numerators",
                         _numerators_without_top_in_bel)
-    rep = represent_concepts(m)
-    assert not rep.all_passed
-    failed = [row for row in rep.rows if not row.passed]
-    assert [row.concept_index for row in failed] == [m.lattice.top_index]
-    assert failed[0].inner == 1 and failed[0].bel == F(1, 5)
+    assert m.bel(m.lattice.top_index) == F(1, 5)
+    assert represent_concepts(m).all_passed
+    assert represent_concepts_frame(m).all_passed
+    monkeypatch.setattr(MassFunction, "_table_numerators",
+                        _transforms_without_top_in_bel)
+    assert m.belief_table().bel[m.lattice.top_index] == F(1, 5)
+    for rep in (represent_concepts(m), represent_concepts_frame(m)):
+        assert not rep.all_passed
+        failed = [row for row in rep.rows if not row.passed]
+        assert [row.concept_index for row in failed] == [m.lattice.top_index]
+        assert failed[0].inner == 1 and failed[0].bel == F(1, 5)
     music = str(files("conceptds") / "data" / "music.json")
     assert run(["verify-representation", music]) == 1
     assert "result: FAIL" in capsys.readouterr().out
-    # The set-level certificate rests on its rows alone, and they fail too.
+    # The set-level certificate rests on its rows alone, which read the
+    # sweep, and they fail too.
     ab = frozenset("ab")
     srep = represent_set(SetMassFunction(ab, {frozenset("a"): F(1, 2),
                                               ab: F(1, 2)}))
     assert not srep.all_passed
     assert [row.subset for row in srep.rows if not row.passed] == [ab]
+
+
+def test_certificates_catch_a_dropped_step(music_case):
+    """One step dropped from a lattice's kept step list, and the Moebius row
+    built on it rebuilt: the printed table goes wrong, and both conceptual
+    certificates report the rows it gets wrong."""
+    lat = enumerate_concepts(music_case.lattice.context)
+    m = MassFunction(lat, music_case.masses["m1"].values)
+    good = m.belief_table()
+    assert represent_concepts(m).all_passed
+    assert represent_concepts_frame(m).all_passed
+    sources, targets = lat.steps
+    del sources[0], targets[0]
+    del lat.mobius_bottom
+    table = m.belief_table()
+    wrong = [c for c in range(len(lat))
+             if (table.bel[c], table.pl[c]) != (good.bel[c], good.pl[c])]
+    assert wrong == [0, 3, 6]
+    for rep in (represent_concepts(m), represent_concepts_frame(m)):
+        assert not rep.all_passed
+        assert [r.concept_index for r in rep.rows if not r.passed] == wrong
 
 
 @pytest.mark.parametrize("seed", range(6))
