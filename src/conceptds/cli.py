@@ -35,10 +35,6 @@ from .rationals import format_exact, format_fixed, parse_rational
 from .represent import (normalize_with_mass, represent_concepts,
                         represent_concepts_frame)
 
-# The sweep visits every subset of its carrier, as many as the concepts of
-# that carrier's powerset lattice.
-MAX_MEASURE_SWEEP = MAX_SET_CARRIER
-
 
 # ---------------------------------------------------------------------------
 # Small rendering helpers
@@ -244,7 +240,9 @@ def _verify_partition_space(space: ProbabilitySpace, output: str) -> int:
     complement.
     """
     n = len(space.carrier)
-    check_capacity("carrier for the measure sweep", n, MAX_MEASURE_SWEEP)
+    # The sweep visits every subset of its carrier, as many as the concepts
+    # of that carrier's powerset lattice.
+    check_capacity("carrier for the measure sweep", n, MAX_SET_CARRIER)
     approximants_ok = True
     duality_ok = True
     checked = 0

@@ -258,25 +258,34 @@ def serialize_cxt(ctx: FormalContext) -> str:
 # ---------------------------------------------------------------------------
 # JSON documents: a context plus optional labels and named mass functions
 
+class CheckedNumerators(NamedTuple):
+    """What `document_from_json`'s one check of a mass computed: d, the lcm
+    of the values' denominators, and the entries' numerators over d, in
+    entry order, kept with the very entries tuple they were computed for."""
+
+    entries: tuple[tuple[str, Fraction], ...]
+    d: int
+    numerators: tuple[int, ...]
+
+
 class MassSpec(NamedTuple):
     """A named mass assignment whose labels are not yet tied to concepts.
 
     Resolution against a concept lattice happens in the evidence module
     (`resolve_mass`).  `document_from_json` checks the signs and the total
     of the entries' values once, so that a bad document fails at parse
-    time, and keeps what that check computed as `numerators`: (d, the
-    entries' numerators over d, in entry order), d the lcm of the values'
-    denominators; `resolve_mass` builds the mass from them without a second
-    check.  A spec built by hand leaves `numerators` None, and its values
-    are read and checked when it is resolved; so does a spec whose entries
-    are replaced (`spec._replace(entries=..., numerators=None)`), since
-    the numerators describe the entries they were checked with.
+    time, and keeps what that check computed as `numerators`, a
+    `CheckedNumerators`; `resolve_mass` builds the mass from them without
+    a second check, but only while `numerators.entries` is this spec's
+    `entries` object.  Any other spec, built by hand or with its entries
+    replaced (`spec._replace(entries=...)`), has its values read and
+    checked when it is resolved, whatever its `numerators` hold.
     """
 
     name: str
     entries: tuple[tuple[str, Fraction], ...]
     label_extents: Mapping[str, ObjectSet] = MappingProxyType({})
-    numerators: tuple[int, tuple[int, ...]] | None = None
+    numerators: CheckedNumerators | None = None
 
 
 class ContextDocument(NamedTuple):
@@ -384,8 +393,8 @@ def document_from_json(doc: Mapping) -> ContextDocument:
                    lambda i: f"mass {name!r} assigns {values[i]} to "
                              f"{entries[i][0]!r}; masses must be nonnegative",
                    f"mass {name!r} sums to", MassError)
-        masses.append(MassSpec(name, entries, labels,
-                               (d, tuple(numerators))))
+        masses.append(MassSpec(name, entries, labels, CheckedNumerators(
+            entries, d, tuple(numerators))))
 
     return ContextDocument(context, tuple(masses), labels, doc.get("expected"))
 

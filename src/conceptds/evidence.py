@@ -444,11 +444,13 @@ def resolve_mass(spec: MassSpec, lat: ConceptLattice) -> MassFunction:
     is no document label and that the lattice already keeps in
     `resolved_labels`, which is read from there; two labels of one concept
     are refused.  A spec from `document_from_json` carries the numerators
-    of its one sign-and-total check, so the mass is built from them, and
-    only the check that needs the lattice runs here: no mass on an empty
-    least extent.  A spec built by hand, without them, goes through the
-    validating `MassFunction` constructor, with every check and error text
-    of a hand-built mass.
+    of its one sign-and-total check, kept with the entries they were
+    computed for; while those are the spec's own `entries` object, the
+    mass is built from them, and only the check that needs the lattice
+    runs here: no mass on an empty least extent.  Every other spec, built
+    by hand or with replaced entries, goes through the validating
+    `MassFunction` constructor, with every check and error text of a
+    hand-built mass.
     """
     n = len(lat)
     named, known = spec.label_extents, lat.resolved_labels
@@ -467,9 +469,10 @@ def resolve_mass(spec: MassSpec, lat: ConceptLattice) -> MassFunction:
         seen[index] = label
         values[index] = value
         indexes.append(index)
-    if spec.numerators is None:
+    # Only a `CheckedNumerators` of this very entries tuple is trusted.
+    if getattr(spec.numerators, "entries", None) is not spec.entries:
         return MassFunction(lat, tuple(values))
-    d, checked = spec.numerators
+    _, d, checked = spec.numerators
     numerators = [0] * n
     for index, x in zip(indexes, checked):
         numerators[index] = x

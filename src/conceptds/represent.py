@@ -38,11 +38,12 @@ from .powerset import size_key, subsets
 from .probspace import ProbabilitySpace
 from .rationals import fractions_over
 
-MAX_SET_REPRESENT = 4
-MAX_FRAME_OBJECTS = 24
-# Derived objects x derived attributes: a frame at this bound took 55-82 ms
-# (2-vCPU host, Python 3.11), about 1 microsecond a cell.
-MAX_FRAME_CELLS = 65536
+# Cells of a construction's cross table, checked before it is built: pairs
+# x subsets for the powerset construction, derived objects x derived
+# attributes for the frame.  A frame at this bound took 55-88 ms and a
+# 7-element powerset construction (57344 cells) 41 ms (2-vCPU host, Python
+# 3.11), about 1 microsecond a cell.
+MAX_REPRESENTATION_CELLS = 65536
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +104,10 @@ def represent_set(m: SetMassFunction) -> SetRepresentation:
     inner/outer measure of the embedded subset, read from the blocks of the
     space: two independent paths, so a row fails when they disagree.
     """
-    check_capacity("carrier for the powerset representation",
-                   len(m.carrier), MAX_SET_REPRESENT)
+    # Each pair (Y, u), n * 2^(n-1) of them, is tested against each subset.
+    n = len(m.carrier)
+    check_capacity("cells of the powerset representation",
+                   (n << 2 * n) >> 1, MAX_REPRESENTATION_CELLS)
     every = sorted(subsets(m.carrier), key=size_key)
     nonempty = [s for s in every if s]
 
@@ -292,25 +295,19 @@ class FrameRepresentation(NamedTuple):
     rows: tuple[VerificationRow, ...]
     checks: Mapping[str, bool]
 
-    @property
-    def all_passed(self) -> bool:
-        """Every row and every structural check passed."""
-        return all(r.passed for r in self.rows) and all(self.checks.values())
+    all_passed = ConceptRepresentation.all_passed
 
 
 def represent_concepts_frame(m: MassFunction) -> FrameRepresentation:
     lat = m.lattice
     ctx = lat.context
     _require_empty_bottom(lat, "the frame representation")
-    # Every concept but the empty least one adds a derived object, so this
-    # bound also caps the concepts, at MAX_FRAME_OBJECTS + 1.
     derived_objects = sum(map(int.bit_count, lat.extents))
-    check_capacity("derived objects for the frame representation",
-                   derived_objects, MAX_FRAME_OBJECTS)
     n = len(lat)
     # Every derived object is tested against every derived attribute.
     check_capacity("derived cross-table cells for the frame representation",
-                   derived_objects * n * len(ctx.attributes), MAX_FRAME_CELLS)
+                   derived_objects * n * len(ctx.attributes),
+                   MAX_REPRESENTATION_CELLS)
     object_keys = tuple((ci, g) for ci, e in enumerate(lat.extents)
                         for g in members(e))
     attribute_keys = tuple((ci, x) for ci in range(n)

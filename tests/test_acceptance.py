@@ -15,10 +15,11 @@ from fractions import Fraction
 from conceptds import (MassFunction, TotalConflictError, brute_bel, brute_pl,
                        build_case, check_belief_axioms_set,
                        check_plausibility_axioms_set, combine, combine_many,
-                       mass_from_bel_lattice, mass_from_bel_set,
-                       parse_rational, random_mass, random_partition_space,
-                       random_set_mass, represent_concepts, represent_set,
-                       round_half_away)
+                       enumerate_concepts, mass_from_bel_lattice,
+                       mass_from_bel_set, normalize_no_universal_object,
+                       parse_rational, random_context, random_mass,
+                       random_partition_space, random_set_mass,
+                       represent_concepts, represent_set, round_half_away)
 
 from conftest import seeded_lattice_mass
 
@@ -256,3 +257,49 @@ def test_criterion_10(capsys):
             c = rng.randrange(len(m.lattice))
             assert m.bel(c) == brute_bel(m, c)
             assert m.pl(c) == brute_pl(m, c)
+
+
+def test_criterion_11(capsys):
+    """The converse of the representation theorem, on concept lattices.
+
+    "Toward a Dempster-Shafer theory of concepts" represents every
+    conceptual belief function as the inner measure of a suitable
+    probability function (its representation result for conceptual belief
+    functions, which criteria 5 and 6 check).  Conversely, take a
+    partition space (Omega, blocks, P) and any map f from Omega to the
+    objects of a context, and pull each concept c back to h(c) =
+    f^-1(extent c); h preserves meets, since preimages preserve
+    intersections.  The inner measure of h(c) sums P(B) over the blocks B
+    with f(B) inside extent c.  Extents are closed, so f(B) lies inside
+    extent c exactly when the closure of f(B) does: that inner measure is
+    bel at c of the pushed-forward mass, which puts P(B) on the concept
+    whose extent is the closure of f(B).  So the table is a belief function
+    on the lattice, and Moebius inversion returns exactly that mass.  A
+    nonempty block has a nonempty image, so an empty least extent carries
+    none of it.  Nothing here builds a `MassFunction` before the inversion.
+    """
+    with criterion(capsys, 11, "inner measures pulled back to concepts "
+                               "invert to the pushed-forward mass on 400 "
+                               "seeded triples", budget=30.0):
+        rng = random.Random(1101)
+        for k in range(400):
+            ctx = random_context(rng.randrange(2 ** 32), rng.randint(1, 5),
+                                 rng.randint(1, 5), rng.uniform(0.2, 0.8))
+            if k % 2:
+                ctx = normalize_no_universal_object(ctx)
+            lat = enumerate_concepts(ctx)
+            points = range(rng.randint(1, 8))
+            space = random_partition_space(rng.randrange(2 ** 32), points,
+                                           denominator_bound=16)
+            f = [rng.randrange(len(ctx.objects)) for _ in points]
+            inner = [space.inner_measure(frozenset(
+                         w for w in points if e >> f[w] & 1))
+                     for e in lat.extents]
+            pushed = [F(0)] * len(lat)
+            for block, p in zip(space.blocks, space.mu):
+                # f repeats objects, so the image is an OR of bits, not a sum.
+                image = 0
+                for w in block:
+                    image |= 1 << f[w]
+                pushed[lat.index_by_extent[ctx.closure(image)]] += p
+            assert mass_from_bel_lattice(inner, lat).values == tuple(pushed)

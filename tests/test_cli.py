@@ -5,11 +5,16 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 
+import conceptds
 from conceptds import (ConceptLattice, enumerate_concepts, load_document,
                        serialize_cxt)
 import conceptds.cli as cli
@@ -171,6 +176,34 @@ def test_verify_soak(capsys):
     assert "soak: 3/3 passed" in out
 
 
+def test_verify_soak_redraws_a_lattice_of_more_than_ten_concepts(
+        monkeypatch, capsys):
+    """Seed 3 draws one lattice past 10 concepts among its first three; it
+    is drawn again, and every instance run has at most 10 concepts."""
+    draws = []
+    real = cli._soak_instance
+    monkeypatch.setattr(cli, "_soak_instance",
+                        lambda rng: draws.append(real(rng)) or draws[-1])
+    assert run(["verify-representation", "--soak", "3", "--seed", "3"]) == 0
+    assert draws.count(None) == 1 and len(draws) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "soak: 3/3 passed"
+    assert [len(m.lattice) for m in draws if m] == [
+        int(line.split()[2]) for line in lines[:-1]]
+    assert all(len(m.lattice) <= 10 for m in draws if m)
+
+
+def test_verify_soak_counts_its_failures(monkeypatch, capsys):
+    class Failing:
+        all_passed = False
+
+    monkeypatch.setattr(cli, "represent_concepts", lambda mass: Failing)
+    assert run(["verify-representation", "--soak", "2", "--seed", "9"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(", ")[-1] for line in lines[:-1]] == ["FAIL", "FAIL"]
+    assert lines[-1] == "soak: 0/2 passed"
+
+
 def test_verify_needs_a_file_or_a_soak_count(capsys):
     assert run(["verify-representation"]) == 2
     assert run(["verify-representation", MUSIC, "--soak", "2"]) == 2
@@ -224,7 +257,9 @@ def test_verify_measure_sweep_bound_honours_the_escape_hatch(
     path = _partition_space(tmp_path, 13)
     monkeypatch.delenv(ENV_UNSAFE_SCALE, raising=False)
     assert run(["verify-representation", path]) == 2
-    assert "carrier for the measure sweep: 13" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: carrier for the measure sweep: 13 exceeds the supported bound "
+        "of 12 (set CONCEPTDS_UNSAFE_SCALE=1 to override at your own risk)\n")
     monkeypatch.setenv(ENV_UNSAFE_SCALE, "1")
     assert run(["verify-representation", path]) == 0
     assert "subsets checked: 8192" in capsys.readouterr().out
@@ -482,7 +517,9 @@ def test_verify_reads_and_parses_its_file_once(path, space_path, monkeypatch,
 
 def test_rounding_digits_are_validated(capsys):
     assert run(["bel", MUSIC, "--round", "12"]) == 2
-    capsys.readouterr()
+    assert "rounding digits must be within 0..9" in capsys.readouterr().err
+    assert run(["bel", MUSIC, "--round", "x"]) == 2
+    assert "argument --round: not an integer: 'x'" in capsys.readouterr().err
 
 
 def test_output_is_deterministic(capsys):
@@ -494,3 +531,39 @@ def test_output_is_deterministic(capsys):
     first = capsys.readouterr().out
     assert run(["examples", "--case", "music"]) == 0
     assert capsys.readouterr().out == first
+
+
+# ---------------------------------------------------------------------------
+# The entry point, in a fresh interpreter: `python -m conceptds.cli` runs
+# `main`, which exits with `run`'s code.
+
+def _module_run(*argv: str) -> subprocess.CompletedProcess:
+    source = str(Path(conceptds.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=source, PYTHONIOENCODING="utf-8")
+    return subprocess.run([sys.executable, "-m", "conceptds.cli", *argv],
+                          env=env, capture_output=True, encoding="utf-8",
+                          timeout=60)
+
+
+def test_the_module_entry_point_prints_its_help():
+    done = _module_run("--help")
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: ")
+    assert done.stderr == ""
+
+
+def test_the_module_entry_point_exits_2_on_a_missing_file(tmp_path):
+    done = _module_run("bel", str(tmp_path / "missing.json"))
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.count("\n") == 1
+    assert done.stderr.startswith("error: ")
+
+
+def test_the_module_entry_point_exits_1_on_an_axiom_violation():
+    golden = Path(__file__).parent / "golden"
+    done = _module_run("check", str(golden / "table-violation.json"))
+    assert done.returncode == 1
+    assert done.stdout == (golden / "check-table-violation.out").read_text(
+        encoding="utf-8")
+    assert done.stderr == ""

@@ -670,14 +670,33 @@ def test_a_document_mass_error_comes_before_any_label_error(masses, message):
     ((F(1, 2), "x"), "concept {a} has mass 'x', which is not a rational "
                      "number"),
 ])
-def test_a_hand_built_spec_keeps_every_check(music_lattice, values, message):
+def test_a_hand_built_spec_keeps_every_check(music_case, music_lattice,
+                                             values, message):
+    """Only numerators that `document_from_json` computed for the spec's
+    very entries are trusted; hand-built or forged numerators, and those
+    a replaced entries tuple no longer matches, are not read."""
     a = resolve_concept_label(music_lattice, "{a}")
-    spec = MassSpec("m", tuple(zip(("top", "{a}"), values)))
-    with pytest.raises(MassError) as info:
-        resolve_mass(spec, music_lattice)
-    assert str(info.value) == message.format(a=a)
+    entries = tuple(zip(("top", "{a}"), values))
+    document_spec = music_case.document.masses[0]
+    for spec in (MassSpec("m", entries),
+                 MassSpec("m", entries, {}, (1, (-5,))),
+                 MassSpec("m", entries, {}, document_spec.numerators),
+                 document_spec._replace(entries=entries)):
+        with pytest.raises(MassError) as info:
+            resolve_mass(spec, music_lattice)
+        assert str(info.value) == message.format(a=a)
     assert resolve_mass(MassSpec("m", (("top", "1/2"), ("{a}", 0.5))),
                         music_lattice).values[a] == F(1, 2)
+
+    forged = resolve_mass(MassSpec("m", (("top", F(1)),), {}, (1, (-5,))),
+                          music_lattice)
+    assert forged.bel(music_lattice.top_index) == 1
+    replaced = resolve_mass(document_spec._replace(
+        entries=(("top", F(1, 2)), ("{a}", F(1, 2)))), music_lattice)
+    for m in (forged, replaced):
+        checked = MassFunction(music_lattice, m.values)
+        assert m.focal == checked.focal
+        assert m.belief_table() == checked.belief_table()
 
 
 @pytest.mark.parametrize("label", [5, None, ("top",), ["top"]])

@@ -23,13 +23,9 @@ CAPACITY_PHRASES = {
     "MAX_OBJECTS": "{} objects per context",
     "MAX_CONCEPTS": "{} concepts per lattice",
     "MAX_SET_CARRIER": "{}-element carriers for set-level masses",
-    "MAX_MEASURE_SWEEP": "{}-element carriers for the partition-space "
-                         "measure sweep",
     "MAX_AXIOM_CARRIER": "{}-element carriers for axiom sweeps",
-    "MAX_SET_REPRESENT": "{}-element carriers for the powerset construction",
-    "MAX_FRAME_OBJECTS": "{} derived objects for the frame construction",
-    "MAX_FRAME_CELLS": "{} derived cross-table cells for the frame "
-                       "construction",
+    "MAX_REPRESENTATION_CELLS": "{} cross-table cells for the powerset and "
+                                "frame constructions",
     "MAX_DECIMAL_EXPONENT": "decimal exponents up to {}",
 }
 

@@ -57,11 +57,26 @@ def test_powerset_representation_is_exact(m):
         s for s in rep.embedding}
 
 
-def test_powerset_representation_capacity():
-    carrier = frozenset(range(5))
-    m = SetMassFunction(carrier, {carrier: F(1)})
-    with pytest.raises(CapacityError):
+def test_a_seven_element_powerset_representation_passes():
+    """7 x 2^6 pairs against 2^7 subsets: 57344 cells, within the bound."""
+    m = random_set_mass(7, frozenset(range(7)))
+    rep = represent_set(m)
+    assert len(rep.space.carrier) == 7 * 2 ** 6
+    assert len(rep.rows) == 2 ** 7
+    assert rep.all_passed
+
+
+def test_the_powerset_representation_is_bounded_by_its_cells(monkeypatch):
+    """8 x 2^7 pairs against 2^8 subsets: 262144 cells, refused before any
+    subset is built."""
+    m = SetMassFunction(frozenset(range(8)), {frozenset(range(8)): F(1)})
+    monkeypatch.setattr(represent, "subsets", None)
+    with pytest.raises(CapacityError) as info:
         represent_set(m)
+    assert str(info.value) == (
+        "cells of the powerset representation: 262144 exceeds the supported "
+        "bound of 65536 (set CONCEPTDS_UNSAFE_SCALE=1 to override at your "
+        "own risk)")
 
 
 # ---------------------------------------------------------------------------
@@ -553,18 +568,6 @@ def test_an_object_with_every_attribute_breaks_the_atom_closures():
     assert rep.all_passed is False
 
 
-def test_frame_capacity_is_enforced():
-    size = 4
-    objects = tuple(f"g{i}" for i in range(size))
-    attributes = tuple(f"x{i}" for i in range(size))
-    incidence = frozenset((g, x) for g in range(size) for x in range(size)
-                          if g != x)
-    lat = enumerate_concepts(FormalContext(objects, attributes, incidence))
-    assert len(lat) == 2 ** size
-    with pytest.raises(CapacityError, match="derived objects.*: 32 exceeds"):
-        represent_concepts_frame(MassFunction.vacuous(lat))
-
-
 def test_the_frame_is_bounded_by_its_derived_cells(monkeypatch):
     """One object with none of 32769 attributes: 2 concepts and 1 derived
     object, but 1 x 2 x 32769 derived cross-table cells.  The bound is
@@ -580,11 +583,19 @@ def test_the_frame_is_bounded_by_its_derived_cells(monkeypatch):
         "to override at your own risk)")
 
 
-def test_the_frame_is_bounded_by_its_derived_objects_alone():
-    """Nine concepts and 16 derived objects: within the object bound."""
-    lat = enumerate_concepts(random_context(3, 4, 4, 0.5))
-    assert len(lat) == 9 and not lat.extents[lat.bottom_index]
+@pytest.mark.parametrize("ctx, concepts, derived_objects", [
+    (random_context(3, 4, 4, 0.5), 9, 16),
+    # Contranominal-4: 32 derived objects x 64 derived attributes.
+    (contranominal(4), 16, 32),
+])
+def test_a_frame_within_the_cell_bound_passes(ctx, concepts,
+                                              derived_objects):
+    """Nine concepts, past a concept bound of 8, and 32 derived objects,
+    past an object bound of 24: neither bound exists, and the cells are
+    the frame's only bound."""
+    lat = enumerate_concepts(ctx)
+    assert len(lat) == concepts and not lat.extents[lat.bottom_index]
     rep = represent_concepts_frame(random_mass(3, lat))
-    assert len(rep.object_keys) == 16
+    assert len(rep.object_keys) == derived_objects
     assert _frame_structure_ok(rep)
     assert rep.all_passed
