@@ -22,10 +22,10 @@ built from them, reduced by their gcd, without a second check.
 
 All three are transforms along the closure operator (`lattice.zeta`,
 `lattice.mobius`, and the lattice's kept Moebius row of its least concept),
-over the object steps the lattice builds once and keeps
-(`ConceptLattice.steps`): at most concepts x objects lookups on the first
-use, shared with covers, bel/pl tables and belief inversion, then per mass
-one pass over the steps.  Between steps everything is an integer: numerators
+over the steps the lattice builds once and keeps (`ConceptLattice.steps`):
+at most concepts x min(objects, attributes) lookups on the first use,
+shared with covers, bel/pl tables and belief inversion, then per mass one
+pass over the steps.  Between steps everything is an integer: numerators
 of the commonalities over the product of the masses' denominators.  The cost
 does not grow with the number of focal elements, so dense masses fold fast;
 a sparse mass on a large lattice pays for the full step list all the same.

@@ -161,7 +161,8 @@ class MassFunction(Frozen):
         pl is the total less it.  When the least extent is inhabited, the
         kept row is empty, no meet is empty and pl is the total.  About
         three passes over the lattice's steps, plus at most concepts x
-        objects closure lookups when the lattice does not hold them yet.
+        min(objects, attributes) closure lookups when the lattice does not
+        hold them yet.
         `belief_table` converts these numerators, and the certificates of
         `represent` compare them with their meet sums.
         """
@@ -314,8 +315,9 @@ def mass_from_bel_lattice(bel_values: Sequence[Fraction],
     (`lattice.mobius_down`) gives every concept the belief that the
     concepts strictly below it do not already account for: one integer
     subtraction per step, on numerators over the lcm of the table's
-    denominators, whatever the support, plus at most concepts x objects
-    closure lookups when the lattice does not hold its steps yet.
+    denominators, whatever the support, plus at most concepts x
+    min(objects, attributes) closure lookups when the lattice does not hold
+    its steps yet.
     Failures carry a witness.  A negative mass is reported at the first
     concept by ascending extent size, then index, the order in which a peel
     from the bottom would meet it.  Nonnegative masses sum to a monotone

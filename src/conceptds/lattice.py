@@ -6,7 +6,7 @@ in a canonical order (descending extent size, then lexicographic extent) as
 by its index in that order; a `Concept` view is built from the masks when one
 is read.  Extents, intents and closure tests come from the context's mask
 operators (`FormalContext.extent_of`, `intent_of`, `closure`); only the
-incremental lookups below cut an intent by a row themselves.
+incremental lookups below cut a mask by a row or a column themselves.
 Order, meets and joins are read from the masks: c <= d when c's
 extent mask has no bit outside d's, a meet is the concept whose extent is the
 intersection of the two extents, and a join the concept whose intent is the
@@ -23,12 +23,21 @@ pass per k of h[S] += h[T] turns h into its up-zeta, the sum of h over the
 extents containing S, because every extent has a least closed superset of S
 plus k.  The passes in reverse, subtracting, invert it.  The down-zeta, the
 sum of h over the extents inside S, is the transpose: the steps in reverse,
-h[T] += h[S]; its inverse is the steps forward, h[T] -= h[S].  The list
-holds at most concepts x objects steps and costs as many lookups to build;
-the lattice builds it on first use (`ConceptLattice.steps`) and keeps it,
-with the Moebius row of its least concept, so that covers, bel/pl tables,
-combination and belief inversion on one lattice share one build.  The
-lookups always land, because a lattice is only ever built from its context.
+h[T] += h[S]; its inverse is the steps forward, h[T] -= h[S].
+
+The attributes generate the lattice just as well, from the other side: for
+an intent A and an attribute m outside it, the concept whose extent is A's
+extent cut by m's column is the closure of A plus m, and one pass per m
+gives the down-zeta.  Its transpose is the up-zeta, so those steps are
+stored as (lower, upper) pairs with the passes reversed, and every
+transform reads either list the same way.  A lattice builds its list on the
+side with fewer passes: attributes when it has fewer attributes than
+objects, objects otherwise.  The list holds at most concepts x min(objects,
+attributes) steps and costs as many lookups to build; the lattice builds it
+on first use (`ConceptLattice.steps`) and keeps it, with the Moebius row of
+its least concept, so that covers, bel/pl tables, combination and belief
+inversion on one lattice share one build.  The lookups always land, because
+a lattice is only ever built from its context.
 """
 
 from __future__ import annotations
@@ -132,11 +141,18 @@ class ConceptLattice:
         """Each intent mask with the index of its concept."""
         return {a: i for i, a in enumerate(self.intents)}
 
+    @property
+    def _by_attributes(self) -> bool:
+        """Whether `steps` runs one pass per attribute (`attribute_steps`):
+        when the context has fewer attributes than objects."""
+        return len(self.context.attributes) < len(self.context.objects)
+
     @cached_property
     def steps(self) -> Steps:
-        """The object steps of every zeta and Moebius transform on this
-        lattice (`object_steps`), built on first use."""
-        return object_steps(self)
+        """The steps of every zeta and Moebius transform on this lattice,
+        on the side with fewer passes (`attribute_steps` or
+        `object_steps`), built on first use."""
+        return (attribute_steps if self._by_attributes else object_steps)(self)
 
     @cached_property
     def mobius_bottom(self) -> tuple[tuple[int, int], ...]:
@@ -152,32 +168,55 @@ class ConceptLattice:
         return tuple((c, mu) for c, mu in enumerate(row) if mu)
 
     def covers(self) -> tuple[tuple[int, int], ...]:
-        """Edges (i, j) where concept i is covered by concept j.
+        """Edges (i, j) where concept i is covered by concept j, in
+        ascending order.
 
-        Read from `steps`: a cover j of i is the target of i's step in pass
-        k, the greatest object j adds to i's extent, because the closure of
-        i's extent plus k lies above i and inside j.  Every other target of
-        i lies above some cover, so the covers are the minimal targets,
-        found in ascending extent size, which is descending index.
+        Read from `steps`.  On the object side, a cover j of i is the
+        partner of i's step in pass k, the greatest object j adds to i's
+        extent, because the closure of i's extent plus k lies above i and
+        inside j; every other partner of i lies above some cover, so the
+        upper covers of i are its minimal partners.  On the attribute side,
+        dually, the lower covers of j are its maximal partners.
         """
-        extents = self.extents
-        above: list[list[int]] = [[] for _ in extents]
-        for s, t in zip(*self.steps):
-            above[s].append(t)
-        edges = []
-        for i, targets in enumerate(above):
-            covers: list[int] = []
-            found: list[int] = []  # their extents
-            for j in sorted(targets, reverse=True):
-                outside = ~extents[j]
-                for e in found:
-                    if not e & outside:
-                        break
-                else:
-                    covers.append(j)
-                    found.append(extents[j])
-            edges.extend((i, j) for j in reversed(covers))
-        return tuple(edges)
+        lower, upper = self.steps
+        if not self._by_attributes:
+            return tuple((i, j) for i, nearest in enumerate(
+                _nearest(lower, upper, self.extents, descending=True))
+                for j in nearest)
+        above: list[list[int]] = [[] for _ in self.intents]
+        for j, nearest in enumerate(
+                _nearest(upper, lower, self.intents, descending=False)):
+            for i in nearest:
+                above[i].append(j)
+        return tuple((i, j) for i, js in enumerate(above) for j in js)
+
+
+def _nearest(concepts: array, partners: array, masks: tuple[int, ...],
+             descending: bool) -> list[list[int]]:
+    """For each concept s, in ascending index, its step partners t (the
+    pairs `zip(concepts, partners)`), ascending, that hold no other
+    partner's mask inside their own.  Partners are scanned so that each is
+    met after every partner whose mask lies inside its own: by descending
+    index for extents, since an extent inside another comes later in the
+    canonical order, and by ascending index for intents, since an intent
+    inside another comes earlier."""
+    found: list[list[int]] = [[] for _ in masks]
+    for s, t in zip(concepts, partners):
+        found[s].append(t)
+    nearest = []
+    for candidates in found:
+        kept: list[int] = []
+        kept_masks: list[int] = []
+        for t in sorted(candidates, reverse=descending):
+            outside = ~masks[t]
+            for mask in kept_masks:
+                if not mask & outside:
+                    break
+            else:
+                kept.append(t)
+                kept_masks.append(masks[t])
+        nearest.append(kept[::-1] if descending else kept)
+    return nearest
 
 
 def is_context_lattice(lat: ConceptLattice) -> bool:
@@ -194,27 +233,53 @@ def is_context_lattice(lat: ConceptLattice) -> bool:
 
 
 def object_steps(lat: ConceptLattice) -> Steps:
-    """The pairs (s, t), pass by pass, of the zeta transforms of `lat`.
+    """The pairs (s, t), pass by pass, of the zeta transforms of `lat`, one
+    pass per object.
 
     Pass k runs over the concepts s whose extent lacks object k.  The
     closure of s's extent plus k is t, found as `index_by_intent[intents[s]
     & rows[k]]`; the pair is kept when t adds no object above k besides k.
-    At most sum(|G| - |extent|) steps, one lookup each; `lat.steps` keeps
-    the one list a lattice needs.
+    At most sum(|G| - |extent|) steps, one lookup each.
     """
-    extents, intents = lat.extents, lat.intents
-    lookup = lat.index_by_intent
+    return _passes(lat.extents, lat.intents, lat.context.rows,
+                   lat.index_by_intent)
+
+
+def attribute_steps(lat: ConceptLattice) -> Steps:
+    """The same transforms' pairs, one pass per attribute.
+
+    Pass m runs over the concepts s whose intent lacks attribute m.  The
+    closure of s's intent plus m is t, found as `index_by_extent[extents[s]
+    & columns[m]]`; the pair is kept when t adds no attribute above m
+    besides m.  These passes give the down-zeta, so the list is stored
+    transposed, as (t, s) pairs with the passes reversed, and runs the
+    up-zeta forward as `object_steps` does.  At most sum(|M| - |intent|)
+    steps, one lookup each.
+    """
+    upper, lower = _passes(lat.intents, lat.extents, lat.context.columns,
+                           lat.index_by_extent)
+    upper.reverse()
+    lower.reverse()
+    return lower, upper
+
+
+def _passes(own: tuple[int, ...], other: tuple[int, ...],
+            generators: tuple[int, ...], lookup: dict[int, int]) -> Steps:
+    """One pass per generator k of one side: for each concept s whose
+    `own` mask lacks bit k, t is `lookup[other[s] & generators[k]]`, the
+    closure of s's own mask plus k, and the pair (s, t) is kept when t
+    adds no bit above k besides k."""
     # Two bytes an index while they fit: the lattice keeps the list.
-    code = "h" if len(extents) <= 1 << 15 else "i"
+    code = "h" if len(own) <= 1 << 15 else "i"
     sources, targets = array(code), array(code)
     keep_s, keep_t = sources.append, targets.append
-    concepts = range(len(extents))
-    for k, row in enumerate(lat.context.rows):
+    concepts = range(len(own))
+    for k, generator in enumerate(generators):
         bit, shift = 1 << k, k + 1
-        for s, e, a in zip(concepts, extents, intents):
+        for s, e, a in zip(concepts, own, other):
             if not e & bit:
-                t = lookup[a & row]
-                if not (extents[t] ^ e) >> shift:
+                t = lookup[a & generator]
+                if not (own[t] ^ e) >> shift:
                     keep_s(s)
                     keep_t(t)
     return sources, targets

@@ -465,9 +465,9 @@ def test_one_op_builds_the_step_list_once(monkeypatch):
     """covers, four tables, a fold of three and an inversion on one
     lattice: one build of the steps, which all of them share."""
     built = []
-    real = lattice.object_steps
-    monkeypatch.setattr(lattice, "object_steps",
-                        lambda lat: built.append(lat) or real(lat))
+    real = lattice._passes
+    monkeypatch.setattr(lattice, "_passes",
+                        lambda *side: built.append(side) or real(*side))
     rng = random.Random(24)
     lat = enumerate_concepts(random_context(rng.randrange(2 ** 32), 12, 8,
                                             0.5))
@@ -477,9 +477,35 @@ def test_one_op_builds_the_step_list_once(monkeypatch):
     report = combine_many(masses)
     table = report.result.belief_table()
     assert mass_from_bel_lattice(table.bel, lat) == report.result
-    assert built == [lat] and len(lat) > 20
+    assert len(built) == 1 and len(lat) > 20
     for m, t in zip(masses, tables):
         assert t.bel == tuple(brute_bel(m, c) for c in range(len(lat)))
+
+
+@pytest.mark.parametrize("tall", [True, False])
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 7), st.integers(0, 3),
+       st.sampled_from((0.3, 0.5, 0.7)), st.data())
+def test_both_step_lists_give_every_transform_and_the_covers(
+        tall, seed, size, extra, density, data):
+    """On a tall context (fewer attributes than objects) and a wide one,
+    the object and the attribute steps give equal zeta and Moebius
+    transforms both ways, and `covers` reads the definition's edges off
+    the list the lattice keeps."""
+    shape = (size + 1 + extra, size) if tall else (size, size + extra)
+    lat = enumerate_concepts(random_context(seed, *shape, density))
+    h = data.draw(st.lists(st.integers(-9, 9), min_size=len(lat),
+                           max_size=len(lat)))
+    sides = lattice.object_steps(lat), lattice.attribute_steps(lat)
+    for transform in (lattice.zeta, lattice.mobius, lattice.zeta_down,
+                      lattice.mobius_down):
+        results = []
+        for steps in sides:
+            values = h[:]
+            transform(values, steps)
+            results.append(values)
+        assert results[0] == results[1]
+    assert lat.steps == sides[tall]
+    assert lat.covers() == table_covers(lat)
 
 
 @given(st.integers(0, 2 ** 32 - 1))

@@ -10,10 +10,16 @@ keeps every extent mask, so they are matched by extent.  Each mass moves
 along that match, and then the concept count, the cover edges, the bel and
 pl tables, the fold's values and per-step conflicts, the inversion round
 trip and the certificate's rows must all move with it.  No oracle is
-consulted.
+consulted.  Besides the small drawn contexts, seeded contexts of the
+benchmark's lattice-scale shape (24 objects, 11-12 attributes, density 0.5)
+and their transposes run every change, so that the step lists of both sides,
+attributes for the tall ones and objects for the wide ones, are checked at
+about 180 concepts.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 from hypothesis import given
@@ -21,9 +27,10 @@ from hypothesis import strategies as st
 
 from conceptds import (ConceptLattice, FormalContext, MassFunction,
                        PreconditionError, TotalConflictError, combine_many,
-                       enumerate_concepts, mass_from_bel_lattice, random_mass,
-                       represent_concepts)
+                       enumerate_concepts, mass_from_bel_lattice,
+                       random_context, random_mass, represent_concepts)
 from conceptds.context import members
+from conceptds.errors import ENV_UNSAFE_SCALE
 
 from conftest import small_contexts
 
@@ -118,15 +125,8 @@ def _results_move_along(old: ConceptLattice, new: ConceptLattice,
                               conflicts)
 
 
-SEEDS = st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=3)
-
-
-@pytest.mark.parametrize("side", ["objects", "attributes"])
-@given(ctx=small_contexts(min_objects=1), data=st.data())
-def test_relabelling_moves_every_result_along_the_concept_map(side, ctx,
-                                                              data):
-    size = len(ctx.objects if side == "objects" else ctx.attributes)
-    perm = data.draw(st.permutations(range(size)))
+def _relabelling_moves_along(ctx: FormalContext, side: str,
+                             perm: list[int], seeds: list[int]) -> None:
     old, new = enumerate_concepts(ctx), enumerate_concepts(
         _relabelled(ctx, side, perm))
     if side == "objects":
@@ -137,18 +137,14 @@ def test_relabelling_moves_every_result_along_the_concept_map(side, ctx,
         to = [new.index_by_extent[e] for e in old.extents]
         assert [new.intents[j] for j in to] == \
             [_moved(perm, a) for a in old.intents]
-    _results_move_along(old, new, to, data.draw(SEEDS))
+    _results_move_along(old, new, to, seeds)
 
 
-@pytest.mark.parametrize("change", ["duplicate", "and"])
-@given(ctx=small_contexts(min_objects=2), data=st.data())
-def test_a_reducible_object_moves_every_result_along_the_concept_map(
-        change, ctx, data):
-    """A copy of object g, or an object whose row is the AND of the rows
-    of g and h, lies in exactly the extents that hold g (and h)."""
-    g, h = data.draw(st.permutations(range(len(ctx.objects))))[:2]
-    if change == "duplicate":
-        h = g
+def _reducible_object_moves_along(ctx: FormalContext, g: int, h: int,
+                                  seeds: list[int]) -> None:
+    """A copy of object g (h == g), or an object whose row is the AND of
+    the rows of g and h, lies in exactly the extents that hold g (and
+    h)."""
     old = enumerate_concepts(ctx)
     new = enumerate_concepts(_with_object(ctx, ctx.rows[g] & ctx.rows[h]))
     to = [new.index_by_intent[a] for a in old.intents]
@@ -156,19 +152,14 @@ def test_a_reducible_object_moves_every_result_along_the_concept_map(
     both = 1 << g | 1 << h
     assert [new.extents[j] for j in to] == \
         [e | added if e & both == both else e for e in old.extents]
-    _results_move_along(old, new, to, data.draw(SEEDS))
+    _results_move_along(old, new, to, seeds)
 
 
-@pytest.mark.parametrize("change", ["duplicate", "and"])
-@given(ctx=small_contexts(min_objects=1, min_attributes=2), data=st.data())
-def test_a_reducible_attribute_moves_every_result_along_the_concept_map(
-        change, ctx, data):
-    """A copy of attribute m, or an attribute whose column is the AND of
-    the columns of m and n, lies in exactly the intents that hold m (and
-    n)."""
-    m, n = data.draw(st.permutations(range(len(ctx.attributes))))[:2]
-    if change == "duplicate":
-        n = m
+def _reducible_attribute_moves_along(ctx: FormalContext, m: int, n: int,
+                                     seeds: list[int]) -> None:
+    """A copy of attribute m (n == m), or an attribute whose column is the
+    AND of the columns of m and n, lies in exactly the intents that hold m
+    (and n)."""
     old = enumerate_concepts(ctx)
     new = enumerate_concepts(
         _with_attribute(ctx, ctx.columns[m] & ctx.columns[n]))
@@ -177,4 +168,66 @@ def test_a_reducible_attribute_moves_every_result_along_the_concept_map(
     both = 1 << m | 1 << n
     assert [new.intents[j] for j in to] == \
         [a | added if a & both == both else a for a in old.intents]
-    _results_move_along(old, new, to, data.draw(SEEDS))
+    _results_move_along(old, new, to, seeds)
+
+
+SEEDS = st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=3)
+
+
+@pytest.mark.parametrize("side", ["objects", "attributes"])
+@given(ctx=small_contexts(min_objects=1), data=st.data())
+def test_relabelling_moves_every_result_along_the_concept_map(side, ctx,
+                                                              data):
+    size = len(ctx.objects if side == "objects" else ctx.attributes)
+    perm = data.draw(st.permutations(range(size)))
+    _relabelling_moves_along(ctx, side, perm, data.draw(SEEDS))
+
+
+@pytest.mark.parametrize("change", ["duplicate", "and"])
+@given(ctx=small_contexts(min_objects=2), data=st.data())
+def test_a_reducible_object_moves_every_result_along_the_concept_map(
+        change, ctx, data):
+    g, h = data.draw(st.permutations(range(len(ctx.objects))))[:2]
+    _reducible_object_moves_along(ctx, g, g if change == "duplicate" else h,
+                                  data.draw(SEEDS))
+
+
+@pytest.mark.parametrize("change", ["duplicate", "and"])
+@given(ctx=small_contexts(min_objects=1, min_attributes=2), data=st.data())
+def test_a_reducible_attribute_moves_every_result_along_the_concept_map(
+        change, ctx, data):
+    m, n = data.draw(st.permutations(range(len(ctx.attributes))))[:2]
+    _reducible_attribute_moves_along(ctx, m, m if change == "duplicate" else n,
+                                     data.draw(SEEDS))
+
+
+def _transposed(ctx: FormalContext) -> FormalContext:
+    return FormalContext(ctx.attributes, ctx.objects,
+                         {(m, g) for g, m in ctx.incidence})
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("seed, attributes", [(2809, 11), (2824, 12),
+                                              (2827, 12)])
+def test_lattice_scale_shapes_move_every_result_along_the_concept_map(
+        seed, attributes, transpose, monkeypatch):
+    """Every change above on a 24 x 11-12 context at density 0.5, whose
+    steps run over the attributes, and on its transpose, whose steps run
+    over the objects.  An added object would pass the 24-object bound, so
+    the bound is lifted."""
+    monkeypatch.setenv(ENV_UNSAFE_SCALE, "1")
+    ctx = random_context(seed, 24, attributes, 0.5)
+    if transpose:
+        ctx = _transposed(ctx)
+    rng = random.Random(seed)
+    seeds = [rng.randrange(2 ** 32) for _ in range(2)]
+    for side in ("objects", "attributes"):
+        size = len(ctx.objects if side == "objects" else ctx.attributes)
+        _relabelling_moves_along(ctx, side, rng.sample(range(size), size),
+                                 seeds)
+    g, h = rng.sample(range(len(ctx.objects)), 2)
+    _reducible_object_moves_along(ctx, g, g, seeds)
+    _reducible_object_moves_along(ctx, g, h, seeds)
+    m, n = rng.sample(range(len(ctx.attributes)), 2)
+    _reducible_attribute_moves_along(ctx, m, m, seeds)
+    _reducible_attribute_moves_along(ctx, m, n, seeds)

@@ -10,8 +10,8 @@ from conceptds import (CapacityError, ConceptLattice, FormalContext,
                        LabelError, MassFunction, brute_bel,
                        enumerate_concepts)
 from conceptds.errors import ENV_UNSAFE_SCALE
-from conceptds.lattice import (MAX_CONCEPTS, mobius, mobius_down,
-                               object_steps, zeta, zeta_down)
+from conceptds.lattice import (MAX_CONCEPTS, attribute_steps, mobius,
+                               mobius_down, object_steps, zeta, zeta_down)
 
 from conftest import (contranominal, lattice_masses, small_contexts,
                       with_universal_object)
@@ -312,17 +312,23 @@ def test_mobius_rows_invert_the_order(case):
 
 @given(lattice_values())
 def test_step_lists_stay_within_the_outside_generators(case):
-    """One step at most per concept and object outside its extent; every
-    step runs from a concept to one strictly above it.  The lattice builds
-    the list on first use and keeps it."""
+    """The list is built on the side with fewer passes: attributes when the
+    context has fewer attributes than objects, objects otherwise.  One step
+    at most per concept and generator of that side outside its extent (or
+    intent); every step runs from a concept to one strictly above it.  The
+    lattice builds the list on first use and keeps it."""
     lat, _ = case
     ctx, extents = lat.context, lat.extents
     assert "steps" not in lat.__dict__
     steps = lat.steps
     assert lat.steps is steps
-    assert steps == object_steps(lat)
-    assert len(steps[0]) == len(steps[1]) <= sum(
-        len(ctx.objects) - e.bit_count() for e in extents)
+    if len(ctx.attributes) < len(ctx.objects):
+        assert steps == attribute_steps(lat)
+        bound = sum(len(ctx.attributes) - a.bit_count() for a in lat.intents)
+    else:
+        assert steps == object_steps(lat)
+        bound = sum(len(ctx.objects) - e.bit_count() for e in extents)
+    assert len(steps[0]) == len(steps[1]) <= bound
     assert all(extents[s] != extents[t] and extents[s] & ~extents[t] == 0
                for s, t in zip(*steps))
 
@@ -332,3 +338,17 @@ def test_contranominal_steps_are_the_subset_lattice_transform():
     n * 2^(n-1) of them."""
     lat = enumerate_concepts(contranominal(4))
     assert len(lat.steps[0]) == 32
+
+
+def test_step_lists_past_two_byte_indexes_hold_four(monkeypatch):
+    """Past 32 768 concepts the steps hold 4-byte indexes: on the 65 536
+    concepts of contranominal-16 the up-zeta of all ones counts the
+    2^(16 - |extent|) extents above each concept."""
+    monkeypatch.setenv(ENV_UNSAFE_SCALE, "1")
+    lat = enumerate_concepts(contranominal(16))
+    sources, targets = lat.steps
+    assert len(lat) == 1 << 16
+    assert sources.typecode == targets.typecode == "i"
+    ones = [1] * len(lat)
+    zeta(ones, lat.steps)
+    assert ones == [1 << (16 - e.bit_count()) for e in lat.extents]
