@@ -141,18 +141,14 @@ class ConceptLattice:
         """Each intent mask with the index of its concept."""
         return {a: i for i, a in enumerate(self.intents)}
 
-    @property
-    def _by_attributes(self) -> bool:
-        """Whether `steps` runs one pass per attribute (`attribute_steps`):
-        when the context has fewer attributes than objects."""
-        return len(self.context.attributes) < len(self.context.objects)
-
     @cached_property
     def steps(self) -> Steps:
         """The steps of every zeta and Moebius transform on this lattice,
         on the side with fewer passes (`attribute_steps` or
         `object_steps`), built on first use."""
-        return (attribute_steps if self._by_attributes else object_steps)(self)
+        context = self.context
+        tall = len(context.attributes) < len(context.objects)
+        return (attribute_steps if tall else object_steps)(self)
 
     @cached_property
     def mobius_bottom(self) -> tuple[tuple[int, int], ...]:
@@ -168,55 +164,37 @@ class ConceptLattice:
         return tuple((c, mu) for c, mu in enumerate(row) if mu)
 
     def covers(self) -> tuple[tuple[int, int], ...]:
-        """Edges (i, j) where concept i is covered by concept j, in
-        ascending order.
+        """Edges (i, j) where concept i is covered by concept j.
 
-        Read from `steps`.  On the object side, a cover j of i is the
+        Read from `steps`, whose (lower, upper) pairs hold every cover edge
+        on either side.  On the object side, a cover j of i is the upper
         partner of i's step in pass k, the greatest object j adds to i's
         extent, because the closure of i's extent plus k lies above i and
-        inside j; every other partner of i lies above some cover, so the
-        upper covers of i are its minimal partners.  On the attribute side,
-        dually, the lower covers of j are its maximal partners.
+        inside j.  On the attribute side, dually, i is the lower partner of
+        j's step in pass m, the greatest attribute i adds to j's intent,
+        because the closure of j's intent plus m lies below j and above i.
+        Every other upper partner of i lies above some cover, so the covers
+        are the minimal upper partners, found in ascending extent size,
+        which is descending index.
         """
-        lower, upper = self.steps
-        if not self._by_attributes:
-            return tuple((i, j) for i, nearest in enumerate(
-                _nearest(lower, upper, self.extents, descending=True))
-                for j in nearest)
-        above: list[list[int]] = [[] for _ in self.intents]
-        for j, nearest in enumerate(
-                _nearest(upper, lower, self.intents, descending=False)):
-            for i in nearest:
-                above[i].append(j)
-        return tuple((i, j) for i, js in enumerate(above) for j in js)
-
-
-def _nearest(concepts: array, partners: array, masks: tuple[int, ...],
-             descending: bool) -> list[list[int]]:
-    """For each concept s, in ascending index, its step partners t (the
-    pairs `zip(concepts, partners)`), ascending, that hold no other
-    partner's mask inside their own.  Partners are scanned so that each is
-    met after every partner whose mask lies inside its own: by descending
-    index for extents, since an extent inside another comes later in the
-    canonical order, and by ascending index for intents, since an intent
-    inside another comes earlier."""
-    found: list[list[int]] = [[] for _ in masks]
-    for s, t in zip(concepts, partners):
-        found[s].append(t)
-    nearest = []
-    for candidates in found:
-        kept: list[int] = []
-        kept_masks: list[int] = []
-        for t in sorted(candidates, reverse=descending):
-            outside = ~masks[t]
-            for mask in kept_masks:
-                if not mask & outside:
-                    break
-            else:
-                kept.append(t)
-                kept_masks.append(masks[t])
-        nearest.append(kept[::-1] if descending else kept)
-    return nearest
+        extents = self.extents
+        above: list[list[int]] = [[] for _ in extents]
+        for s, t in zip(*self.steps):
+            above[s].append(t)
+        edges = []
+        for i, targets in enumerate(above):
+            covers: list[int] = []
+            found: list[int] = []  # their extents
+            for j in sorted(targets, reverse=True):
+                outside = ~extents[j]
+                for e in found:
+                    if not e & outside:
+                        break
+                else:
+                    covers.append(j)
+                    found.append(extents[j])
+            edges.extend((i, j) for j in reversed(covers))
+        return tuple(edges)
 
 
 def is_context_lattice(lat: ConceptLattice) -> bool:
