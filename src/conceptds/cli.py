@@ -18,7 +18,8 @@ from typing import Callable, Mapping, Sequence
 
 from .cases import CASE_IDS, build_case, display_labels
 from .combine import combine_many
-from .context import (ContextDocument, document_from_json, load_document,
+from .context import (ContextDocument, check_document_keys,
+                      document_from_json, load_document,
                       normalize_no_universal_object, parse_cxt,
                       parse_json_object)
 from .errors import (ConceptDSError, ParseError, TotalConflictError,
@@ -385,6 +386,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # check
 
 def _table_from_entries(doc: Mapping) -> dict[frozenset, Fraction]:
+    check_document_keys(doc, {"carrier", "kind", "entries"})
     for key in ("carrier", "entries"):
         if key not in doc:
             raise ParseError(f"table document is missing {key!r}")

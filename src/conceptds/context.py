@@ -308,6 +308,14 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
     return doc
 
 
+def check_document_keys(doc: Mapping, allowed: Iterable[str]) -> None:
+    """Refuse a document key outside `allowed`, every JSON document's rule:
+    ParseError "unknown document keys: [...]", the keys sorted by text."""
+    unknown = set(doc).difference(allowed)
+    if unknown:
+        raise ParseError(f"unknown document keys: {sorted(unknown, key=str)}")
+
+
 def parse_json_object(text: str) -> dict:
     """Parse JSON text whose top-level value is an object.
 
@@ -337,9 +345,7 @@ def document_from_json(doc: Mapping) -> ContextDocument:
     plus an optional "expected" block of published tables used by the bundled
     example cases.  Rationals are "p/q" strings, decimal strings, or numbers.
     """
-    unknown = set(doc) - _DOCUMENT_KEYS
-    if unknown:
-        raise ParseError(f"unknown document keys: {sorted(unknown)}")
+    check_document_keys(doc, _DOCUMENT_KEYS)
     for key in ("objects", "attributes"):
         if key not in doc or not isinstance(doc[key], list) \
                 or not all(isinstance(s, str) for s in doc[key]):

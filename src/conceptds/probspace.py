@@ -3,7 +3,11 @@
 The measurable sets are the unions of blocks.  A subset of the carrier is
 approximated from inside by the union of blocks it contains and from outside
 by the union of blocks it meets; the inner and outer measures are the measures
-of those two approximants.
+of those two approximants (Fagin and Halpern, "Uncertainty, belief, and
+probability", 1991).  Both are sums of integers: the block measures are read
+once as numerators over the lcm of their denominators
+(`rationals.common_numerators`), and a measure is one Fraction of a numerator
+sum over that one denominator.
 """
 
 from __future__ import annotations
@@ -11,17 +15,22 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .context import parse_json_object
+from .context import check_document_keys, parse_json_object
 from .errors import ParseError
 from .frozen import Frozen
 from .powerset import read_sequence, read_subset, read_text
-from .rationals import parse_rationals
+from .rationals import check_unit, common_numerators, parse_rationals
 
 
 class ProbabilitySpace(Frozen):
     """A carrier partitioned into blocks, each carrying exact probability.
 
-    Blocks with measure zero are permitted; empty blocks are not.
+    Blocks with measure zero are permitted; empty blocks are not.  The
+    constructor reads `mu` once, as numerators over the lcm of its
+    denominators, and checks signs and the total on those integers
+    (`rationals.check_unit`): the first negative block measure is named,
+    then a total other than 1.  The numerators are kept beside `mu` for
+    the measures; equality and hashing read `carrier`, `blocks` and `mu`.
     """
 
     carrier: frozenset
@@ -50,12 +59,12 @@ class ProbabilitySpace(Frozen):
             seen |= block
         if seen != carrier:
             raise ParseError("blocks must cover the carrier exactly")
-        for v in mu:
-            if v < 0:
-                raise ParseError(f"negative block measure {v}")
-        total = sum(mu, Fraction(0))
-        if total != 1:
-            raise ParseError(f"block measures sum to {total}, expected 1")
+        d, numerators = common_numerators(mu)
+        check_unit(d, numerators, lambda i: f"negative block measure {mu[i]}",
+                   "block measures sum to", ParseError)
+        # (d, ((block, numerator), ...)): block i weighs numerator / d.
+        object.__setattr__(self, "_weights",
+                           (d, tuple(zip(blocks, numerators))))
 
     def _subset(self, subset: Iterable) -> frozenset:
         return read_subset(subset, "subset", ParseError, self.carrier)
@@ -71,14 +80,18 @@ class ProbabilitySpace(Frozen):
         return frozenset().union(*(b for b in self.blocks if b & y))
 
     def inner_measure(self, subset: Iterable) -> Fraction:
+        """The measure of `iota(subset)`: the block numerators summed over
+        the blocks inside the subset, over the space's one denominator."""
         y = self._subset(subset)
-        return sum((v for b, v in zip(self.blocks, self.mu) if b <= y),
-                   Fraction(0))
+        d, weights = self._weights
+        return Fraction(sum([x for b, x in weights if b <= y]), d)
 
     def outer_measure(self, subset: Iterable) -> Fraction:
+        """The measure of `gamma(subset)`: the block numerators summed over
+        the blocks meeting the subset, over the space's one denominator."""
         y = self._subset(subset)
-        return sum((v for b, v in zip(self.blocks, self.mu) if b & y),
-                   Fraction(0))
+        d, weights = self._weights
+        return Fraction(sum([x for b, x in weights if not y.isdisjoint(b)]), d)
 
 
 def parse_probability_space(text: str) -> ProbabilitySpace:
@@ -107,10 +120,17 @@ def json_elements(value: object, what: str) -> frozenset:
     return elements
 
 
+_SPACE_KEYS = ("carrier", "blocks", "mu")
+
+
 def probability_space_from_json(doc: Mapping) -> ProbabilitySpace:
+    """A space from parsed JSON: {"carrier": [...], "blocks": [[...], ...],
+    "mu": [...]}, elements read by `json_elements`.  Any other key is
+    refused (`context.check_document_keys`)."""
     if not isinstance(doc, Mapping):
         raise ParseError("partition-space document must be a JSON object")
-    for key in ("carrier", "blocks", "mu"):
+    check_document_keys(doc, _SPACE_KEYS)
+    for key in _SPACE_KEYS:
         if key not in doc:
             raise ParseError(f"partition-space document is missing {key!r}")
     carrier = json_elements(doc["carrier"], "'carrier'")

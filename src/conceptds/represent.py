@@ -5,7 +5,8 @@ measure of an honest probability measure on a larger structure.  Three
 constructions are provided:
 
 * `represent_set`: for powerset masses, a partition space over pairs (focal
-  set, element) with an embedding of the original powerset.
+  set, element) with an embedding of the original powerset; its rows check
+  the powerset lattice's zeta transforms against the space's measures.
 * `represent_concepts`: for lattice masses, a product of principal down-sets
   with one designated atom per concept.  The ambient algebra is exponential
   and is never materialized.  Coordinate d of the embedded concept h(c) is
@@ -100,27 +101,41 @@ class SetRepresentation(NamedTuple):
 def represent_set(m: SetMassFunction) -> SetRepresentation:
     """Build the partition space representing a powerset mass function.
 
-    Each row compares `m.bel`/`m.pl`, read from the mass's lattice, with the
-    inner/outer measure of the embedded subset, read from the blocks of the
-    space: two independent paths, so a row fails when they disagree.
+    Each row compares bel and pl from the powerset lattice's zeta transforms
+    (`MassFunction._table_numerators`), the path `belief_table` prints, with
+    the inner/outer measure of the embedded subset, integer sums over the
+    blocks of the space; a row fails when they disagree.  Each distinct bel
+    or pl numerator becomes one Fraction.
     """
     # Each pair (Y, u), n * 2^(n-1) of them, is tested against each subset.
     n = len(m.carrier)
     check_capacity("cells of the powerset representation",
                    (n << 2 * n) >> 1, MAX_REPRESENTATION_CELLS)
-    every = sorted(subsets(m.carrier), key=size_key)
+    mass = m.mass
+    index = mass.lattice.index_by_extent
+    # Subset k holds element i when bit i of k is set, so its concept on the
+    # powerset lattice is the one whose extent mask is k.
+    by_mask = subsets(m.carrier)
+    concept = {x: index[k] for k, x in enumerate(by_mask)}
+    every = sorted(by_mask, key=size_key)
     nonempty = [s for s in every if s]
 
     blocks = tuple(frozenset((y, u) for u in y) for y in nonempty)
     carrier = frozenset().union(*blocks)
-    space = ProbabilitySpace(carrier, blocks, tuple(m[y] for y in nonempty))
+    space = ProbabilitySpace(carrier, blocks,
+                             tuple(mass.values[concept[y]] for y in nonempty))
 
-    embedding = {x: frozenset(p for p in carrier if p[1] in x) for x in every}
+    # The image of X is the union of the pairs of its elements.
+    pairs = {u: frozenset(p for p in carrier if p[1] == u) for u in m.carrier}
+    embedding = {x: frozenset().union(*[pairs[u] for u in x]) for x in every}
 
+    bel, pl = mass._table_numerators()
+    exact = fractions_over(bel + pl, mass.focal[0])
+    concepts = len(bel)
     rows = tuple(SetVerificationRow(subset=x,
-                                    bel=m.bel(x),
+                                    bel=exact[concept[x]],
                                     inner=space.inner_measure(embedding[x]),
-                                    pl=m.pl(x),
+                                    pl=exact[concepts + concept[x]],
                                     outer=space.outer_measure(embedding[x]))
                  for x in every)
     return SetRepresentation(m, space, embedding, rows)

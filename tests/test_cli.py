@@ -329,6 +329,29 @@ def test_check_names_a_bad_entry_by_its_subset(carrier, entries, message,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("source, extra, command, unknown", [
+    ("space-seed7.json", {"kind": "pl"}, "check", "['kind']"),
+    ("space-seed7.json", {"kind": "pl"}, "verify-representation", "['kind']"),
+    ("table-violation.json", {"kinds": "bel", "zeta": 0}, "check",
+     "['kinds', 'zeta']"),
+], ids=["space-check", "space-verify", "table-check"])
+def test_a_document_key_outside_the_schema_is_refused(
+        source, extra, command, unknown, tmp_path, capsys):
+    """Partition-space and table documents name their keys, as context
+    documents do: a key that is read by nothing is an input error, not a
+    silent no-op."""
+    doc = json.loads((GOLDEN / source).read_text(encoding="utf-8"))
+    path = tmp_path / source
+    path.write_text(json.dumps({**doc, **extra}), encoding="utf-8")
+    assert run([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unknown document keys: {unknown}\n"
+
+
 @pytest.mark.parametrize("n_max, unsafe", [("0", False), ("-1", False),
                                            ("4", True)])
 def test_check_rejects_tuple_lengths_it_does_not_check(

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conceptds import (CapacityError, ConceptLattice, FormalContext,
                        LabelError, MassFunction, brute_bel,
-                       enumerate_concepts)
+                       enumerate_concepts, random_context)
 from conceptds.errors import ENV_UNSAFE_SCALE
-from conceptds.lattice import (MAX_CONCEPTS, attribute_steps, mobius,
-                               mobius_down, object_steps, zeta, zeta_down)
+from conceptds.lattice import (MAX_CONCEPTS, attribute_steps,
+                               is_context_lattice, mobius, mobius_down,
+                               object_steps, zeta, zeta_down)
 
 from conftest import (contranominal, lattice_masses, small_contexts,
                       with_universal_object)
@@ -134,6 +137,62 @@ def test_the_extremes_are_first_and_last_and_every_meet_lands(ctx):
         assert all(e & f in lat.index_by_extent for f in lat.extents)
     for a in lat.intents:
         assert all(a & b in lat.index_by_intent for b in lat.intents)
+
+
+def _context_lattice_reference(lat) -> bool:
+    """The stored family is the context's, by three conditions: the index
+    is exact, the full object set is stored and every extent cut by a
+    column is stored, and every extent is closed."""
+    extents, index, context = lat.extents, lat.index_by_extent, lat.context
+    top = (1 << len(context.objects)) - 1
+    return (len(index) == len(extents)
+            and all(index.get(e) == i for i, e in enumerate(extents))
+            and top in index
+            and all(e & c in index for e in extents for c in context.columns)
+            and all(context.closure(e) == e for e in extents))
+
+
+def _family(context, extents, index=None):
+    """What `is_context_lattice` reads of a lattice: the context, the
+    stored extents and their index, exact unless given."""
+    return SimpleNamespace(
+        context=context, extents=tuple(extents),
+        index_by_extent=index if index is not None
+        else {e: i for i, e in enumerate(extents)})
+
+
+def _doctored_families(lat):
+    """The enumerated family, its reverse, each family with one extent
+    dropped or one other mask added, and two broken indexes."""
+    ctx, extents = lat.context, lat.extents
+    yield _family(ctx, extents), True
+    yield _family(ctx, extents[::-1]), True
+    for i in range(len(extents)):
+        yield _family(ctx, extents[:i] + extents[i + 1:]), False
+    for mask in range(1 << len(ctx.objects)):
+        if mask not in lat.index_by_extent:
+            yield _family(ctx, extents + (mask,)), False
+    if len(extents) > 1:
+        swapped = {e: i for i, e in enumerate(extents)}
+        swapped[extents[0]], swapped[extents[-1]] = len(extents) - 1, 0
+        yield _family(ctx, extents, swapped), False
+        dropped = extents[1:]
+        stray = {**{e: i for i, e in enumerate(dropped)}, extents[0]: 0}
+        yield _family(ctx, dropped, stray), False
+
+
+def test_the_context_lattice_fold_agrees_with_its_three_conditions():
+    """One fold of column cuts decides what the three conditions decide,
+    on 300 seeded contexts and every doctored family of each."""
+    verdicts = {True: 0, False: 0}
+    for seed in range(300):
+        shape = seed % 36
+        ctx = random_context(seed, shape // 6, shape % 6, (seed % 5 + 1) / 6)
+        for family, expected in _doctored_families(enumerate_concepts(ctx)):
+            assert _context_lattice_reference(family) is expected
+            assert is_context_lattice(family) is expected
+            verdicts[expected] += 1
+    assert verdicts == {True: 600, False: 3412}
 
 
 @given(small_contexts())

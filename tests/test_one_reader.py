@@ -2,6 +2,10 @@
 Fraction on a single value that is not a literal, so the exponent bound, the
 refusal of a bool and the naming of a bad value hold at every entry point.
 
+Exact sums run on integers: outside the brute-force oracle, no `sum` starts
+from a Fraction and no `+=` adds onto a name bound to one, so a sum of many
+values is integer additions over one denominator, converted once.
+
 Subsets have one rendering too: no f-string formats a `set(...)` call, whose
 text would follow the hash seed, and every error text is the same under
 PYTHONHASHSEED 0-3, also where it prints a caller's raw value that holds a
@@ -30,9 +34,9 @@ def _literal(node: ast.expr) -> bool:
     return isinstance(node, ast.Constant)
 
 
-def _readers(tree: ast.AST) -> list[str]:
-    """Each Fraction call on one non-literal value, by any alias of
-    `Fraction` or of `fractions`, with its line."""
+def _fraction_test(tree: ast.AST):
+    """A test of whether an expression names `Fraction`, by any alias of
+    `Fraction` or of `fractions` that the module imports."""
     modules, names = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -49,6 +53,13 @@ def _readers(tree: ast.AST) -> list[str]:
                 and isinstance(node.value, ast.Name)
                 and node.value.id in modules)
 
+    return is_fraction
+
+
+def _readers(tree: ast.AST) -> list[str]:
+    """Each Fraction call on one non-literal value, by any alias of
+    `Fraction` or of `fractions`, with its line."""
+    is_fraction = _fraction_test(tree)
     found = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
@@ -78,6 +89,75 @@ def test_only_rationals_reads_a_value_with_fraction():
     assert found[OWNER], "the walk must see the owner's own calls"
     assert {name: hits for name, hits in found.items()
             if hits and name != OWNER} == {}
+
+
+def _bindings(node: ast.AST) -> list[tuple[ast.expr, ast.expr]]:
+    """The (target, value) pairs an assignment binds, through chained
+    targets and tuples unpacked from tuples."""
+    if isinstance(node, ast.Assign):
+        pairs = [(target, node.value) for target in node.targets]
+    elif isinstance(node, ast.AnnAssign) and node.value is not None:
+        pairs = [(node.target, node.value)]
+    else:
+        return []
+    out = []
+    for target, value in pairs:
+        if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+            out += zip(target.elts, value.elts)
+        else:
+            out.append((target, value))
+    return out
+
+
+def _fraction_sums(tree: ast.AST) -> list[str]:
+    """Each exact sum run on Fractions, with its line: a `sum` whose start
+    is a Fraction call, and a `+=` onto a name bound to a Fraction call."""
+    is_fraction = _fraction_test(tree)
+
+    def fraction_call(node: ast.expr) -> bool:
+        return isinstance(node, ast.Call) and is_fraction(node.func)
+
+    bound = {target.id for node in ast.walk(tree)
+             for target, value in _bindings(node)
+             if isinstance(target, ast.Name) and fraction_call(value)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "sum":
+            starts = node.args[1:] + [k.value for k in node.keywords
+                                      if k.arg == "start"]
+            if any(map(fraction_call, starts)):
+                found.append(f"sum at line {node.lineno}")
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add) \
+                and isinstance(node.target, ast.Name) \
+                and node.target.id in bound:
+            found.append(f"+= at line {node.lineno}")
+    return sorted(found)
+
+
+SUMS = ("import fractions as fr\n"
+        "from fractions import Fraction as F\n"
+        "def a(xs):\n    return sum(xs, F(0))\n"
+        "def b(xs):\n    return sum(xs, start=fr.Fraction(0))\n"
+        "def c(xs):\n    total: F = F(0)\n"
+        "    for x in xs:\n        total += x\n"
+        "def d(xs):\n    low, high = fr.Fraction(0), 0\n"
+        "    top = low2 = F(0, 1)\n"
+        "    for x in xs:\n        low += x\n        high += x\n"
+        "        low2 += x\n        top -= x\n"
+        "    return sum(xs), sum(xs, 0), sum([F(1)], 0)\n")
+
+
+def test_exact_sums_stay_on_integers():
+    assert _fraction_sums(ast.parse(SUMS)) == [
+        "+= at line 10", "+= at line 15", "+= at line 17",
+        "sum at line 4", "sum at line 6"], \
+        "the walk must see every alias, and no integer sum"
+    found = {path.name: _fraction_sums(ast.parse(path.read_text("utf-8")))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert found["oracle.py"], "the walk must see the oracle's own sums"
+    assert {name: hits for name, hits in found.items()
+            if hits and name != "oracle.py"} == {}
 
 
 def _printed(node: ast.expr) -> list[ast.expr]:

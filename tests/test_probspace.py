@@ -6,10 +6,11 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conceptds import ParseError, ProbabilitySpace, parse_probability_space
+from conceptds import (ParseError, ProbabilitySpace, parse_probability_space,
+                       probability_space_from_json)
 
 from conftest import partition_spaces, subsets_of
 
@@ -31,8 +32,14 @@ HALVES = ProbabilitySpace(
         (({1, 2}, {2, 3}), (F(1, 2), F(1, 2)), "disjoint"),
         (({1},), (F(1),), "cover"),
         (({1, 2}, ()), (F(1, 2), F(1, 2)), "nonempty"),
-        (({1, 2}, {3}), (F(3, 2), F(-1, 2)), "negative"),
-        (({1, 2}, {3}), (F(1, 2), F(1, 4)), "sum"),
+        (({1, 2}, {3}), (F(3, 2), F(-1, 2)),
+         "^negative block measure -1/2$"),
+        (({1, 2}, {3}), (F(3, 2), F(-1, 4)),
+         "^negative block measure -1/4$"),
+        (({1, 2}, {3}), (F(1, 2), F(1, 4)),
+         "^block measures sum to 3/4, expected 1$"),
+        (({1}, {2}, {3}), (F(1, 6), F(1, 6), F(1, 6)),
+         "^block measures sum to 1/2, expected 1$"),
         (({1, 2}, {3}), (F(1, 2),), "measures"),
         (({1, 2}, {3}), (None, F(1)),
          "^block 0 has measure None, which is not a rational number$"),
@@ -112,6 +119,31 @@ def test_measures_are_the_measures_of_the_approximants(space, data):
     assert space.inner_measure(y) <= space.outer_measure(y)
 
 
+# Three blocks, one of measure zero, and a subset that holds it and meets
+# another block.
+WITH_A_NULL_BLOCK = ProbabilitySpace(
+    frozenset("abcd"), (frozenset("ab"), frozenset("c"), frozenset("d")),
+    (F(2, 3), F(0), F(1, 3)))
+
+
+@given(partition_spaces().flatmap(
+    lambda space: st.tuples(st.just(space), subsets_of(space.carrier))))
+@example((WITH_A_NULL_BLOCK, frozenset("bc")))
+def test_measures_equal_fraction_sums_over_every_block(case):
+    """The integer sums over the space's one denominator equal a Fraction
+    sum over the blocks, zero-measure blocks included."""
+    space, y = case
+    inner = outer = F(0)
+    for block, value in zip(space.blocks, space.mu):
+        if block <= y:
+            inner += value
+        if block & y:
+            outer += value
+    assert space.inner_measure(y) == inner
+    assert space.outer_measure(y) == outer
+    assert type(space.inner_measure(y)) is type(space.outer_measure(y)) is F
+
+
 @given(partition_spaces(), st.data())
 def test_monotone_in_the_subset(space, data):
     y = data.draw(subsets_of(space.carrier))
@@ -173,6 +205,17 @@ def test_parse_rejects_malformed_documents(text):
     with pytest.raises(ParseError):
         parse_probability_space(text)
 
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"kind": "pl"}, "unknown document keys: ['kind']"),
+    ({"Mu": ["1"], "blocks ": []}, "unknown document keys: ['Mu', 'blocks ']"),
+])
+def test_a_key_outside_the_schema_is_refused(extra, message):
+    doc = {"carrier": ["a"], "blocks": [["a"]], "mu": ["1"]}
+    with pytest.raises(ParseError) as info:
+        probability_space_from_json({**doc, **extra})
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("text, message", [

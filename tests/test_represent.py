@@ -409,7 +409,7 @@ def test_certificate_catches_a_wrong_belief(music_case, monkeypatch, capsys):
     assert run(["verify-representation", music]) == 1
     assert "result: FAIL" in capsys.readouterr().out
     # The set-level certificate rests on its rows alone, which read the
-    # sweep, and they fail too.
+    # transforms of the powerset lattice, and they fail too.
     ab = frozenset("ab")
     srep = represent_set(SetMassFunction(ab, {frozenset("a"): F(1, 2),
                                               ab: F(1, 2)}))
@@ -436,6 +436,27 @@ def test_certificates_catch_a_dropped_step(music_case):
     for rep in (represent_concepts(m), represent_concepts_frame(m)):
         assert not rep.all_passed
         assert [r.concept_index for r in rep.rows if not r.passed] == wrong
+
+
+def test_the_set_certificate_catches_a_dropped_step():
+    """The same fault on a set mass's powerset lattice: `represent_set`
+    reads its rows' bel and pl from that lattice's transforms, so it fails
+    exactly the rows whose printed table goes wrong."""
+    m = random_set_mass(0, frozenset("abc"))
+    lat = m.mass.lattice
+    good = m.mass.belief_table()
+    assert represent_set(m).all_passed
+    sources, targets = lat.steps
+    del sources[0], targets[0]
+    del lat.mobius_bottom
+    table = m.mass.belief_table()
+    by_mask = subsets(m.carrier)
+    wrong = {by_mask[lat.extents[c]] for c in range(len(lat))
+             if (table.bel[c], table.pl[c]) != (good.bel[c], good.pl[c])}
+    assert wrong == {frozenset(), frozenset("a"), frozenset("abc")}
+    rep = represent_set(m)
+    assert not rep.all_passed
+    assert {row.subset for row in rep.rows if not row.passed} == wrong
 
 
 @pytest.mark.parametrize("seed", range(6))
