@@ -90,15 +90,13 @@ def combine_many(masses: Sequence[MassFunction]) -> CombinationReport:
         return CombinationReport(first, ())
     lat = first.lattice
     steps, mobius_bottom = lat.steps, lat.mobius_bottom
-    n, bottom, index = len(lat), lat.bottom_index, lat.index_by_extent
+    n, bottom = len(lat), lat.bottom_index
     product = [1] * n
     total, conflict = 1, 0
     conflicts: list[Fraction] = []
     for step, m in enumerate(masses, start=1):
-        d, focal = m.focal
-        q = [0] * n
-        for e, x in focal:
-            q[index[e]] = x
+        d, numerators = m.numerators
+        q = list(numerators)
         zeta(q, steps)
         product = [p * x for p, x in zip(product, q)]
         total *= d

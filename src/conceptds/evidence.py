@@ -7,7 +7,7 @@ integer numerators over a common denominator.  A whole table comes from one
 path, the lattice's zeta transforms (`MassFunction.belief_table`), about
 three passes over its step list whatever the support; the certificates of
 `represent` check those transforms against their own meet sums.  `bel` and
-`pl` at one concept sweep the focal concepts once (`_numerators`).
+`pl` at one concept sweep the mass's integers once (`_numerators`).
 
 Set-level evidence is the special case of a powerset.  The powerset of a
 carrier is the concept lattice of its contranominal context, so a
@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .context import FormalContext, MassSpec, ObjectSet, read_index
+from .context import FormalContext, MassSpec, ObjectSet, members, read_index
 from .errors import LabelError, MassError, check_capacity
 from .frozen import Frozen
 from .lattice import (MAX_CONCEPTS, ConceptLattice, enumerate_concepts,
@@ -46,17 +46,18 @@ class MassFunction(Frozen):
     The constructor reads every value, checks the length, and checks signs
     and the total on the values' integer ratios (`rationals.check_unit`);
     it then ends in the one constructor body, `_hold`, which checks the
-    least concept and fills `focal`: the support over one common
-    denominator, as (d, ((extent mask, numerator), ...)) in index order,
-    where d is the lcm of the values' denominators and focal concept i
-    carries mass numerator / d.  `_from_numerators` runs that body alone,
-    for numerators that a document, the fold or belief inversion has
-    already checked.  Equality and hashing read `lattice` and `values` only.
+    least concept and keeps `numerators`: the values over one common
+    denominator, as (d, (numerator, ...)) index-aligned with `values`,
+    where d is the lcm of the values' denominators and concept i carries
+    mass numerators[1][i] / d.  `_from_numerators` runs that body alone,
+    for numerators that a document, the fold, belief inversion or
+    normalization has already checked.  Equality and hashing read
+    `lattice` and `values` only.
     """
 
     lattice: ConceptLattice
     values: tuple[Fraction, ...]
-    focal: tuple[int, tuple[tuple[int, int], ...]]
+    numerators: tuple[int, tuple[int, ...]]
     _compared = ("lattice", "values")
 
     def __init__(self, lattice: ConceptLattice,
@@ -87,15 +88,14 @@ class MassFunction(Frozen):
               d: int, numerators: Sequence[int]) -> None:
         """The one constructor body: the check that needs the lattice, no
         mass on an empty least extent, and then the fields."""
-        extents, bottom = lattice.extents, lattice.bottom_index
-        if numerators[bottom] and not extents[bottom]:
+        bottom = lattice.bottom_index
+        if numerators[bottom] and not lattice.extents[bottom]:
             raise MassError(
                 f"the least concept has an empty extent but carries mass "
                 f"{values[bottom]}")
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "focal", (d, tuple(
-            [(extents[i], x) for i, x in enumerate(numerators) if x])))
+        object.__setattr__(self, "numerators", (d, tuple(numerators)))
 
     @classmethod
     def from_mapping(cls, lattice: ConceptLattice,
@@ -117,20 +117,21 @@ class MassFunction(Frozen):
         return self.values[read_index(c, len(self.values), "concept")]
 
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, v in enumerate(self.values) if v)
+        return tuple(i for i, x in enumerate(self.numerators[1]) if x)
 
     def _numerators(self, extent: int) -> tuple[int, int]:
-        """The bel and pl numerators, over `focal`'s denominator, at an extent.
+        """The bel and pl numerators, over the mass's denominator, at an
+        extent.
 
-        One pass over the support.  No focal extent is empty: only the least
-        concept can have an empty extent, and then it carries no mass.  So a
-        focal extent inside `extent` also meets it, and the inside test runs
-        only on focal extents that meet.
+        One pass over the concepts, skipping those without mass.  No focal
+        extent is empty: only the least concept can have an empty extent,
+        and then it carries no mass.  So a focal extent inside `extent` also
+        meets it, and the inside test runs only on focal extents that meet.
         """
         outside = ~extent
         bel = pl = 0
-        for f, x in self.focal[1]:
-            if f & extent:
+        for f, x in zip(self.lattice.extents, self.numerators[1]):
+            if x and f & extent:
                 pl += x
                 if not f & outside:
                     bel += x
@@ -139,7 +140,7 @@ class MassFunction(Frozen):
     def bel(self, c: int) -> Fraction:
         """Total mass of concepts at or below concept c."""
         e = self.lattice.extents[read_index(c, len(self.values), "concept")]
-        return Fraction(self._numerators(e)[0], self.focal[0])
+        return Fraction(self._numerators(e)[0], self.numerators[0])
 
     def pl(self, c: int) -> Fraction:
         """Total mass of concepts compatible with concept c.
@@ -148,10 +149,10 @@ class MassFunction(Frozen):
         witnesses both concepts at once.
         """
         e = self.lattice.extents[read_index(c, len(self.values), "concept")]
-        return Fraction(self._numerators(e)[1], self.focal[0])
+        return Fraction(self._numerators(e)[1], self.numerators[0])
 
     def _table_numerators(self) -> tuple[list[int], list[int]]:
-        """bel and pl numerators, over `focal`'s denominator, at every
+        """bel and pl numerators, over the mass's denominator, at every
         concept, from the lattice's zeta transforms.
 
         bel is the down-zeta of the mass.  The mass that meets concept c at
@@ -167,11 +168,9 @@ class MassFunction(Frozen):
         `represent` compare them with their meet sums.
         """
         lat = self.lattice
-        d, focal = self.focal
-        n, index, steps = len(lat), lat.index_by_extent, lat.steps
-        bel = [0] * n
-        for e, x in focal:
-            bel[index[e]] = x
+        d, numerators = self.numerators
+        n, steps = len(lat), lat.steps
+        bel = list(numerators)
         q = bel[:]
         zeta(q, steps)
         pl = [0] * n
@@ -194,7 +193,7 @@ class MassFunction(Frozen):
         # pl is appended in place, so that no list of 2n numerators is built
         # beside both.
         bel += pl
-        exact = fractions_over(bel, self.focal[0])
+        exact = fractions_over(bel, self.numerators[0])
         return BeliefTable(self.lattice, tuple(exact[:n]), tuple(exact[n:]))
 
 
@@ -247,19 +246,20 @@ class SetMassFunction:
     def _elements(self) -> list:
         return sorted(self.carrier, key=repr)
 
-    def _mask(self, subset: Iterable) -> int:
-        x = read_subset(subset, "subset", MassError, self.carrier)
-        return sum(1 << i for i, e in enumerate(self._elements) if e in x)
+    def _mask(self, subset: frozenset) -> int:
+        """The extent mask of a subset of the carrier that is already read."""
+        return sum(1 << i for i, e in enumerate(self._elements) if e in subset)
 
     def _index(self, subset: Iterable) -> int:
-        return self.mass.lattice.index_by_extent[self._mask(subset)]
+        x = read_subset(subset, "subset", MassError, self.carrier)
+        return self.mass.lattice.index_by_extent[self._mask(x)]
 
     @cached_property
     def values(self) -> dict[frozenset, Fraction]:
         """Each focal subset with its mass, in `size_key` order."""
-        lat, elements = self.mass.lattice, self._elements
-        focal = {frozenset(elements[g] for g in lat[i].extent): self.mass[i]
-                 for i in self.mass.support()}
+        extents, elements = self.mass.lattice.extents, self._elements
+        focal = {frozenset(elements[g] for g in members(extents[i])):
+                 self.mass.values[i] for i in self.mass.support()}
         return {x: focal[x] for x in sorted(focal, key=size_key)}
 
     def __getitem__(self, subset: Iterable) -> Fraction:

@@ -1,10 +1,10 @@
 """The base of the validated value types: immutable plain classes.
 
 Records that need no validation are `typing.NamedTuple`s.  The four types
-whose construction validates or converts its input (`FormalContext`,
-`MassFunction`, `ProbabilitySpace`, `ConceptRepresentation`) are plain
-classes on this base instead.  Each writes its fields in its own `__init__`
-with `object.__setattr__`; afterwards assignment and deletion raise
+whose construction validates or caches (`FormalContext`, `MassFunction`,
+`ProbabilitySpace`, `ConceptRepresentation`) are plain classes on this base
+instead.  Each writes its fields in its own `__init__` with
+`object.__setattr__`; afterwards assignment and deletion raise
 `AttributeError`.  The instance `__dict__` stays, so `cached_property`
 caches there.  Equality, hashing and repr read the fields named in
 `_compared`, in order; two instances are equal only when of the same class.

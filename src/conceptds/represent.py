@@ -130,7 +130,7 @@ def represent_set(m: SetMassFunction) -> SetRepresentation:
     embedding = {x: frozenset().union(*[pairs[u] for u in x]) for x in every}
 
     bel, pl = mass._table_numerators()
-    exact = fractions_over(bel + pl, mass.focal[0])
+    exact = fractions_over(bel + pl, mass.numerators[0])
     concepts = len(bel)
     rows = tuple(SetVerificationRow(subset=x,
                                     bel=exact[concept[x]],
@@ -155,11 +155,15 @@ def normalize_with_mass(m: MassFunction) -> tuple[MassFunction, dict[int, int]]:
     That map is the identity, so no extent is looked up.  The fresh attribute
     is held by no object, so every old extent and intent keeps its mask; the
     one new concept has the empty extent, so the canonical order (descending
-    extent size) puts it last.
+    extent size) puts it last.  The mass is already checked, so the values
+    and their numerators each take one zero at the end, over the same
+    denominator, and only the check that needs the lattice runs again.
     """
     lat = m.lattice
     if lat.normalized is not lat:
-        m = MassFunction(lat.normalized, m.values + (Fraction(0),))
+        d, numerators = m.numerators
+        m = MassFunction._from_numerators(
+            lat.normalized, m.values + (Fraction(0),), d, numerators + (0,))
     return m, {i: i for i in range(len(lat))}
 
 
@@ -246,7 +250,8 @@ def represent_concepts(m: MassFunction) -> ConceptRepresentation:
     lat = m.lattice
     _require_empty_bottom(lat, "the conceptual representation")
     extents, index, bottom = lat.extents, lat.index_by_extent, lat.bottom_index
-    denominator, focal = m.focal
+    denominator, masses = m.numerators
+    focal = [(f, x) for f, x in zip(extents, masses) if x]
     # bel, inner, pl and outer numerators over `denominator`, row by row.
     numerators = []
     # Every meet lands in the index: extents are closed under intersection.

@@ -389,31 +389,31 @@ def test_the_core_builds_no_concept_views(music_case, monkeypatch):
 
 
 class _CountingSupport:
-    """A focal support that counts how often it is iterated."""
+    """A mass's numerators that count how often they are iterated."""
 
-    def __init__(self, pairs):
-        self.pairs, self.sweeps = pairs, 0
+    def __init__(self, numerators):
+        self.numerators, self.sweeps = numerators, 0
 
     def __iter__(self):
         self.sweeps += 1
-        return iter(self.pairs)
+        return iter(self.numerators)
 
 
 def _counted(lat, values):
-    """A mass on `lat` whose support counts its sweeps."""
+    """A mass on `lat` whose numerators count their sweeps."""
     m = MassFunction(lat, values)
-    d, pairs = m.focal
-    support = _CountingSupport(pairs)
-    m.__dict__["focal"] = (d, support)
+    d, numerators = m.numerators
+    support = _CountingSupport(numerators)
+    m.__dict__["numerators"] = (d, support)
     return m, support
 
 
 def test_belief_table_reads_the_support_once(music_case):
-    """`belief_table` reads the support once, into the transforms, and
-    builds the lattice's steps when it does not hold them; `bel` and `pl`
-    sweep it once per call, and the certificate reads it once into the
-    transforms and once per concept for its meet sums, whatever the lattice
-    holds."""
+    """`belief_table` reads the mass's numerators once, into the
+    transforms, and builds the lattice's steps when it does not hold them;
+    `bel` and `pl` sweep them once per call, and the certificate reads them
+    once into the transforms and once into the support that its meet sums
+    run over, whatever the lattice holds."""
     values = music_case.masses["m3"].values
     lat = enumerate_concepts(music_case.lattice.context)
     m, support = _counted(lat, values)
@@ -425,7 +425,7 @@ def test_belief_table_reads_the_support_once(music_case):
     assert support.sweeps == 1 + 2 * len(lat)
     support.sweeps = 0
     assert represent_concepts(m).all_passed
-    assert support.sweeps == 1 + len(lat)
+    assert support.sweeps == 2
 
     lat = enumerate_concepts(music_case.lattice.context)
     lat.covers()

@@ -16,8 +16,8 @@ from conceptds import (CapacityError, FormalContext, LabelError, MassError,
                        SetMassFunction, TotalConflictError, combine_many,
                        enumerate_concepts, load_case, load_document,
                        mass_from_bel_lattice, mass_from_bel_set,
-                       normalize_no_universal_object, random_mass,
-                       resolve_concept_label, resolve_mass)
+                       normalize_no_universal_object, normalize_with_mass,
+                       random_mass, resolve_concept_label, resolve_mass)
 from conceptds import context, evidence, rationals
 from conceptds.context import members
 from conceptds.errors import ENV_UNSAFE_SCALE
@@ -216,9 +216,8 @@ def test_focal_holds_the_lcm_after_a_fold_and_an_inversion(seed):
     inverted = mass_from_bel_lattice(m.belief_table().bel, lat)
     for mass in (folded, inverted):
         d = math.lcm(*(v.denominator for v in mass.values))
-        assert mass.focal == (d, tuple(
-            (lat.extents[i], v.numerator * (d // v.denominator))
-            for i, v in enumerate(mass.values) if v))
+        assert mass.numerators == (d, tuple(
+            v.numerator * (d // v.denominator) for v in mass.values))
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +452,19 @@ def test_lattice_inversion_rejects_a_monotone_non_belief_table():
                                "recovered mass -1/2 on concept 1")
 
 
+def test_a_pl_table_need_not_determine_the_mass():
+    """On the 3-chain top > x > bottom, with an empty least extent, all mass
+    on the top and all mass on x give one pl table but two bel tables.
+    Their commonalities differ only at the top, where mu(bottom, top) = 0,
+    so pl does not see them."""
+    lat = enumerate_concepts(FormalContext(("a", "b"), ("p", "q"), {(0, 0)}))
+    assert lat.extents == (0b11, 0b01, 0b00)
+    on_top, on_x = (MassFunction.from_mapping(lat, {c: F(1)}) for c in (0, 1))
+    assert on_top.belief_table().pl == on_x.belief_table().pl == (1, 1, 0)
+    assert on_top.belief_table().bel == (1, 0, 0)
+    assert on_x.belief_table().bel == (1, 1, 0)
+
+
 # ---------------------------------------------------------------------------
 # Label resolution
 
@@ -601,8 +613,9 @@ def _document(ctx: FormalContext, masses: list[MassFunction]) -> str:
 @given(ctx=small_contexts(min_objects=1), data=st.data())
 def test_masses_from_numerators_equal_the_checked_constructor(inhabited, ctx,
                                                               data):
-    """Document masses, fold results and inversions are the masses the
-    validating constructor builds from their values, `focal` included."""
+    """Document masses, fold results, inversions and normalized masses are
+    the masses the validating constructor builds from their values,
+    `numerators` included."""
     ctx = with_universal_object(ctx) if inhabited \
         else normalize_no_universal_object(ctx)
     lat = enumerate_concepts(ctx)
@@ -619,14 +632,16 @@ def test_masses_from_numerators_equal_the_checked_constructor(inhabited, ctx,
         built.append(combine_many(resolved).result)
     except TotalConflictError:
         pass
+    built += [normalize_with_mass(m)[0] for m in built]
     for m in built:
-        checked = MassFunction(lat, m.values)
-        assert m == checked and m.focal == checked.focal
+        checked = MassFunction(m.lattice, m.values)
+        assert m == checked and m.numerators == checked.numerators
 
 
 def test_a_document_mass_is_checked_once(monkeypatch):
     """Resolving a document of k masses runs the sign-and-total check k
-    times, at parse; the fold and the inversion run it on nothing."""
+    times, at parse; the fold, the inversion and normalization run it on
+    nothing."""
     checks = []
     real = rationals.check_unit
 
@@ -649,6 +664,14 @@ def test_a_document_mass_is_checked_once(monkeypatch):
     assert resolve_mass(MassSpec(spec.name, spec.entries, spec.label_extents),
                         lat) == masses[0]
     assert len(checks) == len(doc.masses) + 2
+    # Normalization moves a mass that is already checked.
+    doc = load_case("movies-3")
+    lat = enumerate_concepts(doc.context)
+    mass = resolve_mass(doc.masses[0], lat)
+    checks.clear()
+    moved, _ = normalize_with_mass(mass)
+    assert lat.normalized is not lat and moved.lattice is lat.normalized
+    assert checks == []
 
 
 @pytest.mark.parametrize("masses, message", [
@@ -695,7 +718,7 @@ def test_a_hand_built_spec_keeps_every_check(music_case, music_lattice,
         entries=(("top", F(1, 2)), ("{a}", F(1, 2)))), music_lattice)
     for m in (forged, replaced):
         checked = MassFunction(music_lattice, m.values)
-        assert m.focal == checked.focal
+        assert m.numerators == checked.numerators
         assert m.belief_table() == checked.belief_table()
 
 

@@ -299,7 +299,7 @@ def test_transforms_recover_masses_from_bel_and_commonality(m):
     """The inverse down-zeta turns bel back into mass; the inverse up-zeta
     does the same for the commonality q(c) = sum of m(d) over d >= c."""
     lat = m.lattice
-    d, extents = m.focal[0], lat.extents
+    d, extents = m.numerators[0], lat.extents
     mass = [v.numerator * (d // v.denominator) for v in m.values]
     bel = [v.numerator * (d // v.denominator) for v in m.belief_table().bel]
     mobius_down(bel, lat.steps)

@@ -2,7 +2,8 @@
 
 They may use the domain types of `.lattice`, but not its zeta and Moebius
 transforms, nor the step list and Moebius row a lattice keeps for them, which
-bel/pl tables, belief inversion and combination run.
+bel/pl tables, belief inversion and combination run, nor a mass's integer
+form, which those tables and folds read.
 """
 
 from __future__ import annotations
@@ -71,7 +72,9 @@ def _reached(functions: dict[str, ast.FunctionDef],
 
 def _borrowed(tree: ast.Module, roots: tuple[str, ...]) -> dict[str, list[str]]:
     """Each reached function's checked names, for those that read any."""
-    checked = _imported_from(tree) | CHECKED["lattice"]
+    # A mass's integer form is refused as an attribute too: the reference
+    # functions read `values`, the field that equality compares.
+    checked = _imported_from(tree) | CHECKED["lattice"] | {"numerators"}
     functions = _functions(tree)
     borrowed = {name: sorted(_body_names(functions[name]) & checked)
                 for name in _reached(functions, roots)}
@@ -102,7 +105,8 @@ def test_the_walk_sees_bodies_but_not_annotations():
                      "def helper(m):\n    return bel(m)\n"
                      "def reference(m):\n    return helper(typed(m))\n"
                      "def kept(m):\n    return m.lattice.steps\n"
-                     "def through(v, s):\n    return lattice.zeta(v, s)\n")
+                     "def through(v, s):\n    return lattice.zeta(v, s)\n"
+                     "def integers(m):\n    return m.numerators[1]\n")
     checked = _imported_from(tree)
     assert checked == {"M", "bel", "combine", "peel"}
     functions = _functions(tree)
@@ -119,3 +123,5 @@ def test_the_walk_sees_bodies_but_not_annotations():
     # The lattice's kept steps and its transforms are caught as attributes.
     assert _borrowed(tree, ("kept", "through")) == {"kept": ["steps"],
                                                     "through": ["zeta"]}
+    # So is the mass's integer form.
+    assert _borrowed(tree, ("integers",)) == {"integers": ["numerators"]}

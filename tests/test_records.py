@@ -135,9 +135,9 @@ def test_validated_types_compare_and_hash_by_their_fields():
     assert ctx != FormalContext(("a", "b"), ("x", "y"), {(0, 0)})
     # Unlike a record, a validated type is not equal to a tuple.
     assert ctx != (ctx.objects, ctx.attributes, ctx.incidence)
-    # Equality leaves out the focal support that construction derives.
+    # Equality leaves out the numerators that construction derives.
     other = MassFunction(m.lattice, m.values)
-    other.__dict__["focal"] = (1, ())
+    other.__dict__["numerators"] = (1, ())
     assert other == m and hash(other) == hash(m)
     # The lattice compares by identity, as it has no equality of its own.
     rebuilt = enumerate_concepts(_context())
@@ -146,7 +146,7 @@ def test_validated_types_compare_and_hash_by_their_fields():
 
 def test_validated_types_refuse_assignment_and_deletion():
     m = _mass()
-    values = [(_context(), "objects"), (m, "values"), (m, "focal"),
+    values = [(_context(), "objects"), (m, "values"), (m, "numerators"),
               (_space(), "mu"), (represent_concepts(m), "rows")]
     for obj, name in values:
         before = getattr(obj, name)

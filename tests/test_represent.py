@@ -371,9 +371,11 @@ def test_verify_fails_on_a_failed_structural_check(monkeypatch, capsys):
 
 def _numerators_without_top_in_bel(self, extent):
     """The evidence kernel, but leaving the top concept's mass out of bel."""
-    top = self.lattice.extents[self.lattice.top_index]
-    bel = sum(x for f, x in self.focal[1] if f != top and f & ~extent == 0)
-    return bel, sum(x for f, x in self.focal[1] if f & extent)
+    top = self.lattice.top_index
+    pairs = list(zip(self.lattice.extents, self.numerators[1]))
+    bel = sum(x for i, (f, x) in enumerate(pairs)
+              if i != top and f & ~extent == 0)
+    return bel, sum(x for f, x in pairs if f & extent)
 
 
 TABLE_NUMERATORS = MassFunction._table_numerators
@@ -384,7 +386,7 @@ def _transforms_without_top_in_bel(self):
     of bel at the top."""
     bel, pl = TABLE_NUMERATORS(self)
     top = self.lattice.top_index
-    bel[top] -= dict(self.focal[1]).get(self.lattice.extents[top], 0)
+    bel[top] -= self.numerators[1][top]
     return bel, pl
 
 
