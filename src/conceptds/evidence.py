@@ -5,9 +5,11 @@ concept sums the mass at or below it; plausibility sums the mass of every
 concept whose meet with it has a nonempty extent.  Both are computed on
 integer numerators over a common denominator.  A whole table comes from one
 path, the lattice's zeta transforms (`MassFunction.belief_table`), about
-three passes over its step list whatever the support; the certificates of
-`represent` check those transforms against their own meet sums.  `bel` and
-`pl` at one concept sweep the mass's integers once (`_numerators`).
+three passes over its step list whatever the support.  `bel` and `pl` at one
+concept sweep the mass's integers once, summing those whose extents lie
+inside, and meet, the concept's extent (`_inside_and_meeting`); the
+certificate of `represent_concepts` runs the same sum over the focal
+concepts and checks the transforms against it.
 
 Set-level evidence is the special case of a powerset.  The powerset of a
 carrier is the concept lattice of its contranominal context, so a
@@ -119,28 +121,12 @@ class MassFunction(Frozen):
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, x in enumerate(self.numerators[1]) if x)
 
-    def _numerators(self, extent: int) -> tuple[int, int]:
-        """The bel and pl numerators, over the mass's denominator, at an
-        extent.
-
-        One pass over the concepts, skipping those without mass.  No focal
-        extent is empty: only the least concept can have an empty extent,
-        and then it carries no mass.  So a focal extent inside `extent` also
-        meets it, and the inside test runs only on focal extents that meet.
-        """
-        outside = ~extent
-        bel = pl = 0
-        for f, x in zip(self.lattice.extents, self.numerators[1]):
-            if x and f & extent:
-                pl += x
-                if not f & outside:
-                    bel += x
-        return bel, pl
-
     def bel(self, c: int) -> Fraction:
         """Total mass of concepts at or below concept c."""
         e = self.lattice.extents[read_index(c, len(self.values), "concept")]
-        return Fraction(self._numerators(e)[0], self.numerators[0])
+        d, numerators = self.numerators
+        return Fraction(
+            _inside_and_meeting(zip(self.lattice.extents, numerators), e)[0], d)
 
     def pl(self, c: int) -> Fraction:
         """Total mass of concepts compatible with concept c.
@@ -149,7 +135,9 @@ class MassFunction(Frozen):
         witnesses both concepts at once.
         """
         e = self.lattice.extents[read_index(c, len(self.values), "concept")]
-        return Fraction(self._numerators(e)[1], self.numerators[0])
+        d, numerators = self.numerators
+        return Fraction(
+            _inside_and_meeting(zip(self.lattice.extents, numerators), e)[1], d)
 
     def _table_numerators(self) -> tuple[list[int], list[int]]:
         """bel and pl numerators, over the mass's denominator, at every
@@ -165,7 +153,7 @@ class MassFunction(Frozen):
         min(objects, attributes) closure lookups when the lattice does not
         hold them yet.
         `belief_table` converts these numerators, and the certificates of
-        `represent` compare them with their meet sums.
+        `represent` compare them with their measures.
         """
         lat = self.lattice
         d, numerators = self.numerators
@@ -195,6 +183,26 @@ class MassFunction(Frozen):
         bel += pl
         exact = fractions_over(bel, self.numerators[0])
         return BeliefTable(self.lattice, tuple(exact[:n]), tuple(exact[n:]))
+
+
+def _inside_and_meeting(pairs: Iterable[tuple[int, int]],
+                        extent: int) -> tuple[int, int]:
+    """The sums of the numerators of (extent, numerator) pairs whose extents
+    lie inside `extent` and meet it, and of those whose extents meet it: bel
+    and pl at `extent` when the pairs are a mass's concepts.
+
+    One pass.  Only the least concept can have an empty extent, and then it
+    carries no mass, so a pair with mass that lies inside also meets; the
+    inside test runs only on pairs that meet.
+    """
+    outside = ~extent
+    inside = meeting = 0
+    for f, x in pairs:
+        if f & extent:
+            meeting += x
+            if not f & outside:
+                inside += x
+    return inside, meeting
 
 
 class BeliefTable(NamedTuple):

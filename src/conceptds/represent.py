@@ -6,14 +6,17 @@ constructions are provided:
 
 * `represent_set`: for powerset masses, a partition space over pairs (focal
   set, element) with an embedding of the original powerset; its rows check
-  the powerset lattice's zeta transforms against the space's measures.
+  the powerset lattice's `belief_table` against the space's measures.
 * `represent_concepts`: for lattice masses, a product of principal down-sets
   with one designated atom per concept.  The ambient algebra is exponential
   and is never materialized.  Coordinate d of the embedded concept h(c) is
   the meet of c and d, the concept whose extent is the intersection of
-  theirs; inner and outer measures are read from that extent semantics over
-  the focal concepts only, and checked against the bel/pl that the
-  lattice's zeta transforms give, the tables the evidence module prints.
+  theirs, so the atom of a focal concept d lies below h(c) exactly when d's
+  extent lies inside c's, and meets it above the least element exactly
+  when the two extents meet.  Inner and outer measures are those sums over
+  the focal concepts, the sum `MassFunction.bel`/`pl` run at one concept,
+  and are checked against the bel/pl that the lattice's zeta transforms
+  give, the tables the evidence module prints.
 * `represent_concepts_frame`: the same content built concretely as a derived
   formal context, exercised at small scale as a cross-check; its rows
   check the same transforms (`MassFunction.belief_table`) against the
@@ -32,7 +35,7 @@ from typing import Mapping, NamedTuple
 
 from .context import FormalContext, members
 from .errors import PreconditionError, check_capacity
-from .evidence import MassFunction, SetMassFunction
+from .evidence import MassFunction, SetMassFunction, _inside_and_meeting
 from .frozen import Frozen
 from .lattice import ConceptLattice, is_context_lattice
 from .powerset import size_key, subsets
@@ -102,10 +105,9 @@ def represent_set(m: SetMassFunction) -> SetRepresentation:
     """Build the partition space representing a powerset mass function.
 
     Each row compares bel and pl from the powerset lattice's zeta transforms
-    (`MassFunction._table_numerators`), the path `belief_table` prints, with
-    the inner/outer measure of the embedded subset, integer sums over the
-    blocks of the space; a row fails when they disagree.  Each distinct bel
-    or pl numerator becomes one Fraction.
+    (`MassFunction.belief_table`) with the inner/outer measure of the
+    embedded subset, integer sums over the blocks of the space; a row fails
+    when they disagree.  Each distinct bel or pl numerator is one Fraction.
     """
     # Each pair (Y, u), n * 2^(n-1) of them, is tested against each subset.
     n = len(m.carrier)
@@ -129,13 +131,11 @@ def represent_set(m: SetMassFunction) -> SetRepresentation:
     pairs = {u: frozenset(p for p in carrier if p[1] == u) for u in m.carrier}
     embedding = {x: frozenset().union(*[pairs[u] for u in x]) for x in every}
 
-    bel, pl = mass._table_numerators()
-    exact = fractions_over(bel + pl, mass.numerators[0])
-    concepts = len(bel)
+    _, bel, pl = mass.belief_table()
     rows = tuple(SetVerificationRow(subset=x,
-                                    bel=exact[concept[x]],
+                                    bel=bel[concept[x]],
                                     inner=space.inner_measure(embedding[x]),
-                                    pl=exact[concepts + concept[x]],
+                                    pl=pl[concept[x]],
                                     outer=space.outer_measure(embedding[x]))
                  for x in every)
     return SetRepresentation(m, space, embedding, rows)
@@ -217,7 +217,7 @@ class ConceptRepresentation(Frozen):
         bottom, below = lat.bottom_index, extents[lat.bottom_index]
         return {
             "atom order matches the lattice order": exact,
-            "atoms pairwise disjoint": len(lat) < 2 or all(
+            "atoms pairwise disjoint": all(
                 index.get(e & below) == bottom for e in extents),
             "embedding meet-preserving": exact,
         }
@@ -234,35 +234,34 @@ def represent_concepts(m: MassFunction) -> ConceptRepresentation:
     """Represent bel/pl as inner/outer measures over designated atoms.
 
     Only focal atoms carry measure.  For a focal concept d, coordinate d of
-    h(c) is the concept k found by looking up the extent intersection of c
-    and d; every other coordinate of the atom is the least concept, which
-    lies below anything.  So the atom lies below h(c) when d's extent lies
-    inside k's, and it meets h(c) above the least element when k is not the
-    least concept.  The sums over those criteria, numerators over the
-    mass's one denominator, in O(concepts x focal concepts), sit beside the
-    bel and pl numerators of the lattice's zeta transforms, the path that
-    `belief_table` prints, so the certificate checks the transforms against
-    the meet sums.  A lattice that does not hold its steps yet builds them.
+    h(c) is c meet d, and every other coordinate of the atom is the least
+    concept, which lies below anything.  So the atom lies below h(c) exactly
+    when d <= c meet d, that is d <= c, that is d's extent lies inside c's.
+    It meets h(c) above the least element exactly when c meet d is not the
+    least concept.  Meets are extent intersections (Ganter and Wille, 1999)
+    and the least extent is empty, so that is when the extents of c and d
+    meet.  The inner and outer measure of h(c) are therefore the sums that
+    `MassFunction.bel` and `pl` compute at c, and one function computes
+    them for both (`evidence._inside_and_meeting`), here over the focal
+    concepts only: numerators over the mass's one denominator, in
+    O(concepts x focal concepts), beside the bel and pl numerators of the
+    lattice's zeta transforms, the path that `belief_table` prints.  So the
+    certificate checks the transforms against the measures, and a wrong sum
+    fails the rows it gets wrong.  A lattice that does not hold its steps
+    yet builds them.
     Each distinct numerator of the rows becomes one Fraction, so a row's bel
     and inner are one object when equal, and so are its pl and outer.  The
     structural checks run on first use of `checks` or `all_passed`.
     """
     lat = m.lattice
     _require_empty_bottom(lat, "the conceptual representation")
-    extents, index, bottom = lat.extents, lat.index_by_extent, lat.bottom_index
+    extents = lat.extents
     denominator, masses = m.numerators
     focal = [(f, x) for f, x in zip(extents, masses) if x]
     # bel, inner, pl and outer numerators over `denominator`, row by row.
     numerators = []
-    # Every meet lands in the index: extents are closed under intersection.
     for e, bel, pl in zip(extents, *m._table_numerators()):
-        inner = outer = 0
-        for f, x in focal:
-            k = index[e & f]
-            if f & ~extents[k] == 0:
-                inner += x
-            if k != bottom:
-                outer += x
+        inner, outer = _inside_and_meeting(focal, e)
         numerators += (bel, inner, pl, outer)
     exact = fractions_over(numerators, denominator)
     return ConceptRepresentation(m, tuple([

@@ -12,14 +12,17 @@ import random
 import time
 from fractions import Fraction
 
-from conceptds import (MassFunction, TotalConflictError, brute_bel, brute_pl,
-                       build_case, check_belief_axioms_set,
-                       check_plausibility_axioms_set, combine, combine_many,
+from conceptds import (MassFunction, SetMassFunction, TotalConflictError,
+                       brute_bel, brute_pl, build_case,
+                       check_belief_axioms_set, check_plausibility_axioms_set,
+                       combine, combine_many, combine_set,
                        enumerate_concepts, mass_from_bel_lattice,
                        mass_from_bel_set, normalize_no_universal_object,
                        parse_rational, random_context, random_mass,
                        random_partition_space, random_set_mass,
                        represent_concepts, represent_set, round_half_away)
+
+from conceptds.context import members
 
 from conftest import seeded_lattice_mass
 
@@ -303,3 +306,104 @@ def test_criterion_11(capsys):
                     image |= 1 << f[w]
                 pushed[lat.index_by_extent[ctx.closure(image)]] += p
             assert mass_from_bel_lattice(inner, lat).values == tuple(pushed)
+
+
+def _pushed_to_objects(m):
+    """The lattice mass m as a mass on the powerset of the objects: each
+    concept's mass on its extent."""
+    ctx, extents = m.lattice.context, m.lattice.extents
+    return SetMassFunction(ctx.objects, {
+        frozenset(ctx.object_names(members(extents[i]))): m.values[i]
+        for i in m.support()})
+
+
+def _fold_sets(masses):
+    """The set-level fold of `masses`, two at a time in order, with every
+    step's conflict, or None at total conflict."""
+    result, conflicts = masses[0], []
+    try:
+        for m in masses[1:]:
+            report = combine_set(result, m)
+            result = report.result
+            conflicts.append(report.conflict)
+    except TotalConflictError:
+        return None
+    return result.values, tuple(conflicts)
+
+
+def test_criterion_12(capsys):
+    """Conceptual evidence is Dempster-Shafer evidence on the object
+    powerset, restricted to extents.
+
+    "Toward a Dempster-Shafer theory of concepts" generalizes the theory
+    from predicates to formal concepts.  Every extent is a set of objects,
+    and the meet of two concepts has the intersection of their extents
+    (Ganter and Wille, 1999).  So a mass m on the concepts is also a mass
+    on 2^G that puts m(c) on extent(c), and a focal concept lies below c
+    exactly when its extent lies inside extent(c), and meets c above an
+    empty least extent exactly when the two extents meet:
+    bel(c) and pl(c) are the set-level bel and pl (Shafer, 1976) at
+    extent(c) of the pushed mass, with the least extent empty or not, and
+    the conjunctive fold on the lattice is the set-level fold, conflicts
+    included.
+
+    The converse holds for bel only.  Take any mass on 2^G and restrict its
+    bel table to the extents.  Extents are closed, so a set S lies inside
+    extent(c) exactly when its closure does: the restricted table is bel of
+    the mass pushed forward along the closure, S to the concept whose
+    extent is closure(S), and Moebius inversion returns that mass.  The
+    restricted pl table has no such converse: S can miss an extent that
+    closure(S) meets, so it need not be pl of any mass on the lattice.
+    Criterion 11 is the special case in which the set mass comes from a
+    partition space.
+
+    Both sides run the same zeta and Moebius transforms, on two lattices:
+    the concept lattice, often on its attribute side, and the powerset
+    lattice of the objects.  So this is a differential across lattices,
+    not an oracle.
+    """
+    with criterion(capsys, 12, "lattice bel/pl and folds are set-level ones "
+                               "at the extents, and set-level bel restricts "
+                               "to the closure's push-forward, on 370 and "
+                               "300 seeded contexts", budget=30.0):
+        rng = random.Random(1201)
+        for _ in range(370):
+            ctx = random_context(rng.randrange(2 ** 32), rng.randint(1, 6),
+                                 rng.randint(1, 6), F(1, 2))
+            lat = enumerate_concepts(ctx)
+            masses = [random_mass(rng.randrange(2 ** 32), lat,
+                                  denominator_bound=16)
+                      for _ in range(rng.randint(2, 3))]
+            sets = [_pushed_to_objects(m) for m in masses]
+            for m, s in zip(masses, sets):
+                table = m.belief_table()
+                for c, e in enumerate(lat.extents):
+                    x = frozenset(ctx.object_names(members(e)))
+                    assert (table.bel[c], table.pl[c]) == (s.bel(x), s.pl(x))
+            try:
+                report = combine_many(masses)
+            except TotalConflictError:
+                folded = None
+            else:
+                folded = (_pushed_to_objects(report.result).values,
+                          report.conflicts)
+            assert folded == _fold_sets(sets)
+
+        rng = random.Random(1202)
+        pl_differs = 0
+        for _ in range(300):
+            ctx = random_context(rng.randrange(2 ** 32), rng.randint(1, 6),
+                                 rng.randint(1, 6), F(1, 2))
+            lat = enumerate_concepts(ctx)
+            s = random_set_mass(rng.randrange(2 ** 32), ctx.objects,
+                                denominator_bound=16)
+            names = [ctx.object_names(members(e)) for e in lat.extents]
+            pushed = [F(0)] * len(lat)
+            bits = ctx.object_bit
+            for x, v in s.values.items():
+                image = sum(bits[g] for g in x)
+                pushed[lat.index_by_extent[ctx.closure(image)]] += v
+            m = mass_from_bel_lattice([s.bel(x) for x in names], lat)
+            assert m.values == tuple(pushed)
+            pl_differs += m.belief_table().pl != tuple(map(s.pl, names))
+        assert pl_differs, "no restricted pl table differed from the lattice's"

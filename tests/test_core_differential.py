@@ -412,8 +412,8 @@ def test_belief_table_reads_the_support_once(music_case):
     """`belief_table` reads the mass's numerators once, into the
     transforms, and builds the lattice's steps when it does not hold them;
     `bel` and `pl` sweep them once per call, and the certificate reads them
-    once into the transforms and once into the support that its meet sums
-    run over, whatever the lattice holds."""
+    once into the transforms and once into the focal pairs that the sum
+    `bel` and `pl` share runs over, whatever the lattice holds."""
     values = music_case.masses["m3"].values
     lat = enumerate_concepts(music_case.lattice.context)
     m, support = _counted(lat, values)

@@ -3,7 +3,8 @@
 They may use the domain types of `.lattice`, but not its zeta and Moebius
 transforms, nor the step list and Moebius row a lattice keeps for them, which
 bel/pl tables, belief inversion and combination run, nor a mass's integer
-form, which those tables and folds read.
+form, which those tables and folds read, nor a mass's evidence accessors,
+whose sum the conceptual certificate runs too.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ CHECKED = {"evidence": None, "combine": None, "represent": None,
            "lattice": {"zeta", "mobius", "zeta_down", "mobius_down",
                        "object_steps", "attribute_steps", "_passes", "steps",
                        "mobius_bottom"}}
+# A mass's attributes that no reference function may read.
+MASS_ATTRIBUTES = {"numerators", "bel", "pl", "belief_table",
+                   "_table_numerators"}
 # The checked functions; every module-level helper they reach is checked too.
 REFERENCE_FUNCTIONS = ("check_belief_axioms_set", "check_plausibility_axioms_set",
                        "brute_bel", "brute_pl")
@@ -72,9 +76,10 @@ def _reached(functions: dict[str, ast.FunctionDef],
 
 def _borrowed(tree: ast.Module, roots: tuple[str, ...]) -> dict[str, list[str]]:
     """Each reached function's checked names, for those that read any."""
-    # A mass's integer form is refused as an attribute too: the reference
-    # functions read `values`, the field that equality compares.
-    checked = _imported_from(tree) | CHECKED["lattice"] | {"numerators"}
+    # A mass's integer form and its evidence accessors are refused as
+    # attributes too: the reference functions read `values`, the field that
+    # equality compares, and sum it themselves.
+    checked = _imported_from(tree) | CHECKED["lattice"] | MASS_ATTRIBUTES
     functions = _functions(tree)
     borrowed = {name: sorted(_body_names(functions[name]) & checked)
                 for name in _reached(functions, roots)}
@@ -106,7 +111,8 @@ def test_the_walk_sees_bodies_but_not_annotations():
                      "def reference(m):\n    return helper(typed(m))\n"
                      "def kept(m):\n    return m.lattice.steps\n"
                      "def through(v, s):\n    return lattice.zeta(v, s)\n"
-                     "def integers(m):\n    return m.numerators[1]\n")
+                     "def integers(m):\n    return m.numerators[1]\n"
+                     "def accessor(m, c):\n    return m.bel(c)\n")
     checked = _imported_from(tree)
     assert checked == {"M", "bel", "combine", "peel"}
     functions = _functions(tree)
@@ -125,3 +131,5 @@ def test_the_walk_sees_bodies_but_not_annotations():
                                                     "through": ["zeta"]}
     # So is the mass's integer form.
     assert _borrowed(tree, ("integers",)) == {"integers": ["numerators"]}
+    # And its evidence accessors.
+    assert _borrowed(tree, ("accessor",)) == {"accessor": ["bel"]}

@@ -19,6 +19,7 @@ from conceptds import (CapacityError, ConceptLattice, ConceptRepresentation,
                        represent_concepts, represent_concepts_frame,
                        represent_set)
 import conceptds.cli as cli
+import conceptds.evidence as evidence
 import conceptds.lattice as lattice
 import conceptds.represent as represent
 from conceptds.cli import run
@@ -293,6 +294,15 @@ def test_atom_disjointness_check_can_fail(music_lattice):
     assert atoms_pairwise_disjoint(rep) is False
 
 
+def test_one_concept_has_disjoint_atoms():
+    """One object and no attribute: the one concept is the least one, and
+    its extent meets itself there."""
+    lat = enumerate_concepts(FormalContext(("g",), (), ()))
+    assert len(lat) == 1 and lat.extents == (1,)
+    rep = ConceptRepresentation(MassFunction.vacuous(lat), ())
+    assert atoms_pairwise_disjoint(rep) is True
+
+
 def test_all_passed_includes_the_structural_checks(music_case, monkeypatch):
     rep = represent_concepts(music_case.masses["m1"])
     assert all(row.passed for row in rep.rows)
@@ -369,13 +379,14 @@ def test_verify_fails_on_a_failed_structural_check(monkeypatch, capsys):
     assert out.endswith("overall: FAIL\n")
 
 
-def _numerators_without_top_in_bel(self, extent):
-    """The evidence kernel, but leaving the top concept's mass out of bel."""
-    top = self.lattice.top_index
-    pairs = list(zip(self.lattice.extents, self.numerators[1]))
-    bel = sum(x for i, (f, x) in enumerate(pairs)
-              if i != top and f & ~extent == 0)
-    return bel, sum(x for f, x in pairs if f & extent)
+def _numerators_without_top_in_bel(top):
+    """The shared sum of `evidence`, but leaving the mass on the top
+    concept's extent `top` out of bel."""
+    def sums(pairs, extent):
+        pairs = list(pairs)
+        bel = sum(x for f, x in pairs if f != top and f & ~extent == 0)
+        return bel, sum(x for f, x in pairs if f & extent)
+    return sums
 
 
 TABLE_NUMERATORS = MassFunction._table_numerators
@@ -392,13 +403,22 @@ def _transforms_without_top_in_bel(self):
 
 def test_certificate_catches_a_wrong_belief(music_case, monkeypatch, capsys):
     m = music_case.masses["m1"]
+    top = m.lattice.top_index
     assert represent_concepts(m).all_passed
-    # The conceptual certificates read the transforms, not the sweep.
-    monkeypatch.setattr(MassFunction, "_numerators",
-                        _numerators_without_top_in_bel)
-    assert m.bel(m.lattice.top_index) == F(1, 5)
-    assert represent_concepts(m).all_passed
-    assert represent_concepts_frame(m).all_passed
+    # `bel`, `pl` and the algebraic certificate's measures run one sum, so a
+    # wrong sum fails exactly the rows it gets wrong; the frame measures its
+    # own derived space and still passes.
+    assert represent._inside_and_meeting is evidence._inside_and_meeting
+    with monkeypatch.context() as patch:
+        wrong = _numerators_without_top_in_bel(m.lattice.extents[top])
+        for module in (evidence, represent):
+            patch.setattr(module, "_inside_and_meeting", wrong)
+        assert m.bel(top) == F(1, 5)
+        rep = represent_concepts(m)
+        failed = [row for row in rep.rows if not row.passed]
+        assert [row.concept_index for row in failed] == [top]
+        assert failed[0].bel == 1 and failed[0].inner == F(1, 5)
+        assert represent_concepts_frame(m).all_passed
     monkeypatch.setattr(MassFunction, "_table_numerators",
                         _transforms_without_top_in_bel)
     assert m.belief_table().bel[m.lattice.top_index] == F(1, 5)
