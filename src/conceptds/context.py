@@ -5,8 +5,9 @@ two derivation operators, the intent of a set of objects (the attributes they
 share) and the extent of a set of attributes (the objects having them all),
 form the Galois connection that everything else in this package is built on.
 `FormalContext` owns them, on bitmasks: `intent_of`, `extent_of` and
-`closure`, with `members` the one conversion of a mask back to indexes;
-`up` and `down` are their frozenset views.  Objects and attributes are
+`closure`, and `concepts`, the one fold that yields every concept, with
+`members` the one conversion of a mask back to indexes; `up` and `down` are
+their frozenset views.  Objects and attributes are
 addressed by index; the name lists fix the index spaces.
 """
 
@@ -18,7 +19,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cached_property, reduce
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import LabelError, MassError, ParseError, value_text
 from .frozen import Frozen
@@ -74,7 +75,8 @@ class FormalContext(Frozen):
     The table is also held as `int` bitmasks, set in the one pass that
     validates each pair: bit m of `rows[g]`, and bit g of `columns[m]`, is
     set when object g has attribute m.  The derivation operators
-    `intent_of`, `extent_of` and `closure` run on them.
+    `intent_of`, `extent_of` and `closure`, and the fold `concepts`, run on
+    them.
     """
 
     objects: tuple[str, ...]
@@ -140,6 +142,35 @@ class FormalContext(Frozen):
         return reduce(int.__and__, [c for c in self.columns
                                     if extent & ~c == 0],
                       (1 << len(self.objects)) - 1)
+
+    def concepts(self, check: Callable[[int], object]) -> dict[int, int]:
+        """Every concept, as each extent mask with its intent mask, from one
+        fold of intersections over the generators of the side with fewer
+        passes: the columns when there are fewer attributes than objects,
+        the rows otherwise (Ganter and Wille, 1999, section 1.5).
+
+        The fold keeps each closed mask of that side with the mask of the
+        generators that hold it, and starts from the full set, held by none
+        yet.  Pass k cuts every kept mask a by the k-th generator g, and the
+        cut a & g is held by k and by every earlier generator holding a.
+        Those are all that hold it: an earlier generator holding c = a & g
+        holds the closure a* of c over the earlier generators, which is kept
+        and has a* & g = c.  So each mask arrives with its dual, and no
+        concept is derived again.  `check` is called with the count of kept
+        masks after every pass, so that a capacity bound can stop the fold
+        before it is done.  O(concepts x min(objects, attributes)) mask cuts.
+        """
+        tall = len(self.attributes) < len(self.objects)
+        full = (1 << len(self.objects if tall else self.attributes)) - 1
+        found = {full: 0}
+        get = found.get
+        for k, generator in enumerate(self.columns if tall else self.rows):
+            bit = 1 << k
+            for a, holders in list(found.items()):
+                c = a & generator
+                found[c] = get(c, 0) | holders | bit
+            check(len(found))
+        return found if tall else {e: a for a, e in found.items()}
 
     def up(self, objs: Iterable[int]) -> AttributeSet:
         """Attributes shared by all of `objs`; all attributes when empty."""

@@ -4,9 +4,13 @@ Concepts are the closed (extent, intent) pairs of a context.  They are stored
 in a canonical order (descending extent size, then lexicographic extent) as
 `int` bitmasks over object and attribute indices only, and a concept is named
 by its index in that order; a `Concept` view is built from the masks when one
-is read.  Extents, intents and closure tests come from the context's mask
-operators (`FormalContext.extent_of`, `intent_of`, `closure`); only the
-incremental lookups below cut a mask by a row or a column themselves.
+is read.  The concepts come from the context's one fold of intersections,
+`FormalContext.concepts`, run on the side with fewer passes, which yields
+each extent with its intent; the canonical order is then one sort by extent
+size and a byte key of the extent mask.  Every other extent, intent and
+closure test comes from the context's mask operators (`extent_of`,
+`intent_of`, `closure`); only the incremental lookups below and the check
+`is_context_lattice` cut a mask by a row or a column themselves.
 Order, meets and joins are read from the masks: c <= d when c's
 extent mask has no bit outside d's, a meet is the concept whose extent is the
 intersection of the two extents, and a join the concept whose intent is the
@@ -55,6 +59,12 @@ MAX_CONCEPTS = 4096
 
 Steps = tuple[array, array]
 
+# Each byte with its bits in reverse order.  An extent's little-endian bytes
+# through this table compare, as byte strings, the way its ascending member
+# lists compare, reversed: the mask holding the lowest differing object is
+# the greater.
+_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
 
 class Concept(NamedTuple):
     extent: ObjectSet
@@ -75,12 +85,16 @@ class ConceptLattice:
     an int in 0..n-1, or `lat[i]` raises `LabelError`.
 
     The constructor takes the context alone and enumerates its concepts
-    (`enumerate_concepts` is the same call): intents are exactly the
-    intersections of object intents, including the empty intersection, all
-    attributes; extents are derived from them.  The number of intents is
-    checked against MAX_CONCEPTS after each object is folded in, so an
-    oversized lattice fails before it is built.  In canonical order the
-    greatest concept is always 0 and the least always n - 1.
+    (`enumerate_concepts` is the same call) with `FormalContext.concepts`:
+    one fold of intersections over the columns when the context has fewer
+    attributes than objects, over the rows otherwise, each closed mask
+    arriving with its dual.  The fold's count is checked against
+    MAX_CONCEPTS after each pass, so an oversized lattice fails before it is
+    built.  Sorting by (extent size, the extent's bytes with each byte's
+    bits reversed), descending, gives the canonical order without listing
+    an extent's members.  In canonical order the greatest concept is always
+    0 and the least always n - 1.  O(concepts x min(objects, attributes))
+    mask cuts, plus the sort.
 
     Instances are immutable by convention; the one exception is
     `resolved_labels`, the memo in which `evidence.resolve_concept_label`
@@ -91,17 +105,16 @@ class ConceptLattice:
 
     def __init__(self, context: FormalContext):
         check_capacity("objects in context", len(context.objects), MAX_OBJECTS)
-        intents = {(1 << len(context.attributes)) - 1}
-        for row in context.rows:
-            intents |= {intent & row for intent in intents}
-            check_capacity("concepts in lattice", len(intents), MAX_CONCEPTS)
-        pairs = [(context.extent_of(intent), intent) for intent in intents]
-        pairs.sort(key=lambda pair: (-pair[0].bit_count(), members(pair[0])))
+        concepts = context.concepts(lambda count: check_capacity(
+            "concepts in lattice", count, MAX_CONCEPTS))
+        width = (len(context.objects) + 7) // 8
+        extents = sorted(concepts, reverse=True, key=lambda e: (
+            e.bit_count(), e.to_bytes(width, "little").translate(_REVERSED)))
         self.context = context
-        self.extents = tuple(e for e, _ in pairs)
-        self.intents = tuple(a for _, a in pairs)
-        self.index_by_extent = {e: i for i, e in enumerate(self.extents)}
-        self.top_index, self.bottom_index = 0, len(pairs) - 1
+        self.extents = tuple(extents)
+        self.intents = tuple(map(concepts.__getitem__, extents))
+        self.index_by_extent = dict(zip(extents, range(len(extents))))
+        self.top_index, self.bottom_index = 0, len(extents) - 1
         self.resolved_labels: dict[str, int] = {}
 
     def __len__(self) -> int:
@@ -175,7 +188,7 @@ class ConceptLattice:
         because the closure of j's intent plus m lies below j and above i.
         Every other upper partner of i lies above some cover, so the covers
         are the minimal upper partners, found in ascending extent size,
-        which is descending index.
+        which is descending index; a lone upper partner is the one cover.
         """
         extents = self.extents
         above: list[list[int]] = [[] for _ in extents]
@@ -183,17 +196,22 @@ class ConceptLattice:
             above[s].append(t)
         edges = []
         for i, targets in enumerate(above):
-            covers: list[int] = []
+            if len(targets) == 1:
+                edges.append((i, targets[0]))
+                continue
+            targets.sort(reverse=True)
+            covers: list[tuple[int, int]] = []
             found: list[int] = []  # their extents
-            for j in sorted(targets, reverse=True):
+            for j in targets:
                 outside = ~extents[j]
                 for e in found:
                     if not e & outside:
                         break
                 else:
-                    covers.append(j)
+                    covers.append((i, j))
                     found.append(extents[j])
-            edges.extend((i, j) for j in reversed(covers))
+            covers.reverse()
+            edges += covers
         return tuple(edges)
 
 

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from conceptds import (CapacityError, ConceptLattice, FormalContext,
                        LabelError, MassFunction, brute_bel,
                        enumerate_concepts, random_context)
+import conceptds.lattice as lattice
+from conceptds.context import members
 from conceptds.errors import ENV_UNSAFE_SCALE
 from conceptds.lattice import (MAX_CONCEPTS, attribute_steps,
                                is_context_lattice, mobius, mobius_down,
@@ -82,6 +84,112 @@ def test_concept_capacity_is_enforced_during_closure(monkeypatch):
     assert len(enumerate_concepts(contranominal(12))) == MAX_CONCEPTS
     with pytest.raises(CapacityError, match="concepts in lattice"):
         enumerate_concepts(contranominal(14))
+
+
+# Five objects over three attributes: o0 has all three, o1 only a2, o2 a0
+# and a1, o3 only a0, o4 a0 and a2.  Six concepts.
+TALL_ROWS = (0b111, 0b100, 0b011, 0b001, 0b101)
+
+
+def _context(rows, n_attributes):
+    """A context given by its rows, objects o0.. and attributes a0..."""
+    return FormalContext(tuple(f"o{g}" for g in range(len(rows))),
+                         tuple(f"a{m}" for m in range(n_attributes)),
+                         frozenset((g, m) for g, row in enumerate(rows)
+                                   for m in range(n_attributes)
+                                   if row >> m & 1))
+
+
+def _transposed(ctx):
+    return FormalContext(ctx.attributes, ctx.objects,
+                         frozenset((m, g) for g, m in ctx.incidence))
+
+
+@pytest.mark.parametrize("transpose", [True, False], ids=["wide", "tall"])
+def test_concept_capacity_text_is_the_fold_count_when_it_trips(
+        monkeypatch, transpose):
+    """The count is the size of the fold's family after the pass that
+    first passes the bound.  A wide context folds its rows, as the former
+    enumeration did, and reads 6; the tall one folds its three columns and
+    also reads 6, where a fold of its rows stopped after o3 at 5."""
+    monkeypatch.delenv(ENV_UNSAFE_SCALE, raising=False)
+    monkeypatch.setattr(lattice, "MAX_CONCEPTS", 4)
+    ctx = _context(TALL_ROWS, 3)
+    if transpose:
+        ctx = _transposed(ctx)
+    with pytest.raises(CapacityError) as info:
+        enumerate_concepts(ctx)
+    assert str(info.value) == (
+        "concepts in lattice: 6 exceeds the supported bound of 4 "
+        f"(set {ENV_UNSAFE_SCALE}=1 to override at your own risk)")
+    monkeypatch.setattr(lattice, "MAX_CONCEPTS", 6)
+    assert len(enumerate_concepts(ctx)) == 6
+
+
+def test_the_object_bound_is_checked_before_the_fold(monkeypatch):
+    monkeypatch.delenv(ENV_UNSAFE_SCALE, raising=False)
+    monkeypatch.setattr(lattice, "MAX_CONCEPTS", 1)
+    monkeypatch.setattr(lattice, "MAX_OBJECTS", 4)
+    with pytest.raises(CapacityError) as info:
+        enumerate_concepts(_context(TALL_ROWS, 3))
+    assert str(info.value).startswith(
+        "objects in context: 5 exceeds the supported bound of 4 ")
+
+
+def _brute_concepts(ctx):
+    """Every concept as an (extent, intent) mask pair, from the incidence
+    pairs alone: the closure of every object subset."""
+    objects, attributes = range(len(ctx.objects)), range(len(ctx.attributes))
+    pairs = set()
+    for subset in range(1 << len(ctx.objects)):
+        intent = {m for m in attributes
+                  if all((g, m) in ctx.incidence
+                         for g in objects if subset >> g & 1)}
+        extent = {g for g in objects
+                  if all((g, m) in ctx.incidence for m in intent)}
+        pairs.add((sum(1 << g for g in extent), sum(1 << m for m in intent)))
+    return pairs
+
+
+def _check_enumeration(ctx):
+    """The lattice holds the brute-force concepts in the former canonical
+    order, (-len(extent), sorted(extent)); the fold ran one pass per
+    generator on the side with fewer passes; the transposed context's
+    concepts are the swapped pairs."""
+    lat = enumerate_concepts(ctx)
+    pairs = list(zip(lat.extents, lat.intents))
+    assert set(pairs) == _brute_concepts(ctx)
+    assert len(pairs) == len(set(pairs))
+    assert pairs == sorted(pairs, key=lambda pair: (
+        -pair[0].bit_count(), members(pair[0])))
+    assert lat.index_by_extent == {e: i for i, e in enumerate(lat.extents)}
+    assert lat.index_by_intent == {a: i for i, a in enumerate(lat.intents)}
+    passes = []
+    assert ctx.concepts(passes.append) == dict(pairs)
+    assert len(passes) == min(len(ctx.objects), len(ctx.attributes))
+    flipped = enumerate_concepts(_transposed(ctx))
+    assert set(zip(flipped.intents, flipped.extents)) == set(pairs)
+
+
+@pytest.mark.parametrize("rows, n_attributes", [
+    ((), 0), ((), 3), ((0, 0), 0),
+    ((0b011, 0b011, 0b110, 0b110), 3),
+    ((0b0101, 0b1010, 0b0101), 4),
+    ((0b00110011, 0b00001111), 8),
+    (TALL_ROWS[1:], 3), (TALL_ROWS, 3),
+    ((0b01, 0b10, 0b11, 0b00, 0b01, 0b10), 2),
+], ids=["0x0", "0x3", "2x0", "duplicate-rows", "duplicate-columns",
+        "wide-duplicate-columns", "tall", "tall-universal", "tall-twice"])
+def test_enumeration_on_degenerate_and_repeated_contexts(rows, n_attributes):
+    _check_enumeration(_context(rows, n_attributes))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_enumeration_on_contranominal_contexts(n):
+    ctx = contranominal(n)
+    _check_enumeration(ctx)
+    _check_enumeration(with_universal_object(ctx))
+    assert len(enumerate_concepts(ctx)) == 2 ** n
 
 
 def test_index_with_extent_finds_only_extents(music_lattice):
@@ -210,15 +318,11 @@ def test_concepts_are_exactly_the_closed_pairs(ctx):
         assert lat.index_with_extent(closure) is not None
 
 
-@given(small_contexts(max_objects=4, max_attributes=4))
+@given(small_contexts())
 def test_enumeration_agrees_with_the_closure_oracle(ctx):
-    """Brute force: close every object subset, dedupe, compare extents."""
-    lat = enumerate_concepts(ctx)
-    n = len(ctx.objects)
-    closures = {ctx.down(ctx.up(frozenset(g for g in range(n)
-                                          if mask >> g & 1)))
-                for mask in range(2 ** n)}
-    assert closures == {c.extent for c in lat}
+    """Brute force: close every object subset, dedupe, compare the pairs
+    and their order, on wide and tall contexts and their transposes."""
+    _check_enumeration(ctx)
 
 
 @given(small_contexts())
@@ -292,6 +396,22 @@ def test_covers_generate_the_order(ctx):
     for i in range(n):
         for j in range(n):
             assert reach[i][j] == (lat[i].extent <= lat[j].extent)
+
+
+@given(small_contexts())
+def test_covers_are_the_brute_force_hasse_diagram(ctx):
+    """Exactly the pairs i < j with no concept strictly between, in
+    ascending (i, j) order."""
+    lat = enumerate_concepts(ctx)
+    extents = lat.extents
+
+    def below(i, j):
+        return i != j and extents[i] & ~extents[j] == 0
+
+    hasse = tuple((i, j) for i in range(len(lat)) for j in range(len(lat))
+                  if below(i, j) and not any(below(i, k) and below(k, j)
+                                             for k in range(len(lat))))
+    assert lat.covers() == hasse
 
 
 @given(lattice_masses())

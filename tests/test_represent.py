@@ -261,6 +261,25 @@ def test_an_enumerated_lattice_is_never_checked(music_case, monkeypatch):
     assert checked == []
 
 
+def test_the_checks_keep_their_own_fold(music_lattice, monkeypatch):
+    """`is_context_lattice` does not read the enumeration's fold: with
+    `FormalContext.concepts` made to drop any one mask, the order and meet
+    lines of `verify-representation` read NO."""
+    ctx = music_lattice.context
+    real = FormalContext.concepts
+    for dropped in music_lattice.extents:
+        monkeypatch.setattr(
+            FormalContext, "concepts",
+            lambda self, check, dropped=dropped: {
+                e: a for e, a in real(self, check).items() if e != dropped})
+        lat = enumerate_concepts(ctx)
+        assert dropped not in lat.index_by_extent
+        checks = ConceptRepresentation(MassFunction.vacuous(lat), ()).checks
+        assert [cli._yes(checks[line]) for line in (
+            "atom order matches the lattice order",
+            "embedding meet-preserving")] == ["NO", "NO"]
+
+
 def _e_pop_as_bottom():
     """The all-attributes intent given to E-Pop, so it is the bottom."""
     return tuple((e, 0b1111 if e == 0b001 else 0b0011 if e == 0 else a)
