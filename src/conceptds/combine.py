@@ -25,10 +25,15 @@ All three are transforms along the closure operator (`lattice.zeta`,
 over the steps the lattice builds once and keeps (`ConceptLattice.steps`):
 at most concepts x min(objects, attributes) lookups on the first use,
 shared with covers, bel/pl tables and belief inversion, then per mass one
-pass over the steps.  Between steps everything is an integer: numerators
-of the commonalities over the product of the masses' denominators.  The cost
-does not grow with the number of focal elements, so dense masses fold fast;
-a sparse mass on a large lattice pays for the full step list all the same.
+pass over the steps, none for a mass that keeps its commonality from an
+earlier bel/pl table, and one inverse pass.  The result keeps the
+commonality the product already is, so its own table needs no up-sweep.
+A mass's commonality is computed for the fold but not kept, so that a
+fold of many masses holds one such list at a time.  Between steps
+everything is an integer: numerators of the commonalities over the product
+of the masses' denominators.  The cost does not grow with the number of
+focal elements, so dense masses fold fast; a sparse mass on a large lattice
+pays for the full step list all the same.
 
 On a powerset, `combine_set` is the same fold, run on the powerset lattice
 that every `SetMassFunction` is held on.
@@ -79,7 +84,10 @@ def combine_many(masses: Sequence[MassFunction]) -> CombinationReport:
     `product` holds, at every concept in canonical order, the numerator over
     `total` of the unnormalised commonality of the masses folded so far,
     from all ones; `conflict` is the numerator of their unnormalised
-    conflict.  Every mass runs the same step body.
+    conflict.  Every mass runs the same step body, on the commonality the
+    mass keeps, or else on one computed for the step and then dropped.
+    The result is built holding its own commonality, the final product
+    less the conflict at the least concept, over its denominator.
     """
     if not masses:
         raise PreconditionError("need at least one mass function")
@@ -95,9 +103,10 @@ def combine_many(masses: Sequence[MassFunction]) -> CombinationReport:
     total, conflict = 1, 0
     conflicts: list[Fraction] = []
     for step, m in enumerate(masses, start=1):
-        d, numerators = m.numerators
-        q = list(numerators)
-        zeta(q, steps)
+        d, q = m.numerators[0], m._commonality
+        if q is None:
+            q = list(m.numerators[1])
+            zeta(q, steps)
         product = [p * x for p, x in zip(product, q)]
         total *= d
         before = conflict * d
@@ -108,12 +117,19 @@ def combine_many(masses: Sequence[MassFunction]) -> CombinationReport:
                 step=step)
         conflicts.append(Fraction(conflict - before, total - before))
 
+    # The result's commonality: dropping the conflict from the least
+    # concept, which lies above no other, changes the product only there.
+    q = product[:]
+    q[bottom] -= conflict
     mobius(product, steps)
     product[bottom] -= conflict  # the unnormalised mass of the least concept
     # Nonnegative numerators that sum to total - conflict: no second check.
     d, product = lowest_numerators(product, total - conflict)
+    g = (total - conflict) // d
+    if g != 1:
+        q = [x // g for x in q]
     result = MassFunction._from_numerators(
-        lat, tuple(fractions_over(product, d)), d, product)
+        lat, tuple(fractions_over(product, d)), d, product, q)
     # The first mass discards nothing.
     return CombinationReport(result, tuple(conflicts[1:]))
 

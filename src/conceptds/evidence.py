@@ -4,8 +4,11 @@ A mass function distributes one unit of evidence over concepts.  Belief at a
 concept sums the mass at or below it; plausibility sums the mass of every
 concept whose meet with it has a nonempty extent.  Both are computed on
 integer numerators over a common denominator.  A whole table comes from one
-path, the lattice's zeta transforms (`MassFunction.belief_table`), about
-three passes over its step list whatever the support.  `bel` and `pl` at one
+path, the lattice's zeta transforms (`MassFunction.belief_table`): one
+down-sweep of its step list that carries bel and the conflict row together,
+whatever the support, plus, when the least extent is empty, one up-sweep
+for the mass's commonality, which the mass keeps for its later tables and
+folds.  `bel` and `pl` at one
 concept sweep the mass's integers once, summing those whose extents lie
 inside, and meet, the concept's extent (`_inside_and_meeting`); the
 certificate of `represent_concepts` runs the same sum over the focal
@@ -26,15 +29,18 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from .context import FormalContext, MassSpec, ObjectSet, members, read_index
 from .errors import LabelError, MassError, check_capacity
 from .frozen import Frozen
-from .lattice import (MAX_CONCEPTS, ConceptLattice, enumerate_concepts,
-                      mobius_down, zeta, zeta_down)
+from .lattice import (ConceptLattice, enumerate_concepts, mobius_down,
+                      zeta, zeta_down)
 from .powerset import (read_mapping, read_sequence, read_subset, read_table,
                        read_text, size_key, subset_text, subsets)
 from .rationals import (check_unit, common_numerators, fractions_over,
                         lowest_numerators, parse_rationals)
 
-# A carrier of n elements has a 2^n-concept powerset lattice.
-MAX_SET_CARRIER = MAX_CONCEPTS.bit_length() - 1
+# A carrier of n elements has a 2^n-concept powerset lattice, so
+# 2 ** MAX_SET_CARRIER must stay within MAX_CONCEPTS.  Its own constant, so
+# that raising MAX_CONCEPTS lifts neither set carriers nor the CLI's 2^n
+# measure sweep.
+MAX_SET_CARRIER = 12
 
 _TOP_NAMES = frozenset({"top", "⊤"})
 _BOTTOM_NAMES = frozenset({"bottom", "bot", "⊥"})
@@ -53,14 +59,19 @@ class MassFunction(Frozen):
     where d is the lcm of the values' denominators and concept i carries
     mass numerators[1][i] / d.  `_from_numerators` runs that body alone,
     for numerators that a document, the fold, belief inversion or
-    normalization has already checked.  Equality and hashing read
-    `lattice` and `values` only.
+    normalization has already checked.  A mass also keeps its
+    commonality numerators once they are computed, the up-zeta of
+    numerators[1] over the same d, privately as `_commonality`: its first
+    bel/pl table computes them, and a fold's result is built holding them.
+    Equality, hashing and repr read `lattice` and `values` only.
     """
 
     lattice: ConceptLattice
     values: tuple[Fraction, ...]
     numerators: tuple[int, tuple[int, ...]]
     _compared = ("lattice", "values")
+    # The up-zeta of numerators[1], over numerators[0], once computed.
+    _commonality: list[int] | None = None
 
     def __init__(self, lattice: ConceptLattice,
                  values: Iterable[Fraction]) -> None:
@@ -78,12 +89,18 @@ class MassFunction(Frozen):
     @classmethod
     def _from_numerators(cls, lattice: ConceptLattice,
                          values: tuple[Fraction, ...], d: int,
-                         numerators: Sequence[int]) -> "MassFunction":
+                         numerators: Sequence[int],
+                         commonality: list[int] | None = None
+                         ) -> "MassFunction":
         """The mass whose value at concept i is values[i] == numerators[i] / d,
         for nonnegative numerators that sum to d over the lcm of the values'
-        denominators, checked by the caller; only `_hold`'s check runs."""
+        denominators, checked by the caller; only `_hold`'s check runs.  A
+        caller that already holds the up-zeta of the numerators passes it
+        as `commonality`, and the mass keeps it."""
         mass = cls.__new__(cls)
         mass._hold(lattice, values, d, numerators)
+        if commonality is not None:
+            object.__setattr__(mass, "_commonality", commonality)
         return mass
 
     def _hold(self, lattice: ConceptLattice, values: tuple[Fraction, ...],
@@ -146,10 +163,14 @@ class MassFunction(Frozen):
         bel is the down-zeta of the mass.  The mass that meets concept c at
         an empty least concept is the conflict of m with the categorical
         mass on c, the sum of mu(bottom, x) * q(x) over x <= c, for q the
-        commonality of m; so it is the down-zeta of mu(bottom, .) * q, and
-        pl is the total less it.  When the least extent is inhabited, the
-        kept row is empty, no meet is empty and pl is the total.  About
-        three passes over the lattice's steps, plus at most concepts x
+        commonality of m; so pl is the down-zeta of the row that holds d at
+        the least concept less mu(bottom, .) * q, since the least concept
+        lies below every c.  Both rows run in one down-sweep.  The mass
+        keeps q once it has computed it (`_commonality`), for a later table
+        or fold.  When the least extent is inhabited, the kept row is
+        empty, no meet is empty and pl is d everywhere: q is not needed.
+        One pass over the lattice's steps, and one more for q on a mass's
+        first table when the least extent is empty, plus at most concepts x
         min(objects, attributes) closure lookups when the lattice does not
         hold them yet.
         `belief_table` converts these numerators, and the certificates of
@@ -157,19 +178,19 @@ class MassFunction(Frozen):
         """
         lat = self.lattice
         d, numerators = self.numerators
-        n, steps = len(lat), lat.steps
+        steps, mobius_bottom = lat.steps, lat.mobius_bottom
         bel = list(numerators)
-        q = bel[:]
-        zeta(q, steps)
-        pl = [0] * n
-        for c, mu in lat.mobius_bottom:
-            pl[c] = mu * q[c]
-        # q is dropped before pl's last list is built, so that no more
-        # than three lists of n numerators are alive at once.
-        del q
-        zeta_down(pl, steps)
-        pl = [d - k for k in pl]
-        zeta_down(bel, steps)
+        pl = [0] * len(bel)
+        pl[lat.bottom_index] = d
+        if mobius_bottom:
+            q = self._commonality
+            if q is None:
+                q = bel[:]
+                zeta(q, steps)
+                object.__setattr__(self, "_commonality", q)
+            for c, mu in mobius_bottom:
+                pl[c] -= mu * q[c]
+        zeta_down(bel, pl, steps)
         return bel, pl
 
     def belief_table(self) -> "BeliefTable":

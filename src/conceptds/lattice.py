@@ -27,7 +27,9 @@ pass per k of h[S] += h[T] turns h into its up-zeta, the sum of h over the
 extents containing S, because every extent has a least closed superset of S
 plus k.  The passes in reverse, subtracting, invert it.  The down-zeta, the
 sum of h over the extents inside S, is the transpose: the steps in reverse,
-h[T] += h[S]; its inverse is the steps forward, h[T] -= h[S].
+h[T] += h[S]; its inverse is the steps forward, h[T] -= h[S].  The
+down-zeta carries two rows in one sweep, since its one caller, a bel/pl
+table, needs both bel and the conflict row that gives pl.
 
 The attributes generate the lattice just as well, from the other side: for
 an intent A and an attribute m outside it, the concept whose extent is A's
@@ -40,7 +42,9 @@ objects, objects otherwise.  The list holds at most concepts x min(objects,
 attributes) steps and costs as many lookups to build; the lattice builds it
 on first use (`ConceptLattice.steps`) and keeps it, with the Moebius row of
 its least concept, so that covers, bel/pl tables, combination and belief
-inversion on one lattice share one build.  The lookups always land, because
+inversion on one lattice share one build; a mass keeps its own up-zeta
+(`evidence.MassFunction`), so that its table and a fold share that sweep
+too.  The lookups always land, because
 a lattice is only ever built from its context.
 """
 
@@ -304,20 +308,22 @@ def mobius(values: list, steps: Steps) -> None:
         values[s] -= values[t]
 
 
-def zeta_down(values: list, steps: Steps) -> None:
-    """The down-zeta, in place: h(c) becomes the sum of h(d) over the
-    concepts d <= c, so that masses turn into beliefs.  It is the transpose
-    of `zeta`: the steps in reverse, each adding the source to the
-    target."""
+def zeta_down(values: list, others: list, steps: Steps) -> None:
+    """The down-zeta of two rows at once, in place: h(c) becomes the sum of
+    h(d) over the concepts d <= c, in `values` and in `others` alike, so
+    that masses turn into beliefs.  It is the transpose of `zeta`: the
+    steps in reverse, each adding the source to the target.  A bel/pl
+    table sweeps its two rows together, so that the steps are read once."""
     sources, targets = steps
     for s, t in zip(reversed(sources), reversed(targets)):
         values[t] += values[s]
+        others[t] += others[s]
 
 
 def mobius_down(values: list, steps: Steps) -> None:
-    """The inverse of `zeta_down`, in place, and the transpose of `mobius`:
-    the steps forward, each subtracting the source from the target.  Run
-    on the indicator of i, it gives mu(i, .)."""
+    """The inverse of `zeta_down` on one row, in place, and the transpose
+    of `mobius`: the steps forward, each subtracting the source from the
+    target.  Run on the indicator of i, it gives mu(i, .)."""
     for s, t in zip(*steps):
         values[t] -= values[s]
 

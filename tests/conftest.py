@@ -66,6 +66,35 @@ def contranominal(n: int) -> FormalContext:
                                    if g != m))
 
 
+class CountingSources:
+    """The source array of a lattice's step list, counting the passes made
+    over it: every transform reads the sources once per pass, forward or
+    in reverse, beside the targets."""
+
+    def __init__(self, sources):
+        self.sources, self.passes = sources, 0
+
+    def __iter__(self):
+        self.passes += 1
+        return iter(self.sources)
+
+    def __reversed__(self):
+        self.passes += 1
+        return reversed(self.sources)
+
+    def __len__(self):
+        return len(self.sources)
+
+
+def count_passes(lat) -> CountingSources:
+    """Build `lat`'s steps if it does not hold them yet, and keep them as a
+    pair whose sources count the passes that later transforms make."""
+    sources, targets = lat.steps
+    counting = CountingSources(sources)
+    lat.__dict__["steps"] = (counting, targets)
+    return counting
+
+
 def with_universal_object(ctx):
     """The context plus an object holding every attribute, so that the
     least concept's extent is inhabited."""

@@ -28,7 +28,8 @@ from conceptds import (FormalContext, MassError, MassFunction,
 from conceptds import lattice
 from conceptds.powerset import subsets
 
-from conftest import contranominal, with_universal_object
+from conftest import (contranominal, count_passes, small_contexts,
+                      with_universal_object)
 
 F1 = Fraction(1)
 
@@ -410,16 +411,20 @@ def _counted(lat, values):
 
 def test_belief_table_reads_the_support_once(music_case):
     """`belief_table` reads the mass's numerators once, into the
-    transforms, and builds the lattice's steps when it does not hold them;
-    `bel` and `pl` sweep them once per call, and the certificate reads them
-    once into the transforms and once into the focal pairs that the sum
-    `bel` and `pl` share runs over, whatever the lattice holds."""
+    transforms, and the commonality it keeps comes from that copy; it
+    builds the lattice's steps when it does not hold them.  `bel` and `pl`
+    sweep them once per call, and the certificate reads them once into the
+    transforms and once into the focal pairs that the sum `bel` and `pl`
+    share runs over, whatever the lattice holds."""
     values = music_case.masses["m3"].values
     lat = enumerate_concepts(music_case.lattice.context)
     m, support = _counted(lat, values)
     assert "steps" not in lat.__dict__
     table = m.belief_table()
     assert support.sweeps == 1 and "steps" in lat.__dict__
+    assert m._commonality is not None
+    assert m.belief_table() == table and support.sweeps == 2
+    support.sweeps = 1
     assert [m.bel(c) for c in range(len(lat))] == list(table.bel)
     assert [m.pl(c) for c in range(len(lat))] == list(table.pl)
     assert support.sweeps == 1 + 2 * len(lat)
@@ -461,6 +466,94 @@ def test_both_table_paths_are_the_brute_scans(case, inhabited):
         assert tuple(map(m.pl, range(n))) == pl
 
 
+def _brute_table(m):
+    n = len(m.lattice)
+    return (tuple(brute_bel(m, c) for c in range(n)),
+            tuple(brute_pl(m, c) for c in range(n)))
+
+
+def _up_sums(m):
+    """The commonality numerators of m by their definition: at c, the sum
+    of the numerators of the concepts whose extents contain c's."""
+    extents, numerators = m.lattice.extents, m.numerators[1]
+    return [sum(x for f, x in zip(extents, numerators) if e & ~f == 0)
+            for e in extents]
+
+
+SEEDS = st.lists(st.integers(0, 2 ** 32 - 1), min_size=2, max_size=3)
+
+
+@given(small_contexts(min_objects=1), st.booleans(), SEEDS)
+def test_tables_on_kept_commonalities_are_the_brute_scans(ctx, universal,
+                                                          seeds):
+    """`belief_table` gives `brute_bel` and `brute_pl` for a fresh mass,
+    again for the same mass once it keeps its commonality, and for a
+    fold's result, which is built keeping one.  A fold reads the kept
+    commonalities to the same result as a fold of fresh equal masses, and
+    a kept commonality changes no equality, hash or repr."""
+    lat = enumerate_concepts(with_universal_object(ctx) if universal
+                             else ctx)
+    inhabited = bool(lat.extents[lat.bottom_index])
+    masses = [random_mass(seed, lat, denominator_bound=12) for seed in seeds]
+    fresh = [MassFunction(lat, m.values) for m in masses]
+    for m, twin in zip(masses, fresh):
+        table = m.belief_table()
+        assert (table.bel, table.pl) == _brute_table(m)
+        if inhabited:
+            assert m._commonality is None
+        else:
+            assert m._commonality == _up_sums(m)
+        assert m.belief_table() == table
+        assert m == twin and hash(m) == hash(twin) and repr(m) == repr(twin)
+    try:
+        report = combine_many(masses)
+    except TotalConflictError:
+        return
+    assert combine_many(fresh) == report
+    result = report.result
+    table = result.belief_table()
+    assert (table.bel, table.pl) == _brute_table(result)
+    twin = MassFunction(lat, result.values)
+    assert result == twin and repr(result) == repr(twin)
+
+
+@given(small_contexts(min_objects=1), st.booleans(), SEEDS)
+def test_a_fold_result_keeps_the_up_zeta_of_its_numerators(ctx, universal,
+                                                           seeds):
+    """The fold's product less the conflict at the least concept, over the
+    result's denominator, is the result's commonality, with the least
+    extent empty and inhabited; when it is inhabited, no step conflicts."""
+    lat = enumerate_concepts(with_universal_object(ctx) if universal
+                             else ctx)
+    masses = [random_mass(seed, lat, denominator_bound=12) for seed in seeds]
+    try:
+        report = combine_many(masses)
+    except TotalConflictError:
+        assert not lat.extents[lat.bottom_index]
+        return
+    result = report.result
+    assert result._commonality == _up_sums(result)
+    assert result._commonality[lat.top_index] == result.numerators[1][0]
+    if lat.extents[lat.bottom_index]:
+        assert set(report.conflicts) == {0}
+        assert result._commonality[lat.bottom_index] == result.numerators[0]
+
+
+@given(small_contexts(), st.integers(0, 2 ** 32 - 1))
+def test_a_universal_object_gives_pl_one_without_an_up_sweep(ctx, seed):
+    """An object with every attribute inhabits the least extent, so no meet
+    is empty: pl is 1 at every concept, from one down-sweep and no
+    up-sweep, and the mass keeps no commonality."""
+    lat = enumerate_concepts(with_universal_object(ctx))
+    m = random_mass(seed, lat, denominator_bound=12)
+    passes = count_passes(lat)
+    table = m.belief_table()
+    assert table.pl == (F1,) * len(lat) == _brute_table(m)[1]
+    assert table.bel == _brute_table(m)[0]
+    assert passes.passes == 1 and m._commonality is None
+    assert lat.mobius_bottom == ()
+
+
 def test_one_op_builds_the_step_list_once(monkeypatch):
     """covers, four tables, a fold of three and an inversion on one
     lattice: one build of the steps, which all of them share.  The context
@@ -498,14 +591,19 @@ def test_both_step_lists_give_every_transform_and_the_covers(
     h = data.draw(st.lists(st.integers(-9, 9), min_size=len(lat),
                            max_size=len(lat)))
     sides = lattice.object_steps(lat), lattice.attribute_steps(lat)
-    for transform in (lattice.zeta, lattice.mobius, lattice.zeta_down,
-                      lattice.mobius_down):
+    for transform in (lattice.zeta, lattice.mobius, lattice.mobius_down):
         results = []
         for steps in sides:
             values = h[:]
             transform(values, steps)
             results.append(values)
         assert results[0] == results[1]
+    results = []
+    for steps in sides:
+        values, others = h[:], h[::-1]
+        lattice.zeta_down(values, others, steps)
+        results.append((values, others))
+    assert results[0] == results[1]
     assert lat.steps == sides[tall]
     assert lat.covers() == table_covers(lat)
 

@@ -1,9 +1,12 @@
 """The derivation operators have one owner: only `context` derives an
 extent, an intent or a closure from the cross table, lists a mask's bits by
-scanning its positions, or builds a mask from the incidence pairs, and the
-oracle keeps its own copies so that it stays independent of the code it
-checks.  `FormalContext` builds `rows` and `columns` in the one pass that
-validates the pairs, so no other module walks the pairs for a mask.
+scanning its positions, builds a mask from the incidence pairs, or folds
+intersections over the rows or the columns, and the oracle keeps its own
+copies so that it stays independent of the code it checks.  `FormalContext`
+builds `rows` and `columns` in the one pass that validates the pairs, so no
+other module walks the pairs for a mask.  The one other fold is
+`lattice.is_context_lattice`, the check that rebuilds the extents on its
+own, allowed by name.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ OWNERS = {"context.py", "oracle.py"}
 OPERATORS = {"up", "down"}
 TABLES = {"rows", "columns"}
 PAIRS = {"incidence"}
+# Functions allowed a fold of intersections over the rows or columns.
+OWN_FOLDS = {"lattice.py": {"is_context_lattice"}}
 
 
 def _names(node: ast.AST) -> set[str]:
@@ -90,6 +95,24 @@ def _is_bit_or(node: ast.AST) -> bool:
                for x in operands)
 
 
+def _is_cut(node: ast.AST, names: set[str]) -> bool:
+    """`x & c`, either way round, or `x &= c`, with c one of `names`."""
+    if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.BitAnd):
+        operands = [node.value]
+    elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd):
+        operands = [node.left, node.right]
+    else:
+        return False
+    return any(isinstance(x, ast.Name) and x.id in names for x in operands)
+
+
+def _nodes_of(tree: ast.AST, functions: set[str]) -> set[int]:
+    """The ids of every node inside the functions named in `functions`."""
+    return {id(n) for f in ast.walk(tree)
+            if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and f.name in functions for n in ast.walk(f)}
+
+
 def _loops(tree: ast.AST):
     """Each loop as (its iterable, its target names, the code it runs)."""
     for node in ast.walk(tree):
@@ -101,15 +124,18 @@ def _loops(tree: ast.AST):
                 yield gen.iter, _names(gen.target), [node]
 
 
-def _derivations(tree: ast.AST) -> list[str]:
+def _derivations(tree: ast.AST, own_folds: set[str] = frozenset()
+                 ) -> list[str]:
     """Each read of `up`/`down`, range scan of a mask's bits, inclusion
-    filter over the rows or columns and mask built by OR-ing shifted bits
-    in a loop over the incidence pairs that the source holds, with its
-    line."""
+    filter over the rows or columns, fold that cuts by a row or column it
+    loops over, and mask built by OR-ing shifted bits in a loop over the
+    incidence pairs that the source holds, with its line.  Folds inside
+    the functions named in `own_folds` are allowed."""
     found = {f"{node.attr} at line {node.lineno}" for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr in OPERATORS}
     aliases = _aliases(tree, TABLES)
     pair_aliases = _aliases(tree, PAIRS)
+    allowed = _nodes_of(tree, own_folds)
     for iterable, targets, body in _loops(tree):
         code = [n for statement in body for n in ast.walk(statement)]
         if isinstance(iterable, ast.Call) \
@@ -120,6 +146,9 @@ def _derivations(tree: ast.AST) -> list[str]:
         if _reads(iterable, TABLES, aliases):
             found |= {f"inclusion filter at line {n.lineno}" for n in code
                       if _is_inclusion(n, targets)}
+            if id(iterable) not in allowed:
+                found |= {f"fold at line {n.lineno}" for n in code
+                          if _is_cut(n, targets)}
         if _reads(iterable, PAIRS, pair_aliases):
             found |= {f"mask build at line {n.lineno}" for n in code
                       if _is_bit_or(n)}
@@ -127,7 +156,8 @@ def _derivations(tree: ast.AST) -> list[str]:
 
 
 def test_only_the_context_and_the_oracle_derive_from_the_cross_table():
-    found = {path.name: _derivations(ast.parse(path.read_text("utf-8")))
+    found = {path.name: _derivations(ast.parse(path.read_text("utf-8")),
+                                     OWN_FOLDS.get(path.name, set()))
              for path in sorted(PACKAGE.glob("*.py"))}
     assert found["context.py"], "the walk must see the owner's own forms"
     assert any(hit.startswith("mask build") for hit in found["context.py"]), \
@@ -154,9 +184,38 @@ def test_the_walk_sees_every_form_and_alias():
         " [e >> n & 1 for k in range(n)],\n"
         "            [e & ~c == 0 for c in lat.extents], ctx.upper)\n")
     assert _derivations(tree) == [
-        "down at line 4", "inclusion filter at line 13",
+        "down at line 4", "fold at line 18", "inclusion filter at line 13",
         "inclusion filter at line 17", "range scan at line 10",
         "range scan at line 7", "up at line 2"]
+
+
+def test_the_walk_sees_every_fold_over_the_rows_or_columns():
+    """A cut by the row or column a loop or comprehension runs over, also
+    through an alias, is a fold of intersections: the enumeration that
+    `ConceptLattice.__init__` ran in `lattice.py` before it moved into
+    `context` (`__init__`), and the same fold in other shapes (b, c).  A
+    cut by anything else is not (d), and an allowed function's own fold
+    passes by name only."""
+    tree = ast.parse(
+        "def __init__(self, context):\n"
+        "    intents = {(1 << len(context.attributes)) - 1}\n"
+        "    for row in context.rows:\n"
+        "        intents |= {intent & row for intent in intents}\n"
+        "    return intents\n"
+        "def b(ctx, e):\n    cols = ctx.columns\n"
+        "    return [e & c for c in cols]\n"
+        "def c(ctx, top):\n"
+        "    for g, row in enumerate(ctx.rows):\n        top &= row\n"
+        "    return top\n"
+        "def d(lat, e):\n"
+        "    return {x & e for x in lat.extents}, [e & k for k in range(3)]\n"
+        "def is_context_lattice(lat):\n    reach = {-1}\n"
+        "    for column in lat.context.columns:\n"
+        "        reach |= {e & column for e in reach}\n"
+        "    return reach\n")
+    folds = ["fold at line 11", "fold at line 4", "fold at line 8"]
+    assert _derivations(tree, {"is_context_lattice"}) == folds
+    assert _derivations(tree) == sorted(folds + ["fold at line 18"])
 
 
 def test_the_walk_sees_every_mask_built_from_the_pairs():

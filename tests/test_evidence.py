@@ -18,7 +18,7 @@ from conceptds import (CapacityError, FormalContext, LabelError, MassError,
                        mass_from_bel_lattice, mass_from_bel_set,
                        normalize_no_universal_object, normalize_with_mass,
                        random_mass, resolve_concept_label, resolve_mass)
-from conceptds import context, evidence, rationals
+from conceptds import context, evidence, lattice, rationals
 from conceptds.context import members
 from conceptds.errors import ENV_UNSAFE_SCALE
 
@@ -371,6 +371,14 @@ def test_inversion_requires_a_complete_table(music_lattice):
         mass_from_bel_set({frozenset(): F(0), frozenset("a"): F(1, 2)})
     with pytest.raises(MassError, match="expected 7 belief values, got 6"):
         mass_from_bel_lattice([F(0)] * 5 + [F(1)], music_lattice)
+
+
+def test_the_set_carrier_bound_stands_alone_within_the_concept_bound():
+    """A set-level mass builds a 2^n-concept powerset lattice, so the
+    largest carrier's lattice must fit the concept bound; the carrier bound
+    is its own constant, 12, not derived from the concept bound."""
+    assert evidence.MAX_SET_CARRIER == 12
+    assert 2 ** evidence.MAX_SET_CARRIER <= lattice.MAX_CONCEPTS
 
 
 def test_set_masses_are_bounded_before_the_powerset_lattice_is_built(

@@ -444,25 +444,40 @@ def lattice_values(draw):
 
 @given(lattice_values())
 def test_zeta_transforms_and_inverses_match_their_definitions(case):
-    """Up: the sum over d >= c; down, the transpose on the same steps: the
-    sum over d <= c; each inverse undoes its transform both ways round."""
+    """Up: the sum over d >= c; down, the transpose on the same steps, on
+    two rows in one sweep: the sum over d <= c in each; each inverse undoes
+    its transform both ways round, one row at a time."""
     lat, h = case
-    n, extents = len(lat), lat.extents
+    n, extents, steps = len(lat), lat.extents, lat.steps
     below = [[extents[i] & ~extents[j] == 0 for j in range(n)]
              for i in range(n)]
-    for transform, inverse, up in ((zeta, mobius, True),
-                                   (zeta_down, mobius_down, False)):
-        summed = h[:]
-        transform(summed, lat.steps)
-        assert summed == [sum(h[d] for d in range(n)
-                              if (below[c][d] if up else below[d][c]))
-                          for c in range(n)]
-        inverse(summed, lat.steps)
-        assert summed == h
-        inverted = h[:]
-        inverse(inverted, lat.steps)
-        transform(inverted, lat.steps)
-        assert inverted == h
+
+    def sums(row, up):
+        return [sum(row[d] for d in range(n)
+                    if (below[c][d] if up else below[d][c]))
+                for c in range(n)]
+
+    summed = h[:]
+    zeta(summed, steps)
+    assert summed == sums(h, True)
+    mobius(summed, steps)
+    assert summed == h
+    inverted = h[:]
+    mobius(inverted, steps)
+    zeta(inverted, steps)
+    assert inverted == h
+
+    g = [x * x - 3 for x in reversed(h)]
+    bel, other = h[:], g[:]
+    zeta_down(bel, other, steps)
+    assert (bel, other) == (sums(h, False), sums(g, False))
+    mobius_down(bel, steps)
+    mobius_down(other, steps)
+    assert (bel, other) == (h, g)
+    mobius_down(bel, steps)
+    mobius_down(other, steps)
+    zeta_down(bel, other, steps)
+    assert (bel, other) == (h, g)
 
 
 @given(lattice_values())

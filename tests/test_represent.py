@@ -460,8 +460,9 @@ def test_certificate_catches_a_wrong_belief(music_case, monkeypatch, capsys):
 
 def test_certificates_catch_a_dropped_step(music_case):
     """One step dropped from a lattice's kept step list, and the Moebius row
-    built on it rebuilt: the printed table goes wrong, and both conceptual
-    certificates report the rows it gets wrong."""
+    and the mass's commonality built on it rebuilt: the printed table goes
+    wrong, and both conceptual certificates report the rows it gets
+    wrong."""
     lat = enumerate_concepts(music_case.lattice.context)
     m = MassFunction(lat, music_case.masses["m1"].values)
     good = m.belief_table()
@@ -469,7 +470,7 @@ def test_certificates_catch_a_dropped_step(music_case):
     assert represent_concepts_frame(m).all_passed
     sources, targets = lat.steps
     del sources[0], targets[0]
-    del lat.mobius_bottom
+    del lat.mobius_bottom, vars(m)["_commonality"]
     table = m.belief_table()
     wrong = [c for c in range(len(lat))
              if (table.bel[c], table.pl[c]) != (good.bel[c], good.pl[c])]
@@ -489,7 +490,7 @@ def test_the_set_certificate_catches_a_dropped_step():
     assert represent_set(m).all_passed
     sources, targets = lat.steps
     del sources[0], targets[0]
-    del lat.mobius_bottom
+    del lat.mobius_bottom, vars(m.mass)["_commonality"]
     table = m.mass.belief_table()
     by_mask = subsets(m.carrier)
     wrong = {by_mask[lat.extents[c]] for c in range(len(lat))
